@@ -505,13 +505,27 @@ class SteadyState:
 
     ``residual`` is the sup norm of the projection of F off the state;
     it vanishes exactly when the state is stationary modulo a global phase
-    (the flow keeps rotating at a constant rate there).
+    (the flow keeps rotating at a constant rate there).  ``t_reached`` is
+    the flow time integrated by RK4; a Newton polish adds none.
     """
 
     psi_inf: np.ndarray
     t_reached: float
     residual: float
     converged: bool
+
+
+# Newton takes over from RK4 once the projected residual is at most this.
+# At 1e-1 it already finishes c4's candidate probes within a 0.2 flow-time
+# horizon, which is meant to skip them as too slow.
+_NEWTON_HANDOFF = 1e-2
+_NEWTON_MAX_ITER = 8
+# largest distance from the hand-off state a Newton iterate may wander
+_NEWTON_TRUST = 0.5
+# largest growth rate, off the phase and radial directions, of the
+# linearization at a state Newton may return; beyond it the state repels
+# the flow (round-off in the eigenvalues, zero ones included, is ~1e-15)
+_NEWTON_STABLE_RATE = 1e-9
 
 
 def _batch_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
@@ -524,13 +538,179 @@ def _batch_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     return -1j * (lp + v * psi) - gamma * proj
 
 
-def _batch_residual(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-                    gamma: float) -> np.ndarray:
+def _batch_projected_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                         gamma: float) -> np.ndarray:
+    """P F, the right-hand side projected off the state.
+
+    F is tangent to the sphere, so P F = F - i alpha psi with the rotation
+    rate alpha = Im<psi, F> / |psi|^2: the residual of F(psi) = i alpha psi.
+    """
     f = _batch_rhs(lap, v, psi, gamma)
     n2 = np.sum(np.abs(psi) ** 2, axis=1).real
     inner = np.sum(np.conj(psi) * f, axis=1)
-    pf = f - psi * (inner / n2)[:, None]
-    return np.abs(pf).max(axis=1)
+    return f - psi * (inner / n2)[:, None]
+
+
+def _batch_residual(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                    gamma: float) -> np.ndarray:
+    return np.abs(_batch_projected_rhs(lap, v, psi, gamma)).max(axis=1)
+
+
+def _realified_jacobian(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                        gamma: float) -> np.ndarray:
+    """Realified Jacobians (B, 2N, 2N) of the complex flow, in closed form.
+
+    ``lap`` (B, N, N) holds coupling Laplacians, ``v`` (B, N) frozen
+    potentials and ``psi`` (B, N) the states.  The |psi|^2 and projector
+    terms make dF = A delta + C conj(delta) real-linear only; acting on
+    [Re; Im] stacks this is [[Re(A+C), -Im(A-C)], [Im(A+C), Re(A-C)]].
+    With d = L psi + (|psi|^2 - V) psi, s = <psi, d> and n2 = |psi|^2,
+    F = -i (L + V) psi - gamma (d - psi s / n2).
+    """
+    eye = np.eye(psi.shape[1])
+    r2 = np.abs(psi) ** 2
+    n2 = r2.sum(axis=1)[:, None, None]
+    d = np.einsum("sij,sj->si", lap, psi) + (r2 - v) * psi
+    s = np.sum(np.conj(psi) * d, axis=1)[:, None, None]
+    # dd = A_d delta + diag(psi^2) conj(delta), ds = a_s delta + c_s conj(delta)
+    a_d = lap + (2.0 * r2 - v)[:, :, None] * eye
+    a_s = np.einsum("si,sij->sj", np.conj(psi), a_d)
+    c_s = d + r2 * psi
+    a_p = (a_d - (s / n2) * eye - psi[:, :, None] * a_s[:, None, :] / n2
+           + (s / n2 ** 2) * psi[:, :, None] * np.conj(psi)[:, None, :])
+    c_p = ((psi ** 2)[:, :, None] * eye - psi[:, :, None] * c_s[:, None, :] / n2
+           + (s / n2 ** 2) * psi[:, :, None] * psi[:, None, :])
+    a = -1j * (lap + v[:, :, None] * eye) - gamma * a_p
+    c = -gamma * c_p
+    return np.concatenate([
+        np.concatenate([(a + c).real, -(a - c).imag], axis=2),
+        np.concatenate([(a + c).imag, (a - c).real], axis=2)], axis=1)
+
+
+def _bordered_system(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                     gamma: float) -> np.ndarray:
+    """Doubly bordered real matrices (B, 2N+2, 2N+2) at the states ``psi``.
+
+    Unknowns are (d_psi, d_alpha, d_mu): the top-left block is J - alpha i
+    with the rotation rate alpha = -<psi, (L + V) psi> / |psi|^2, the two
+    extra columns are -i psi and -psi, and the two extra rows are the phase
+    and radial slices Im<psi, d_psi> = 0 and Re<psi, d_psi> = 0.  Newton on
+    F(psi) = i alpha psi and the implicit derivatives of a converged state
+    both solve with it.
+    """
+    nb, n = psi.shape
+    slices = np.stack([np.concatenate([-psi.imag, psi.real], axis=1),
+                       np.concatenate([psi.real, psi.imag], axis=1)], axis=1)
+    mpsi = np.einsum("sij,sj->si", lap, psi) + v * psi
+    alpha = (-np.sum(np.conj(psi) * mpsi, axis=1).real
+             / np.sum(np.abs(psi) ** 2, axis=1))
+    diag = np.arange(n)
+    b = np.zeros((nb, 2 * n + 2, 2 * n + 2))
+    b[:, :2 * n, :2 * n] = _realified_jacobian(lap, v, psi, gamma)
+    b[:, diag, diag + n] += alpha[:, None]
+    b[:, diag + n, diag] -= alpha[:, None]
+    b[:, :2 * n, 2 * n:] = -slices.transpose(0, 2, 1)
+    b[:, 2 * n:, :2 * n] = slices
+    return b
+
+
+def _repelling(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+               gamma: float) -> np.ndarray:
+    """Whether the linearized flow at each relative equilibrium has a
+    growing mode, that is, an eigenvalue with real part above
+    ``_NEWTON_STABLE_RATE``.
+
+    The linearization J - alpha i of the rotating frame is taken on the
+    real complement of the radial and phase directions psi and i psi: the
+    flow keeps |psi| and is neutral along the phase.  Components of the
+    graph on which psi vanishes are left out too: the flow keeps them at
+    exactly zero, so their modes are never excited.
+    """
+    n = psi.shape[1]
+    adjacent = (lap != 0).astype(float)
+    reach = psi != 0
+    for _ in range(n - 1):
+        reach |= np.einsum("sij,sj->si", adjacent, reach) > 0
+    b = _bordered_system(lap, v, psi, gamma)
+    a = b[:, :2 * n, :2 * n]
+    # the linearization does not couple a vanishing component to the rest,
+    # so zeroing its block only turns its eigenvalues into zeros; so does
+    # the projection p = 1 - s s^T off s = [psi, i psi] / |psi|
+    idle = np.tile(~reach, 2)
+    a[idle[:, :, None] | idle[:, None, :]] = 0.0
+    s = b[:, :2 * n, 2 * n:] / np.linalg.norm(psi, axis=1)[:, None, None]
+    p = np.eye(2 * n) - s @ s.transpose(0, 2, 1)
+    try:
+        rate = np.linalg.eigvals(p @ a @ p).real.max(axis=1)
+    except np.linalg.LinAlgError:  # no converged spectrum: leave it to RK4
+        return np.ones(len(psi), dtype=bool)
+    return rate > _NEWTON_STABLE_RATE
+
+
+def _solve_stacked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of square systems; a singular one fails only its row."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        solved = np.ones(len(a), bool)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return x, solved
+
+
+def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                   res: np.ndarray, gamma: float, tol: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched Newton on F(psi) = i alpha psi from hand-off states ``psi``.
+
+    Each iteration solves every live row's bordered system once and
+    renormalizes.  A row is accepted once its residual is at most ``tol``;
+    it is dropped when the residual does not fall, the iterate leaves the
+    trust radius around its hand-off state or turns non-finite, the system
+    is singular, or the iterations run out.  A root at which the flow's
+    linearization has a growing mode is dropped too: the flow leaves such
+    an equilibrium, so it is not the steady state RK4 would reach.
+    Returns states and residuals (Newton's output for accepted rows, the
+    hand-off values for the rest) and a mask of the rows that met such a
+    repelling root.
+    """
+    nb, n = psi.shape
+    out, out_res = psi.copy(), res.copy()
+    repelled = np.zeros(nb, dtype=bool)
+    live = np.arange(nb)
+    cur, cur_res = psi, res
+    pf = _batch_projected_rhs(lap, v, cur, gamma)
+    for _ in range(_NEWTON_MAX_ITER):
+        la, va = lap[live], v[live]
+        rhs = np.zeros((live.size, 2 * n + 2))
+        rhs[:, :n] = -pf.real
+        rhs[:, n:2 * n] = -pf.imag
+        step, solved = _solve_stacked(_bordered_system(la, va, cur, gamma), rhs)
+        new = cur + step[:, :n] + 1j * step[:, n:2 * n]
+        new = new / np.linalg.norm(new, axis=1)[:, None]
+        finite = np.isfinite(new).all(axis=1)
+        new = np.where(finite[:, None], new, cur)
+        new_pf = _batch_projected_rhs(la, va, new, gamma)
+        new_res = np.abs(new_pf).max(axis=1)
+        keep = (solved & finite & (new_res < cur_res)
+                & (np.linalg.norm(new - psi[live], axis=1) <= _NEWTON_TRUST))
+        done = keep & (new_res <= tol)
+        if done.any():
+            stable = ~_repelling(la[done], va[done], new[done], gamma)
+            repelled[live[done][~stable]] = True
+            keep[done] = stable
+            done[done] = stable
+        out[live[done]] = new[done]
+        out_res[live[done]] = new_res[done]
+        go = keep & ~done
+        live, cur, cur_res, pf = live[go], new[go], new_res[go], new_pf[go]
+        if not live.size:
+            break
+    return out, out_res, repelled
 
 
 def solve_steady_state_many(graphs: Sequence[WeightedGraph],
@@ -543,14 +723,20 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     All graphs must share the vertex count.  ``starts`` optionally replaces
     the integration start point (the frozen potential still comes from the
     matching ``psi0``), which lets callers warm-start perturbed problems.
-    Rows that fail to converge by ``t_max`` come back with
-    ``converged=False``; rows that go non-finite come back with an infinite
-    residual.
+
+    RK4 runs in chunks of 20 steps.  At t = 0 and after every chunk, rows
+    whose projected residual is at most 1e-2 are polished by a batched
+    Newton on their bordered systems (``_bordered_system``); rows Newton
+    does not accept resume RK4 from where they were handed off.  A row
+    whose Newton root repels the flow is left to RK4 for the rest of the
+    solve, as a plain RK4 solve would have been.  So ``t_max`` bounds the
+    flow time alone.  Rows that fail to converge by
+    ``t_max`` come back with ``converged=False``; rows that go non-finite
+    come back with an infinite residual.
     """
     n_prob = len(graphs)
     if n_prob == 0:
         return []
-    n = graphs[0].n
     lap = np.stack([g.coupling_laplacian() for g in graphs])
     psi0_arr = np.stack([validate_scalar_field(g, p)
                          for g, p in zip(graphs, psi0s)])
@@ -561,29 +747,42 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     psi = psi0_arr.copy() if starts is None else np.stack(
         [np.asarray(s, dtype=complex) for s in starts])
 
-    dt, gamma = config.dt, config.gamma
+    dt, gamma, tol = config.dt, config.gamma, config.steady_tol
     check_every = 20
     total_steps = max(1, int(round(config.t_max / dt)))
 
     result_psi = np.empty_like(psi)
     result_t = np.zeros(n_prob)
     result_res = np.full(n_prob, np.inf)
-    done = np.zeros(n_prob, dtype=bool)
     ok = np.zeros(n_prob, dtype=bool)
+    flow_only = np.zeros(n_prob, dtype=bool)
+
+    def finish(rows: np.ndarray, states: np.ndarray, res: np.ndarray,
+               converged: np.ndarray, step: int) -> None:
+        result_psi[rows] = states
+        result_t[rows] = step * dt
+        result_res[rows] = res
+        ok[rows] = converged
 
     active = np.arange(n_prob)
-    res0 = _batch_residual(lap, v, psi, gamma)
-    hit = res0 <= config.steady_tol
-    for idx in active[hit]:
-        result_psi[idx] = psi[idx]
-        result_t[idx] = 0.0
-        result_res[idx] = res0[idx]
-        done[idx] = True
-        ok[idx] = True
-    active = active[~hit]
-
     step = 0
-    while active.size and step < total_steps:
+    while True:
+        la, va, pa = lap[active], v[active], psi[active]
+        finite = np.isfinite(pa).all(axis=1)
+        safe = np.where(finite[:, None], pa, psi0_arr[active])
+        res = np.where(finite, _batch_residual(la, va, safe, gamma), np.inf)
+        near = (finite & (res > tol) & (res <= _NEWTON_HANDOFF)
+                & ~flow_only[active])
+        if near.any():
+            pa[near], res[near], repelled = _newton_polish(
+                la[near], va[near], pa[near], res[near], gamma, tol)
+            flow_only[active[near][repelled]] = True
+        hit = (res <= tol) | ~finite
+        finish(active[hit], pa[hit], res[hit], finite[hit] & (res[hit] <= tol),
+               step)
+        active = active[~hit]
+        if not active.size or step >= total_steps:
+            break
         chunk = min(check_every, total_steps - step)
         la, va = lap[active], v[active]
         pa = psi[active]
@@ -597,25 +796,8 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
             pa = pa / np.where(np.abs(nrm - 1.0) > config.renorm_tol, nrm, 1.0)[:, None]
         step += chunk
         psi[active] = pa
-        finite = np.isfinite(pa).all(axis=1)
-        safe = np.where(finite[:, None], pa, psi0_arr[active])
-        res = np.where(finite, _batch_residual(la, va, safe, gamma), np.inf)
-        hit = (res <= config.steady_tol) | ~finite
-        for j, idx in enumerate(active):
-            if hit[j]:
-                result_psi[idx] = pa[j]
-                result_t[idx] = step * dt
-                result_res[idx] = res[j]
-                done[idx] = True
-                ok[idx] = bool(finite[j] and res[j] <= config.steady_tol)
-        active = active[~hit]
 
-    for idx in active:  # ran out of time
-        la = lap[idx:idx + 1]
-        va = v[idx:idx + 1]
-        result_psi[idx] = psi[idx]
-        result_t[idx] = step * dt
-        result_res[idx] = float(_batch_residual(la, va, psi[idx:idx + 1], gamma)[0])
+    finish(active, psi[active], res[~hit], np.zeros(active.size, bool), step)
     return [SteadyState(result_psi[i], float(result_t[i]),
                         float(result_res[i]), bool(ok[i]))
             for i in range(n_prob)]
@@ -626,8 +808,9 @@ def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
     """Integrate the complex flow until it is stationary modulo phase.
 
     Stationarity is detected through the projected residual ||P F||_inf
-    (checked every 20 steps, and at t = 0); the returned state keeps
-    whatever global phase the integration happened to end at.
+    (checked every 20 steps, and at t = 0), and a Newton polish finishes
+    the solve once that residual is small (see ``solve_steady_state_many``).
+    The returned state keeps whatever global phase it ended at.
     """
     starts = None if start is None else [start]
     out = solve_steady_state_many([g], [psi0], config, starts)[0]

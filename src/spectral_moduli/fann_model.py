@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import NlseConfig, SteadyState, solve_steady_state
-from .graph_core import GraphError, WeightedGraph, build_graph
+from .graph_core import GraphError, graph_from_dict, graph_to_dict
 from .moduli import (Batch, LossEvaluationError, ModuliPoint, OptimizerConfig,
                      SteadySolveEngine, descent_step)
 from .sensitivity import (NonIsolatedSteadyStateError, potential_gradient,
@@ -900,7 +900,6 @@ def _decode_array(d: dict) -> np.ndarray:
 def save_checkpoint(path, params: ModelParams, point: ModuliPoint, *,
                     extra: dict | None = None) -> None:
     """Write the model and graph as deterministic, realified JSON."""
-    g = point.graph
     payload = {
         "model": {
             "a1": _encode_array(params.a1),
@@ -911,11 +910,7 @@ def save_checkpoint(path, params: ModelParams, point: ModuliPoint, *,
             "activation3": params.activation3,
             "readout_mode": params.readout_mode,
         },
-        "graph": {
-            "n": g.n,
-            "edges": [[int(u), int(v), float(w)]
-                      for (u, v), w in zip(g.edges, g.weights)],
-        },
+        "graph": graph_to_dict(point.graph),
         "extra": extra if extra is not None else {},
     }
     with open(path, "w") as fh:
@@ -933,9 +928,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModuliPoint]:
         b3=complex(m["b3"]["re"], m["b3"]["im"]),
         activation1=m["activation1"], activation3=m["activation3"],
         readout_mode=m["readout_mode"])
-    gd = payload["graph"]
-    graph = build_graph(gd["n"], [(u, v, w) for u, v, w in gd["edges"]])
-    return params, ModuliPoint(graph)
+    return params, ModuliPoint(graph_from_dict(payload["graph"]))
 
 
 def write_history_csv(path, history: Sequence[EpochRecord]) -> None:

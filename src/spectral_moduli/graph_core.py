@@ -212,16 +212,20 @@ def build_graph(n: int,
                 edges: Iterable[tuple[int, int, float]],
                 mu: Sequence[float] | None = None,
                 rho: Sequence[float] | None = None) -> WeightedGraph:
-    """Construct a graph from (u, v, w) triples, canonicalizing edge order."""
+    """Construct a graph from (u, v, w) triples, canonicalizing edge order.
+
+    ``rho`` follows the order of ``edges`` and is permuted along with them.
+    """
     triples = [((min(u, v), max(u, v)), float(w)) for u, v, w in edges]
-    triples.sort(key=lambda t: t[0])
-    pairs = tuple(p for p, _ in triples)
-    weights = np.array([w for _, w in triples], dtype=float)
-    mu_arr = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
     if rho is None:
-        rho_arr = np.ones(len(pairs))
-    else:
-        rho_arr = np.asarray(rho, dtype=float)
+        rho = np.ones(len(triples))
+    elif len(rho) != len(triples):
+        raise GraphError("one rho value per edge required")
+    order = sorted(range(len(triples)), key=lambda k: triples[k][0])
+    pairs = tuple(triples[k][0] for k in order)
+    weights = np.array([triples[k][1] for k in order], dtype=float)
+    rho_arr = np.array([float(rho[k]) for k in order], dtype=float)
+    mu_arr = np.ones(n) if mu is None else np.asarray(mu, dtype=float)
     return WeightedGraph(n, pairs, weights, mu_arr, rho_arr)
 
 
@@ -442,7 +446,8 @@ def norm_equivalence_report(g: WeightedGraph, n_samples: int = 200,
 def graph_to_dict(g: WeightedGraph) -> dict:
     return {
         "n": g.n,
-        "edges": [[u, v, float(w)] for (u, v), w in zip(g.edges, g.weights)],
+        "edges": [[int(u), int(v), float(w)]
+                  for (u, v), w in zip(g.edges, g.weights)],
         "mu": [float(x) for x in g.mu],
         "rho": [float(x) for x in g.rho],
     }
@@ -454,17 +459,7 @@ def graph_from_dict(d: dict) -> WeightedGraph:
         triples = [(int(u), int(v), float(w)) for u, v, w in d["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph dictionary: {exc}") from exc
-    mu = d.get("mu")
-    rho = d.get("rho")
-    g = build_graph(n, triples, mu=mu, rho=None)
-    if rho is not None:
-        # rho entries follow the (sorted) canonical edge order of the file.
-        order = sorted(range(len(triples)),
-                       key=lambda k: (min(triples[k][0], triples[k][1]),
-                                      max(triples[k][0], triples[k][1])))
-        rho_sorted = np.asarray(rho, dtype=float)[order]
-        g = WeightedGraph(g.n, g.edges, g.weights, g.mu, rho_sorted)
-    return g
+    return build_graph(n, triples, mu=d.get("mu"), rho=d.get("rho"))
 
 
 def save_graph(g: WeightedGraph, path: str) -> None:

@@ -7,11 +7,20 @@ a parameter p gives
     (J - i*alpha) d_psi - i*psi d_alpha = -dF/dp,
 
 a system that is singular along the phase direction i*psi.  We restore
-invertibility with one bordering row, the phase-slice condition
-Im<psi, d_psi> = 0, and solve the real (2N+1) x (2N+1) system for
-(d_psi, d_alpha).  Everything complex is realified as [Re; Im] stacks; the
-Jacobian J is assembled analytically (the right-hand side contains conj-
-linear terms, so J is real-linear, not complex-linear).
+invertibility with bordering rows, the phase-slice condition
+Im<psi, d_psi> = 0 and the radial slice Re<psi, d_psi> = 0, and solve the
+real (2N+2) x (2N+2) system for (d_psi, d_alpha, d_mu).  Everything complex
+is realified as [Re; Im] stacks; the Jacobian J and the bordered matrix
+come in closed form from ``dynamics._bordered_system``, the same matrix the
+steady-state solver's Newton polish uses (the right-hand side contains
+conj-linear terms, so J is real-linear, not complex-linear).
+
+Each solve factors the matrix once (LAPACK getrf).  The condition estimate
+reported and checked against 1e12 is LAPACK's estimate of the 1-norm
+condition number from those factors (gecon).  It reads higher than the
+2-norm condition number: 21-33 against 4.9-8.0 at the steady states of the
+triangle, C4, C8 and P4 from random inputs.
+The adjoint solves the transposed system on the same factors.
 
 The finite-difference oracle re-solves the flow at perturbed parameters and
 gauge-aligns both endpoints to the base state, which places them on the same
@@ -24,10 +33,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .graph_core import GraphError, WeightedGraph, validate_scalar_field
-from .dynamics import NlseConfig, SteadyState, gauge_align, solve_steady_state
+from .dynamics import (NlseConfig, SteadyState, _bordered_system,
+                       _realified_jacobian, gauge_align, solve_steady_state)
 
 __all__ = [
     "NonIsolatedSteadyStateError",
@@ -79,51 +89,18 @@ def unrealify(x: np.ndarray) -> np.ndarray:
     return x[:n] + 1j * x[n:]
 
 
-def _rhs_jvp(lap: np.ndarray, v: np.ndarray, psi: np.ndarray, gamma: float,
-             delta: np.ndarray) -> np.ndarray:
-    """Directional derivative of the complex flow's right-hand side.
-
-    Real-linear in delta (the |psi|^2 and projector terms differentiate
-    into conj-linear pieces).
-    """
-    n2 = float(np.sum(np.abs(psi) ** 2))
-    d = lap @ psi + (np.abs(psi) ** 2 - v) * psi
-    dd = lap @ delta + (np.abs(psi) ** 2 - v) * delta \
-        + 2.0 * (psi.real * delta.real + psi.imag * delta.imag) * psi
-    s = np.vdot(psi, d)
-    ds = np.vdot(delta, d) + np.vdot(psi, dd)
-    dn2 = 2.0 * np.sum(psi.real * delta.real + psi.imag * delta.imag)
-    dproj = dd - delta * (s / n2) - psi * (ds / n2) + psi * (s * dn2 / n2 ** 2)
-    return -1j * (lap @ delta + v * delta) - gamma * dproj
-
-
 def rhs_jacobian(g: WeightedGraph, psi0: np.ndarray, psi: np.ndarray,
                  gamma: float) -> np.ndarray:
     """Realified 2N x 2N Jacobian of the complex flow at ``psi``."""
     psi0 = validate_scalar_field(g, psi0)
     psi = validate_scalar_field(g, psi)
-    lap = g.coupling_laplacian()
-    v = np.abs(psi0) ** 2
-    n = g.n
-    jac = np.empty((2 * n, 2 * n))
-    basis = np.eye(n)
-    for j in range(n):
-        jac[:, j] = realify(_rhs_jvp(lap, v, psi, gamma, basis[j] + 0j))
-        jac[:, n + j] = realify(_rhs_jvp(lap, v, psi, gamma, 1j * basis[j]))
-    return jac
+    return _realified_jacobian(g.coupling_laplacian()[None],
+                              (np.abs(psi0) ** 2)[None], psi[None], gamma)[0]
 
 
-def _phase_generator(n: int) -> np.ndarray:
-    """Realified multiplication by i: [Re; Im] -> [-Im; Re]."""
-    k = np.zeros((2 * n, 2 * n))
-    k[:n, n:] = -np.eye(n)
-    k[n:, :n] = np.eye(n)
-    return k
-
-
-def _bordered_system(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                     gamma: float) -> tuple[np.ndarray, float]:
-    """Doubly bordered real matrix at the steady state plus its condition.
+def _factor_bordered(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
+                     gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """LU factors of the doubly bordered real matrix at the steady state.
 
     The linearization J - i*alpha annihilates the phase direction i*psi
     exactly, and it is near-singular along psi itself: the flow conserves
@@ -131,43 +108,59 @@ def _bordered_system(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     relative equilibrium and the equilibria form a curve crossing the unit
     sphere.  Both directions are therefore bordered out: two slice rows
     (Im<psi, d_psi> = 0 and Re<psi, d_psi> = 0) and two auxiliary columns
-    (phase rate, radial source).  For consistent right-hand sides the
-    radial source solves to ~0 and d_psi is the on-sphere derivative.
+    (phase rate, radial source); see ``dynamics._bordered_system``.  For
+    consistent right-hand sides the radial source solves to ~0 and d_psi
+    is the on-sphere derivative.
+
+    Returns (lu, piv, cond), where cond is LAPACK's estimate of the 1-norm
+    condition number taken from the same factors.
     """
     if not steady.converged:
         raise ValueError("sensitivity requires a converged steady state")
-    psi = steady.psi_inf
-    n = g.n
-    lap = g.coupling_laplacian()
-    v = np.abs(np.asarray(psi0)) ** 2
-    f = -1j * (lap @ psi + v * psi)  # projected part vanishes at stationarity
-    alpha = np.vdot(psi, f).imag / float(np.sum(np.abs(psi) ** 2))
-    jac = rhs_jacobian(g, psi0, psi, gamma)
-    gauge = realify(1j * psi)
-    radial = realify(psi)
-    b = np.zeros((2 * n + 2, 2 * n + 2))
-    b[:2 * n, :2 * n] = jac - alpha * _phase_generator(n)
-    b[:2 * n, 2 * n] = -gauge
-    b[:2 * n, 2 * n + 1] = -radial
-    b[2 * n, :2 * n] = gauge
-    b[2 * n + 1, :2 * n] = radial
-    cond = float(np.linalg.cond(b))
+    psi0 = validate_scalar_field(g, psi0)
+    b = _bordered_system(g.coupling_laplacian()[None],
+                        (np.abs(psi0) ** 2)[None], steady.psi_inf[None],
+                        gamma)[0]
+    lu, piv, info = scipy.linalg.lapack.dgetrf(b)
+    cond = np.inf
+    if info == 0:
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.abs(b).sum(axis=0).max())
+        if rcond > 0:
+            cond = 1.0 / rcond
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NonIsolatedSteadyStateError(
             f"bordered Jacobian is numerically singular (cond {cond:.3e})")
-    return b, cond
+    return lu, piv, cond
 
 
-def _dF_dweight(g: WeightedGraph, psi: np.ndarray, edge: tuple[int, int],
-                gamma: float) -> np.ndarray:
-    """Derivative of the right-hand side in one edge weight."""
-    u, v_ = edge
-    z = np.zeros(g.n, dtype=complex)
-    z[u] = psi[u] - psi[v_]
-    z[v_] = psi[v_] - psi[u]
+def _solve_bordered(lu: np.ndarray, piv: np.ndarray, rhs_top: np.ndarray,
+                    trans: int = 0) -> np.ndarray:
+    """Solve the factored bordered system (or its transpose) for right-hand
+    sides (2N or 2N x k) padded with zeros in the border rows."""
+    n2 = rhs_top.shape[0]
+    rhs = np.zeros((lu.shape[0],) + rhs_top.shape[1:])
+    rhs[:n2] = rhs_top
+    sol, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs.reshape(lu.shape[0], -1),
+                                        trans=trans)
+    return sol[:n2].reshape(rhs_top.shape)
+
+
+def _dF_dweights(g: WeightedGraph, psi: np.ndarray,
+                 gamma: float) -> np.ndarray:
+    """Realified derivatives of the right-hand side in every edge weight.
+
+    Row k (of E) is realify(dF/dw_k): for edge (u, v) the Laplacian moves
+    by z = (psi_u - psi_v)(e_u - e_v), and dF = -i z - gamma P z.
+    """
+    u, v = np.asarray(g.edges).T
+    rows = np.arange(g.n_edges)
+    z = np.zeros((g.n_edges, g.n), dtype=complex)
+    z[rows, u] = psi[u] - psi[v]
+    z[rows, v] = psi[v] - psi[u]
     n2 = float(np.sum(np.abs(psi) ** 2))
-    proj = z - psi * (np.vdot(psi, z) / n2)
-    return -1j * z - gamma * proj
+    proj = z - np.outer(z @ np.conj(psi), psi) / n2
+    df = -1j * z - gamma * proj
+    return np.concatenate([df.real, df.imag], axis=1)
 
 
 def _dF_dpotential(g: WeightedGraph, psi: np.ndarray, dv: np.ndarray,
@@ -179,23 +172,16 @@ def _dF_dpotential(g: WeightedGraph, psi: np.ndarray, dv: np.ndarray,
     return -1j * z + gamma * proj
 
 
-def _solve_bordered(b: np.ndarray, rhs_top: np.ndarray) -> np.ndarray:
-    n2 = rhs_top.shape[0]
-    rhs = np.zeros(b.shape[0])
-    rhs[:n2] = rhs_top
-    sol = scipy.linalg.lu_solve(scipy.linalg.lu_factor(b), rhs)
-    return sol[:n2]
-
-
 def dpsi_dw(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
             edge: tuple[int, int], gamma: float = 1.0) -> SensitivityResult:
     """Implicit derivative of the steady state in one edge weight."""
     edge = (min(edge), max(edge))
     if edge not in g.edge_index():
         raise GraphError(f"edge {edge} not in graph")
-    b, cond = _bordered_system(g, psi0, steady, gamma)
-    rhs_top = -realify(_dF_dweight(g, steady.psi_inf, edge, gamma))
-    return SensitivityResult(_solve_bordered(b, rhs_top), "implicit", cond)
+    lu, piv, cond = _factor_bordered(g, psi0, steady, gamma)
+    rhs_top = -_dF_dweights(g, steady.psi_inf, gamma)[g.edge_index()[edge]]
+    return SensitivityResult(_solve_bordered(lu, piv, rhs_top), "implicit",
+                             cond)
 
 
 def dpsi_dw_all(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
@@ -203,16 +189,10 @@ def dpsi_dw_all(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     """Per-edge implicit derivatives sharing one factorization."""
     if g.n_edges == 0:
         return {}
-    b, cond = _bordered_system(g, psi0, steady, gamma)
-    lu = scipy.linalg.lu_factor(b)
-    out = {}
-    n2 = 2 * g.n
-    for edge in g.edges:
-        rhs = np.zeros(b.shape[0])
-        rhs[:n2] = -realify(_dF_dweight(g, steady.psi_inf, edge, gamma))
-        out[edge] = SensitivityResult(
-            scipy.linalg.lu_solve(lu, rhs)[:n2], "implicit", cond)
-    return out
+    lu, piv, cond = _factor_bordered(g, psi0, steady, gamma)
+    sol = _solve_bordered(lu, piv, -_dF_dweights(g, steady.psi_inf, gamma).T)
+    return {edge: SensitivityResult(sol[:, k], "implicit", cond)
+            for k, edge in enumerate(g.edges)}
 
 
 def dpsi_dpsi0(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
@@ -231,10 +211,11 @@ def dpsi_dpsi0(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     if abs(float(np.vdot(psi0, direction).real)) > 1e-10:
         raise ValueError("direction must be tangent to the unit sphere "
                          "(Re<psi0, direction> = 0 within 1e-10)")
-    b, cond = _bordered_system(g, psi0, steady, gamma)
+    lu, piv, cond = _factor_bordered(g, psi0, steady, gamma)
     dv = 2.0 * (psi0.real * direction.real + psi0.imag * direction.imag)
     rhs_top = -realify(_dF_dpotential(g, steady.psi_inf, dv, gamma))
-    return SensitivityResult(_solve_bordered(b, rhs_top), "implicit", cond)
+    return SensitivityResult(_solve_bordered(lu, piv, rhs_top), "implicit",
+                             cond)
 
 
 def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
@@ -295,12 +276,9 @@ def steady_state_adjoint(g: WeightedGraph, psi0: np.ndarray,
     that the loss gradient in any parameter p is -lam . realify(dF/dp).
     This prices every edge/potential direction with a single solve.
     """
-    b, _ = _bordered_system(g, psi0, steady, gamma)
-    n2 = 2 * g.n
-    rhs = np.zeros(b.shape[0])
-    rhs[:n2] = np.asarray(cotangent, dtype=float)
-    lam = scipy.linalg.lu_solve(scipy.linalg.lu_factor(b.T), rhs)
-    return lam[:n2]
+    lu, piv, _ = _factor_bordered(g, psi0, steady, gamma)
+    return _solve_bordered(lu, piv, np.asarray(cotangent, dtype=float),
+                           trans=1)
 
 
 def weight_gradients(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
@@ -309,11 +287,7 @@ def weight_gradients(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     if g.n_edges == 0:
         return np.zeros(0)
     lam = steady_state_adjoint(g, psi0, steady, cotangent, gamma)
-    psi = steady.psi_inf
-    out = np.empty(g.n_edges)
-    for k, edge in enumerate(g.edges):
-        out[k] = -float(lam @ realify(_dF_dweight(g, psi, edge, gamma)))
-    return out
+    return -(_dF_dweights(g, steady.psi_inf, gamma) @ lam)
 
 
 def potential_gradient(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,

@@ -10,6 +10,7 @@ here, while the acceptance suite checks equivalence on the pushforward laws.
 import numpy as np
 import pytest
 
+from spectral_moduli import dynamics
 from spectral_moduli.graph_core import build_graph, cycle_graph, path_graph, single_vertex_graph
 from spectral_moduli.dynamics import (
     DivergenceError,
@@ -486,6 +487,96 @@ def test_steady_warm_start_converges_faster():
     warm = solve_steady_state(g, psi0, cfg, start=cold.psi_inf)
     assert warm.converged
     assert warm.t_reached <= cold.t_reached
+
+
+def connected_graph(rng, n):
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    for _ in range(n):
+        u, v = sorted(rng.choice(n, 2, replace=False))
+        pairs.add((int(u), int(v)))
+    return build_graph(n, [(u, v, float(rng.uniform(0.5, 2.0)))
+                           for u, v in sorted(pairs)])
+
+
+def random_connected_case(n):
+    rng = np.random.default_rng(300 + n)
+    return connected_graph(rng, n), unit_state(rng, n)
+
+
+def one_empty_triangle_case():
+    # psi vanishes on the second triangle and the flow keeps it there, so
+    # modes growing on that triangle do not make the root repelling
+    g = build_graph(6, [(0, 1, 1.0), (0, 2, 1.5), (1, 2, 0.7),
+                        (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)])
+    return g, np.concatenate([unit_state(np.random.default_rng(5), 3),
+                              np.zeros(3)])
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda n=n: random_connected_case(n), id=str(n))
+      for n in range(3, 9)),
+    pytest.param(one_empty_triangle_case, id="one_empty_triangle"),
+])
+def test_steady_newton_polish_agrees_with_long_flow(case):
+    # the Newton-polished state is the equilibrium the plain RK4 flow
+    # reaches, not another root of the bordered system
+    g, psi0 = case()
+    cfg = NlseConfig(dt=1e-2)
+    out = solve_steady_state(g, psi0, cfg)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=60.0)
+    ref = rec.states[-1]
+    assert out.converged
+    assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
+    # the flow alone is still far from it at the time the solver stopped
+    at_stop = rec.states[int(round(out.t_reached / cfg.dt))]
+    assert np.abs(gauge_align(at_stop, ref) - ref).max() > 1e-6
+    # and the reference itself has settled
+    earlier = gauge_align(rec.states[-1001], ref)
+    assert np.abs(earlier - ref).max() <= 1e-9
+
+
+@pytest.mark.parametrize("start", [[1.0, -0.99], [1.0, 0.01, -0.99]])
+def test_steady_start_near_repelling_equilibrium_follows_the_flow(start):
+    # the start lies within Newton's reach of an antisymmetric equilibrium
+    # that the flow leaves; the solver must return where the flow settles
+    psi0 = np.array(start, dtype=complex) / np.linalg.norm(start)
+    g = path_graph(len(start))
+    cfg = NlseConfig(dt=1e-2)
+    lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
+    res0 = dynamics._batch_residual(lap, v, psi0[None], cfg.gamma)[0]
+    assert cfg.steady_tol < res0 <= dynamics._NEWTON_HANDOFF
+    out = solve_steady_state(g, psi0, cfg)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=200.0)
+    ref = rec.states[-1]
+    assert out.converged
+    assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
+    assert np.abs(gauge_align(rec.states[-1001], ref) - ref).max() <= 1e-9
+
+
+def test_steady_batch_survives_singular_newton_row(monkeypatch):
+    # the disconnected graph's bordered system is singular at its
+    # equilibrium (see test_sensitivity); here it is made exactly singular
+    # all along the Newton path, so its row must fall back to RK4 alone
+    original = dynamics._bordered_system
+
+    def singular_when_disconnected(lap, v, psi, gamma):
+        b = original(lap, v, psi, gamma)
+        b[np.all(lap[:, :2, 2:] == 0.0, axis=(1, 2))] = 0.0
+        return b
+
+    monkeypatch.setattr(dynamics, "_bordered_system", singular_when_disconnected)
+    split = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    ring = cycle_graph(4)
+    mirrored = np.array([0.8, 0.6, 0.8, 0.6], dtype=complex) / np.sqrt(2.0)
+    psi0 = unit_state(np.random.default_rng(21), 4)
+    cfg = NlseConfig(dt=5e-2, t_max=3000.0)
+    lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0], cfg)
+    assert lone.converged and joined.converged
+    single = solve_steady_state(ring, psi0, cfg)
+    assert np.abs(joined.psi_inf - single.psi_inf).max() < 1e-12
+    assert joined.t_reached == single.t_reached
+    # without Newton the split row needs far more flow time than the ring
+    assert lone.t_reached > joined.t_reached
 
 
 # -- writers ------------------------------------------------------------------------

@@ -620,6 +620,23 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path, c4_model):
     assert json.loads(first)["extra"] == {"note": 1}
 
 
+def test_checkpoint_keeps_vertex_and_edge_measures(tmp_path, c4_model):
+    params, point = c4_model
+    g = point.graph
+    rng = np.random.default_rng(12)
+    graph = build_graph(g.n, [(u, v, w) for (u, v), w in
+                              zip(g.edges, g.weights)][::-1],
+                        mu=rng.uniform(0.5, 2.0, g.n),
+                        rho=rng.uniform(0.5, 2.0, g.n_edges))
+    path = tmp_path / "model.json"
+    fm.save_checkpoint(path, params, ModuliPoint(graph))
+    _, loaded = fm.load_checkpoint(path)
+    assert loaded.graph.edges == graph.edges
+    assert np.array_equal(loaded.graph.weights, graph.weights)
+    assert np.array_equal(loaded.graph.mu, graph.mu)
+    assert np.array_equal(loaded.graph.rho, graph.rho)
+
+
 def test_history_csv_format(tmp_path):
     records = [fm.EpochRecord(0, 0.5, float("nan"), 4, 1, 1),
                fm.EpochRecord(1, 0.25, 0.3, 5, 1, 2)]

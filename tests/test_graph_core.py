@@ -344,6 +344,18 @@ def test_round_trip_dict():
     assert np.allclose(g2.rho, g.rho)
 
 
+def test_rho_follows_its_edge_through_canonical_sorting():
+    g = build_graph(3, [(1, 2, 1.0), (0, 1, 2.0)], rho=[10, 20])
+    assert g.edges == ((0, 1), (1, 2))
+    assert g.weights.tolist() == [2.0, 1.0]
+    assert g.rho.tolist() == [20.0, 10.0]
+    # a dictionary lists rho in the order of its own edges, sorted or not
+    d = {"n": 3, "edges": [[1, 2, 1.0], [0, 1, 2.0]], "rho": [10, 20]}
+    assert graph_from_dict(d).rho.tolist() == [20.0, 10.0]
+    with pytest.raises(GraphError):
+        build_graph(3, [(1, 2, 1.0), (0, 1, 2.0)], rho=[10])
+
+
 def test_save_load_file_and_determinism(tmp_path):
     g = cycle_graph(4, w=0.25)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -65,6 +65,26 @@ def test_jacobian_matches_rhs_fd():
         assert np.abs(jac @ realify(d) - realify(fd)).max() < 1e-7
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_closed_form_jacobian_matches_rhs_fd_columnwise(n):
+    # ring with random weights, off-sphere state and gamma != 1, so every
+    # term of the closed form (including the |psi|^2 derivatives) is live
+    rng = np.random.default_rng(40 + n)
+    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    g = build_graph(n, [(u, v, float(rng.uniform(0.5, 2.0)))
+                        for u, v in sorted(pairs)])
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0 /= np.linalg.norm(psi0)
+    psi = 1.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2 * n)
+    jac = rhs_jacobian(g, psi0, psi, 0.7)
+    h = 1e-6
+    for k in range(2 * n):
+        d = unrealify(np.eye(2 * n)[k])
+        fd = (nlse_rhs(g, psi + h * d, psi0, 0.7)
+              - nlse_rhs(g, psi - h * d, psi0, 0.7)) / (2 * h)
+        assert np.abs(jac[:, k] - realify(fd)).max() < 1e-7
+
+
 def test_jacobian_annihilates_phase_direction(triangle_problem):
     # U(1) equivariance: J(i psi) = i F(psi); at a steady state this makes
     # i*psi an exact null direction of J - i*alpha.
