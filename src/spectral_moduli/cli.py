@@ -407,6 +407,9 @@ def _initial_field(spec: dict, n: int, field_kind: str,
             field = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         else:
             field = rng.standard_normal(n)
+    elif spec["mode"] == "spin":
+        arr = _numeric_array(spec["values"], (n, 3), "initial.values")
+        field = to_plane(arr) if field_kind == "complex" else to_line(arr)
     elif field_kind == "complex":
         arr = _numeric_array(spec["values"], (n, 2), "initial.values")
         field = arr[:, 0] + 1j * arr[:, 1]
@@ -612,17 +615,7 @@ def _run_gauge_check(resolved: dict, meta: dict) -> int:
     config = _nlse_config(dyn)
     path = os.path.join(resolved["output_dir"], "deviation.json")
     try:
-        init = sec["initial"]
-        if init["mode"] == "spin":
-            arr = _numeric_array(init["values"], (g.n, 3), "initial.values")
-            field0 = to_plane(arr) if pair == "complex" else to_line(arr)
-            if init["normalize"]:
-                norm = float(np.linalg.norm(field0))
-                if norm < 1e-300:
-                    raise ConfigError("initial state has zero norm")
-                field0 = field0 / norm
-        else:
-            field0 = _initial_field(init, g.n, field_kind, rng)
+        field0 = _initial_field(sec["initial"], g.n, field_kind, rng)
         deviation = gauge_check(g, field0, config, t_final=dyn["t_final"],
                                 pair=pair, spin_law=sec["spin_law"])
     except (InvalidStateError, DivergenceError) as exc:
@@ -875,21 +868,6 @@ def _train_config(phase: dict, batch: int, seed: int) -> fm.TrainConfig:
                           seed=seed)
 
 
-def _encode_baseline(params: fm.BaselineParams) -> dict:
-    def enc(a: np.ndarray) -> dict:
-        arr = np.asarray(a, dtype=complex)
-        return {"re": arr.real, "im": arr.imag}
-
-    return {
-        "a1": enc(params.a1), "b1": enc(params.b1), "w2": enc(params.w2),
-        "b2": enc(params.b2), "a3": enc(params.a3),
-        "b3": {"re": complex(params.b3).real, "im": complex(params.b3).imag},
-        "activation1": params.activation1,
-        "activation2": params.activation2,
-        "activation3": params.activation3,
-    }
-
-
 def _write_baseline_history(path: str, history, meta: dict) -> None:
     with open(path, "w") as fh:
         fh.write(_meta_comment(meta) + "\n")
@@ -963,7 +941,8 @@ def _run_train(resolved: dict, meta: dict) -> int:
         baseline_params, baseline_history = fm.baseline_train(
             data, baseline_config, baseline_params)
         _dump_json(os.path.join(out, "baseline_checkpoint.json"),
-                   {"meta": meta, "baseline": _encode_baseline(baseline_params)})
+                   {"meta": meta,
+                    "baseline": fm._encode_params(baseline_params)})
         _write_baseline_history(os.path.join(out, "baseline_history.csv"),
                                 baseline_history, meta)
 

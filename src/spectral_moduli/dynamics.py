@@ -17,6 +17,11 @@ Pointwise stereographic maps relate the two pairs.  ``ll_rhs_induced`` and
 ``spin2d_rhs_induced`` are the exact pushforwards of the vertex-field flows
 through those maps; they are what trajectory-level gauge agreement actually
 requires, and ``gauge_check`` can integrate either spin law.
+
+The complex flow has one right-hand side on raw arrays, ``_nlse_raw``, which
+takes one state or a stacked batch, and there is one stepper, ``_rk4_step``
+(RK4 plus renormalization along the last axis).  ``integrate``,
+``gauge_check`` and the RK4 stage of the steady-state solver all use it.
 """
 
 from __future__ import annotations
@@ -296,10 +301,13 @@ def _pushforward_sphere(psi: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def _nlse_raw(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
               gamma: float) -> np.ndarray:
-    lp = lap @ psi
-    diss = lp + (np.abs(psi) ** 2 - v) * psi
-    n2 = np.sum(np.abs(psi) ** 2).real
-    proj = diss - psi * (np.sum(np.conj(psi) * diss) / n2)
+    """Complex flow of one state (N,) or a batch (B, N) with Laplacians
+    (B, N, N); a row of a batch is bit-identical to its own evaluation."""
+    lp = (lap @ psi[..., None])[..., 0]
+    r2 = np.abs(psi) ** 2
+    diss = lp + (r2 - v) * psi
+    proj = diss - psi * ((psi.conj() * diss).sum(axis=-1, keepdims=True)
+                         / r2.sum(axis=-1, keepdims=True))
     return -1j * (lp + v * psi) - gamma * proj
 
 
@@ -421,12 +429,25 @@ def make_rhs(g: WeightedGraph, initial: np.ndarray, config: NlseConfig,
     raise ValueError(f"unknown system {system!r}")
 
 
-def _rk4_step(rhs: Callable, y: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(rhs: Callable, y: np.ndarray, dt: float,
+              renorm_tol: float | None) -> tuple[np.ndarray, float]:
+    """One classical RK4 step, then renormalization along the last axis.
+
+    Each vector along it (a complex field, one spin, one row of a steady
+    batch) whose norm is off 1 by more than ``renorm_tol`` is rescaled to
+    unit norm; None rescales nothing.  Returns the state and the largest
+    drift before rescaling (0 without renormalization).
+    """
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if renorm_tol is None:
+        return y, 0.0
+    nrm = np.linalg.norm(y, axis=-1, keepdims=True)
+    drift = np.abs(nrm - 1.0)
+    return y / np.where(drift > renorm_tol, nrm, 1.0), float(drift.max())
 
 
 def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
@@ -434,12 +455,14 @@ def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
               t_final: float | None = None) -> TrajectoryRecord:
     """Classical fixed-step RK4 with post-step renormalization.
 
-    Renormalization policy: the complex flow is rescaled to its initial
-    norm, spin systems are rescaled per spin, the real diffusion flow is
-    left untouched.  A rescale only happens when the drift exceeds
+    Renormalization policy: the complex flow is rescaled to unit norm,
+    spin systems are rescaled per spin, the real diffusion flow is left
+    untouched.  A rescale only happens when the drift exceeds
     ``config.renorm_tol``; drift magnitudes are tracked so tests can verify
     the O(dt^5) single-step bound.
     """
+    if system not in ("nlse", "ll", "diffusion", "spin2d"):
+        raise ValueError(f"unknown system {system!r}")
     horizon = config.t_max if t_final is None else float(t_final)
     n_steps = max(1, int(round(horizon / config.dt)))
     y = np.array(y0)
@@ -451,43 +474,32 @@ def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         dev = np.abs(np.linalg.norm(y, axis=1) - 1.0).max()
         if dev > 1e-8:
             raise InvalidStateError(f"initial spin norms off unit by {dev:.3e}")
+    renorm_tol = None if system == "diffusion" else config.renorm_tol
+    constraint = {"ll": phase_constraint,
+                  "spin2d": phase_constraint_2d}.get(system)
 
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1,) + y.shape, dtype=y.dtype)
     logs: dict[str, list[float]] = {"norm": []}
-    if system in ("ll", "spin2d"):
+    if constraint is not None:
         logs["constraint"] = []
 
     def log_state(yy: np.ndarray) -> None:
-        if system == "nlse":
+        if constraint is None:
             logs["norm"].append(float(np.linalg.norm(yy)))
-        elif system == "diffusion":
-            logs["norm"].append(float(np.linalg.norm(yy)))
-        elif system == "ll":
-            logs["norm"].append(float(np.linalg.norm(yy, axis=1).max()))
-            logs["constraint"].append(phase_constraint(yy))
         else:
             logs["norm"].append(float(np.linalg.norm(yy, axis=1).max()))
-            logs["constraint"].append(phase_constraint_2d(yy))
+            logs["constraint"].append(constraint(yy))
 
     times[0] = 0.0
     states[0] = y
     log_state(y)
     max_drift = 0.0
     for k in range(1, n_steps + 1):
-        y = _rk4_step(rhs, y, config.dt)
+        y, drift = _rk4_step(rhs, y, config.dt, renorm_tol)
         if not np.all(np.isfinite(y)):
             raise DivergenceError(k, k * config.dt)
-        if system == "nlse":
-            nrm = float(np.linalg.norm(y))
-            max_drift = max(max_drift, abs(nrm - 1.0))
-            if abs(nrm - 1.0) > config.renorm_tol:
-                y = y / nrm
-        elif system in ("ll", "spin2d"):
-            nrms = np.linalg.norm(y, axis=1)
-            max_drift = max(max_drift, float(np.abs(nrms - 1.0).max()))
-            scale = np.where(np.abs(nrms - 1.0) > config.renorm_tol, nrms, 1.0)
-            y = y / scale[:, None]
+        max_drift = max(max_drift, drift)
         times[k] = k * config.dt
         states[k] = y
         log_state(y)
@@ -528,16 +540,6 @@ _NEWTON_TRUST = 0.5
 _NEWTON_STABLE_RATE = 1e-9
 
 
-def _batch_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-               gamma: float) -> np.ndarray:
-    lp = np.einsum("sij,sj->si", lap, psi)
-    diss = lp + (np.abs(psi) ** 2 - v) * psi
-    n2 = np.sum(np.abs(psi) ** 2, axis=1).real
-    inner = np.sum(np.conj(psi) * diss, axis=1)
-    proj = diss - psi * (inner / n2)[:, None]
-    return -1j * (lp + v * psi) - gamma * proj
-
-
 def _batch_projected_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
                          gamma: float) -> np.ndarray:
     """P F, the right-hand side projected off the state.
@@ -545,10 +547,9 @@ def _batch_projected_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     F is tangent to the sphere, so P F = F - i alpha psi with the rotation
     rate alpha = Im<psi, F> / |psi|^2: the residual of F(psi) = i alpha psi.
     """
-    f = _batch_rhs(lap, v, psi, gamma)
-    n2 = np.sum(np.abs(psi) ** 2, axis=1).real
-    inner = np.sum(np.conj(psi) * f, axis=1)
-    return f - psi * (inner / n2)[:, None]
+    f = _nlse_raw(lap, v, psi, gamma)
+    return f - psi * ((psi.conj() * f).sum(axis=-1, keepdims=True)
+                      / (np.abs(psi) ** 2).sum(axis=-1, keepdims=True))
 
 
 def _batch_residual(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
@@ -787,13 +788,8 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
         la, va = lap[active], v[active]
         pa = psi[active]
         for _ in range(chunk):
-            k1 = _batch_rhs(la, va, pa, gamma)
-            k2 = _batch_rhs(la, va, pa + 0.5 * dt * k1, gamma)
-            k3 = _batch_rhs(la, va, pa + 0.5 * dt * k2, gamma)
-            k4 = _batch_rhs(la, va, pa + dt * k3, gamma)
-            pa = pa + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            nrm = np.linalg.norm(pa, axis=1)
-            pa = pa / np.where(np.abs(nrm - 1.0) > config.renorm_tol, nrm, 1.0)[:, None]
+            pa, _ = _rk4_step(lambda p: _nlse_raw(la, va, p, gamma), pa, dt,
+                              config.renorm_tol)
         step += chunk
         psi[active] = pa
 
@@ -864,19 +860,13 @@ def gauge_check(g: WeightedGraph, initial: np.ndarray, config: NlseConfig,
         raise ValueError(f"unknown pair {pair!r}")
 
     n_steps = max(1, int(round(t_final / config.dt)))
+    field_tol = config.renorm_tol if pair == "complex" else None
     worst = float(np.linalg.norm(chart(y) - s, axis=1).max())
     for k in range(1, n_steps + 1):
-        y = _rk4_step(field_rhs, y, config.dt)
-        s = _rk4_step(spin_rhs_fn, s, config.dt)
+        y, _ = _rk4_step(field_rhs, y, config.dt, field_tol)
+        s, _ = _rk4_step(spin_rhs_fn, s, config.dt, config.renorm_tol)
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(s))):
             raise DivergenceError(k, k * config.dt)
-        if pair == "complex":
-            nrm = float(np.linalg.norm(y))
-            if abs(nrm - 1.0) > config.renorm_tol:
-                y = y / nrm
-        nrms = np.linalg.norm(s, axis=1)
-        scale = np.where(np.abs(nrms - 1.0) > config.renorm_tol, nrms, 1.0)
-        s = s / scale[:, None]
         worst = max(worst, float(np.linalg.norm(chart(y) - s, axis=1).max()))
     return worst
 

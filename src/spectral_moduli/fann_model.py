@@ -11,13 +11,10 @@ The model maps a complex input vector to a scalar through three layers:
 * output layer: ``y = sigma3(<a3, psi_inf> + b3)``.
 
 The core's output carries an arbitrary global phase, so the output layer
-needs a gauge policy.  The default ``"gauge_aligned"`` mode rotates
-``psi_inf`` so the readout inner product is real nonnegative (equivalently,
-feeds ``|<a3, psi_inf>|`` to ``sigma3``) and returns the real part -- the
-right convention for real-valued targets.  The ``"raw"`` mode applies no
-rotation and returns the complex value at whatever phase the solver stopped;
-it is provided for completeness but its value is not a well-defined function
-of the inputs, so gradients are restricted to the aligned mode.
+is gauge-aligned: it rotates ``psi_inf`` so the readout inner product is
+real nonnegative (equivalently, feeds ``|<a3, psi_inf>|`` to ``sigma3``) and
+returns the real part -- the right convention for real-valued targets, and
+a well-defined, differentiable function of the inputs.
 
 Complex parameters are differentiated in the realified convention
 ``G = dL/d(Re p) + i * dL/d(Im p)``: the update ``p - lr * G`` is plain
@@ -48,7 +45,6 @@ from .topo_metric import betti_numbers
 
 __all__ = [
     "ACTIVATIONS",
-    "READOUT_MODES",
     "DegenerateInputError",
     "CoreConvergenceError",
     "ModelParams",
@@ -85,7 +81,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("tanh", "identity")
-READOUT_MODES = ("gauge_aligned", "raw")
 
 
 class DegenerateInputError(ValueError):
@@ -94,6 +89,11 @@ class DegenerateInputError(ValueError):
 
 class CoreConvergenceError(RuntimeError):
     """The steady-state solve under the readout did not converge."""
+
+
+# per-sample failures that training records and steps past
+_SAMPLE_ERRORS = (DegenerateInputError, CoreConvergenceError,
+                  LossEvaluationError, NonIsolatedSteadyStateError)
 
 
 def _apply(name: str, z: np.ndarray):
@@ -126,8 +126,8 @@ class ModelParams:
     """Dense parameters around the steady-state core.
 
     ``a1`` has shape (inputs, vertices) and is applied as ``a1.T @ x`` so the
-    pre-activation lives on the graph's vertex set.  ``readout_mode`` fixes
-    the gauge policy of the output layer (see module docstring).
+    pre-activation lives on the graph's vertex set.  The output layer is
+    gauge-aligned (see module docstring).
     """
 
     a1: np.ndarray
@@ -136,7 +136,6 @@ class ModelParams:
     b3: complex
     activation1: str = "tanh"
     activation3: str = "identity"
-    readout_mode: str = "gauge_aligned"
 
     def __post_init__(self) -> None:
         a1 = np.asarray(self.a1, dtype=complex)
@@ -155,8 +154,6 @@ class ModelParams:
                              f"{a3.size}")
         _check_activation(self.activation1, "activation1")
         _check_activation(self.activation3, "activation3")
-        if self.readout_mode not in READOUT_MODES:
-            raise ValueError(f"readout_mode must be one of {READOUT_MODES}")
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "a3", a3)
@@ -285,8 +282,13 @@ class BaselineGradients:
 # forward pass
 
 
-def input_state(params, x) -> np.ndarray:
-    """Unit-norm initial field produced by the input layer."""
+def _input_layer(params, x):
+    """Input layer before normalization, for the model and the baseline.
+
+    Returns ``(x, pre, s, nrm)``: the input as a complex vector, the
+    pre-activation, the activated state and its norm; ``s / nrm`` is the
+    unit initial field.
+    """
     x = np.asarray(x, dtype=complex)
     if x.shape != (params.a1.shape[0],):
         raise ValueError(f"input must have shape ({params.a1.shape[0]},), "
@@ -299,31 +301,25 @@ def input_state(params, x) -> np.ndarray:
     nrm = float(np.linalg.norm(s))
     if nrm < 1e-12:
         raise DegenerateInputError("input layer produced the zero state")
+    return x, pre, s, nrm
+
+
+def input_state(params, x) -> np.ndarray:
+    """Unit-norm initial field produced by the input layer."""
+    _, _, s, nrm = _input_layer(params, x)
     return s / nrm
 
 
-def readout_value(params: ModelParams, psi: np.ndarray):
-    """Output-layer value at a core state, under the params' gauge policy.
-
-    Gauge-aligned: ``Re sigma3(|<a3, psi>| + b3)`` (a float, invariant under
-    global phase rotation of ``psi``).  Raw: ``sigma3(<a3, psi> + b3)`` as a
-    complex number at the phase given.
-    """
+def readout_value(params: ModelParams, psi: np.ndarray) -> float:
+    """Gauge-aligned output-layer value ``Re sigma3(|<a3, psi>| + b3)`` at a
+    core state; a float, invariant under global phase rotation of ``psi``."""
     z = np.vdot(params.a3, psi)
-    if params.readout_mode == "gauge_aligned":
-        return float(np.real(_apply(params.activation3, abs(z) + params.b3)))
-    return complex(_apply(params.activation3, z + params.b3))
+    return float(np.real(_apply(params.activation3, abs(z) + params.b3)))
 
 
-def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
-            *, engine: SteadySolveEngine | None = None):
-    """Full pass: input layer, steady-state core, output layer.
-
-    Returns ``(y_hat, psi_inf)``.  Without an engine the core calls the
-    steady-state solver directly with ``config`` (bit-identical to manual
-    chaining); with one, the engine's config and caches govern the solve.
-    """
-    psi0 = input_state(params, x)
+def _solve_core(point: ModuliPoint, psi0: np.ndarray, config: NlseConfig,
+                engine: SteadySolveEngine | None) -> SteadyState:
+    """Steady state of the core from ``psi0``; raises unless it converged."""
     g = point.graph
     if g.n != psi0.size:
         raise GraphError(f"model has {psi0.size} vertices but the graph has "
@@ -336,6 +332,18 @@ def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
         raise CoreConvergenceError(
             f"core did not reach a steady state (residual {st.residual:.3e} "
             f"at t={st.t_reached:.1f})")
+    return st
+
+
+def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
+            *, engine: SteadySolveEngine | None = None):
+    """Full pass: input layer, steady-state core, output layer.
+
+    Returns ``(y_hat, psi_inf)``.  Without an engine the core calls the
+    steady-state solver directly with ``config`` (bit-identical to manual
+    chaining); with one, the engine's config and caches govern the solve.
+    """
+    st = _solve_core(point, input_state(params, x), config, engine)
     return readout_value(params, st.psi_inf), st.psi_inf
 
 
@@ -351,24 +359,17 @@ def loss_sample(params: ModelParams, point: ModuliPoint, x, y,
 # gradients
 
 
-def _readout_chain(params: ModelParams, psi: np.ndarray, y):
-    """Backward pass through the output layer.
+def _readout_chain(params: ModelParams, psi: np.ndarray, g_y: float):
+    """Backward pass through the output layer for an output cotangent g_y.
 
     Returns ``(g_a3, g_b3, g_psi)`` in the realified convention; ``g_psi``
-    is the loss cotangent at the core output.
+    is the cotangent at the core output.
     """
     z = np.vdot(params.a3, psi)
     m = abs(z)
-    u = m + params.b3
-    f_prime = _apply_prime(params.activation3, u)
-    y_hat = float(np.real(_apply(params.activation3, u)))
-    g_u = 2.0 * (y_hat - float(np.real(y))) * np.conj(f_prime)
-    g_b3 = complex(g_u)
-    g_m = float(np.real(g_u))
-    g_z = g_m * z / m if m > 0 else 0.0j
-    g_a3 = np.conj(g_z) * psi
-    g_psi = g_z * params.a3
-    return g_a3, g_b3, g_psi
+    g_u = g_y * np.conj(_apply_prime(params.activation3, m + params.b3))
+    g_z = float(np.real(g_u)) * z / m if m > 0 else 0.0j
+    return np.conj(g_z) * psi, complex(g_u), g_z * params.a3
 
 
 def _input_chain(activation1: str, x, g_state: np.ndarray, pre: np.ndarray,
@@ -394,43 +395,17 @@ def param_gradients(params: ModelParams, point: ModuliPoint, x, y,
 
     The core is differentiated implicitly: the output-layer cotangent is
     priced into the frozen potential by one adjoint solve, and the potential
-    channel ``|psi0|^2`` carries it back to the input layer.  Only the
-    gauge-aligned mode is differentiable -- the raw value depends on the
-    solver's arbitrary output phase.
+    channel ``|psi0|^2`` carries it back to the input layer.
     """
-    if params.readout_mode != "gauge_aligned":
-        raise ValueError("parameter gradients require the gauge_aligned "
-                         "readout; the raw value has no well-defined phase")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (params.a1.shape[0],):
-        raise ValueError(f"input must have shape ({params.a1.shape[0]},), "
-                         f"got {x.shape}")
-    pre = params.a1.T @ x + params.b1
-    s = _apply(params.activation1, pre)
-    if not np.all(np.isfinite(s)):
-        raise DegenerateInputError("input layer produced a non-finite state "
-                                   "(pre-activation at a tanh pole?)")
-    nrm = float(np.linalg.norm(s))
-    if nrm < 1e-12:
-        raise DegenerateInputError("input layer produced the zero state")
+    x, pre, s, nrm = _input_layer(params, x)
     psi0 = s / nrm
+    st = _solve_core(point, psi0, config, engine)
+    y_hat = readout_value(params, st.psi_inf)
+    g_a3, g_b3, g_psi = _readout_chain(params, st.psi_inf,
+                                       2.0 * (y_hat - float(np.real(y))))
     g = point.graph
-    if g.n != psi0.size:
-        raise GraphError(f"model has {psi0.size} vertices but the graph has "
-                         f"{g.n}")
-    if engine is not None:
-        st = engine.solve(g, psi0)
-        gamma = engine.config.gamma
-    else:
-        st = solve_steady_state(g, psi0, config)
-        gamma = config.gamma
-    if not st.converged:
-        raise CoreConvergenceError(
-            f"core did not reach a steady state (residual {st.residual:.3e} "
-            f"at t={st.t_reached:.1f})")
-
-    g_a3, g_b3, g_psi = _readout_chain(params, st.psi_inf, y)
     if np.any(g_psi != 0):
+        gamma = (engine.config if engine is not None else config).gamma
         dv = potential_gradient(g, psi0, st, realify(g_psi), gamma)
     else:
         dv = np.zeros(g.n)
@@ -529,21 +504,13 @@ class ModelReadout:
     """
 
     def __init__(self, params: ModelParams):
-        if params.readout_mode != "gauge_aligned":
-            raise ValueError("graph descent requires the gauge_aligned "
-                             "readout")
         self.params = params
 
     def value(self, psi: np.ndarray) -> float:
         return readout_value(self.params, psi)
 
     def cotangent(self, psi: np.ndarray) -> np.ndarray:
-        p = self.params
-        z = np.vdot(p.a3, psi)
-        m = abs(z)
-        d_m = float(np.real(_apply_prime(p.activation3, m + p.b3)))
-        g_z = d_m * z / m if m > 0 else 0.0j
-        return realify(g_z * p.a3)
+        return realify(_readout_chain(self.params, psi, 1.0)[2])
 
 
 @dataclass(frozen=True)
@@ -572,11 +539,6 @@ class BaselineEpochRecord:
     test_loss: float
 
 
-def _zero_like_grads(params: ModelParams) -> list:
-    return [np.zeros_like(params.a1), np.zeros_like(params.b1),
-            np.zeros_like(params.a3), 0.0j]
-
-
 def prefetch_inputs(params: ModelParams, point: ModuliPoint, xs,
                     engine: SteadySolveEngine) -> None:
     """Solve the core for many inputs in one vectorized batch.
@@ -601,10 +563,37 @@ def _mean_heldout_loss(loss_fn, heldout) -> tuple[float, list]:
         try:
             total += loss_fn(x, y)
             count += 1
-        except (DegenerateInputError, CoreConvergenceError,
-                LossEvaluationError, NonIsolatedSteadyStateError) as exc:
+        except _SAMPLE_ERRORS as exc:
             failures.append(f"heldout sample {k}: {exc}")
     return (total / count if count else float("nan")), failures
+
+
+def _sgd_step(params, pairs, grad_fn: Callable, project: Callable,
+              config: TrainConfig, failures: list):
+    """One projected batch-mean SGD step on the dense parameters.
+
+    ``grad_fn(params, x, y)`` returns a gradient dataclass whose fields name
+    the parameters it moves; gradients are summed field by field in sample
+    order.  A sample that fails is logged to ``failures`` and left out of
+    the mean; with no sample left the parameters stay as they are.
+    """
+    names, sums, used = [], None, 0
+    for k, (x, y) in enumerate(pairs):
+        try:
+            gr = grad_fn(params, x, y)
+        except _SAMPLE_ERRORS as exc:
+            failures.append(f"param gradient, sample {k}: {exc}")
+            continue
+        names = [f.name for f in dataclasses.fields(gr)]
+        sums = [t + getattr(gr, name)
+                for t, name in zip(sums or [0.0] * len(names), names)]
+        used += 1
+    if not used:
+        return params
+    lr = config.lr_params / used
+    return project(dataclasses.replace(
+        params, **{name: getattr(params, name) - lr * total
+                   for name, total in zip(names, sums)}), config)
 
 
 def train(sampler, config: TrainConfig, params: ModelParams,
@@ -619,8 +608,6 @@ def train(sampler, config: TrainConfig, params: ModelParams,
     ``(params, point, history)``; with ``epochs == 0`` the inputs pass
     through untouched.
     """
-    if params.readout_mode != "gauge_aligned":
-        raise ValueError("training requires the gauge_aligned readout")
     if engine is None:
         engine = SteadySolveEngine(config.moduli_config.steady)
     rng = np.random.default_rng(config.seed)
@@ -631,29 +618,11 @@ def train(sampler, config: TrainConfig, params: ModelParams,
         failures: list[str] = []
 
         prefetch_inputs(params, point, [x for x, _ in pairs], engine)
-        sums = _zero_like_grads(params)
-        used = 0
-        for k, (x, y) in enumerate(pairs):
-            try:
-                gr = param_gradients(params, point, x, y,
-                                     engine.config, engine=engine)
-            except (DegenerateInputError, CoreConvergenceError,
-                    LossEvaluationError, NonIsolatedSteadyStateError) as exc:
-                failures.append(f"param gradient, sample {k}: {exc}")
-                continue
-            sums[0] += gr.a1
-            sums[1] += gr.b1
-            sums[2] += gr.a3
-            sums[3] += gr.b3
-            used += 1
-        if used:
-            lr = config.lr_params / used
-            params = project_params(dataclasses.replace(
-                params,
-                a1=params.a1 - lr * sums[0],
-                b1=params.b1 - lr * sums[1],
-                a3=params.a3 - lr * sums[2],
-                b3=params.b3 - lr * sums[3]), config)
+        params = _sgd_step(
+            params, pairs,
+            lambda p, x, y: param_gradients(p, point, x, y, engine.config,
+                                            engine=engine),
+            project_params, config, failures)
 
         train_loss = float("nan")
         try:
@@ -663,8 +632,7 @@ def train(sampler, config: TrainConfig, params: ModelParams,
                                          epoch, readout=ModelReadout(params),
                                          engine=engine, rng=rng)
             train_loss = events.loss.data
-        except (DegenerateInputError, LossEvaluationError,
-                NonIsolatedSteadyStateError) as exc:
+        except _SAMPLE_ERRORS as exc:
             failures.append(f"graph step: {exc}")
 
         test_loss = float("nan")
@@ -687,18 +655,7 @@ def train(sampler, config: TrainConfig, params: ModelParams,
 
 
 def _baseline_stack(params: BaselineParams, x):
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (params.a1.shape[0],):
-        raise ValueError(f"input must have shape ({params.a1.shape[0]},), "
-                         f"got {x.shape}")
-    pre1 = params.a1.T @ x + params.b1
-    s = _apply(params.activation1, pre1)
-    if not np.all(np.isfinite(s)):
-        raise DegenerateInputError("input layer produced a non-finite state "
-                                   "(pre-activation at a tanh pole?)")
-    nrm = float(np.linalg.norm(s))
-    if nrm < 1e-12:
-        raise DegenerateInputError("input layer produced the zero state")
+    x, pre1, s, nrm = _input_layer(params, x)
     psi0 = s / nrm
     pre2 = params.w2 @ psi0 + params.b2
     h = _apply(params.activation2, pre2)
@@ -744,29 +701,8 @@ def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
     for epoch in range(config.epochs):
         pairs = [(np.asarray(x, dtype=complex), y)
                  for x, y in sampler(config.batch_size)]
-        sums = [np.zeros_like(params.a1), np.zeros_like(params.b1),
-                np.zeros_like(params.w2), np.zeros_like(params.b2),
-                np.zeros_like(params.a3), 0.0j]
-        used = 0
-        for x, y in pairs:
-            try:
-                gr = baseline_gradients(params, x, y)
-            except DegenerateInputError:
-                continue
-            for slot, val in enumerate((gr.a1, gr.b1, gr.w2, gr.b2, gr.a3,
-                                        gr.b3)):
-                sums[slot] += val
-            used += 1
-        if used:
-            lr = config.lr_params / used
-            params = project_baseline(dataclasses.replace(
-                params,
-                a1=params.a1 - lr * sums[0],
-                b1=params.b1 - lr * sums[1],
-                w2=params.w2 - lr * sums[2],
-                b2=params.b2 - lr * sums[3],
-                a3=params.a3 - lr * sums[4],
-                b3=params.b3 - lr * sums[5]), config)
+        params = _sgd_step(params, pairs, baseline_gradients,
+                           project_baseline, config, [])
         losses = [baseline_loss_sample(params, x, y) for x, y in pairs]
         test_loss = float("nan")
         if heldout is not None:
@@ -892,6 +828,16 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
+def _encode_params(params) -> dict:
+    """JSON form of a parameter dataclass: arrays and scalars realified,
+    activation names as they are."""
+    out = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        out[f.name] = value if isinstance(value, str) else _encode_array(value)
+    return out
+
+
 def _decode_array(d: dict) -> np.ndarray:
     return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"],
                                                               dtype=float)
@@ -901,15 +847,7 @@ def save_checkpoint(path, params: ModelParams, point: ModuliPoint, *,
                     extra: dict | None = None) -> None:
     """Write the model and graph as deterministic, realified JSON."""
     payload = {
-        "model": {
-            "a1": _encode_array(params.a1),
-            "b1": _encode_array(params.b1),
-            "a3": _encode_array(params.a3),
-            "b3": {"re": params.b3.real, "im": params.b3.imag},
-            "activation1": params.activation1,
-            "activation3": params.activation3,
-            "readout_mode": params.readout_mode,
-        },
+        "model": _encode_params(params),
         "graph": graph_to_dict(point.graph),
         "extra": extra if extra is not None else {},
     }
@@ -926,8 +864,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModuliPoint]:
         a1=_decode_array(m["a1"]), b1=_decode_array(m["b1"]),
         a3=_decode_array(m["a3"]),
         b3=complex(m["b3"]["re"], m["b3"]["im"]),
-        activation1=m["activation1"], activation3=m["activation3"],
-        readout_mode=m["readout_mode"])
+        activation1=m["activation1"], activation3=m["activation3"])
     return params, ModuliPoint(graph_from_dict(payload["graph"]))
 
 

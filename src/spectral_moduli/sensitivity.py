@@ -178,10 +178,7 @@ def dpsi_dw(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     edge = (min(edge), max(edge))
     if edge not in g.edge_index():
         raise GraphError(f"edge {edge} not in graph")
-    lu, piv, cond = _factor_bordered(g, psi0, steady, gamma)
-    rhs_top = -_dF_dweights(g, steady.psi_inf, gamma)[g.edge_index()[edge]]
-    return SensitivityResult(_solve_bordered(lu, piv, rhs_top), "implicit",
-                             cond)
+    return dpsi_dw_all(g, psi0, steady, gamma)[edge]
 
 
 def dpsi_dw_all(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,

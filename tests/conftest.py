@@ -1,10 +1,20 @@
-"""Shared fixtures: memoized driver runs for the bundled experiment tasks."""
+"""Shared fixtures: memoized command-line runs for the bundled experiment tasks.
+
+Also loads the suite's ``hypothesis`` profile: derandomized (the same
+examples on every run), no per-example deadline, few examples, and no
+example database, so property tests stay reproducible and cheap.
+"""
 
 import json
 
 import pytest
+from hypothesis import settings
 
 from spectral_moduli import cli
+
+settings.register_profile("suite", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("suite")
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ here, while the acceptance suite checks equivalence on the pushforward laws.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spectral_moduli import dynamics
 from spectral_moduli.graph_core import build_graph, cycle_graph, path_graph, single_vertex_graph
@@ -622,3 +623,59 @@ def test_make_rhs_rejects_unknown_names():
         make_rhs(g, psi0, CFG, "heat")
     with pytest.raises(ValueError):
         make_rhs(g, psi0, CFG, "ll", "sideways")
+
+
+def test_integrate_rejects_unknown_system():
+    g = path_graph(2)
+    psi0 = np.ones(2) / np.sqrt(2) + 0j
+    with pytest.raises(ValueError, match="NLSE"):
+        integrate(make_rhs(g, psi0, CFG, "nlse"), psi0, CFG, system="NLSE")
+
+
+# -- one right-hand side and one stepper for a state and a batch ------------
+
+
+@st.composite
+def nlse_batches(draw):
+    """B = 1-6 random connected graphs on a shared N = 1-12 vertices, with
+    unit initial fields and unit states to evaluate the flow at."""
+    n = draw(st.integers(1, 12))
+    b = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    graphs = []
+    for _ in range(b):
+        # a random spanning tree, plus each other pair with probability 0.3
+        edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+        edges |= {(u, w) for u in range(n) for w in range(u + 1, n)
+                  if rng.uniform() < 0.3}
+        graphs.append(build_graph(n, [(u, w, float(rng.uniform(0.1, 3.0)))
+                                      for u, w in sorted(edges)]))
+    psi0 = np.stack([unit_state(rng, n) for _ in range(b)])
+    psi = np.stack([unit_state(rng, n) for _ in range(b)])
+    return graphs, psi0, psi, float(rng.uniform(0.0, 2.0))
+
+
+@given(nlse_batches())
+def test_nlse_raw_batch_rows_equal_single_evaluations(case):
+    graphs, psi0, psi, gamma = case
+    lap = np.stack([g.coupling_laplacian() for g in graphs])
+    v = np.abs(psi0) ** 2
+    out = dynamics._nlse_raw(lap, v, psi, gamma)
+    for i, g in enumerate(graphs):
+        assert np.array_equal(out[i],
+                              dynamics._nlse_raw(lap[i], v[i], psi[i], gamma))
+        assert np.array_equal(out[i], nlse_rhs(g, psi[i], psi0[i], gamma))
+
+
+@given(nlse_batches())
+def test_rk4_step_batch_rows_equal_single_steps(case):
+    graphs, psi0, psi, gamma = case
+    cfg = NlseConfig(gamma=gamma, dt=5e-2)
+    lap = np.stack([g.coupling_laplacian() for g in graphs])
+    v = np.abs(psi0) ** 2
+    out, _ = dynamics._rk4_step(lambda p: dynamics._nlse_raw(lap, v, p, gamma),
+                                psi, cfg.dt, cfg.renorm_tol)
+    for i, g in enumerate(graphs):
+        row, _ = dynamics._rk4_step(make_rhs(g, psi0[i], cfg, "nlse"), psi[i],
+                                    cfg.dt, cfg.renorm_tol)
+        assert np.array_equal(out[i], row)

@@ -82,8 +82,6 @@ def test_model_params_validation():
         fm.ModelParams(**{**good, "b3": complex(np.inf, 0)})
     with pytest.raises(ValueError, match="activation1"):
         fm.ModelParams(**good, activation1="relu")
-    with pytest.raises(ValueError, match="readout_mode"):
-        fm.ModelParams(**good, readout_mode="plain")
 
 
 def test_train_config_validation():
@@ -160,21 +158,14 @@ def test_forward_stationary_p2_equals_readout_of_psi0():
     # equilibrium, so the core returns it unchanged and the whole model
     # collapses to the output layer
     b1 = np.ones(2) / np.sqrt(2.0)
-    a3 = np.array([0.3 - 0.2j, 0.5 + 0.1j])
-    b3 = 0.25 - 0.75j
     point = ModuliPoint(build_graph(2, [(0, 1, 0.7)]))
-    raw = fm.ModelParams(a1=np.zeros((2, 2)), b1=b1, a3=a3, b3=b3,
-                         activation1="identity", activation3="identity",
-                         readout_mode="raw")
-    psi0 = fm.input_state(raw, np.zeros(2))
-    y, psi = fm.forward(raw, point, np.zeros(2), RUN_CFG)
+    aligned = fm.ModelParams(a1=np.zeros((2, 2)), b1=b1,
+                             a3=b1.astype(complex), b3=0.5,
+                             activation1="identity", activation3="identity")
+    psi0 = fm.input_state(aligned, np.zeros(2))
+    y, psi = fm.forward(aligned, point, np.zeros(2), RUN_CFG)
     assert np.array_equal(psi, psi0)
-    assert y == complex(np.vdot(a3, psi0) + b3)
-
-    aligned = dataclasses.replace(raw, a3=b1.astype(complex), b3=0.5,
-                                  readout_mode="gauge_aligned")
-    y2, _ = fm.forward(aligned, point, np.zeros(2), RUN_CFG)
-    assert y2 == pytest.approx(1.5, abs=1e-12)
+    assert y == pytest.approx(1.5, abs=1e-12)
 
 
 def test_forward_composition_matches_manual_chain(c4_model):
@@ -245,9 +236,6 @@ def test_gauge_aligned_readout_is_phase_invariant(c4_model):
     for theta in (0.3, 1.7, -2.9):
         rotated = fm.readout_value(params, np.exp(1j * theta) * psi)
         assert abs(rotated - base) < 1e-10
-    raw = dataclasses.replace(params, readout_mode="raw")
-    assert abs(fm.readout_value(raw, np.exp(0.9j) * psi)
-               - fm.readout_value(raw, psi)) > 1e-3
 
 
 def test_loss_invariant_under_core_phase(c4_model):
@@ -309,13 +297,6 @@ def test_param_gradients_zero_at_exact_fit(c4_model):
     assert np.all(grads.a3 == 0) and grads.b3 == 0
 
 
-def test_param_gradients_raw_mode_rejected(c4_model):
-    params, point = c4_model
-    raw = dataclasses.replace(params, readout_mode="raw")
-    with pytest.raises(ValueError, match="gauge_aligned"):
-        fm.param_gradients(raw, point, unit_vector(4, 3), 0.0, RUN_CFG)
-
-
 def test_model_readout_cotangent_matches_fd(c4_model):
     params, _ = c4_model
     bridge = fm.ModelReadout(params)
@@ -328,8 +309,6 @@ def test_model_readout_cotangent_matches_fd(c4_model):
             e[j] = delta
             fd = (bridge.value(psi + e) - bridge.value(psi - e)) / (2 * h)
             assert abs(cot[j + 4 * k] - fd) < 1e-6
-    with pytest.raises(ValueError, match="gauge_aligned"):
-        fm.ModelReadout(dataclasses.replace(params, readout_mode="raw"))
 
 
 def test_baseline_gradients_match_fd():
@@ -493,14 +472,6 @@ def test_train_heldout_column(c4):
     assert all(np.isnan(h.test_loss) for h in bare)
 
 
-def test_train_rejects_raw_mode(c4):
-    truth, sampler = c4
-    teacher, point, data = self_consistent_task(truth, sampler)
-    raw = dataclasses.replace(teacher, readout_mode="raw")
-    with pytest.raises(ValueError, match="gauge_aligned"):
-        fm.train(data, train_config(), raw, point)
-
-
 # ---------------------------------------------------------------------------
 # baseline network
 
@@ -611,7 +582,6 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path, c4_model):
     assert np.array_equal(loaded_params.a1, params.a1)
     assert np.array_equal(loaded_params.a3, params.a3)
     assert loaded_params.b3 == params.b3
-    assert loaded_params.readout_mode == params.readout_mode
     assert loaded_point.graph.edges == point.graph.edges
     assert np.array_equal(loaded_point.graph.weights, point.graph.weights)
     first = path.read_bytes()
