@@ -81,10 +81,10 @@ from spectral_moduli.moduli import (
 from spectral_moduli.topo_metric import (
     ManifoldSpec,
     PopulationReadout,
+    TeacherSampler,
     betti_numbers,
     build_ground_truth,
     distortion_report,
-    make_teacher_sampler,
 )
 from spectral_moduli import fann_model as fm
 
@@ -705,10 +705,9 @@ def _learn_graph_setup(resolved: dict):
         info = _MANIFOLD_TASKS[task]
         truth = build_ground_truth(_manifold_spec(info), info["inj_radius"])
         readout = PopulationReadout.random(truth.n, seed=info["readout_seed"])
-        probe = make_teacher_sampler(truth, readout, _STEADY_LEARN, seed=0)
-        width = info["bump_width_factor"] * probe.bump_width
-        sampler = make_teacher_sampler(truth, readout, _STEADY_LEARN,
-                                       seed=_SAMPLER_SEED, bump_width=width)
+        width = info["bump_width_factor"] * truth.default_bump_width
+        sampler = TeacherSampler(truth, readout, _STEADY_LEARN,
+                                 seed=_SAMPLER_SEED, bump_width=width)
         lam_min, lam_max = info["curvature"]
         eta = (1.0 / lam_max,) * info["settle"] + chebyshev_schedule(
             lam_min, lam_max, info["cycle_len"], info["cycles"])
@@ -729,8 +728,8 @@ def _learn_graph_setup(resolved: dict):
     init = ModuliPoint(build_graph(
         truth.n, [(u, v, w) for (u, v), w in _C5_INIT_WEIGHTS]))
     if task == "c5_chain":
-        sampler = make_teacher_sampler(truth, readout, _STEADY_LEARN,
-                                       seed=_SAMPLER_SEED)
+        sampler = TeacherSampler(truth, readout, _STEADY_LEARN,
+                                 seed=_SAMPLER_SEED)
         eta = (1000.0,) * 60 + (17668.0,) * 340
         config = OptimizerConfig(
             iterations=sec["iterations"] if sec["iterations"] is not None
@@ -744,9 +743,9 @@ def _learn_graph_setup(resolved: dict):
     delta = 0.15 if sec["noise_delta"] is None else sec["noise_delta"]
     batch = sec["batch_size"] or 8
     iters = sec["iterations"] if sec["iterations"] is not None else 12
-    sampler = make_teacher_sampler(truth, readout, _STEADY_LEARN,
-                                   seed=300 + batch + 1000 * seed,
-                                   noise_delta=delta)
+    sampler = TeacherSampler(truth, readout, _STEADY_LEARN,
+                             seed=300 + batch + 1000 * seed,
+                             noise_delta=delta)
     config = OptimizerConfig(
         iterations=iters, prune_threshold=0.05, add_threshold=1e-4,
         step_size=(1000.0,) * max(iters, 1), batch_size=batch,
@@ -845,9 +844,8 @@ def _train_teacher_setup():
         ManifoldSpec("circle", (1.0,), n_net_points=4), inj_radius=2.0)
     g_star = truth.teacher_graph()
     readout = PopulationReadout.random(truth.n, seed=_TRAIN_READOUT_SEED)
-    sampler = make_teacher_sampler(truth, readout, _TRAIN_RUN,
-                                   seed=_SAMPLER_SEED)
-    bumps = [x for x, _ in sampler.exact()]
+    sampler = TeacherSampler(truth, readout, _TRAIN_RUN, seed=_SAMPLER_SEED)
+    bumps = [sampler.canonical_bump(v) for v in range(truth.n)]
     rng = np.random.default_rng(_TEACHER_OUTPUT_SEED)
     a3 = (rng.standard_normal(truth.n)
           + 1j * rng.standard_normal(truth.n)) / np.sqrt(truth.n)

@@ -35,13 +35,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import NlseConfig, SteadyState, solve_steady_state
+from .dynamics import NlseConfig, SteadyState
 from .graph_core import GraphError, graph_from_dict, graph_to_dict
 from .moduli import (Batch, LossEvaluationError, ModuliPoint, OptimizerConfig,
                      SteadySolveEngine, descent_step)
 from .sensitivity import (NonIsolatedSteadyStateError, potential_gradient,
                           realify)
-from .topo_metric import betti_numbers
+from .topo_metric import betti_numbers, noisy_input_stream
 
 __all__ = [
     "ACTIVATIONS",
@@ -67,7 +67,6 @@ __all__ = [
     "baseline_forward",
     "baseline_loss_sample",
     "baseline_gradients",
-    "project_baseline",
     "random_baseline",
     "baseline_train",
     "generalization_gap",
@@ -317,17 +316,14 @@ def readout_value(params: ModelParams, psi: np.ndarray) -> float:
     return float(np.real(_apply(params.activation3, abs(z) + params.b3)))
 
 
-def _solve_core(point: ModuliPoint, psi0: np.ndarray, config: NlseConfig,
-                engine: SteadySolveEngine | None) -> SteadyState:
+def _solve_core(point: ModuliPoint, psi0: np.ndarray,
+                engine: SteadySolveEngine) -> SteadyState:
     """Steady state of the core from ``psi0``; raises unless it converged."""
     g = point.graph
     if g.n != psi0.size:
         raise GraphError(f"model has {psi0.size} vertices but the graph has "
                          f"{g.n}")
-    if engine is not None:
-        st = engine.solve(g, psi0)
-    else:
-        st = solve_steady_state(g, psi0, config)
+    st = engine.solve(g, psi0)
     if not st.converged:
         raise CoreConvergenceError(
             f"core did not reach a steady state (residual {st.residual:.3e} "
@@ -339,11 +335,13 @@ def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
             *, engine: SteadySolveEngine | None = None):
     """Full pass: input layer, steady-state core, output layer.
 
-    Returns ``(y_hat, psi_inf)``.  Without an engine the core calls the
-    steady-state solver directly with ``config`` (bit-identical to manual
-    chaining); with one, the engine's config and caches govern the solve.
+    Returns ``(y_hat, psi_inf)``.  Without an engine the core is solved by
+    a fresh engine on ``config``; with one, the engine's config and caches
+    govern the solve.
     """
-    st = _solve_core(point, input_state(params, x), config, engine)
+    if engine is None:
+        engine = SteadySolveEngine(config)
+    st = _solve_core(point, input_state(params, x), engine)
     return readout_value(params, st.psi_inf), st.psi_inf
 
 
@@ -397,16 +395,18 @@ def param_gradients(params: ModelParams, point: ModuliPoint, x, y,
     priced into the frozen potential by one adjoint solve, and the potential
     channel ``|psi0|^2`` carries it back to the input layer.
     """
+    if engine is None:
+        engine = SteadySolveEngine(config)
     x, pre, s, nrm = _input_layer(params, x)
     psi0 = s / nrm
-    st = _solve_core(point, psi0, config, engine)
+    st = _solve_core(point, psi0, engine)
     y_hat = readout_value(params, st.psi_inf)
     g_a3, g_b3, g_psi = _readout_chain(params, st.psi_inf,
                                        2.0 * (y_hat - float(np.real(y))))
     g = point.graph
     if np.any(g_psi != 0):
-        gamma = (engine.config if engine is not None else config).gamma
-        dv = potential_gradient(g, psi0, st, realify(g_psi), gamma)
+        dv = potential_gradient(g, psi0, st, realify(g_psi),
+                                engine.config.gamma)
     else:
         dv = np.zeros(g.n)
     g_psi0 = 2.0 * dv * psi0
@@ -433,26 +433,19 @@ def _shrink_scalar(b: complex, bound: float) -> complex:
     return complex(_shrink(np.array([b], dtype=complex), bound)[0])
 
 
-def project_params(params: ModelParams, config: TrainConfig) -> ModelParams:
-    """Project every dense parameter into its configured norm ball."""
-    return dataclasses.replace(
-        params,
-        a1=_shrink(params.a1, config.r_a1),
-        b1=_shrink(params.b1, config.r_b1),
-        a3=_shrink(params.a3, config.r_a3),
-        b3=_shrink_scalar(params.b3, config.r_b3))
-
-
-def project_baseline(params: BaselineParams,
-                     config: TrainConfig) -> BaselineParams:
-    return dataclasses.replace(
-        params,
-        a1=_shrink(params.a1, config.r_a1),
-        b1=_shrink(params.b1, config.r_b1),
-        w2=_shrink(params.w2, config.r_w2),
-        b2=_shrink(params.b2, config.r_b2),
-        a3=_shrink(params.a3, config.r_a3),
-        b3=_shrink_scalar(params.b3, config.r_b3))
+def project_params(params, config: TrainConfig):
+    """Project every dense parameter of a model or a baseline into its norm
+    ball: the field ``p`` into the ball of radius ``config.r_p``."""
+    projected = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, str):
+            continue
+        bound = getattr(config, "r_" + f.name)
+        projected[f.name] = (_shrink_scalar(value, bound)
+                             if isinstance(value, complex)
+                             else _shrink(value, bound))
+    return dataclasses.replace(params, **projected)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -568,8 +561,8 @@ def _mean_heldout_loss(loss_fn, heldout) -> tuple[float, list]:
     return (total / count if count else float("nan")), failures
 
 
-def _sgd_step(params, pairs, grad_fn: Callable, project: Callable,
-              config: TrainConfig, failures: list):
+def _sgd_step(params, pairs, grad_fn: Callable, config: TrainConfig,
+              failures: list):
     """One projected batch-mean SGD step on the dense parameters.
 
     ``grad_fn(params, x, y)`` returns a gradient dataclass whose fields name
@@ -591,7 +584,7 @@ def _sgd_step(params, pairs, grad_fn: Callable, project: Callable,
     if not used:
         return params
     lr = config.lr_params / used
-    return project(dataclasses.replace(
+    return project_params(dataclasses.replace(
         params, **{name: getattr(params, name) - lr * total
                    for name, total in zip(names, sums)}), config)
 
@@ -622,7 +615,7 @@ def train(sampler, config: TrainConfig, params: ModelParams,
             params, pairs,
             lambda p, x, y: param_gradients(p, point, x, y, engine.config,
                                             engine=engine),
-            project_params, config, failures)
+            config, failures)
 
         train_loss = float("nan")
         try:
@@ -701,8 +694,7 @@ def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
     for epoch in range(config.epochs):
         pairs = [(np.asarray(x, dtype=complex), y)
                  for x, y in sampler(config.batch_size)]
-        params = _sgd_step(params, pairs, baseline_gradients,
-                           project_baseline, config, [])
+        params = _sgd_step(params, pairs, baseline_gradients, config, [])
         losses = [baseline_loss_sample(params, x, y) for x, y in pairs]
         test_loss = float("nan")
         if heldout is not None:
@@ -784,36 +776,6 @@ def fixed_set_sampler(pairs: Sequence):
         for _ in range(batch_size):
             out.append(pairs[state["next"]])
             state["next"] = (state["next"] + 1) % len(pairs)
-        return out
-
-    return draw
-
-
-def noisy_input_stream(base_inputs: Sequence, noise_delta: float, seed: int):
-    """Seeded stream of unit fields: random base input plus a bounded kick.
-
-    Each draw picks one base input uniformly, adds a complex perturbation of
-    norm at most ``noise_delta`` times a uniform draw, and renormalizes.
-    Targets are placeholder zeros -- pair with ``model_teacher_sampler``.
-    """
-    base = [np.asarray(x, dtype=complex) for x in base_inputs]
-    if not base:
-        raise ValueError("need at least one base input")
-    if noise_delta < 0:
-        raise ValueError("noise_delta must be nonnegative")
-    rng = np.random.default_rng(seed)
-    n = base[0].size
-
-    def draw(batch_size: int):
-        out = []
-        for _ in range(batch_size):
-            x = base[int(rng.integers(len(base)))]
-            if noise_delta > 0:
-                kick = _complex_normal(rng, n)
-                kick *= noise_delta * rng.uniform() / np.linalg.norm(kick)
-                x = x + kick
-                x = x / np.linalg.norm(x)
-            out.append((x, 0.0))
         return out
 
     return draw

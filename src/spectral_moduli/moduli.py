@@ -176,9 +176,12 @@ class LossBreakdown:
 class SteadySolveEngine:
     """Caching batch front-end for the steady-state solver.
 
-    Results are cached per (graph identity, input); converged states are
-    reused as warm starts for the same input on nearby graphs, which makes
-    the repeated solves of the descent loop cheap once iterates stabilize.
+    Every steady solve of the package goes through an engine.  Results are
+    cached per (graph identity, input, horizon ``t_max``); converged states
+    are reused as warm starts for the same input on nearby graphs, which
+    makes the repeated solves of the descent loop cheap once iterates
+    stabilize.  ``solve_fn`` replaces the batched solver with a per-job
+    function, for tests.
     """
 
     def __init__(self, config: NlseConfig,
@@ -192,7 +195,8 @@ class SteadySolveEngine:
                    t_max: float | None = None) -> list[SteadyState]:
         config = (self.config if t_max is None
                   else dataclasses.replace(self.config, t_max=t_max))
-        keyed = [(g.key(), np.asarray(x).tobytes()) for g, x in jobs]
+        keyed = [(g.key(), np.asarray(x).tobytes(), config.t_max)
+                 for g, x in jobs]
         missing: dict[tuple, int] = {}
         for i, key in enumerate(keyed):
             if key not in self._cache and key not in missing:
@@ -232,15 +236,19 @@ def _group_by_input(batch: Batch) -> list[tuple[np.ndarray, list[int]]]:
 
 
 def _batch_predictions(g: WeightedGraph, batch: Batch, readout,
-                       engine: SteadySolveEngine
+                       engine: SteadySolveEngine, t_max: float | None = None
                        ) -> tuple[list[tuple[np.ndarray, list[int], SteadyState, float]], float]:
     """Steady states and readout predictions per distinct input.
 
-    Returns the grouped records and the mean squared data loss; raises
-    LossEvaluationError naming the first offending sample on failure.
+    ``t_max`` is the horizon of a probe solve; other solves pass none and
+    keep the engine's.  Returns the grouped records and the mean squared
+    data loss; raises LossEvaluationError naming the first offending sample
+    on failure.
     """
     groups = _group_by_input(batch)
-    steadies = engine.solve_many([(g, x) for x, _ in groups])
+    jobs = [(g, x) for x, _ in groups]
+    steadies = (engine.solve_many(jobs) if t_max is None
+                else engine.solve_many(jobs, t_max=t_max))
     records = []
     sq = 0.0
     for (x, idx), st in zip(groups, steadies):
@@ -274,15 +282,16 @@ def regularized_loss(point: ModuliPoint, batch: Batch, readout,
 
 
 def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
-                           engine: SteadySolveEngine,
-                           gamma: float) -> tuple[np.ndarray, float]:
+                           engine: SteadySolveEngine, gamma: float,
+                           t_max: float | None = None
+                           ) -> tuple[np.ndarray, float]:
     """Batch-mean data-term gradient in every edge weight, plus data loss.
 
     The adjoint solve is shared across samples with the same input: the
     per-sample cotangent is 2 (pred - y) times a fixed readout cotangent,
     so one priced gradient per distinct input is rescaled and averaged.
     """
-    records, data_loss = _batch_predictions(g, batch, readout, engine)
+    records, data_loss = _batch_predictions(g, batch, readout, engine, t_max)
     grad = np.zeros(g.n_edges)
     for x, idx, st, pred in records:
         coeff = sum(2.0 * (pred - batch.ys[i]) for i in idx) / len(batch)
@@ -302,7 +311,8 @@ def stochastic_gradient(point: ModuliPoint, batch: Batch,
 
     For an existing edge the gradient is taken on the current graph; for an
     absent edge ``test_weight`` grafts it in first (the probe used by the
-    addition rule).
+    addition rule), and the probe graph is solved up to
+    ``config.probe_t_max``.
     """
     if engine is None:
         engine = SteadySolveEngine(config.steady)
@@ -312,15 +322,15 @@ def stochastic_gradient(point: ModuliPoint, batch: Batch,
     if edge in index:
         if test_weight is not None:
             raise ValueError("test_weight only applies to absent edges")
-        probe = g
+        probe, t_max = g, None
         k = index[edge]
     else:
         if test_weight is None:
             raise GraphError(f"edge {edge} absent; provide test_weight")
-        probe = g.with_edge(edge, float(test_weight))
+        probe, t_max = g.with_edge(edge, float(test_weight)), config.probe_t_max
         k = probe.edge_index()[edge]
     grad, _ = _data_weight_gradients(probe, batch, readout, engine,
-                                     config.steady.gamma)
+                                     config.steady.gamma, t_max)
     w = probe.weights[k]
     return float(grad[k] + config.l2_coeff * w + config.l1_coeff)
 
@@ -381,7 +391,8 @@ def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
     candidates = _candidate_pairs(g, config, rng)
     probes = {e: g.with_edge(e, theta) for e in candidates}
     # one vectorized pass over every (probe graph, distinct input) pair;
-    # results land in the engine cache for the per-candidate gradients
+    # results land in the engine cache for the per-candidate gradients.
+    # It passes t_max even when None: a trace tells the probe pass by it.
     engine.solve_many([(pg, x) for pg in probes.values()
                        for x, _ in _group_by_input(batch)],
                       t_max=config.probe_t_max)

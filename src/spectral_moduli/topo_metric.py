@@ -11,7 +11,8 @@ metric-distortion report.
 The teacher sampler turns a ground truth into a supervised data stream:
 inputs are unit-norm bump fields centered at net vertices (optionally
 noise-perturbed), targets are a fixed gauge-invariant readout of the hidden
-steady state computed on the teacher graph.
+steady state computed on the teacher graph, one batched steady solve per
+batch of inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from .graph_core import WeightedGraph, build_graph
-from .dynamics import NlseConfig, SteadyState, solve_steady_state
+from .dynamics import NlseConfig
+from .moduli import SteadySolveEngine
 
 __all__ = [
     "ManifoldSpec",
@@ -36,7 +38,7 @@ __all__ = [
     "betti_numbers",
     "graph_metric",
     "distortion_report",
-    "make_teacher_sampler",
+    "noisy_input_stream",
 ]
 
 logger = logging.getLogger(__name__)
@@ -93,6 +95,19 @@ class GroundTruth:
     @property
     def n(self) -> int:
         return self.net_points.shape[0]
+
+    @property
+    def nearest_gaps(self) -> np.ndarray:
+        """Geodesic distance from each net point to its nearest neighbor."""
+        finite = np.where(np.isfinite(self.geodesic_dist),
+                          self.geodesic_dist, np.nan)
+        np.fill_diagonal(finite, np.nan)
+        return np.nanmin(finite, axis=1)
+
+    @property
+    def default_bump_width(self) -> float:
+        """Mean nearest-neighbor gap: the teacher's default bump width."""
+        return float(np.nanmean(self.nearest_gaps))
 
     def teacher_graph(self) -> WeightedGraph:
         """The reference point of the moduli space: (E_true, w*)."""
@@ -168,15 +183,6 @@ def build_ground_truth(spec: ManifoldSpec, inj_radius: float,
         np.fill_diagonal(dist, 0.0)
         betti = (len(radii), len(radii))
 
-    finite = np.where(np.isfinite(dist), dist, np.nan)
-    np.fill_diagonal(finite, np.nan)
-    nearest = np.nanmin(finite, axis=1)
-    if np.any(nearest >= inj_radius):
-        logger.warning(
-            "inj_radius %.4g does not reach some nearest neighbors "
-            "(max gap %.4g); E_true disconnects the net", inj_radius,
-            float(np.nanmax(nearest)))
-
     e_true = []
     weights = []
     n = pts.shape[0]
@@ -186,8 +192,15 @@ def build_ground_truth(spec: ManifoldSpec, inj_radius: float,
             if np.isfinite(d) and 0.0 < d < inj_radius:
                 e_true.append((u, v))
                 weights.append(1.0 / d ** weight_exponent)
-    return GroundTruth(spec, pts, dist, float(inj_radius), tuple(e_true),
-                       betti, np.asarray(weights), weight_exponent)
+    truth = GroundTruth(spec, pts, dist, float(inj_radius), tuple(e_true),
+                        betti, np.asarray(weights), weight_exponent)
+    nearest = truth.nearest_gaps
+    if np.any(nearest >= inj_radius):
+        logger.warning(
+            "inj_radius %.4g does not reach some nearest neighbors "
+            "(max gap %.4g); E_true disconnects the net", inj_radius,
+            float(np.nanmax(nearest)))
+    return truth
 
 
 def betti_numbers(g: WeightedGraph) -> tuple[int, int]:
@@ -244,9 +257,7 @@ def distortion_report(g: WeightedGraph, truth: GroundTruth) -> DistortionReport:
     gap[~np.isfinite(gap)] = np.inf
     max_distortion = float(gap.max()) if gap.size else 0.0
 
-    finite = np.where(np.isfinite(dt), dt, np.nan)
-    np.fill_diagonal(finite, np.nan)
-    covering = 0.5 * float(np.nanmax(np.nanmin(finite, axis=1)))
+    covering = 0.5 * float(np.nanmax(truth.nearest_gaps))
     slack = covering + truth.spec.noise_delta
     return DistortionReport(max_distortion, 0.5 * max_distortion + slack,
                             betti_numbers(g))
@@ -278,35 +289,63 @@ class PopulationReadout:
                                2.0 * self.coefficients * psi.imag])
 
 
+def noisy_input_stream(base_inputs: Sequence, noise_delta: float, seed: int):
+    """Seeded stream of unit fields: random base input plus a bounded kick.
+
+    Each draw picks one base input uniformly, adds a complex perturbation of
+    norm at most ``noise_delta`` times a uniform draw, and renormalizes.
+    Targets are placeholder zeros -- ``TeacherSampler`` and
+    ``fann_model.model_teacher_sampler`` label them.
+    """
+    base = [np.asarray(x, dtype=complex) for x in base_inputs]
+    if not base:
+        raise ValueError("need at least one base input")
+    if noise_delta < 0:
+        raise ValueError("noise_delta must be nonnegative")
+    rng = np.random.default_rng(seed)
+    n = base[0].size
+
+    def draw(batch_size: int):
+        out = []
+        for _ in range(batch_size):
+            x = base[int(rng.integers(len(base)))]
+            if noise_delta > 0:
+                kick = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                kick *= noise_delta * rng.uniform() / np.linalg.norm(kick)
+                x = x + kick
+                x = x / np.linalg.norm(x)
+            out.append((x, 0.0))
+        return out
+
+    return draw
+
+
 class TeacherSampler:
     """Deterministic stream of (bump field, teacher readout) samples.
 
     X is the unit-normalized Gaussian bump exp(-d(v,.)^2 / (2 s^2)) centered
     at a uniformly chosen net vertex, with an optional noise perturbation of
-    L2 size at most ``noise_delta`` before renormalization.  y is the
-    readout of the steady state computed on the teacher graph; targets are
-    cached per distinct input.
+    L2 size at most ``noise_delta`` before renormalization (drawn by
+    ``noisy_input_stream``).  y is the readout of the steady state computed
+    on the teacher graph; each batch is labelled by one call to the
+    sampler's own ``SteadySolveEngine``, which also caches per input.
     """
 
     def __init__(self, truth: GroundTruth, readout: PopulationReadout,
                  config: NlseConfig, seed: int, bump_width: float | None = None,
-                 noise_delta: float | None = None,
-                 solver: Callable[..., SteadyState] | None = None):
+                 noise_delta: float | None = None):
         self.truth = truth
         self.readout = readout
         self.config = config
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._solve = solver if solver is not None else solve_steady_state
         self.graph = truth.teacher_graph()
-        finite = np.where(np.isfinite(truth.geodesic_dist),
-                          truth.geodesic_dist, np.nan)
-        np.fill_diagonal(finite, np.nan)
-        default_width = float(np.nanmean(np.nanmin(finite, axis=1)))
-        self.bump_width = float(bump_width) if bump_width else default_width
+        self.bump_width = (float(bump_width) if bump_width
+                           else truth.default_bump_width)
         self.noise_delta = (truth.spec.noise_delta if noise_delta is None
                             else float(noise_delta))
-        self._target_cache: dict[bytes, float] = {}
+        self._engine = SteadySolveEngine(config)
+        self._bumps = [self.canonical_bump(v) for v in range(truth.n)]
+        self._stream = noisy_input_stream(self._bumps, self.noise_delta, seed)
 
     def canonical_bump(self, vertex: int) -> np.ndarray:
         """Noise-free unit bump centered at a net vertex."""
@@ -316,45 +355,24 @@ class TeacherSampler:
         x = x.astype(complex)
         return x / np.linalg.norm(x)
 
-    def target(self, x: np.ndarray) -> float:
-        key = np.round(x, 12).tobytes()
-        if key not in self._target_cache:
-            steady = self._solve(self.graph, x, self.config)
-            if not steady.converged:
-                raise RuntimeError("teacher steady-state solve did not converge")
-            self._target_cache[key] = self.readout.value(steady.psi_inf)
-        return self._target_cache[key]
+    def _label(self, xs: list) -> list[tuple[np.ndarray, float]]:
+        steadies = self._engine.solve_many([(self.graph, x) for x in xs])
+        if not all(st.converged for st in steadies):
+            raise RuntimeError("teacher steady-state solve did not converge")
+        return [(x, self.readout.value(st.psi_inf))
+                for x, st in zip(xs, steadies)]
 
     def sample(self) -> tuple[np.ndarray, float]:
-        vertex = int(self._rng.integers(self.truth.n))
-        x = self.canonical_bump(vertex)
-        if self.noise_delta > 0:
-            noise = (self._rng.normal(size=self.truth.n)
-                     + 1j * self._rng.normal(size=self.truth.n))
-            noise *= self.noise_delta * self._rng.random() / np.linalg.norm(noise)
-            x = x + noise
-            x = x / np.linalg.norm(x)
-        return x, self.target(x)
+        return self(1)[0]
 
     def __call__(self, batch_size: int) -> list[tuple[np.ndarray, float]]:
-        return [self.sample() for _ in range(batch_size)]
+        return self._label([x for x, _ in self._stream(batch_size)])
 
     def exact(self) -> list[tuple[np.ndarray, float]]:
         """All canonical bumps once each: the deterministic full batch."""
-        out = []
-        for v in range(self.truth.n):
-            x = self.canonical_bump(v)
-            out.append((x, self.target(x)))
-        return out
+        return self._label(self._bumps)
 
     def exact_sampler(self) -> Callable[[int], list[tuple[np.ndarray, float]]]:
         """A sampler that always returns the full canonical batch."""
         batch = self.exact()
         return lambda batch_size: batch
-
-
-def make_teacher_sampler(truth: GroundTruth, readout: PopulationReadout,
-                         config: NlseConfig, seed: int,
-                         **kwargs) -> TeacherSampler:
-    """Construct the teacher data stream for a ground truth."""
-    return TeacherSampler(truth, readout, config, seed, **kwargs)

@@ -63,8 +63,8 @@ from spectral_moduli.moduli import (
 from spectral_moduli.topo_metric import (
     ManifoldSpec,
     PopulationReadout,
+    TeacherSampler,
     build_ground_truth,
-    make_teacher_sampler,
 )
 
 
@@ -80,7 +80,7 @@ def c4_teacher():
     truth = build_ground_truth(
         ManifoldSpec("circle", (1.0,), n_net_points=4), inj_radius=2.0)
     readout = PopulationReadout.random(truth.n, seed=246)
-    sampler = make_teacher_sampler(truth, readout, config, seed=202)
+    sampler = TeacherSampler(truth, readout, config, seed=202)
     return config, truth, readout, sampler
 
 

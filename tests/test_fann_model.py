@@ -375,7 +375,7 @@ def test_baseline_projection_bounds_hold_exactly():
                            a3=rng.standard_normal(3) * 9, b3=9.0)
     cfg = train_config(r_a1=1.0, r_b1=1.0, r_w2=2.0, r_b2=0.7, r_a3=1.0,
                        r_b3=1.0)
-    proj = fm.project_baseline(bp, cfg)
+    proj = fm.project_params(bp, cfg)
     assert np.linalg.norm(proj.w2) <= 2.0
     assert np.linalg.norm(proj.b2) <= 0.7
     assert abs(proj.b3) <= 1.0

@@ -38,8 +38,8 @@ from spectral_moduli.moduli import (
 from spectral_moduli.topo_metric import (
     ManifoldSpec,
     PopulationReadout,
+    TeacherSampler,
     build_ground_truth,
-    make_teacher_sampler,
 )
 
 RUN_CFG = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=3000.0)
@@ -59,7 +59,7 @@ def c3():
     truth = build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=3),
                                inj_radius=2.5)
     readout = PopulationReadout.random(3, seed=5)
-    sampler = make_teacher_sampler(truth, readout, RUN_CFG, seed=11)
+    sampler = TeacherSampler(truth, readout, RUN_CFG, seed=11)
     return truth, readout, sampler
 
 
@@ -68,7 +68,7 @@ def c4():
     truth = build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=4),
                                inj_radius=2.0)
     readout = PopulationReadout.random(4, seed=246)
-    sampler = make_teacher_sampler(truth, readout, RUN_CFG, seed=202)
+    sampler = TeacherSampler(truth, readout, RUN_CFG, seed=202)
     return truth, readout, sampler
 
 
@@ -429,13 +429,29 @@ def test_probe_horizon_skips_slow_candidates(c4):
     init = ModuliPoint(truth.teacher_graph())
     # a probe horizon far too short for any candidate solve to converge
     cfg = opt_config(iterations=1, probe_t_max=0.2, batch_size=4)
-    point, log, _ = run(cfg, sampler.exact_sampler(), init, readout=readout)
+    engine = SteadySolveEngine(RUN_CFG)
+    point, log, _ = run(cfg, sampler.exact_sampler(), init, readout=readout,
+                        engine=engine)
     ev = log.records[0].events
     assert ev is not None
     assert set(ev.skipped_candidates) == {(0, 2), (1, 3)}
     assert all(np.isnan(g) for g in ev.test_gradients.values())
     assert log.records[0].added == ()
     assert point.edge_set == truth.e_true
+    # a lone probe gradient keeps the horizon too, on a fresh engine as on
+    # the one the step filled
+    batch = Batch.from_pairs(sampler.exact())
+    for eng in (SteadySolveEngine(RUN_CFG), engine):
+        with pytest.raises(LossEvaluationError):
+            stochastic_gradient(init, batch, (0, 2), test_weight=0.05,
+                                readout=readout, config=cfg, engine=eng)
+    # a full-horizon solve of a probe graph does not read the short probe
+    # solve from the cache
+    probe = ModuliPoint(init.graph.with_edge((0, 2), 0.05))
+    shared = regularized_loss(probe, batch, readout, cfg, engine=engine)
+    fresh = regularized_loss(probe, batch, readout, cfg,
+                             engine=SteadySolveEngine(RUN_CFG))
+    assert shared.data == pytest.approx(fresh.data, rel=1e-6)
 
 
 def test_subset_start_recovers_missing_edge(c3):
@@ -523,7 +539,7 @@ def test_engine_caches_by_graph_and_input():
     calls = []
 
     def fake_solve(g, x, config):
-        calls.append((g.key(), np.asarray(x).tobytes()))
+        calls.append((g.key(), np.asarray(x).tobytes(), config.t_max))
         psi = np.asarray(x, dtype=complex)
         return SteadyState(psi / np.linalg.norm(psi), 1.0, 0.0, True)
 
@@ -540,6 +556,15 @@ def test_engine_caches_by_graph_and_input():
     # one batched request with a duplicated job still solves it once
     engine.solve_many([(g1, x * 2), (g1, x * 2)])
     assert len(calls) == 3
+    # the horizon is part of the key: a short solve neither reads nor
+    # replaces the full-horizon one, and the default horizon named
+    # explicitly is the same key as none
+    short = engine.solve_many([(g1, x)], t_max=0.2)[0]
+    assert len(calls) == 4 and calls[-1][2] == 0.2
+    assert engine.solve(g1, x) is first
+    assert engine.solve_many([(g1, x)], t_max=RUN_CFG.t_max)[0] is first
+    assert engine.solve_many([(g1, x)], t_max=0.2)[0] is short
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

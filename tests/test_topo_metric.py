@@ -6,18 +6,19 @@ import logging
 import numpy as np
 import pytest
 
-from spectral_moduli.dynamics import NlseConfig
+from spectral_moduli import dynamics, moduli
+from spectral_moduli.dynamics import NlseConfig, solve_steady_state
 from spectral_moduli.graph_core import build_graph, cycle_graph, path_graph
 from spectral_moduli.topo_metric import (
     DistortionReport,
     GroundTruth,
     ManifoldSpec,
     PopulationReadout,
+    TeacherSampler,
     betti_numbers,
     build_ground_truth,
     distortion_report,
     graph_metric,
-    make_teacher_sampler,
 )
 
 TEACHER_CFG = NlseConfig(dt=1e-2, steady_tol=1e-10, t_max=2000.0)
@@ -335,7 +336,7 @@ def test_readout_gauge_invariance_and_cotangent(c4_truth):
 
 def test_sampler_delta_zero_gives_canonical_bump(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    sampler = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=2)
+    sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=2)
     x, y = sampler.sample()
     dists = [np.linalg.norm(x - sampler.canonical_bump(v)) for v in range(4)]
     assert min(dists) == pytest.approx(0.0, abs=1e-15)
@@ -345,9 +346,9 @@ def test_sampler_delta_zero_gives_canonical_bump(c4_truth):
 
 def test_sampler_stream_determinism(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    a = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=3)(4)
-    b = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=3)(4)
-    c = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=4)(4)
+    a = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=3)(4)
+    b = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=3)(4)
+    c = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=4)(4)
     for (xa, ya), (xb, yb) in zip(a, b):
         np.testing.assert_array_equal(xa, xb)
         assert ya == yb
@@ -357,8 +358,8 @@ def test_sampler_stream_determinism(c4_truth):
 def test_sampler_noise_stays_within_delta(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
     delta = 0.05
-    sampler = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=6,
-                                   noise_delta=delta)
+    sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=6,
+                             noise_delta=delta)
     for _ in range(10):
         x, _ = sampler.sample()
         gaps = [np.linalg.norm(x - sampler.canonical_bump(v))
@@ -369,16 +370,40 @@ def test_sampler_noise_stays_within_delta(c4_truth):
 
 def test_teacher_self_consistency(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    first = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=7)
-    again = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=7)
+    first = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=7)
+    again = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=7)
     for (x1, y1), (x2, y2) in zip(first.exact(), again.exact()):
         np.testing.assert_array_equal(x1, x2)
         assert (y1 - y2) ** 2 < 1e-10
 
 
+def test_exact_batch_is_one_solve_equal_to_single_solves(monkeypatch):
+    truth = build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=8),
+                               inj_radius=1.0)
+    readout = PopulationReadout.random(8, seed=349)
+    config = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=3000.0)
+    sampler = TeacherSampler(truth, readout, config, seed=202)
+    rows = []
+    batched = moduli.solve_steady_state_many
+
+    def counted(graphs, xs, cfg, *args, **kwargs):
+        rows.append(len(graphs))
+        return batched(graphs, xs, cfg, *args, **kwargs)
+
+    # the solver as the engine binds it, and as solve_steady_state reaches it
+    for module in (moduli, dynamics):
+        monkeypatch.setattr(module, "solve_steady_state_many", counted)
+    batch = sampler.exact()
+    assert rows == [8]
+    for v, (x, y) in enumerate(batch):
+        single = solve_steady_state(sampler.graph, sampler.canonical_bump(v),
+                                    config)
+        assert y == readout.value(single.psi_inf)
+
+
 def test_exact_batch_covers_every_vertex(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    sampler = make_teacher_sampler(c4_truth, readout, TEACHER_CFG, seed=8)
+    sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=8)
     batch = sampler.exact()
     assert len(batch) == 4
     for v, (x, y) in enumerate(batch):
