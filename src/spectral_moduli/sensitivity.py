@@ -15,12 +15,15 @@ come in closed form from ``dynamics._bordered_system``, the same matrix the
 steady-state solver's Newton polish uses (the right-hand side contains
 conj-linear terms, so J is real-linear, not complex-linear).
 
-Each solve factors the matrix once (LAPACK getrf).  The condition estimate
-reported and checked against 1e12 is LAPACK's estimate of the 1-norm
-condition number from those factors (gecon).  It reads higher than the
-2-norm condition number: 21-33 against 4.9-8.0 at the steady states of the
-triangle, C4, C8 and P4 from random inputs.
-The adjoint solves the transposed system on the same factors.
+On the bundled tasks N <= 12, so the bordered matrix is at most 26 x 26
+and is inverted once with ``np.linalg.inv``.  Forward derivatives
+multiply the top-left 2N x 2N block of the inverse into the right-hand sides
+(whose border rows are zero), and the adjoint multiplies its transpose into
+the cotangent.  The condition number reported and checked against 1e12 is
+the exact 1-norm condition number ||B||_1 ||B^-1||_1, never below LAPACK's
+1-norm estimate (Higham 2002, sec. 15.3), so the check can only fire earlier
+than an estimate-based one.  At the steady states of the triangle, C4, C8 and P4 from random
+inputs it reads 18-36, against a 2-norm condition number of 4.8-8.4.
 
 The finite-difference oracle re-solves the flow at perturbed parameters and
 gauge-aligns both endpoints to the base state, which places them on the same
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .graph_core import GraphError, WeightedGraph, validate_scalar_field
 from .dynamics import (NlseConfig, SteadyState, _bordered_system,
@@ -99,8 +101,8 @@ def rhs_jacobian(g: WeightedGraph, psi0: np.ndarray, psi: np.ndarray,
 
 
 def _factor_bordered(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                     gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """LU factors of the doubly bordered real matrix at the steady state.
+                     gamma: float) -> tuple[np.ndarray, float]:
+    """Inverse of the doubly bordered real matrix at the steady state.
 
     The linearization J - i*alpha annihilates the phase direction i*psi
     exactly, and it is near-singular along psi itself: the flow conserves
@@ -112,8 +114,9 @@ def _factor_bordered(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     consistent right-hand sides the radial source solves to ~0 and d_psi
     is the on-sphere derivative.
 
-    Returns (lu, piv, cond), where cond is LAPACK's estimate of the 1-norm
-    condition number taken from the same factors.
+    Returns (inv, cond): the top-left 2N x 2N block of B^-1, the only block
+    that right-hand sides with zero border rows reach, and the exact 1-norm
+    condition number ||B||_1 ||B^-1||_1.
     """
     if not steady.converged:
         raise ValueError("sensitivity requires a converged steady state")
@@ -121,28 +124,17 @@ def _factor_bordered(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     b = _bordered_system(g.coupling_laplacian()[None],
                         (np.abs(psi0) ** 2)[None], steady.psi_inf[None],
                         gamma)[0]
-    lu, piv, info = scipy.linalg.lapack.dgetrf(b)
-    cond = np.inf
-    if info == 0:
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.abs(b).sum(axis=0).max())
-        if rcond > 0:
-            cond = 1.0 / rcond
+    try:
+        inv = np.linalg.inv(b)
+    except np.linalg.LinAlgError as exc:
+        raise NonIsolatedSteadyStateError(
+            "bordered Jacobian is singular") from exc
+    cond = float(np.linalg.norm(b, 1) * np.linalg.norm(inv, 1))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NonIsolatedSteadyStateError(
             f"bordered Jacobian is numerically singular (cond {cond:.3e})")
-    return lu, piv, cond
-
-
-def _solve_bordered(lu: np.ndarray, piv: np.ndarray, rhs_top: np.ndarray,
-                    trans: int = 0) -> np.ndarray:
-    """Solve the factored bordered system (or its transpose) for right-hand
-    sides (2N or 2N x k) padded with zeros in the border rows."""
-    n2 = rhs_top.shape[0]
-    rhs = np.zeros((lu.shape[0],) + rhs_top.shape[1:])
-    rhs[:n2] = rhs_top
-    sol, _ = scipy.linalg.lapack.dgetrs(lu, piv, rhs.reshape(lu.shape[0], -1),
-                                        trans=trans)
-    return sol[:n2].reshape(rhs_top.shape)
+    n2 = 2 * g.n
+    return inv[:n2, :n2], cond
 
 
 def _dF_dweights(g: WeightedGraph, psi: np.ndarray,
@@ -183,11 +175,11 @@ def dpsi_dw(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
 
 def dpsi_dw_all(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
                 gamma: float = 1.0) -> dict[tuple[int, int], SensitivityResult]:
-    """Per-edge implicit derivatives sharing one factorization."""
+    """Per-edge implicit derivatives sharing one inverse."""
     if g.n_edges == 0:
         return {}
-    lu, piv, cond = _factor_bordered(g, psi0, steady, gamma)
-    sol = _solve_bordered(lu, piv, -_dF_dweights(g, steady.psi_inf, gamma).T)
+    inv, cond = _factor_bordered(g, psi0, steady, gamma)
+    sol = inv @ -_dF_dweights(g, steady.psi_inf, gamma).T
     return {edge: SensitivityResult(sol[:, k], "implicit", cond)
             for k, edge in enumerate(g.edges)}
 
@@ -208,11 +200,10 @@ def dpsi_dpsi0(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     if abs(float(np.vdot(psi0, direction).real)) > 1e-10:
         raise ValueError("direction must be tangent to the unit sphere "
                          "(Re<psi0, direction> = 0 within 1e-10)")
-    lu, piv, cond = _factor_bordered(g, psi0, steady, gamma)
+    inv, cond = _factor_bordered(g, psi0, steady, gamma)
     dv = 2.0 * (psi0.real * direction.real + psi0.imag * direction.imag)
-    rhs_top = -realify(_dF_dpotential(g, steady.psi_inf, dv, gamma))
-    return SensitivityResult(_solve_bordered(lu, piv, rhs_top), "implicit",
-                             cond)
+    rhs = -realify(_dF_dpotential(g, steady.psi_inf, dv, gamma))
+    return SensitivityResult(inv @ rhs, "implicit", cond)
 
 
 def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
@@ -267,15 +258,14 @@ def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
 def steady_state_adjoint(g: WeightedGraph, psi0: np.ndarray,
                          steady: SteadyState, cotangent: np.ndarray,
                          gamma: float = 1.0) -> np.ndarray:
-    """Adjoint solve: one transposed bordered system for a loss cotangent.
+    """Adjoint state: the transposed bordered inverse times a loss cotangent.
 
     Given d(loss)/d(psi_inf) as a realified 2N vector, returns lam (2N) such
     that the loss gradient in any parameter p is -lam . realify(dF/dp).
-    This prices every edge/potential direction with a single solve.
+    This prices every edge/potential direction with a single product.
     """
-    lu, piv, _ = _factor_bordered(g, psi0, steady, gamma)
-    return _solve_bordered(lu, piv, np.asarray(cotangent, dtype=float),
-                           trans=1)
+    inv, _ = _factor_bordered(g, psi0, steady, gamma)
+    return inv.T @ np.asarray(cotangent, dtype=float)
 
 
 def weight_gradients(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .graph_core import WeightedGraph, build_graph
 from .dynamics import NlseConfig
@@ -213,11 +212,16 @@ def betti_numbers(g: WeightedGraph) -> tuple[int, int]:
 def graph_metric(g: WeightedGraph) -> np.ndarray:
     """All-pairs shortest-path distances with edge length 1/w(e).
 
-    Returns a dense symmetric matrix with zero diagonal and ``inf`` between
+    Dense Floyd–Warshall: relax every pair through each vertex k in turn.
+    Returns a symmetric matrix with zero diagonal and ``inf`` between
     components.
     """
     lengths = g.adjacency_matrix(values=1.0 / np.asarray(g.weights))
-    return shortest_path(lengths, method="D", directed=False)
+    d = np.where(lengths > 0, lengths, np.inf)
+    np.fill_diagonal(d, 0.0)
+    for k in range(g.n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
 
 
 @dataclass(frozen=True)
@@ -339,8 +343,11 @@ class TeacherSampler:
         self.config = config
         self.seed = seed
         self.graph = truth.teacher_graph()
-        self.bump_width = (float(bump_width) if bump_width
-                           else truth.default_bump_width)
+        self.bump_width = (truth.default_bump_width if bump_width is None
+                           else float(bump_width))
+        if not (np.isfinite(self.bump_width) and self.bump_width > 0):
+            raise ValueError(f"bump_width must be finite and positive, "
+                             f"got {self.bump_width}")
         self.noise_delta = (truth.spec.noise_delta if noise_delta is None
                             else float(noise_delta))
         self._engine = SteadySolveEngine(config)

@@ -3,12 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectral_moduli
 from spectral_moduli import cli
 from spectral_moduli import fann_model as fm
 
@@ -32,6 +35,20 @@ def read_meta_line(path):
 def read_jsonl(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this same package.
+
+    The pytest ``pythonpath`` setting reaches only the test process, so the
+    directory ``spectral_moduli`` was imported from goes first on the
+    child's PYTHONPATH.
+    """
+    src = str(Path(spectral_moduli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def dir_hashes(path) -> dict:
@@ -475,6 +492,18 @@ def test_rerun_via_subprocess_matches_in_process(tmp_path):
     assert run_cli(*args) == 0
     before = dir_hashes(out)
     proc = subprocess.run([sys.executable, "-m", "spectral_moduli.cli"] + args,
-                          capture_output=True)
+                          capture_output=True, env=child_env())
     assert proc.returncode == 0
     assert dir_hashes(out) == before
+
+
+def test_cli_import_loads_only_numpy():
+    # a fresh interpreter, so modules the test process already holds do not
+    # hide what the import pulls in
+    code = ("import sys; before = set(sys.modules); import spectral_moduli.cli; "
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['numpy', 'spectral_moduli']"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_moduli import dynamics
 from spectral_moduli.graph_core import GraphError, build_graph, cycle_graph, single_vertex_graph
 from spectral_moduli.dynamics import NlseConfig, SteadyState, nlse_rhs, solve_steady_state
 from spectral_moduli.sensitivity import (
@@ -108,6 +109,16 @@ def test_dpsi_dw_matches_fd_on_every_edge(triangle_problem):
         assert rel < 1e-4
         assert imp.method == "implicit"
         assert imp.condition_estimate < 1e3
+
+
+def test_condition_estimate_is_exact_one_norm_condition(triangle_problem):
+    g, psi0, steady = triangle_problem
+    b = dynamics._bordered_system(g.coupling_laplacian()[None],
+                                  (np.abs(psi0) ** 2)[None],
+                                  steady.psi_inf[None], 1.0)[0]
+    exact = np.linalg.cond(b, 1)
+    for res in dpsi_dw_all(g, psi0, steady).values():
+        assert res.condition_estimate == pytest.approx(exact, rel=1e-12)
 
 
 def test_dpsi_dpsi0_matches_trajectory_fd(triangle_problem):

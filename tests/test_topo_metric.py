@@ -5,6 +5,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spectral_moduli import dynamics, moduli
 from spectral_moduli.dynamics import NlseConfig, solve_steady_state
@@ -210,14 +211,27 @@ def test_metric_c4_opposite_distance():
     assert d[0, 1] == pytest.approx(1.0)
 
 
-def test_metric_matches_relaxation_oracle_random():
-    rng = np.random.default_rng(42)
-    for trial in range(8):
-        pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)
-                 if rng.random() < 0.35]
-        g = build_graph(8, [(u, v, float(rng.uniform(0.2, 3))) for u, v in pairs])
-        np.testing.assert_allclose(graph_metric(g), floyd_warshall_oracle(g),
-                                   rtol=0, atol=1e-12)
+@st.composite
+def random_graphs(draw):
+    """Graphs on n = 1-10 vertices with weights in [0.2, 3]; each pair is an
+    edge with a drawn probability in [0, 0.6], so edgeless and disconnected
+    graphs occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(1, 11))
+    density = rng.uniform(0.0, 0.6)
+    return build_graph(n, [(u, v, float(rng.uniform(0.2, 3.0)))
+                           for u in range(n) for v in range(u + 1, n)
+                           if rng.uniform() < density])
+
+
+@given(random_graphs())
+def test_metric_matches_relaxation_oracle(g):
+    d = graph_metric(g)
+    np.testing.assert_allclose(d, floyd_warshall_oracle(g), rtol=0, atol=1e-12)
+    label = np.empty(g.n, dtype=int)
+    for c, members in enumerate(g.components()):
+        label[list(members)] = c
+    assert np.array_equal(np.isinf(d), label[:, None] != label[None, :])
 
 
 def test_metric_axioms():
@@ -366,6 +380,13 @@ def test_sampler_noise_stays_within_delta(c4_truth):
                 for v in range(4)]
         assert min(gaps) <= 2 * delta + 1e-12
         assert np.linalg.norm(x) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.5, float("nan"), float("inf")])
+def test_sampler_rejects_bad_bump_width(c4_truth, width):
+    readout = PopulationReadout.random(4, seed=1)
+    with pytest.raises(ValueError, match="bump_width"):
+        TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=2, bump_width=width)
 
 
 def test_teacher_self_consistency(c4_truth):
