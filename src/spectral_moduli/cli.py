@@ -17,7 +17,8 @@ strict: unknown keys anywhere exit with code 2 before any work happens.
 Every output file embeds the same meta block: the command, the package
 version, the thread cap, the fully resolved config (defaults filled in), and
 ``inputs_sha256``, the SHA-256 of the canonical resolved-config JSON.  JSON
-files carry it under a top-level ``"meta"`` key, JSONL files as their first
+files carry it under a top-level ``"meta"`` key (``checkpoint.json``, in the
+model-checkpoint format, under ``extra.meta``), JSONL files as their first
 record, CSV files as a leading ``# meta: ...`` comment line.  All floats use
 shortest round-trip formatting, so a rerun with identical config and seed
 reproduces every output byte for byte.

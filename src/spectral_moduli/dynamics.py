@@ -518,13 +518,16 @@ class SteadyState:
     ``residual`` is the sup norm of the projection of F off the state;
     it vanishes exactly when the state is stationary modulo a global phase
     (the flow keeps rotating at a constant rate there).  ``t_reached`` is
-    the flow time integrated by RK4; a Newton polish adds none.
+    the flow time integrated by RK4; a Newton polish adds none.  ``gamma``
+    is the dissipation rate of the flow the state is an equilibrium of;
+    every derivative of the state is taken at it.
     """
 
     psi_inf: np.ndarray
     t_reached: float
     residual: float
     converged: bool
+    gamma: float
 
 
 # Newton takes over from RK4 once the projected residual is at most this.
@@ -586,6 +589,30 @@ def _realified_jacobian(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     return np.concatenate([
         np.concatenate([(a + c).real, -(a - c).imag], axis=2),
         np.concatenate([(a + c).imag, (a - c).real], axis=2)], axis=1)
+
+
+def _dF_dparams(edges: Sequence[tuple[int, int]], psi: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """Realified (E+N, 2N) derivative of the complex flow in its parameters.
+
+    One row per edge weight (in ``edges`` order), then one row per vertex
+    potential.  Each row is realify(-i z - s gamma P z), P the projector off
+    ``psi``: an edge (u, v) moves L psi by z = (psi_u - psi_v)(e_u - e_v)
+    with s = 1, and a potential V_j moves V psi by z = psi_j e_j, which
+    enters the dissipative part with the opposite sign, s = -1.
+    """
+    n, ne = psi.shape[0], len(edges)
+    z = np.zeros((ne + n, n), dtype=complex)
+    u, v = np.asarray(edges, dtype=int).reshape(ne, 2).T
+    rows = np.arange(ne)
+    z[rows, u] = psi[u] - psi[v]
+    z[rows, v] = psi[v] - psi[u]
+    z[ne + np.arange(n), np.arange(n)] = psi
+    sign = np.concatenate([np.ones(ne), -np.ones(n)])[:, None]
+    n2 = float(np.sum(np.abs(psi) ** 2))
+    proj = z - np.outer(z @ np.conj(psi), psi) / n2
+    df = -1j * z - sign * gamma * proj
+    return np.concatenate([df.real, df.imag], axis=1)
 
 
 def _bordered_system(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
@@ -795,7 +822,7 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
 
     finish(active, psi[active], res[~hit], np.zeros(active.size, bool), step)
     return [SteadyState(result_psi[i], float(result_t[i]),
-                        float(result_res[i]), bool(ok[i]))
+                        float(result_res[i]), bool(ok[i]), float(gamma))
             for i in range(n_prob)]
 
 

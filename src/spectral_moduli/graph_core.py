@@ -189,11 +189,8 @@ class WeightedGraph:
             raise GraphError(f"edge ({u}, {v}) already present")
         triples = [(a, b, w) for (a, b), w in zip(self.edges, self.weights)]
         triples.append((u, v, weight))
-        rhos = dict(zip(self.edges, self.rho))
-        rhos[(u, v)] = rho
-        g = build_graph(self.n, triples, mu=self.mu,
-                        rho=[rhos[e] for e in sorted(rhos)])
-        return g
+        return build_graph(self.n, triples, mu=self.mu,
+                           rho=list(self.rho) + [rho])
 
     def without_edges(self, pairs: Iterable[tuple[int, int]]) -> "WeightedGraph":
         drop = {(min(p), max(p)) for p in pairs}

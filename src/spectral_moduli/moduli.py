@@ -282,7 +282,7 @@ def regularized_loss(point: ModuliPoint, batch: Batch, readout,
 
 
 def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
-                           engine: SteadySolveEngine, gamma: float,
+                           engine: SteadySolveEngine,
                            t_max: float | None = None
                            ) -> tuple[np.ndarray, float]:
     """Batch-mean data-term gradient in every edge weight, plus data loss.
@@ -297,8 +297,7 @@ def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
         coeff = sum(2.0 * (pred - batch.ys[i]) for i in idx) / len(batch)
         if coeff == 0.0 or g.n_edges == 0:
             continue
-        base = weight_gradients(g, x, st, readout.cotangent(st.psi_inf),
-                                gamma)
+        base = weight_gradients(g, x, st, readout.cotangent(st.psi_inf))
         grad += coeff * base
     return grad, data_loss
 
@@ -329,8 +328,7 @@ def stochastic_gradient(point: ModuliPoint, batch: Batch,
             raise GraphError(f"edge {edge} absent; provide test_weight")
         probe, t_max = g.with_edge(edge, float(test_weight)), config.probe_t_max
         k = probe.edge_index()[edge]
-    grad, _ = _data_weight_gradients(probe, batch, readout, engine,
-                                     config.steady.gamma, t_max)
+    grad, _ = _data_weight_gradients(probe, batch, readout, engine, t_max)
     w = probe.weights[k]
     return float(grad[k] + config.l2_coeff * w + config.l1_coeff)
 
@@ -377,10 +375,8 @@ def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
         engine = SteadySolveEngine(config.steady)
     g = point.graph
     theta = config.prune_threshold
-    gamma = config.steady.gamma
 
-    data_grad, data_loss = _data_weight_gradients(g, batch, readout, engine,
-                                                  gamma)
+    data_grad, data_loss = _data_weight_gradients(g, batch, readout, engine)
     l2, l1 = _regularizer(g.weights, config)
     grads = data_grad + config.l2_coeff * g.weights + config.l1_coeff
     eta = config.step_size_at(t)

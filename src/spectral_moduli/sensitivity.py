@@ -10,10 +10,13 @@ a system that is singular along the phase direction i*psi.  We restore
 invertibility with bordering rows, the phase-slice condition
 Im<psi, d_psi> = 0 and the radial slice Re<psi, d_psi> = 0, and solve the
 real (2N+2) x (2N+2) system for (d_psi, d_alpha, d_mu).  Everything complex
-is realified as [Re; Im] stacks; the Jacobian J and the bordered matrix
-come in closed form from ``dynamics._bordered_system``, the same matrix the
-steady-state solver's Newton polish uses (the right-hand side contains
-conj-linear terms, so J is real-linear, not complex-linear).
+is realified as [Re; Im] stacks (the right-hand side contains conj-linear
+terms, so J is real-linear, not complex-linear).  Every derivative of F
+comes from ``dynamics``, which owns F: the bordered matrix from
+``_bordered_system`` (the matrix the steady solver's Newton polish uses)
+and dF/dp from ``_dF_dparams``, both at ``SteadyState.gamma``, the rate of
+the flow the state was solved under.  This module holds only the bordered
+linear algebra and the finite-difference oracle.
 
 On the bundled tasks N <= 12, so the bordered matrix is at most 26 x 26
 and is inverted once with ``np.linalg.inv``.  Forward derivatives
@@ -38,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .graph_core import GraphError, WeightedGraph, validate_scalar_field
-from .dynamics import (NlseConfig, SteadyState, _bordered_system,
+from .dynamics import (NlseConfig, SteadyState, _bordered_system, _dF_dparams,
                        _realified_jacobian, gauge_align, solve_steady_state)
 
 __all__ = [
@@ -67,15 +70,12 @@ class NonIsolatedSteadyStateError(RuntimeError):
 class SensitivityResult:
     """Directional derivative of the steady state, realified to length 2N.
 
-    ``method`` is "implicit" or "finite_difference"; ``fd_relative_error``
-    is populated when an FD cross-check was requested alongside an implicit
-    solve.
+    ``method`` is "implicit" or "finite_difference".
     """
 
     d_psi_inf: np.ndarray
     method: str
     condition_estimate: float
-    fd_relative_error: float | None = None
 
 
 def realify(z: np.ndarray) -> np.ndarray:
@@ -100,8 +100,8 @@ def rhs_jacobian(g: WeightedGraph, psi0: np.ndarray, psi: np.ndarray,
                               (np.abs(psi0) ** 2)[None], psi[None], gamma)[0]
 
 
-def _factor_bordered(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                     gamma: float) -> tuple[np.ndarray, float]:
+def _factor_bordered(g: WeightedGraph, psi0: np.ndarray,
+                     steady: SteadyState) -> tuple[np.ndarray, float]:
     """Inverse of the doubly bordered real matrix at the steady state.
 
     The linearization J - i*alpha annihilates the phase direction i*psi
@@ -123,7 +123,7 @@ def _factor_bordered(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     psi0 = validate_scalar_field(g, psi0)
     b = _bordered_system(g.coupling_laplacian()[None],
                         (np.abs(psi0) ** 2)[None], steady.psi_inf[None],
-                        gamma)[0]
+                        steady.gamma)[0]
     try:
         inv = np.linalg.inv(b)
     except np.linalg.LinAlgError as exc:
@@ -137,55 +137,29 @@ def _factor_bordered(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     return inv[:n2, :n2], cond
 
 
-def _dF_dweights(g: WeightedGraph, psi: np.ndarray,
-                 gamma: float) -> np.ndarray:
-    """Realified derivatives of the right-hand side in every edge weight.
-
-    Row k (of E) is realify(dF/dw_k): for edge (u, v) the Laplacian moves
-    by z = (psi_u - psi_v)(e_u - e_v), and dF = -i z - gamma P z.
-    """
-    u, v = np.asarray(g.edges).T
-    rows = np.arange(g.n_edges)
-    z = np.zeros((g.n_edges, g.n), dtype=complex)
-    z[rows, u] = psi[u] - psi[v]
-    z[rows, v] = psi[v] - psi[u]
-    n2 = float(np.sum(np.abs(psi) ** 2))
-    proj = z - np.outer(z @ np.conj(psi), psi) / n2
-    df = -1j * z - gamma * proj
-    return np.concatenate([df.real, df.imag], axis=1)
-
-
-def _dF_dpotential(g: WeightedGraph, psi: np.ndarray, dv: np.ndarray,
-                   gamma: float) -> np.ndarray:
-    """Derivative of the right-hand side along a potential perturbation dv."""
-    z = dv * psi
-    n2 = float(np.sum(np.abs(psi) ** 2))
-    proj = z - psi * (np.vdot(psi, z) / n2)
-    return -1j * z + gamma * proj
-
-
 def dpsi_dw(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-            edge: tuple[int, int], gamma: float = 1.0) -> SensitivityResult:
+            edge: tuple[int, int]) -> SensitivityResult:
     """Implicit derivative of the steady state in one edge weight."""
     edge = (min(edge), max(edge))
     if edge not in g.edge_index():
         raise GraphError(f"edge {edge} not in graph")
-    return dpsi_dw_all(g, psi0, steady, gamma)[edge]
+    return dpsi_dw_all(g, psi0, steady)[edge]
 
 
-def dpsi_dw_all(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                gamma: float = 1.0) -> dict[tuple[int, int], SensitivityResult]:
+def dpsi_dw_all(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState
+                ) -> dict[tuple[int, int], SensitivityResult]:
     """Per-edge implicit derivatives sharing one inverse."""
     if g.n_edges == 0:
         return {}
-    inv, cond = _factor_bordered(g, psi0, steady, gamma)
-    sol = inv @ -_dF_dweights(g, steady.psi_inf, gamma).T
+    inv, cond = _factor_bordered(g, psi0, steady)
+    d_w = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[:g.n_edges]
+    sol = inv @ -d_w.T
     return {edge: SensitivityResult(sol[:, k], "implicit", cond)
             for k, edge in enumerate(g.edges)}
 
 
 def dpsi_dpsi0(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-               direction: np.ndarray, gamma: float = 1.0) -> SensitivityResult:
+               direction: np.ndarray) -> SensitivityResult:
     """Implicit derivative of the steady state along a tangent move of psi0.
 
     psi0 enters the converged state only through the frozen potential
@@ -200,10 +174,10 @@ def dpsi_dpsi0(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     if abs(float(np.vdot(psi0, direction).real)) > 1e-10:
         raise ValueError("direction must be tangent to the unit sphere "
                          "(Re<psi0, direction> = 0 within 1e-10)")
-    inv, cond = _factor_bordered(g, psi0, steady, gamma)
+    inv, cond = _factor_bordered(g, psi0, steady)
     dv = 2.0 * (psi0.real * direction.real + psi0.imag * direction.imag)
-    rhs = -realify(_dF_dpotential(g, steady.psi_inf, dv, gamma))
-    return SensitivityResult(inv @ rhs, "implicit", cond)
+    d_v = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[g.n_edges:]
+    return SensitivityResult(inv @ -(dv @ d_v), "implicit", cond)
 
 
 def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
@@ -256,35 +230,31 @@ def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
 
 
 def steady_state_adjoint(g: WeightedGraph, psi0: np.ndarray,
-                         steady: SteadyState, cotangent: np.ndarray,
-                         gamma: float = 1.0) -> np.ndarray:
+                         steady: SteadyState, cotangent: np.ndarray
+                         ) -> np.ndarray:
     """Adjoint state: the transposed bordered inverse times a loss cotangent.
 
     Given d(loss)/d(psi_inf) as a realified 2N vector, returns lam (2N) such
     that the loss gradient in any parameter p is -lam . realify(dF/dp).
     This prices every edge/potential direction with a single product.
     """
-    inv, _ = _factor_bordered(g, psi0, steady, gamma)
+    inv, _ = _factor_bordered(g, psi0, steady)
     return inv.T @ np.asarray(cotangent, dtype=float)
 
 
 def weight_gradients(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                     cotangent: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+                     cotangent: np.ndarray) -> np.ndarray:
     """Loss gradient in every edge weight via the adjoint state."""
     if g.n_edges == 0:
         return np.zeros(0)
-    lam = steady_state_adjoint(g, psi0, steady, cotangent, gamma)
-    return -(_dF_dweights(g, steady.psi_inf, gamma) @ lam)
+    lam = steady_state_adjoint(g, psi0, steady, cotangent)
+    d_w = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[:g.n_edges]
+    return -(d_w @ lam)
 
 
 def potential_gradient(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                       cotangent: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+                       cotangent: np.ndarray) -> np.ndarray:
     """Loss gradient in the frozen potential (length N) via the adjoint."""
-    lam = steady_state_adjoint(g, psi0, steady, cotangent, gamma)
-    psi = steady.psi_inf
-    n2 = float(np.sum(np.abs(psi) ** 2))
-    lam_c = unrealify(lam)
-    # column j of dF/dV is (gamma - i) psi_j e_j - gamma psi |psi_j|^2 / n2
-    lead = ((gamma - 1j) * psi * np.conj(lam_c)).real
-    tail = (np.abs(psi) ** 2 / n2) * float(np.vdot(lam_c, psi).real)
-    return -lead + gamma * tail
+    lam = steady_state_adjoint(g, psi0, steady, cotangent)
+    d_v = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[g.n_edges:]
+    return -(d_v @ lam)

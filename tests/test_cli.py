@@ -507,3 +507,39 @@ def test_cli_import_loads_only_numpy():
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['numpy', 'spectral_moduli']"
+
+
+def test_traced_benchmark_binds_to_the_package(tmp_path, monkeypatch):
+    # bench/layers.py wraps package functions by name and binds some of
+    # their parameters by name; a renamed boundary must fail here, not only
+    # in a traced benchmark run
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    commands = (
+        ["learn-graph", "--set", "learn_graph.task=c4",
+         "--set", "learn_graph.iterations=2"],
+        ["train", "--set", "train.phase1.epochs=1",
+         "--set", "train.phase2.epochs=0",
+         "--set", "train.include_baseline=false",
+         "--set", "train.gap_sizes=null"],
+    )
+    traces = []
+    for k, args in enumerate(commands):
+        trace = tmp_path / f"trace{k}.json"
+        proc = subprocess.run(
+            [sys.executable, str(bench / "child.py"), "--stamp",
+             str(tmp_path / f"stamp{k}"), "--trace", str(trace), "--"]
+            + args + ["--out", str(tmp_path / f"out{k}")],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        data = read_json(trace)
+        traces.append((data["spans"], data["counts"]))
+    monkeypatch.syspath_prepend(str(bench))
+    import layers
+    import tracing
+
+    metrics = layers.summarize(*tracing.merge(traces), wall_s=0.0)
+    for name in ("dynamics.steady.rows", "sensitivity.adjoint.calls",
+                 "sensitivity.weight_gradients.edges", "moduli.probes",
+                 "moduli.descent_step.calls",
+                 "fann_model.param_gradients.calls"):
+        assert metrics[name] > 0, name

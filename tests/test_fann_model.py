@@ -443,7 +443,7 @@ def test_train_logs_failures_and_continues(c4):
     def never_converges(g, x, config):
         return SteadyState(psi_inf=np.asarray(x, dtype=complex),
                            t_reached=config.t_max, residual=1.0,
-                           converged=False)
+                           converged=False, gamma=config.gamma)
 
     engine = SteadySolveEngine(RUN_CFG, solve_fn=never_converges)
     cfg = train_config(epochs=2)

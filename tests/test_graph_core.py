@@ -1,9 +1,15 @@
 """Operators and norms: naive-loop oracles, hand values, bound constants."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from spectral_moduli import fann_model
+from spectral_moduli.moduli import ModuliPoint
 
 from spectral_moduli.graph_core import (
     DimensionMismatchError,
@@ -354,6 +360,40 @@ def test_rho_follows_its_edge_through_canonical_sorting():
     assert graph_from_dict(d).rho.tolist() == [20.0, 10.0]
     with pytest.raises(GraphError):
         build_graph(3, [(1, 2, 1.0), (0, 1, 2.0)], rho=[10])
+
+
+@st.composite
+def graphs_with_gap(draw):
+    """A graph on n = 2-8 vertices with random positive weights, mu and rho,
+    and one vertex pair it leaves without an edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    gap = pairs[int(rng.integers(len(pairs)))]
+    density = rng.uniform(0.0, 1.0)
+    kept = [p for p in pairs if p != gap and rng.uniform() < density]
+    rng.shuffle(kept)
+    g = build_graph(n, [(v, u, float(rng.uniform(0.1, 3.0))) for u, v in kept],
+                    mu=rng.uniform(0.1, 3.0, n),
+                    rho=rng.uniform(0.1, 3.0, len(kept)))
+    return g, gap, float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0))
+
+
+@given(graphs_with_gap())
+def test_edge_add_remove_and_serialization_round_trips(case):
+    g, gap, w, rho = case
+    grafted = g.with_edge(gap, w, rho=rho)
+    expect = {e: (wi, ri) for e, wi, ri in zip(g.edges, g.weights, g.rho)}
+    expect[gap] = (w, rho)
+    assert dict(zip(grafted.edges, zip(grafted.weights, grafted.rho))) == expect
+    assert np.array_equal(grafted.mu, g.mu)
+    assert grafted.without_edges([gap]).key() == g.key()
+    assert graph_from_dict(graph_to_dict(grafted)).key() == grafted.key()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.json")
+        fann_model.save_checkpoint(path, fann_model.random_params(2, g.n, 0),
+                                   ModuliPoint(grafted))
+        assert fann_model.load_checkpoint(path)[1].graph.key() == grafted.key()
 
 
 def test_save_load_file_and_determinism(tmp_path):

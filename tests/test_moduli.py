@@ -10,6 +10,7 @@ Oracles used here:
     cycle helper.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -214,6 +215,25 @@ def test_gradient_matches_fd_on_existing_edge(c3):
     assert rel_err(grad, fd) < 1e-3
 
 
+def test_gradient_is_taken_at_the_gamma_the_engine_solved_at(c3):
+    # the engine solves at gamma = 0.5 while config.steady says 1: the
+    # adjoint must linearize the flow that was solved
+    truth, readout, sampler = c3
+    triples = [(u, v, w * s) for (u, v), w, s in
+               zip(truth.e_true, truth.teacher_weights, (1.15, 0.9, 1.05))]
+    g = build_graph(3, triples)
+    batch = Batch.from_pairs(sampler.exact()[:1])
+    half = dataclasses.replace(TIGHT_CFG, gamma=0.5)
+    cfg = opt_config(steady=TIGHT_CFG, l1_coeff=1e-6, l2_coeff=1e-6,
+                     batch_size=1)
+    edge = truth.e_true[0]
+    grad = stochastic_gradient(ModuliPoint(g), batch, edge, readout=readout,
+                               config=cfg, engine=SteadySolveEngine(half))
+    fd = fd_loss_gradient(g, edge, batch, readout,
+                          dataclasses.replace(cfg, steady=half))
+    assert rel_err(grad, fd) < 1e-3
+
+
 def test_gradient_matches_fd_on_probe_edge(c4):
     truth, readout, sampler = c4
     w = dict(zip(truth.e_true, truth.teacher_weights))
@@ -410,7 +430,7 @@ def test_run_logs_failed_steps_and_continues(c3):
     def never_converges(g, x, config):
         return SteadyState(psi_inf=np.asarray(x, dtype=complex),
                            t_reached=config.t_max, residual=1.0,
-                           converged=False)
+                           converged=False, gamma=config.gamma)
 
     engine = SteadySolveEngine(RUN_CFG, solve_fn=never_converges)
     init = ModuliPoint(truth.teacher_graph())
@@ -541,7 +561,8 @@ def test_engine_caches_by_graph_and_input():
     def fake_solve(g, x, config):
         calls.append((g.key(), np.asarray(x).tobytes(), config.t_max))
         psi = np.asarray(x, dtype=complex)
-        return SteadyState(psi / np.linalg.norm(psi), 1.0, 0.0, True)
+        return SteadyState(psi / np.linalg.norm(psi), 1.0, 0.0, True,
+                           config.gamma)
 
     engine = SteadySolveEngine(RUN_CFG, solve_fn=fake_solve)
     g1 = build_graph(2, [(0, 1, 1.0)])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spectral_moduli import dynamics
 from spectral_moduli.graph_core import GraphError, build_graph, cycle_graph, single_vertex_graph
@@ -84,6 +85,33 @@ def test_closed_form_jacobian_matches_rhs_fd_columnwise(n):
         fd = (nlse_rhs(g, psi + h * d, psi0, 0.7)
               - nlse_rhs(g, psi - h * d, psi0, 0.7)) / (2 * h)
         assert np.abs(jac[:, k] - realify(fd)).max() < 1e-7
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_parameter_jacobian_matches_rhs_fd(n):
+    # rows of dF/d(weights) and dF/d(potential) at an off-sphere state and
+    # gamma != 1, where the opposite signs of the two row kinds both show
+    rng = np.random.default_rng(40 + n)
+    pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    g = build_graph(n, [(u, v, float(rng.uniform(0.5, 2.0)))
+                        for u, v in sorted(pairs)])
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0 /= np.linalg.norm(psi0)
+    psi = 1.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2 * n)
+    d = dynamics._dF_dparams(g.edges, psi, 0.7)
+    assert d.shape == (g.n_edges + n, 2 * n)
+    h = 1e-6
+    for k in range(g.n_edges):
+        step = h * np.eye(g.n_edges)[k]
+        fd = (nlse_rhs(g.with_weights(g.weights + step), psi, psi0, 0.7)
+              - nlse_rhs(g.with_weights(g.weights - step), psi, psi0, 0.7))
+        assert np.abs(d[k] - realify(fd / (2 * h))).max() < 1e-7
+    lap, v = g.coupling_laplacian(), np.abs(psi0) ** 2
+    for j in range(n):
+        step = h * np.eye(n)[j]
+        fd = (dynamics._nlse_raw(lap, v + step, psi, 0.7)
+              - dynamics._nlse_raw(lap, v - step, psi, 0.7))
+        assert np.abs(d[g.n_edges + j] - realify(fd / (2 * h))).max() < 1e-7
 
 
 def test_jacobian_annihilates_phase_direction(triangle_problem):
@@ -175,7 +203,7 @@ def test_dpsi_dw_unknown_edge_rejected(triangle_problem):
 
 def test_unconverged_steady_state_rejected(triangle_problem):
     g, psi0, _ = triangle_problem
-    fake = SteadyState(psi0, 0.0, 1.0, False)
+    fake = SteadyState(psi0, 0.0, 1.0, False, CFG.gamma)
     with pytest.raises(ValueError):
         dpsi_dw(g, psi0, fake, (0, 1))
 
@@ -208,7 +236,7 @@ def test_fd_oracle_exact_on_quadratic_solver():
     def quadratic_solver(gq, p, config):
         w = np.asarray(gq.weights)
         vec = np.array([w[0] ** 2, 1.0 + w[1], 3.0 * w[2] + w[0]], dtype=complex)
-        return SteadyState(vec, 0.0, 0.0, True)
+        return SteadyState(vec, 0.0, 0.0, True, config.gamma)
 
     out = fd_oracle(g, psi0, CFG, ("w", g.edges[0]), h=1e-3,
                     solver=quadratic_solver)
@@ -277,3 +305,43 @@ def test_adjoint_state_finite_and_reusable(triangle_problem):
     lam = steady_state_adjoint(g, psi0, steady, cot)
     assert lam.shape == (2 * g.n,)
     assert np.all(np.isfinite(lam))
+
+
+@st.composite
+def solved_problems(draw):
+    """A random connected graph on N = 3-6 vertices, a unit input state and
+    its steady state solved at a drawn gamma in [0.3, 1.5]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(3, 7))
+    # a random spanning tree, plus each other pair with probability 0.4
+    edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+    edges |= {(u, w) for u in range(n) for w in range(u + 1, n)
+              if rng.uniform() < 0.4}
+    g = build_graph(n, [(u, w, float(rng.uniform(0.5, 2.0)))
+                        for u, w in sorted(edges)])
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0 /= np.linalg.norm(psi0)
+    gamma = draw(st.floats(0.3, 1.5))
+    steady = solve_steady_state(g, psi0, NlseConfig(
+        gamma=gamma, dt=1e-2, steady_tol=1e-12, t_max=2000))
+    assert steady.converged and steady.gamma == gamma
+    return g, psi0, steady, rng
+
+
+@given(solved_problems())
+def test_adjoint_gradients_equal_forward_derivatives(case):
+    # the adjoint and the forward derivatives price the same linearization,
+    # at the gamma the state was solved at
+    g, psi0, steady, rng = case
+    cot = rng.normal(size=2 * g.n)
+    grads = weight_gradients(g, psi0, steady, cot)
+    for k, res in enumerate(dpsi_dw_all(g, psi0, steady).values()):
+        assert grads[k] == pytest.approx(cot @ res.d_psi_inf, rel=1e-10)
+    gv = potential_gradient(g, psi0, steady, cot)
+    # direction = dv psi0 / (2 |psi0|^2), made tangent, realizes the
+    # potential move dv_real = 2 Re(conj(psi0) direction)
+    direction = rng.normal(size=g.n) * psi0 / (2.0 * np.abs(psi0) ** 2)
+    direction = direction - psi0 * np.vdot(psi0, direction).real
+    dv_real = 2.0 * (psi0.real * direction.real + psi0.imag * direction.imag)
+    dpsi = dpsi_dpsi0(g, psi0, steady, direction).d_psi_inf
+    assert gv @ dv_real == pytest.approx(cot @ dpsi, rel=1e-10)
