@@ -296,8 +296,9 @@ def _as_int(lo: int | None = None, hi: int | None = None):
 
 def _as_float(lo: float | None = None, lo_open: bool = False):
     def cast(value: Any, label: str) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{label}: expected a number, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):  # NaN, inf, 10**400
+            raise ConfigError(f"{label}: expected a finite number, got {value!r}")
         x = float(value)
         if lo is not None and (x <= lo if lo_open else x < lo):
             op = ">" if lo_open else ">="

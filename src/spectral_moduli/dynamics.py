@@ -104,12 +104,11 @@ class NlseConfig:
     renorm_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
-        if self.steady_tol <= 0 or self.renorm_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be nonnegative and finite")
+        if not all(0.0 < x < np.inf for x in (self.dt, self.t_max,
+                                               self.steady_tol, self.renorm_tol)):
+            raise ValueError("dt, t_max and tolerances must be positive and finite")
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -593,7 +592,7 @@ def _realified_jacobian(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
 def _dF_dparams(edges: Sequence[tuple[int, int]], psi: np.ndarray,
                 gamma: float) -> np.ndarray:
-    """Realified (E+N, 2N) derivative of the complex flow in its parameters.
+    """Realified (..., E+N, 2N) parameter derivative of the flow at (..., N).
 
     One row per edge weight (in ``edges`` order), then one row per vertex
     potential.  Each row is realify(-i z - s gamma P z), P the projector off
@@ -601,18 +600,18 @@ def _dF_dparams(edges: Sequence[tuple[int, int]], psi: np.ndarray,
     with s = 1, and a potential V_j moves V psi by z = psi_j e_j, which
     enters the dissipative part with the opposite sign, s = -1.
     """
-    n, ne = psi.shape[0], len(edges)
-    z = np.zeros((ne + n, n), dtype=complex)
+    n, ne = psi.shape[-1], len(edges)
+    z = np.zeros(psi.shape[:-1] + (ne + n, n), dtype=complex)
     u, v = np.asarray(edges, dtype=int).reshape(ne, 2).T
     rows = np.arange(ne)
-    z[rows, u] = psi[u] - psi[v]
-    z[rows, v] = psi[v] - psi[u]
-    z[ne + np.arange(n), np.arange(n)] = psi
+    z[..., rows, u] = psi[..., u] - psi[..., v]
+    z[..., rows, v] = psi[..., v] - psi[..., u]
+    z[..., ne + np.arange(n), np.arange(n)] = psi
     sign = np.concatenate([np.ones(ne), -np.ones(n)])[:, None]
-    n2 = float(np.sum(np.abs(psi) ** 2))
-    proj = z - np.outer(z @ np.conj(psi), psi) / n2
+    n2 = np.sum(np.abs(psi) ** 2, axis=-1)[..., None, None]
+    proj = z - (z @ np.conj(psi)[..., None]) * psi[..., None, :] / n2
     df = -1j * z - sign * gamma * proj
-    return np.concatenate([df.real, df.imag], axis=1)
+    return np.concatenate([df.real, df.imag], axis=-1)
 
 
 def _bordered_system(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
@@ -676,9 +675,9 @@ def _repelling(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
 
 def _solve_stacked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of square systems; a singular one fails only its row."""
+    """Solve stacked systems a x = b, b (B, M, K); a singular row fails alone."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), bool)
+        return np.linalg.solve(a, b), np.ones(len(a), bool)
     except np.linalg.LinAlgError:
         x = np.zeros_like(b)
         solved = np.ones(len(a), bool)
@@ -717,8 +716,9 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
         rhs = np.zeros((live.size, 2 * n + 2))
         rhs[:, :n] = -pf.real
         rhs[:, n:2 * n] = -pf.imag
-        step, solved = _solve_stacked(_bordered_system(la, va, cur, gamma), rhs)
-        new = cur + step[:, :n] + 1j * step[:, n:2 * n]
+        step, solved = _solve_stacked(_bordered_system(la, va, cur, gamma),
+                                      rhs[..., None])
+        new = cur + step[:, :n, 0] + 1j * step[:, n:2 * n, 0]
         new = new / np.linalg.norm(new, axis=1)[:, None]
         finite = np.isfinite(new).all(axis=1)
         new = np.where(finite[:, None], new, cur)

@@ -405,7 +405,7 @@ def param_gradients(params: ModelParams, point: ModuliPoint, x, y,
                                        2.0 * (y_hat - float(np.real(y))))
     g = point.graph
     if np.any(g_psi != 0):
-        dv = potential_gradient(g, psi0, st, realify(g_psi))
+        dv = potential_gradient(g, [psi0], [st], [realify(g_psi)])[0]
     else:
         dv = np.zeros(g.n)
     g_psi0 = 2.0 * dv * psi0

@@ -95,16 +95,17 @@ class OptimizerConfig:
         if not 0.0 < self.add_threshold < 1.0:
             raise ValueError("add_threshold must lie in (0, 1)")
         steps = np.atleast_1d(np.asarray(self.step_size, dtype=float))
-        if steps.size == 0 or np.any(steps <= 0):
-            raise ValueError("step sizes must be positive")
+        if steps.size == 0 or not np.all((steps > 0) & np.isfinite(steps)):
+            raise ValueError("step sizes must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.l1_coeff < 0 or self.l2_coeff < 0:
-            raise ValueError("regularization coefficients must be nonnegative")
+        if not all(0.0 <= x < np.inf for x in (self.l1_coeff, self.l2_coeff,
+                                                self.stall_tol)):
+            raise ValueError("l1_coeff, l2_coeff, stall_tol must be finite, >= 0")
         if not 0.0 < self.candidate_fraction <= 1.0:
             raise ValueError("candidate_fraction must lie in (0, 1]")
-        if self.probe_t_max is not None and self.probe_t_max <= 0:
-            raise ValueError("probe_t_max must be positive")
+        if self.probe_t_max is not None and not 0.0 < self.probe_t_max < np.inf:
+            raise ValueError("probe_t_max must be positive and finite")
 
     def step_size_at(self, t: int) -> float:
         if np.isscalar(self.step_size):
@@ -289,16 +290,20 @@ def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
 
     The adjoint solve is shared across samples with the same input: the
     per-sample cotangent is 2 (pred - y) times a fixed readout cotangent,
-    so one priced gradient per distinct input is rescaled and averaged.
+    so the distinct inputs with a nonzero coefficient are priced in one
+    batched call, and each gradient is rescaled and averaged.
     """
     records, data_loss = _batch_predictions(g, batch, readout, engine, t_max)
     grad = np.zeros(g.n_edges)
-    for x, idx, st, pred in records:
-        coeff = sum(2.0 * (pred - batch.ys[i]) for i in idx) / len(batch)
-        if coeff == 0.0 or g.n_edges == 0:
-            continue
-        base = weight_gradients(g, x, st, readout.cotangent(st.psi_inf))
-        grad += coeff * base
+    coeffs = [sum(2.0 * (pred - batch.ys[i]) for i in idx) / len(batch)
+              for _, idx, _, pred in records]
+    rows = [k for k, c in enumerate(coeffs) if c != 0.0] if g.n_edges else []
+    if rows:
+        sts = [records[k][2] for k in rows]
+        bases = weight_gradients(g, [records[k][0] for k in rows], sts,
+                                 [readout.cotangent(st.psi_inf) for st in sts])
+        for k, base in zip(rows, bases):
+            grad += coeffs[k] * base
     return grad, data_loss
 
 

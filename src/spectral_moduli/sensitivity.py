@@ -19,14 +19,15 @@ the flow the state was solved under.  This module holds only the bordered
 linear algebra and the finite-difference oracle.
 
 On the bundled tasks N <= 12, so the bordered matrix is at most 26 x 26
-and is inverted once with ``np.linalg.inv``.  Forward derivatives
-multiply the top-left 2N x 2N block of the inverse into the right-hand sides
-(whose border rows are zero), and the adjoint multiplies its transpose into
-the cotangent.  The condition number reported and checked against 1e12 is
-the exact 1-norm condition number ||B||_1 ||B^-1||_1, never below LAPACK's
-1-norm estimate (Higham 2002, sec. 15.3), so the check can only fire earlier
-than an estimate-based one.  At the steady states of the triangle, C4, C8 and P4 from random
-inputs it reads 18-36, against a 2-norm condition number of 4.8-8.4.
+and is inverted outright: for the adjoint, one stacked inverse per batch of
+states of one graph, each row bit for bit as it would be alone.  Forward
+derivatives multiply the top-left 2N x 2N block of the inverse into the
+right-hand sides (whose border rows are zero), and the adjoint multiplies
+its transpose into each state's cotangent.  The condition number reported
+and checked against 1e12 is the exact 1-norm one, ||B||_1 ||B^-1||_1, never
+below LAPACK's estimate (Higham 2002, sec. 15.3), so the check can only
+fire earlier than an estimate-based one.  At the steady states of the
+triangle, C4, C8 and P4 from random inputs it reads 18-36 (2-norm: 4.8-8.4).
 
 The finite-difference oracle re-solves the flow at perturbed parameters and
 gauge-aligns both endpoints to the base state, which places them on the same
@@ -36,13 +37,14 @@ phase slice the bordered system uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .graph_core import GraphError, WeightedGraph, validate_scalar_field
 from .dynamics import (NlseConfig, SteadyState, _bordered_system, _dF_dparams,
-                       _realified_jacobian, gauge_align, solve_steady_state)
+                       _realified_jacobian, _solve_stacked, gauge_align,
+                       solve_steady_state)
 
 __all__ = [
     "NonIsolatedSteadyStateError",
@@ -100,9 +102,20 @@ def rhs_jacobian(g: WeightedGraph, psi0: np.ndarray, psi: np.ndarray,
                               (np.abs(psi0) ** 2)[None], psi[None], gamma)[0]
 
 
-def _factor_bordered(g: WeightedGraph, psi0: np.ndarray,
-                     steady: SteadyState) -> tuple[np.ndarray, float]:
-    """Inverse of the doubly bordered real matrix at the steady state.
+def _states(steadies: Sequence[SteadyState]) -> tuple[np.ndarray, float]:
+    """Stacked states (B, N) of a batch and the one gamma they were solved at."""
+    if not all(st.converged for st in steadies):
+        raise ValueError("sensitivity requires a converged steady state")
+    gammas = {st.gamma for st in steadies}
+    if len(gammas) != 1:
+        raise ValueError(f"a batch must share one gamma, got {sorted(gammas)}")
+    return np.stack([st.psi_inf for st in steadies]), gammas.pop()
+
+
+def _factor_bordered(g: WeightedGraph, psi0s: Sequence[np.ndarray],
+                     steadies: Sequence[SteadyState]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the doubly bordered real matrices at a batch of states.
 
     The linearization J - i*alpha annihilates the phase direction i*psi
     exactly, and it is near-singular along psi itself: the flow conserves
@@ -114,27 +127,25 @@ def _factor_bordered(g: WeightedGraph, psi0: np.ndarray,
     consistent right-hand sides the radial source solves to ~0 and d_psi
     is the on-sphere derivative.
 
-    Returns (inv, cond): the top-left 2N x 2N block of B^-1, the only block
-    that right-hand sides with zero border rows reach, and the exact 1-norm
-    condition number ||B||_1 ||B^-1||_1.
+    Returns (inv, cond) per state: the top-left 2N x 2N block of B^-1, the
+    only block that right-hand sides with zero border rows reach, and the
+    exact 1-norm condition number ||B||_1 ||B^-1||_1.  A batch fails as its
+    first failing state would alone.
     """
-    if not steady.converged:
-        raise ValueError("sensitivity requires a converged steady state")
-    psi0 = validate_scalar_field(g, psi0)
-    b = _bordered_system(g.coupling_laplacian()[None],
-                        (np.abs(psi0) ** 2)[None], steady.psi_inf[None],
-                        steady.gamma)[0]
-    try:
-        inv = np.linalg.inv(b)
-    except np.linalg.LinAlgError as exc:
-        raise NonIsolatedSteadyStateError(
-            "bordered Jacobian is singular") from exc
-    cond = float(np.linalg.norm(b, 1) * np.linalg.norm(inv, 1))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NonIsolatedSteadyStateError(
-            f"bordered Jacobian is numerically singular (cond {cond:.3e})")
+    psi, gamma = _states(steadies)
+    v = np.abs(np.stack([validate_scalar_field(g, p) for p in psi0s])) ** 2
+    lap = np.broadcast_to(g.coupling_laplacian(), (len(psi), g.n, g.n))
+    b = _bordered_system(lap, v, psi, gamma)
+    # B^-1 by LAPACK's gesv against the identity, as np.linalg.inv computes it
+    inv, solved = _solve_stacked(b, np.broadcast_to(np.eye(len(b[0])), b.shape))
+    cond = np.linalg.norm(b, 1, axis=(1, 2)) * np.linalg.norm(inv, 1, axis=(1, 2))
+    for ok, c in zip(solved, cond):  # the first failing state, in input order
+        if not (ok and c <= _COND_LIMIT):
+            raise NonIsolatedSteadyStateError(
+                f"bordered Jacobian is numerically singular (cond {c:.3e})"
+                if ok else "bordered Jacobian is singular")
     n2 = 2 * g.n
-    return inv[:n2, :n2], cond
+    return inv[:, :n2, :n2], cond
 
 
 def dpsi_dw(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
@@ -151,10 +162,10 @@ def dpsi_dw_all(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState
     """Per-edge implicit derivatives sharing one inverse."""
     if g.n_edges == 0:
         return {}
-    inv, cond = _factor_bordered(g, psi0, steady)
+    inv, cond = _factor_bordered(g, [psi0], [steady])
     d_w = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[:g.n_edges]
-    sol = inv @ -d_w.T
-    return {edge: SensitivityResult(sol[:, k], "implicit", cond)
+    sol = inv[0] @ -d_w.T
+    return {edge: SensitivityResult(sol[:, k], "implicit", float(cond[0]))
             for k, edge in enumerate(g.edges)}
 
 
@@ -174,10 +185,10 @@ def dpsi_dpsi0(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
     if abs(float(np.vdot(psi0, direction).real)) > 1e-10:
         raise ValueError("direction must be tangent to the unit sphere "
                          "(Re<psi0, direction> = 0 within 1e-10)")
-    inv, cond = _factor_bordered(g, psi0, steady)
+    inv, cond = _factor_bordered(g, [psi0], [steady])
     dv = 2.0 * (psi0.real * direction.real + psi0.imag * direction.imag)
     d_v = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[g.n_edges:]
-    return SensitivityResult(inv @ -(dv @ d_v), "implicit", cond)
+    return SensitivityResult(inv[0] @ -(dv @ d_v), "implicit", float(cond[0]))
 
 
 def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
@@ -229,32 +240,35 @@ def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
     return SensitivityResult(realify(quotient), "finite_difference", 1.0)
 
 
-def steady_state_adjoint(g: WeightedGraph, psi0: np.ndarray,
-                         steady: SteadyState, cotangent: np.ndarray
-                         ) -> np.ndarray:
-    """Adjoint state: the transposed bordered inverse times a loss cotangent.
+def steady_state_adjoint(g: WeightedGraph, psi0s: Sequence[np.ndarray],
+                         steadies: Sequence[SteadyState],
+                         cotangents: np.ndarray) -> np.ndarray:
+    """Adjoint states: the transposed bordered inverses times loss cotangents.
 
-    Given d(loss)/d(psi_inf) as a realified 2N vector, returns lam (2N) such
-    that the loss gradient in any parameter p is -lam . realify(dF/dp).
-    This prices every edge/potential direction with a single product.
+    Given d(loss)/d(psi_inf) per state as a realified 2N vector, returns lam
+    (B, 2N) such that state k's loss gradient in any parameter p is
+    -lam[k] . realify(dF/dp): one product prices every direction.
     """
-    inv, _ = _factor_bordered(g, psi0, steady)
-    return inv.T @ np.asarray(cotangent, dtype=float)
+    inv, _ = _factor_bordered(g, psi0s, steadies)
+    cot = np.asarray(cotangents, dtype=float)[..., None]
+    return (inv.transpose(0, 2, 1) @ cot)[..., 0]
 
 
-def weight_gradients(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                     cotangent: np.ndarray) -> np.ndarray:
-    """Loss gradient in every edge weight via the adjoint state."""
+def weight_gradients(g: WeightedGraph, psi0s: Sequence[np.ndarray],
+                     steadies: Sequence[SteadyState],
+                     cotangents: np.ndarray) -> np.ndarray:
+    """Loss gradients (B, E) in every edge weight via the adjoint states."""
     if g.n_edges == 0:
-        return np.zeros(0)
-    lam = steady_state_adjoint(g, psi0, steady, cotangent)
-    d_w = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[:g.n_edges]
-    return -(d_w @ lam)
+        return np.zeros((len(steadies), 0))
+    lam = steady_state_adjoint(g, psi0s, steadies, cotangents)
+    d_w = _dF_dparams(g.edges, *_states(steadies))[:, :g.n_edges]
+    return -(d_w @ lam[..., None])[..., 0]
 
 
-def potential_gradient(g: WeightedGraph, psi0: np.ndarray, steady: SteadyState,
-                       cotangent: np.ndarray) -> np.ndarray:
-    """Loss gradient in the frozen potential (length N) via the adjoint."""
-    lam = steady_state_adjoint(g, psi0, steady, cotangent)
-    d_v = _dF_dparams(g.edges, steady.psi_inf, steady.gamma)[g.n_edges:]
-    return -(d_v @ lam)
+def potential_gradient(g: WeightedGraph, psi0s: Sequence[np.ndarray],
+                       steadies: Sequence[SteadyState],
+                       cotangents: np.ndarray) -> np.ndarray:
+    """Loss gradients (B, N) in the frozen potential via the adjoint states."""
+    lam = steady_state_adjoint(g, psi0s, steadies, cotangents)
+    d_v = _dF_dparams(g.edges, *_states(steadies))[:, g.n_edges:]
+    return -(d_v @ lam[..., None])[..., 0]

@@ -112,6 +112,21 @@ def test_wrong_value_types_exit_2(tmp_path):
                    "--set", "simulate.system=banana") == 2
 
 
+@pytest.mark.parametrize("command, pair", [
+    ("simulate", "simulate.dynamics.dt=NaN"),
+    ("simulate", "simulate.dynamics.t_final=Infinity"),
+    ("simulate", "simulate.dynamics.gamma=-Infinity"),
+    pytest.param("simulate", "simulate.dynamics.dt=1" + "0" * 400,
+                 id="simulate-int-beyond-float-range"),
+    ("gauge-check", "gauge_check.threshold=NaN"),
+])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, pair):
+    # json.loads reads NaN and Infinity; they are config errors, not
+    # runtime failures or silent passes
+    assert run_cli(command, "--out", str(tmp_path), "--set", pair) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])

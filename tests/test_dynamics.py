@@ -632,6 +632,15 @@ def test_integrate_rejects_unknown_system():
         integrate(make_rhs(g, psi0, CFG, "nlse"), psi0, CFG, system="NLSE")
 
 
+@pytest.mark.parametrize("field", ["gamma", "dt", "t_max", "steady_tol",
+                                   "renorm_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_fields(field, value):
+    # a NaN steady_tol would never converge and run every RK4 step
+    with pytest.raises(ValueError, match="finite"):
+        NlseConfig(**{field: value})
+
+
 # -- one right-hand side and one stepper for a state and a batch ------------
 
 

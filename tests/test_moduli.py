@@ -99,6 +99,10 @@ def engine():
     dict(candidate_fraction=0.0),
     dict(candidate_fraction=1.2),
     dict(probe_t_max=0.0),
+    dict(stall_tol=-1e-10),
+    *[{field: value} for value in (float("nan"), float("inf"))
+      for field in ("step_size", "l1_coeff", "l2_coeff", "stall_tol",
+                    "probe_t_max")],
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):

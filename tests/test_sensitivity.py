@@ -1,12 +1,15 @@
 """Implicit steady-state derivatives against finite-difference oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spectral_moduli import dynamics
 from spectral_moduli.graph_core import GraphError, build_graph, cycle_graph, single_vertex_graph
-from spectral_moduli.dynamics import NlseConfig, SteadyState, nlse_rhs, solve_steady_state
+from spectral_moduli.dynamics import (NlseConfig, SteadyState, nlse_rhs, solve_steady_state,
+                                      solve_steady_state_many)
 from spectral_moduli.sensitivity import (
     NonIsolatedSteadyStateError,
     dpsi_dpsi0,
@@ -273,7 +276,7 @@ def test_weight_gradients_match_per_edge_solves(triangle_problem):
     g, psi0, steady = triangle_problem
     rng = np.random.default_rng(5)
     cot = rng.normal(size=2 * g.n)
-    grads = weight_gradients(g, psi0, steady, cot)
+    grads = weight_gradients(g, [psi0], [steady], [cot])[0]
     per_edge = dpsi_dw_all(g, psi0, steady)
     for k, edge in enumerate(g.edges):
         assert grads[k] == pytest.approx(cot @ per_edge[edge].d_psi_inf,
@@ -284,7 +287,7 @@ def test_potential_gradient_matches_directional_solves(triangle_problem):
     g, psi0, steady = triangle_problem
     rng = np.random.default_rng(6)
     cot = rng.normal(size=2 * g.n)
-    gv = potential_gradient(g, psi0, steady, cot)
+    gv = potential_gradient(g, [psi0], [steady], [cot])[0]
     # price a potential direction two ways: adjoint vs direct tangent solve
     for _ in range(3):
         dv = rng.normal(size=g.n)
@@ -302,8 +305,8 @@ def test_adjoint_state_finite_and_reusable(triangle_problem):
     g, psi0, steady = triangle_problem
     rng = np.random.default_rng(7)
     cot = rng.normal(size=2 * g.n)
-    lam = steady_state_adjoint(g, psi0, steady, cot)
-    assert lam.shape == (2 * g.n,)
+    lam = steady_state_adjoint(g, [psi0], [steady], [cot])
+    assert lam.shape == (1, 2 * g.n)
     assert np.all(np.isfinite(lam))
 
 
@@ -334,10 +337,10 @@ def test_adjoint_gradients_equal_forward_derivatives(case):
     # at the gamma the state was solved at
     g, psi0, steady, rng = case
     cot = rng.normal(size=2 * g.n)
-    grads = weight_gradients(g, psi0, steady, cot)
+    grads = weight_gradients(g, [psi0], [steady], [cot])[0]
     for k, res in enumerate(dpsi_dw_all(g, psi0, steady).values()):
         assert grads[k] == pytest.approx(cot @ res.d_psi_inf, rel=1e-10)
-    gv = potential_gradient(g, psi0, steady, cot)
+    gv = potential_gradient(g, [psi0], [steady], [cot])[0]
     # direction = dv psi0 / (2 |psi0|^2), made tangent, realizes the
     # potential move dv_real = 2 Re(conj(psi0) direction)
     direction = rng.normal(size=g.n) * psi0 / (2.0 * np.abs(psi0) ** 2)
@@ -345,3 +348,71 @@ def test_adjoint_gradients_equal_forward_derivatives(case):
     dv_real = 2.0 * (psi0.real * direction.real + psi0.imag * direction.imag)
     dpsi = dpsi_dpsi0(g, psi0, steady, direction).d_psi_inf
     assert gv @ dv_real == pytest.approx(cot @ dpsi, rel=1e-10)
+
+
+@pytest.mark.parametrize("adjoint", [steady_state_adjoint, weight_gradients,
+                                     potential_gradient])
+def test_batch_with_mixed_gamma_rejected(triangle_problem, adjoint):
+    # each state is differentiated at its own gamma, so a batch cannot
+    # borrow the first row's
+    g, psi0, steady = triangle_problem
+    other = dataclasses.replace(steady, gamma=0.5)
+    cot = np.ones((2, 2 * g.n))
+    with pytest.raises(ValueError, match="one gamma"):
+        adjoint(g, [psi0, psi0], [steady, other], cot)
+
+
+def _hand_built(psi):
+    return SteadyState(np.asarray(psi, dtype=complex), 0.0, 1.0, True, 1.0)
+
+
+# an exactly singular bordered matrix on the triangle (psi an eigenvector of
+# L, frozen potential 1), and one that only just inverts
+SINGULAR = _hand_built([0.5, -1.0, 0.5])
+ILL_CONDITIONED = _hand_built([0.5, -1.0, 0.5 + 1e-14])
+
+
+@pytest.mark.parametrize("failing", [[SINGULAR], [ILL_CONDITIONED],
+                                     [SINGULAR, ILL_CONDITIONED],
+                                     [ILL_CONDITIONED, SINGULAR]])
+def test_batch_fails_as_its_first_failing_row(triangle_problem, failing):
+    g, psi0, steady = triangle_problem
+    with pytest.raises(NonIsolatedSteadyStateError) as alone:
+        steady_state_adjoint(g, [np.ones(3)], failing[:1], np.ones((1, 6)))
+    rows = [steady, steady] + failing
+    psi0s = [psi0, psi0] + [np.ones(3)] * len(failing)
+    with pytest.raises(NonIsolatedSteadyStateError) as batch:
+        steady_state_adjoint(g, psi0s, rows, np.ones((len(rows), 6)))
+    assert str(batch.value) == str(alone.value)
+
+
+@st.composite
+def solved_batches(draw):
+    """A random connected graph on N = 3-6 vertices with 1-8 unit inputs,
+    their steady states solved in one batch at a drawn gamma, and one
+    cotangent per state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(3, 7))
+    edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+    edges |= {(u, w) for u in range(n) for w in range(u + 1, n)
+              if rng.uniform() < 0.4}
+    g = build_graph(n, [(u, w, float(rng.uniform(0.5, 2.0)))
+                        for u, w in sorted(edges)])
+    psi0s = rng.normal(size=(draw(st.integers(1, 8)), n)) * (1 + 0j)
+    psi0s += 1j * rng.normal(size=psi0s.shape)
+    psi0s /= np.linalg.norm(psi0s, axis=1)[:, None]
+    steadies = solve_steady_state_many([g] * len(psi0s), list(psi0s), NlseConfig(
+        gamma=draw(st.floats(0.3, 1.5)), dt=1e-2, steady_tol=1e-10, t_max=2000))
+    assert all(s.converged for s in steadies)
+    return g, list(psi0s), steadies, rng.normal(size=(len(psi0s), 2 * n))
+
+
+@given(solved_batches())
+def test_batched_adjoint_rows_equal_batches_of_one(case):
+    g, psi0s, steadies, cots = case
+    for adjoint in (steady_state_adjoint, weight_gradients, potential_gradient):
+        rows = adjoint(g, psi0s, steadies, cots)
+        assert len(rows) == len(steadies)
+        for k, row in enumerate(rows):
+            one = adjoint(g, psi0s[k:k + 1], steadies[k:k + 1], cots[k:k + 1])
+            assert np.array_equal(row, one[0])
