@@ -399,6 +399,8 @@ def _numeric_array(values: list, shape: tuple[int, ...], label: str) -> np.ndarr
         raise ConfigError(f"{label}: values must be numeric")
     if arr.shape != shape:
         raise ConfigError(f"{label}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{label}: values must be finite")
     return arr
 
 
@@ -418,9 +420,12 @@ def _initial_field(spec: dict, n: int, field_kind: str,
     else:
         field = _numeric_array(spec["values"], (n,), "initial.values")
     if spec["normalize"]:
-        norm = float(np.linalg.norm(field))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(field))
         if norm < 1e-300:
             raise ConfigError("initial state has zero norm")
+        if not np.isfinite(norm):
+            raise ConfigError("initial state norm overflows")
         field = field / norm
     return field
 

@@ -517,7 +517,8 @@ class SteadyState:
     ``residual`` is the sup norm of the projection of F off the state;
     it vanishes exactly when the state is stationary modulo a global phase
     (the flow keeps rotating at a constant rate there).  ``t_reached`` is
-    the flow time integrated by RK4; a Newton polish adds none.  ``gamma``
+    the flow time integrated by RK4; a Newton polish adds none, and it is 0
+    for a state pseudo-transient continuation accepts.  ``gamma``
     is the dissipation rate of the flow the state is an equilibrium of;
     every derivative of the state is taken at it.
     """
@@ -540,6 +541,10 @@ _NEWTON_TRUST = 0.5
 # linearization at a state Newton may return; beyond it the state repels
 # the flow (round-off in the eigenvalues, zero ones included, is ~1e-15)
 _NEWTON_STABLE_RATE = 1e-9
+# first pseudo-time step of pseudo-transient continuation; at 0.5 it lands
+# on saddles the flow leaves in 723 of the 1,718 rows of train at seed 0
+_PTC_DELTA0 = 0.2
+_PTC_MAX_ITER = 50
 
 
 def _batch_projected_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
@@ -689,6 +694,33 @@ def _solve_stacked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return x, solved
 
 
+def _bordered_step(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                   pf: np.ndarray, gamma: float, inv_delta: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One bordered solve against -P F = -``pf`` per row, renormalized.
+
+    ``inv_delta`` (B,) is subtracted from the diagonal of each row's psi
+    block: 1 / delta makes the step a backward-Euler step of pseudo-time
+    delta, and 0 makes it a Newton step.  Returns the new states (the old
+    one where the step is not finite), their P F and residuals, and
+    whether the row solved to a finite step.
+    """
+    n = psi.shape[1]
+    rhs = np.zeros((len(psi), 2 * n + 2))
+    rhs[:, :n] = -pf.real
+    rhs[:, n:2 * n] = -pf.imag
+    b = _bordered_system(lap, v, psi, gamma)
+    diag = np.arange(2 * n)
+    b[:, diag, diag] -= inv_delta[:, None]
+    step, solved = _solve_stacked(b, rhs[..., None])
+    new = psi + step[:, :n, 0] + 1j * step[:, n:2 * n, 0]
+    new = new / np.linalg.norm(new, axis=1)[:, None]
+    finite = np.isfinite(new).all(axis=1)
+    new = np.where(finite[:, None], new, psi)
+    new_pf = _batch_projected_rhs(lap, v, new, gamma)
+    return new, new_pf, np.abs(new_pf).max(axis=1), solved & finite
+
+
 def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
                    res: np.ndarray, gamma: float, tol: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -705,7 +737,7 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     hand-off values for the rest) and a mask of the rows that met such a
     repelling root.
     """
-    nb, n = psi.shape
+    nb = len(psi)
     out, out_res = psi.copy(), res.copy()
     repelled = np.zeros(nb, dtype=bool)
     live = np.arange(nb)
@@ -713,18 +745,9 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     pf = _batch_projected_rhs(lap, v, cur, gamma)
     for _ in range(_NEWTON_MAX_ITER):
         la, va = lap[live], v[live]
-        rhs = np.zeros((live.size, 2 * n + 2))
-        rhs[:, :n] = -pf.real
-        rhs[:, n:2 * n] = -pf.imag
-        step, solved = _solve_stacked(_bordered_system(la, va, cur, gamma),
-                                      rhs[..., None])
-        new = cur + step[:, :n, 0] + 1j * step[:, n:2 * n, 0]
-        new = new / np.linalg.norm(new, axis=1)[:, None]
-        finite = np.isfinite(new).all(axis=1)
-        new = np.where(finite[:, None], new, cur)
-        new_pf = _batch_projected_rhs(la, va, new, gamma)
-        new_res = np.abs(new_pf).max(axis=1)
-        keep = (solved & finite & (new_res < cur_res)
+        new, new_pf, new_res, ok = _bordered_step(la, va, cur, pf, gamma,
+                                                  np.zeros(live.size))
+        keep = (ok & (new_res < cur_res)
                 & (np.linalg.norm(new - psi[live], axis=1) <= _NEWTON_TRUST))
         done = keep & (new_res <= tol)
         if done.any():
@@ -741,10 +764,65 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     return out, out_res, repelled
 
 
+def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                      gamma: float, tol: float, horizon: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched pseudo-transient continuation from the starts ``psi``.
+
+    Each iteration takes a backward-Euler step of pseudo-time delta per
+    live row (``_bordered_step``); delta starts at ``_PTC_DELTA0`` and
+    grows by switched evolution relaxation, delta_{k+1} = delta_k res_k /
+    res_{k+1}, so the first steps follow the flow and later ones approach
+    Newton steps (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  From a
+    residual of at most ``_NEWTON_HANDOFF`` the step is Newton's (delta is
+    infinite), as on the flow path.  The steps above it stand in for the
+    flow up to the hand-off, so their pseudo-time may add up to ``horizon``.
+    A row is accepted at a residual of at most ``tol`` where its root does
+    not repel the flow; it is dropped if the root repels, the step is not
+    finite, the system is singular, or pseudo-time or ``_PTC_MAX_ITER``
+    run out, and so is a start that is non-finite or already converged.
+    Returns states, residuals and the mask of accepted rows.
+    """
+    nb = len(psi)
+    out, out_res = psi.copy(), np.full(nb, np.inf)
+    accepted = np.zeros(nb, dtype=bool)
+    live = np.flatnonzero(np.isfinite(psi).all(axis=1))
+    pf = _batch_projected_rhs(lap[live], v[live], psi[live], gamma)
+    res = np.abs(pf).max(axis=1)
+    go = res > tol
+    live, cur, pf, res = live[go], psi[live[go]], pf[go], res[go]
+    delta = np.full(live.size, _PTC_DELTA0)
+    spent = np.zeros(live.size)
+    for _ in range(_PTC_MAX_ITER):
+        spent = spent + np.where(res > _NEWTON_HANDOFF, delta, 0.0)
+        go = spent <= horizon
+        live, cur, pf, res, delta, spent = (
+            x[go] for x in (live, cur, pf, res, delta, spent))
+        if not live.size:
+            break
+        la, va = lap[live], v[live]
+        new, new_pf, new_res, ok = _bordered_step(
+            la, va, cur, pf, gamma,
+            np.where(res > _NEWTON_HANDOFF, 1.0 / delta, 0.0))
+        done = ok & (new_res <= tol)
+        if done.any():
+            stable = ~_repelling(la[done], va[done], new[done], gamma)
+            rows = live[done][stable]
+            out[rows] = new[done][stable]
+            out_res[rows] = new_res[done][stable]
+            accepted[rows] = True
+        go = ok & ~done
+        delta = delta[go] * res[go] / new_res[go]
+        live, cur, pf, res, spent = (
+            live[go], new[go], new_pf[go], new_res[go], spent[go])
+    return out, out_res, accepted
+
+
 def solve_steady_state_many(graphs: Sequence[WeightedGraph],
                             psi0s: Sequence[np.ndarray],
                             config: NlseConfig,
                             starts: Sequence[np.ndarray] | None = None,
+                            *, pseudo_transient: bool = True,
                             ) -> list[SteadyState]:
     """Drive many independent flows to relative equilibria in lockstep.
 
@@ -752,15 +830,22 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     the integration start point (the frozen potential still comes from the
     matching ``psi0``), which lets callers warm-start perturbed problems.
 
-    RK4 runs in chunks of 20 steps.  At t = 0 and after every chunk, rows
-    whose projected residual is at most 1e-2 are polished by a batched
-    Newton on their bordered systems (``_bordered_system``); rows Newton
-    does not accept resume RK4 from where they were handed off.  A row
-    whose Newton root repels the flow is left to RK4 for the rest of the
-    solve, as a plain RK4 solve would have been.  So ``t_max`` bounds the
-    flow time alone.  Rows that fail to converge by
-    ``t_max`` come back with ``converged=False``; rows that go non-finite
-    come back with an infinite residual.
+    Pseudo-transient continuation (``_pseudo_transient``) runs first.  The
+    rows it accepts come back converged with ``t_reached = 0``; the others
+    take the flow path from their own start, as with
+    ``pseudo_transient=False``.  Continuation bounds by ``t_max`` only the
+    pseudo-time it spends above the hand-off residual, not flow time: pass
+    ``pseudo_transient=False`` where the horizon in flow time decides.
+
+    The flow path: RK4 runs in chunks of 20 steps.  At t = 0 and after
+    every chunk, rows whose projected residual is at most 1e-2 are polished
+    by a batched Newton on their bordered systems (``_bordered_system``);
+    rows Newton does not accept resume RK4 from where they were handed
+    off.  A row whose Newton root repels the flow is left to RK4 for the
+    rest of the solve, as a plain RK4 solve would have been.  So ``t_max``
+    bounds the flow time alone.  Rows that fail to converge by ``t_max``
+    come back with ``converged=False``; rows that go non-finite come back
+    with an infinite residual.
     """
     n_prob = len(graphs)
     if n_prob == 0:
@@ -793,6 +878,12 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
         ok[rows] = converged
 
     active = np.arange(n_prob)
+    if pseudo_transient:
+        states, res, accepted = _pseudo_transient(lap, v, psi, gamma, tol,
+                                                  config.t_max)
+        finish(active[accepted], states[accepted], res[accepted],
+               accepted[accepted], 0)
+        active = active[~accepted]
     step = 0
     while True:
         la, va, pa = lap[active], v[active], psi[active]
@@ -827,16 +918,19 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
 
 
 def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
-                       *, start: np.ndarray | None = None) -> SteadyState:
-    """Integrate the complex flow until it is stationary modulo phase.
+                       *, start: np.ndarray | None = None,
+                       pseudo_transient: bool = True) -> SteadyState:
+    """Drive the complex flow of one problem to a relative equilibrium.
 
-    Stationarity is detected through the projected residual ||P F||_inf
-    (checked every 20 steps, and at t = 0), and a Newton polish finishes
-    the solve once that residual is small (see ``solve_steady_state_many``).
-    The returned state keeps whatever global phase it ended at.
+    Pseudo-transient continuation finds the state; where it does not, RK4
+    runs until the projected residual ||P F||_inf (checked every 20 steps,
+    and at t = 0) is small and a Newton polish finishes the solve (see
+    ``solve_steady_state_many``).  The returned state keeps whatever global
+    phase it ended at.
     """
     starts = None if start is None else [start]
-    out = solve_steady_state_many([g], [psi0], config, starts)[0]
+    out = solve_steady_state_many([g], [psi0], config, starts,
+                                  pseudo_transient=pseudo_transient)[0]
     if not np.all(np.isfinite(out.psi_inf)):
         raise DivergenceError(int(round(out.t_reached / config.dt)), out.t_reached)
     return out

@@ -183,6 +183,13 @@ class SteadySolveEngine:
     makes the repeated solves of the descent loop cheap once iterates
     stabilize.  ``solve_fn`` replaces the batched solver with a per-job
     function, for tests.
+
+    Solves at the engine's own horizon (``solve_many`` without ``t_max``)
+    run pseudo-transient continuation first.  Solves under an explicit
+    ``t_max`` (the probe pass of ``descent_step``) take the flow path
+    alone: there the horizon in flow time decides which probes are too
+    slow, and pseudo-time is not flow time.  An explicit ``t_max`` equal
+    to the engine's own shares that horizon's cache.
     """
 
     def __init__(self, config: NlseConfig,
@@ -214,8 +221,9 @@ class SteadySolveEngine:
                           (keyed[i] for i in idx)]
                 starts = [s if s is not None else x
                           for s, x in zip(starts, xs)]
-                solved = solve_steady_state_many(graphs, xs, config,
-                                                 starts=starts)
+                solved = solve_steady_state_many(
+                    graphs, xs, config, starts=starts,
+                    pseudo_transient=t_max is None)
             for key, st in zip(missing, solved):
                 self._cache[key] = st
                 if st.converged:

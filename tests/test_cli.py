@@ -127,6 +127,17 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, pair):
     assert "expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values, message", [
+    ("[[NaN,0],[1,0],[0,1]]", "values must be finite"),
+    ("[[1e308,0],[1,0],[0,1]]", "norm overflows"),
+], ids=["nan", "overflowing-norm"])
+def test_explicit_initial_values_must_be_finite_exit_2(tmp_path, capsys,
+                                                       values, message):
+    pair = ('simulate.initial={"mode":"explicit","values":%s}' % values)
+    assert run_cli("simulate", "--out", str(tmp_path), "--set", pair) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])

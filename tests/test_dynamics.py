@@ -9,7 +9,7 @@ here, while the acceptance suite checks equivalence on the pushforward laws.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spectral_moduli import dynamics
 from spectral_moduli.graph_core import build_graph, cycle_graph, path_graph, single_vertex_graph
@@ -578,6 +578,99 @@ def test_steady_batch_survives_singular_newton_row(monkeypatch):
     assert joined.t_reached == single.t_reached
     # without Newton the split row needs far more flow time than the ring
     assert lone.t_reached > joined.t_reached
+
+
+# -- pseudo-transient continuation ---------------------------------------------
+
+
+def settled_flow(g, psi0, cfg, chunk=20.0, max_chunks=20):
+    """The state a long ``integrate`` run settles at: chunks of flow time
+    until one moves the state by at most 1e-10 modulo phase."""
+    rhs = make_rhs(g, psi0, cfg, "nlse")
+    y = psi0
+    for _ in range(max_chunks):
+        nxt = integrate(rhs, y, cfg, t_final=chunk).states[-1]
+        if np.abs(gauge_align(y, nxt) - nxt).max() <= 1e-10:
+            return nxt
+        y = nxt
+    raise AssertionError("the flow did not settle")
+
+
+@st.composite
+def connected_cases(draw):
+    """A random connected graph on N = 3-8 vertices and a random unit input."""
+    n = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return connected_graph(rng, n), unit_state(rng, n)
+
+
+@settings(max_examples=10)
+@given(connected_cases())
+def test_pseudo_transient_reaches_the_equilibrium_of_the_flow(case):
+    g, psi0 = case
+    cfg = NlseConfig(dt=1e-2, steady_tol=1e-10)
+    out = solve_steady_state_many([g], [psi0], cfg, pseudo_transient=True)[0]
+    ref = settled_flow(g, psi0, cfg)
+    assert out.converged
+    assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
+    lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
+    assert not dynamics._repelling(lap, v, out.psi_inf[None], cfg.gamma)[0]
+
+
+@pytest.mark.parametrize("start", [[1.0, -0.99], [1.0, 0.01, -0.99]])
+def test_pseudo_transient_falls_back_at_a_repelling_root(start):
+    # continuation lands on the antisymmetric equilibrium the flow leaves;
+    # the row must then get the flow path's result
+    psi0 = np.array(start, dtype=complex) / np.linalg.norm(start)
+    g = path_graph(len(start))
+    cfg = NlseConfig(dt=1e-2)
+    flow = solve_steady_state(g, psi0, cfg, pseudo_transient=False)
+    out = solve_steady_state_many([g], [psi0], cfg, pseudo_transient=True)[0]
+    assert np.array_equal(out.psi_inf, flow.psi_inf)
+    assert out.t_reached == flow.t_reached > 0.0
+    assert out.residual == flow.residual and out.converged
+
+
+def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
+    original = dynamics._bordered_system
+
+    def singular_when_disconnected(lap, v, psi, gamma):
+        b = original(lap, v, psi, gamma)
+        b[np.all(lap[:, :2, 2:] == 0.0, axis=(1, 2))] = 0.0
+        return b
+
+    split = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    ring = cycle_graph(4)
+    mirrored = np.array([0.8, 0.6, 0.8, 0.6], dtype=complex) / np.sqrt(2.0)
+    psi0 = unit_state(np.random.default_rng(21), 4)
+    cfg = NlseConfig(dt=5e-2, t_max=3000.0)
+    alone = solve_steady_state(ring, psi0, cfg)
+    monkeypatch.setattr(dynamics, "_bordered_system", singular_when_disconnected)
+    lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0],
+                                           cfg, pseudo_transient=True)
+    flow = solve_steady_state(split, mirrored, cfg, pseudo_transient=False)
+    assert np.array_equal(lone.psi_inf, flow.psi_inf)
+    assert lone.t_reached == flow.t_reached > 0.0 and lone.converged
+    # the ring row is continuation's, as without the singular row beside it
+    assert np.array_equal(joined.psi_inf, alone.psi_inf)
+    assert joined.t_reached == 0.0 and joined.converged
+
+
+def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off():
+    # a horizon shorter than the first pseudo-time step leaves the row to
+    # the flow path, which does not converge in that time
+    rng = np.random.default_rng(17)
+    g = cycle_graph(3)
+    psi0 = unit_state(rng, 3)
+    cfg = NlseConfig(dt=1e-2, t_max=0.1)
+    out = solve_steady_state(g, psi0, cfg)
+    flow = solve_steady_state(g, psi0, cfg, pseudo_transient=False)
+    assert not out.converged
+    assert np.array_equal(out.psi_inf, flow.psi_inf)
+    assert out.t_reached == flow.t_reached
+    # with room for it, continuation finds the state without flow time
+    long = solve_steady_state(g, psi0, NlseConfig(dt=1e-2))
+    assert long.converged and long.t_reached == 0.0
 
 
 # -- writers ------------------------------------------------------------------------

@@ -15,8 +15,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spectral_moduli.dynamics import NlseConfig, SteadyState
+from spectral_moduli.dynamics import (NlseConfig, SteadyState, gauge_align,
+                                      solve_steady_state)
 from spectral_moduli.graph_core import GraphError, WeightedGraph, build_graph
 from spectral_moduli.moduli import (
     Batch,
@@ -590,6 +592,45 @@ def test_engine_caches_by_graph_and_input():
     assert engine.solve_many([(g1, x)], t_max=RUN_CFG.t_max)[0] is first
     assert engine.solve_many([(g1, x)], t_max=0.2)[0] is short
     assert len(calls) == 4
+
+
+@st.composite
+def engine_cases(draw):
+    """A random connected graph on N = 3-6 vertices and 1-4 unit inputs."""
+    n = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+    edges |= {(u, w) for u in range(n) for w in range(u + 1, n)
+              if rng.uniform() < 0.3}
+    g = build_graph(n, [(u, w, float(rng.uniform(0.5, 2.0)))
+                        for u, w in sorted(edges)])
+    xs = [rng.normal(size=n) + 1j * rng.normal(size=n)
+          for _ in range(draw(st.integers(1, 4)))]
+    return g, [x / np.linalg.norm(x) for x in xs]
+
+
+@settings(max_examples=10)
+@given(engine_cases())
+def test_engine_results_equal_direct_solves(case):
+    g, xs = case
+    cfg = NlseConfig(dt=5e-2, steady_tol=1e-10, t_max=3000.0)
+    jobs = [(g, x) for x in xs]
+    full = SteadySolveEngine(cfg).solve_many(jobs)
+    probe = SteadySolveEngine(cfg).solve_many(jobs, t_max=20.0)
+    short = dataclasses.replace(cfg, t_max=20.0)
+    for x, got, got_probe in zip(xs, full, probe):
+        # at its own horizon the engine runs continuation, and finds the
+        # state the flow path finds
+        flow = solve_steady_state(g, x, cfg, pseudo_transient=False)
+        assert got.converged == flow.converged
+        assert np.abs(gauge_align(got.psi_inf, flow.psi_inf)
+                      - flow.psi_inf).max() <= 1e-7
+        assert np.array_equal(got.psi_inf, solve_steady_state(g, x, cfg).psi_inf)
+        # under an explicit horizon it takes the flow path alone
+        direct = solve_steady_state(g, x, short, pseudo_transient=False)
+        assert np.array_equal(got_probe.psi_inf, direct.psi_inf)
+        assert (got_probe.t_reached, got_probe.residual, got_probe.converged) \
+            == (direct.t_reached, direct.residual, direct.converged)
 
 
 # ---------------------------------------------------------------------------
