@@ -542,7 +542,7 @@ _NEWTON_TRUST = 0.5
 # the flow (round-off in the eigenvalues, zero ones included, is ~1e-15)
 _NEWTON_STABLE_RATE = 1e-9
 # first pseudo-time step of pseudo-transient continuation; at 0.5 it lands
-# on saddles the flow leaves in 723 of the 1,718 rows of train at seed 0
+# on saddles the flow leaves in 718 of the 1,718 rows of train at seed 0
 _PTC_DELTA0 = 0.2
 _PTC_MAX_ITER = 50
 
@@ -773,49 +773,50 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     live row (``_bordered_step``); delta starts at ``_PTC_DELTA0`` and
     grows by switched evolution relaxation, delta_{k+1} = delta_k res_k /
     res_{k+1}, so the first steps follow the flow and later ones approach
-    Newton steps (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  From a
-    residual of at most ``_NEWTON_HANDOFF`` the step is Newton's (delta is
-    infinite), as on the flow path.  The steps above it stand in for the
-    flow up to the hand-off, so their pseudo-time may add up to ``horizon``.
-    A row is accepted at a residual of at most ``tol`` where its root does
-    not repel the flow; it is dropped if the root repels, the step is not
-    finite, the system is singular, or pseudo-time or ``_PTC_MAX_ITER``
-    run out, and so is a start that is non-finite or already converged.
-    Returns states, residuals and the mask of accepted rows.
+    Newton steps (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  The
+    steps stand in for the flow down to the hand-off residual
+    ``_NEWTON_HANDOFF``, so their pseudo-time may add up to ``horizon``;
+    from there ``_newton_polish`` finishes the row, as on the flow path.
+    Only rows it accepts are accepted.  A row is dropped if its step is
+    not finite, its system is singular, it passes below ``tol`` without
+    reaching Newton, or pseudo-time or ``_PTC_MAX_ITER`` run out; so is a
+    start that is non-finite or already at the hand-off, which the flow
+    path finishes at t = 0.  Returns states, residuals and the mask of
+    accepted rows.
     """
     nb = len(psi)
     out, out_res = psi.copy(), np.full(nb, np.inf)
-    accepted = np.zeros(nb, dtype=bool)
     live = np.flatnonzero(np.isfinite(psi).all(axis=1))
     pf = _batch_projected_rhs(lap[live], v[live], psi[live], gamma)
     res = np.abs(pf).max(axis=1)
-    go = res > tol
+    go = res > _NEWTON_HANDOFF
     live, cur, pf, res = live[go], psi[live[go]], pf[go], res[go]
     delta = np.full(live.size, _PTC_DELTA0)
     spent = np.zeros(live.size)
+    handed = np.zeros(nb, dtype=bool)
     for _ in range(_PTC_MAX_ITER):
-        spent = spent + np.where(res > _NEWTON_HANDOFF, delta, 0.0)
+        spent = spent + delta
         go = spent <= horizon
         live, cur, pf, res, delta, spent = (
             x[go] for x in (live, cur, pf, res, delta, spent))
         if not live.size:
             break
-        la, va = lap[live], v[live]
         new, new_pf, new_res, ok = _bordered_step(
-            la, va, cur, pf, gamma,
-            np.where(res > _NEWTON_HANDOFF, 1.0 / delta, 0.0))
-        done = ok & (new_res <= tol)
-        if done.any():
-            stable = ~_repelling(la[done], va[done], new[done], gamma)
-            rows = live[done][stable]
-            out[rows] = new[done][stable]
-            out_res[rows] = new_res[done][stable]
-            accepted[rows] = True
-        go = ok & ~done
+            lap[live], v[live], cur, pf, gamma, 1.0 / delta)
+        near = ok & (new_res <= _NEWTON_HANDOFF)
+        reach = near & (new_res > tol)
+        out[live[reach]] = new[reach]
+        out_res[live[reach]] = new_res[reach]
+        handed[live[reach]] = True
+        go = ok & ~near
         delta = delta[go] * res[go] / new_res[go]
         live, cur, pf, res, spent = (
             live[go], new[go], new_pf[go], new_res[go], spent[go])
-    return out, out_res, accepted
+    rows = np.flatnonzero(handed)
+    if rows.size:
+        out[rows], out_res[rows], _ = _newton_polish(
+            lap[rows], v[rows], out[rows], out_res[rows], gamma, tol)
+    return out, out_res, out_res <= tol
 
 
 def solve_steady_state_many(graphs: Sequence[WeightedGraph],
@@ -832,7 +833,7 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
 
     Pseudo-transient continuation (``_pseudo_transient``) runs first.  The
     rows it accepts come back converged with ``t_reached = 0``; the others
-    take the flow path from their own start, as with
+    take the flow path from their own start and get its result, as with
     ``pseudo_transient=False``.  Continuation bounds by ``t_max`` only the
     pseudo-time it spends above the hand-off residual, not flow time: pass
     ``pseudo_transient=False`` where the horizon in flow time decides.
@@ -918,19 +919,18 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
 
 
 def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
-                       *, start: np.ndarray | None = None,
-                       pseudo_transient: bool = True) -> SteadyState:
+                       *, start: np.ndarray | None = None) -> SteadyState:
     """Drive the complex flow of one problem to a relative equilibrium.
 
     Pseudo-transient continuation finds the state; where it does not, RK4
     runs until the projected residual ||P F||_inf (checked every 20 steps,
     and at t = 0) is small and a Newton polish finishes the solve (see
-    ``solve_steady_state_many``).  The returned state keeps whatever global
-    phase it ended at.
+    ``solve_steady_state_many``, whose ``pseudo_transient=False`` gives
+    the flow path alone).  The returned state keeps whatever global phase
+    it ended at.
     """
     starts = None if start is None else [start]
-    out = solve_steady_state_many([g], [psi0], config, starts,
-                                  pseudo_transient=pseudo_transient)[0]
+    out = solve_steady_state_many([g], [psi0], config, starts)[0]
     if not np.all(np.isfinite(out.psi_inf)):
         raise DivergenceError(int(round(out.t_reached / config.dt)), out.t_reached)
     return out

@@ -189,7 +189,9 @@ class SteadySolveEngine:
     ``t_max`` (the probe pass of ``descent_step``) take the flow path
     alone: there the horizon in flow time decides which probes are too
     slow, and pseudo-time is not flow time.  An explicit ``t_max`` equal
-    to the engine's own shares that horizon's cache.
+    to the engine's own counts as none: it runs continuation and shares
+    that horizon's cache, so a cached state does not depend on which of
+    the two asked first.
     """
 
     def __init__(self, config: NlseConfig,
@@ -201,6 +203,8 @@ class SteadySolveEngine:
 
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
                    t_max: float | None = None) -> list[SteadyState]:
+        if t_max == self.config.t_max:
+            t_max = None
         config = (self.config if t_max is None
                   else dataclasses.replace(self.config, t_max=t_max))
         keyed = [(g.key(), np.asarray(x).tobytes(), config.t_max)

@@ -580,6 +580,73 @@ def test_steady_batch_survives_singular_newton_row(monkeypatch):
     assert lone.t_reached > joined.t_reached
 
 
+# -- the flow path alone -------------------------------------------------------------
+# solve_steady_state runs pseudo-transient continuation first, so the RK4 +
+# Newton path that explicit-horizon solves and continuation's fallback take
+# is checked here through pseudo_transient=False
+
+
+def flow_solve(g, psi0, cfg, start=None):
+    starts = None if start is None else [start]
+    return solve_steady_state_many([g], [psi0], cfg, starts,
+                                   pseudo_transient=False)[0]
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda n=n: random_connected_case(n), id=str(n))
+      for n in range(3, 9)),
+    pytest.param(one_empty_triangle_case, id="one_empty_triangle"),
+])
+def test_flow_path_newton_polish_agrees_with_long_flow(case):
+    g, psi0 = case()
+    cfg = NlseConfig(dt=1e-2)
+    out = flow_solve(g, psi0, cfg)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=60.0)
+    ref = rec.states[-1]
+    assert out.converged
+    assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
+    # RK4 ran, and Newton took over while the flow was still far from it
+    assert out.t_reached > 0.0
+    at_stop = rec.states[int(round(out.t_reached / cfg.dt))]
+    assert np.abs(gauge_align(at_stop, ref) - ref).max() > 1e-6
+    assert np.abs(gauge_align(rec.states[-1001], ref) - ref).max() <= 1e-9
+
+
+def test_flow_path_batch_equals_single_solves():
+    rng = np.random.default_rng(18)
+    g = cycle_graph(4)
+    states = [unit_state(rng, 4) for _ in range(3)]
+    cfg = NlseConfig(dt=1e-2)
+    batch = solve_steady_state_many([g] * 3, states, cfg, pseudo_transient=False)
+    for psi0, out in zip(states, batch):
+        single = flow_solve(g, psi0, cfg)
+        assert out.t_reached == single.t_reached > 0.0
+        assert np.array_equal(out.psi_inf, single.psi_inf)
+        assert (out.residual, out.converged) == (single.residual, single.converged)
+
+
+def test_flow_path_warm_start_converges_faster():
+    rng = np.random.default_rng(19)
+    g = cycle_graph(4)
+    psi0 = unit_state(rng, 4)
+    cfg = NlseConfig(dt=1e-2)
+    cold = flow_solve(g, psi0, cfg)
+    warm = flow_solve(g, psi0, cfg, start=cold.psi_inf)
+    assert cold.converged and warm.converged
+    assert warm.t_reached < cold.t_reached
+
+
+def test_flow_path_triangle_matches_fine_step_reference():
+    g = cycle_graph(3)
+    psi0 = np.array([0.8, 0.6, 0.0]) + 0j
+    psi0 /= np.linalg.norm(psi0)
+    out = flow_solve(g, psi0, NlseConfig(dt=1e-2, steady_tol=1e-10))
+    ref = flow_solve(g, psi0, NlseConfig(dt=1e-3, steady_tol=1e-12))
+    assert out.converged and ref.converged
+    assert out.t_reached > 0.0 and ref.t_reached > 0.0
+    assert np.abs(gauge_align(out.psi_inf, ref.psi_inf) - ref.psi_inf).max() < 1e-5
+
+
 # -- pseudo-transient continuation ---------------------------------------------
 
 
@@ -619,16 +686,43 @@ def test_pseudo_transient_reaches_the_equilibrium_of_the_flow(case):
 
 @pytest.mark.parametrize("start", [[1.0, -0.99], [1.0, 0.01, -0.99]])
 def test_pseudo_transient_falls_back_at_a_repelling_root(start):
-    # continuation lands on the antisymmetric equilibrium the flow leaves;
-    # the row must then get the flow path's result
+    # the start is already within the Newton hand-off, next to the
+    # antisymmetric equilibrium the flow leaves; the row must get the flow
+    # path's result
     psi0 = np.array(start, dtype=complex) / np.linalg.norm(start)
     g = path_graph(len(start))
     cfg = NlseConfig(dt=1e-2)
-    flow = solve_steady_state(g, psi0, cfg, pseudo_transient=False)
+    flow = flow_solve(g, psi0, cfg)
     out = solve_steady_state_many([g], [psi0], cfg, pseudo_transient=True)[0]
     assert np.array_equal(out.psi_inf, flow.psi_inf)
     assert out.t_reached == flow.t_reached > 0.0
     assert out.residual == flow.residual and out.converged
+
+
+def test_pseudo_transient_falls_back_when_newton_finds_a_repelling_root(
+        monkeypatch):
+    # with a first pseudo-time step of 1, continuation from this start
+    # reaches the hand-off next to the antisymmetric equilibrium the flow
+    # leaves; Newton finds that root and rejects it, and the row must get
+    # the flow path's result
+    monkeypatch.setattr(dynamics, "_PTC_DELTA0", 1.0)
+    polish, repelled = dynamics._newton_polish, []
+
+    def recorded(*args):
+        out = polish(*args)
+        repelled.append(bool(out[2].any()))
+        return out
+
+    monkeypatch.setattr(dynamics, "_newton_polish", recorded)
+    psi0 = np.array([1.0, -0.6], dtype=complex) / np.hypot(1.0, 0.6)
+    g = path_graph(2)
+    cfg = NlseConfig(dt=1e-2)
+    flow = flow_solve(g, psi0, cfg)
+    repelled.clear()
+    out = solve_steady_state_many([g], [psi0], cfg, pseudo_transient=True)[0]
+    assert repelled[0]
+    assert np.array_equal(out.psi_inf, flow.psi_inf)
+    assert out.t_reached == flow.t_reached > 0.0 and out.converged
 
 
 def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
@@ -648,7 +742,7 @@ def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
     monkeypatch.setattr(dynamics, "_bordered_system", singular_when_disconnected)
     lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0],
                                            cfg, pseudo_transient=True)
-    flow = solve_steady_state(split, mirrored, cfg, pseudo_transient=False)
+    flow = flow_solve(split, mirrored, cfg)
     assert np.array_equal(lone.psi_inf, flow.psi_inf)
     assert lone.t_reached == flow.t_reached > 0.0 and lone.converged
     # the ring row is continuation's, as without the singular row beside it
@@ -664,7 +758,7 @@ def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off():
     psi0 = unit_state(rng, 3)
     cfg = NlseConfig(dt=1e-2, t_max=0.1)
     out = solve_steady_state(g, psi0, cfg)
-    flow = solve_steady_state(g, psi0, cfg, pseudo_transient=False)
+    flow = flow_solve(g, psi0, cfg)
     assert not out.converged
     assert np.array_equal(out.psi_inf, flow.psi_inf)
     assert out.t_reached == flow.t_reached

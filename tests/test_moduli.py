@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_moduli.dynamics import (NlseConfig, SteadyState, gauge_align,
-                                      solve_steady_state)
+                                      solve_steady_state,
+                                      solve_steady_state_many)
 from spectral_moduli.graph_core import GraphError, WeightedGraph, build_graph
 from spectral_moduli.moduli import (
     Batch,
@@ -594,6 +595,21 @@ def test_engine_caches_by_graph_and_input():
     assert len(calls) == 4
 
 
+def test_engine_own_horizon_named_explicitly_runs_continuation():
+    # asked first under its own horizon named explicitly, the engine
+    # caches the continuation result a solve without t_max returns
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 3, 1.0)])
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=4) + 1j * rng.normal(size=4)
+    x /= np.linalg.norm(x)
+    engine = SteadySolveEngine(RUN_CFG)
+    named = engine.solve_many([(g, x)], t_max=RUN_CFG.t_max)[0]
+    assert named.converged and named.t_reached == 0.0
+    assert engine.solve(g, x) is named
+    assert np.array_equal(SteadySolveEngine(RUN_CFG).solve(g, x).psi_inf,
+                          named.psi_inf)
+
+
 @st.composite
 def engine_cases(draw):
     """A random connected graph on N = 3-6 vertices and 1-4 unit inputs."""
@@ -621,13 +637,15 @@ def test_engine_results_equal_direct_solves(case):
     for x, got, got_probe in zip(xs, full, probe):
         # at its own horizon the engine runs continuation, and finds the
         # state the flow path finds
-        flow = solve_steady_state(g, x, cfg, pseudo_transient=False)
+        flow = solve_steady_state_many([g], [x], cfg,
+                                       pseudo_transient=False)[0]
         assert got.converged == flow.converged
         assert np.abs(gauge_align(got.psi_inf, flow.psi_inf)
                       - flow.psi_inf).max() <= 1e-7
         assert np.array_equal(got.psi_inf, solve_steady_state(g, x, cfg).psi_inf)
         # under an explicit horizon it takes the flow path alone
-        direct = solve_steady_state(g, x, short, pseudo_transient=False)
+        direct = solve_steady_state_many([g], [x], short,
+                                         pseudo_transient=False)[0]
         assert np.array_equal(got_probe.psi_inf, direct.psi_inf)
         assert (got_probe.t_reached, got_probe.residual, got_probe.converged) \
             == (direct.t_reached, direct.residual, direct.converged)
