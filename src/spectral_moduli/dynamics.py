@@ -21,7 +21,7 @@ requires, and ``gauge_check`` can integrate either spin law.
 The complex flow has one right-hand side on raw arrays, ``_nlse_raw``, which
 takes one state or a stacked batch, and there is one stepper, ``_rk4_step``
 (RK4 plus renormalization along the last axis).  ``integrate``,
-``gauge_check`` and the RK4 stage of the steady-state solver all use it.
+``gauge_check`` and the flow path of the steady-state solver all use it.
 """
 
 from __future__ import annotations
@@ -777,7 +777,8 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     steps stand in for the flow down to the hand-off residual
     ``_NEWTON_HANDOFF``, so their pseudo-time may add up to ``horizon``;
     from there ``_newton_polish`` finishes the row, as on the flow path.
-    Only rows it accepts are accepted.  A row is dropped if its step is
+    Only rows it accepts are accepted; the others are left to
+    ``_flow_path``.  A row is dropped if Newton rejects it, its step is
     not finite, its system is singular, it passes below ``tol`` without
     reaching Newton, or pseudo-time or ``_PTC_MAX_ITER`` run out; so is a
     start that is non-finite or already at the hand-off, which the flow
@@ -819,77 +820,36 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     return out, out_res, out_res <= tol
 
 
-def solve_steady_state_many(graphs: Sequence[WeightedGraph],
-                            psi0s: Sequence[np.ndarray],
-                            config: NlseConfig,
-                            starts: Sequence[np.ndarray] | None = None,
-                            *, pseudo_transient: bool = True,
-                            ) -> list[SteadyState]:
-    """Drive many independent flows to relative equilibria in lockstep.
+def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+               config: NlseConfig) -> list[SteadyState]:
+    """RK4 + Newton from the starts ``psi`` (B, N): the fallback of
+    ``solve_steady_state_many`` for the rows continuation does not accept.
 
-    All graphs must share the vertex count.  ``starts`` optionally replaces
-    the integration start point (the frozen potential still comes from the
-    matching ``psi0``), which lets callers warm-start perturbed problems.
-
-    Pseudo-transient continuation (``_pseudo_transient``) runs first.  The
-    rows it accepts come back converged with ``t_reached = 0``; the others
-    take the flow path from their own start and get its result, as with
-    ``pseudo_transient=False``.  Continuation bounds by ``t_max`` only the
-    pseudo-time it spends above the hand-off residual, not flow time: pass
-    ``pseudo_transient=False`` where the horizon in flow time decides.
-
-    The flow path: RK4 runs in chunks of 20 steps.  At t = 0 and after
-    every chunk, rows whose projected residual is at most 1e-2 are polished
-    by a batched Newton on their bordered systems (``_bordered_system``);
-    rows Newton does not accept resume RK4 from where they were handed
-    off.  A row whose Newton root repels the flow is left to RK4 for the
-    rest of the solve, as a plain RK4 solve would have been.  So ``t_max``
-    bounds the flow time alone.  Rows that fail to converge by ``t_max``
-    come back with ``converged=False``; rows that go non-finite come back
-    with an infinite residual.
+    RK4 runs in lockstep chunks of 20 steps.  At t = 0 and after every
+    chunk, rows whose projected residual is at most 1e-2 are polished by a
+    batched Newton on their bordered systems (``_newton_polish``); rows
+    Newton does not accept resume RK4 from where they were handed off.  A
+    row whose Newton root repels the flow is left to RK4 for the rest of
+    the solve, as a plain RK4 solve would have been.  ``t_max`` bounds the
+    flow time, which ``t_reached`` reports.  Rows that fail to converge by
+    ``t_max`` come back with ``converged=False``; rows that go non-finite
+    come back with an infinite residual.
     """
-    n_prob = len(graphs)
-    if n_prob == 0:
-        return []
-    lap = np.stack([g.coupling_laplacian() for g in graphs])
-    psi0_arr = np.stack([validate_scalar_field(g, p)
-                         for g, p in zip(graphs, psi0s)])
-    norms = np.linalg.norm(psi0_arr, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
-        raise InvalidStateError("initial states must be unit norm (tol 1e-9)")
-    v = np.abs(psi0_arr) ** 2
-    psi = psi0_arr.copy() if starts is None else np.stack(
-        [np.asarray(s, dtype=complex) for s in starts])
-
     dt, gamma, tol = config.dt, config.gamma, config.steady_tol
     check_every = 20
     total_steps = max(1, int(round(config.t_max / dt)))
-
-    result_psi = np.empty_like(psi)
+    psi = psi.copy()
+    n_prob = len(psi)
     result_t = np.zeros(n_prob)
     result_res = np.full(n_prob, np.inf)
     ok = np.zeros(n_prob, dtype=bool)
     flow_only = np.zeros(n_prob, dtype=bool)
-
-    def finish(rows: np.ndarray, states: np.ndarray, res: np.ndarray,
-               converged: np.ndarray, step: int) -> None:
-        result_psi[rows] = states
-        result_t[rows] = step * dt
-        result_res[rows] = res
-        ok[rows] = converged
-
     active = np.arange(n_prob)
-    if pseudo_transient:
-        states, res, accepted = _pseudo_transient(lap, v, psi, gamma, tol,
-                                                  config.t_max)
-        finish(active[accepted], states[accepted], res[accepted],
-               accepted[accepted], 0)
-        active = active[~accepted]
     step = 0
     while True:
         la, va, pa = lap[active], v[active], psi[active]
         finite = np.isfinite(pa).all(axis=1)
-        safe = np.where(finite[:, None], pa, psi0_arr[active])
+        safe = np.where(finite[:, None], pa, 1.0)
         res = np.where(finite, _batch_residual(la, va, safe, gamma), np.inf)
         near = (finite & (res > tol) & (res <= _NEWTON_HANDOFF)
                 & ~flow_only[active])
@@ -898,8 +858,9 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
                 la[near], va[near], pa[near], res[near], gamma, tol)
             flow_only[active[near][repelled]] = True
         hit = (res <= tol) | ~finite
-        finish(active[hit], pa[hit], res[hit], finite[hit] & (res[hit] <= tol),
-               step)
+        rows = active[hit]
+        psi[rows], result_t[rows], result_res[rows] = pa[hit], step * dt, res[hit]
+        ok[rows] = finite[hit] & (res[hit] <= tol)
         active = active[~hit]
         if not active.size or step >= total_steps:
             break
@@ -912,22 +873,60 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
         step += chunk
         psi[active] = pa
 
-    finish(active, psi[active], res[~hit], np.zeros(active.size, bool), step)
-    return [SteadyState(result_psi[i], float(result_t[i]),
-                        float(result_res[i]), bool(ok[i]), float(gamma))
-            for i in range(n_prob)]
+    result_t[active], result_res[active] = step * dt, res[~hit]
+    return [SteadyState(psi[i], float(result_t[i]), float(result_res[i]),
+                        bool(ok[i]), float(gamma)) for i in range(n_prob)]
+
+
+def _stack_problems(graphs: Sequence[WeightedGraph],
+                    psi0s: Sequence[np.ndarray],
+                    starts: Sequence[np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coupling Laplacians, frozen potentials and starts of a batch."""
+    lap = np.stack([g.coupling_laplacian() for g in graphs])
+    psi0_arr = np.stack([validate_scalar_field(g, p)
+                         for g, p in zip(graphs, psi0s)])
+    norms = np.linalg.norm(psi0_arr, axis=1)
+    if np.abs(norms - 1.0).max() > 1e-9:
+        raise InvalidStateError("initial states must be unit norm (tol 1e-9)")
+    psi = psi0_arr if starts is None else np.stack(
+        [np.asarray(s, dtype=complex) for s in starts])
+    return lap, np.abs(psi0_arr) ** 2, psi
+
+
+def solve_steady_state_many(graphs: Sequence[WeightedGraph],
+                            psi0s: Sequence[np.ndarray],
+                            config: NlseConfig,
+                            starts: Sequence[np.ndarray] | None = None,
+                            ) -> list[SteadyState]:
+    """Drive many independent flows to relative equilibria in lockstep.
+
+    All graphs must share the vertex count.  ``starts`` optionally replaces
+    the start point (the frozen potential still comes from the matching
+    ``psi0``), which lets callers warm-start perturbed problems.
+
+    Pseudo-transient continuation (``_pseudo_transient``) runs first, and
+    the rows it accepts come back converged with ``t_reached = 0``.  The
+    flow path (``_flow_path``) finishes every other row from its own start,
+    and its ``t_reached`` is RK4 flow time.
+    """
+    if len(graphs) == 0:
+        return []
+    lap, v, psi = _stack_problems(graphs, psi0s, starts)
+    states, res, accepted = _pseudo_transient(
+        lap, v, psi, config.gamma, config.steady_tol, config.t_max)
+    rest = iter(_flow_path(lap[~accepted], v[~accepted], psi[~accepted], config))
+    return [SteadyState(states[i], 0.0, float(res[i]), True, float(config.gamma))
+            if accepted[i] else next(rest) for i in range(len(psi))]
 
 
 def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
                        *, start: np.ndarray | None = None) -> SteadyState:
     """Drive the complex flow of one problem to a relative equilibrium.
 
-    Pseudo-transient continuation finds the state; where it does not, RK4
-    runs until the projected residual ||P F||_inf (checked every 20 steps,
-    and at t = 0) is small and a Newton polish finishes the solve (see
-    ``solve_steady_state_many``, whose ``pseudo_transient=False`` gives
-    the flow path alone).  The returned state keeps whatever global phase
-    it ended at.
+    The batch-of-one ``solve_steady_state_many``: continuation first, the
+    flow path where it does not accept.  The returned state keeps whatever
+    global phase it ended at.
     """
     starts = None if start is None else [start]
     out = solve_steady_state_many([g], [psi0], config, starts)[0]

@@ -107,12 +107,11 @@ class WeightedGraph:
             raise GraphError("one rho value per edge required")
         if self.mu.shape != (self.n,):
             raise GraphError("one mu value per vertex required")
-        if len(self.edges) and not np.all(self.weights > 0):
-            raise GraphError("edge weights must be positive")
-        if len(self.edges) and not np.all(self.rho > 0):
-            raise GraphError("edge measure rho must be positive")
-        if not np.all(self.mu > 0):
-            raise GraphError("vertex measure mu must be positive")
+        for name, vals in (("edge weights", self.weights),
+                           ("edge measure rho", self.rho),
+                           ("vertex measure mu", self.mu)):
+            if not np.all((vals > 0) & (vals < np.inf)):
+                raise GraphError(f"{name} must be positive and finite")
 
     # -- basic queries ----------------------------------------------------
 

@@ -97,8 +97,8 @@ class OptimizerConfig:
         steps = np.atleast_1d(np.asarray(self.step_size, dtype=float))
         if steps.size == 0 or not np.all((steps > 0) & np.isfinite(steps)):
             raise ValueError("step sizes must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        if self.batch_size < 1 or self.stall_iters < 1:
+            raise ValueError("batch_size and stall_iters must be at least 1")
         if not all(0.0 <= x < np.inf for x in (self.l1_coeff, self.l2_coeff,
                                                 self.stall_tol)):
             raise ValueError("l1_coeff, l2_coeff, stall_tol must be finite, >= 0")
@@ -183,15 +183,6 @@ class SteadySolveEngine:
     makes the repeated solves of the descent loop cheap once iterates
     stabilize.  ``solve_fn`` replaces the batched solver with a per-job
     function, for tests.
-
-    Solves at the engine's own horizon (``solve_many`` without ``t_max``)
-    run pseudo-transient continuation first.  Solves under an explicit
-    ``t_max`` (the probe pass of ``descent_step``) take the flow path
-    alone: there the horizon in flow time decides which probes are too
-    slow, and pseudo-time is not flow time.  An explicit ``t_max`` equal
-    to the engine's own counts as none: it runs continuation and shares
-    that horizon's cache, so a cached state does not depend on which of
-    the two asked first.
     """
 
     def __init__(self, config: NlseConfig,
@@ -203,8 +194,6 @@ class SteadySolveEngine:
 
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
                    t_max: float | None = None) -> list[SteadyState]:
-        if t_max == self.config.t_max:
-            t_max = None
         config = (self.config if t_max is None
                   else dataclasses.replace(self.config, t_max=t_max))
         keyed = [(g.key(), np.asarray(x).tobytes(), config.t_max)
@@ -225,9 +214,8 @@ class SteadySolveEngine:
                           (keyed[i] for i in idx)]
                 starts = [s if s is not None else x
                           for s, x in zip(starts, xs)]
-                solved = solve_steady_state_many(
-                    graphs, xs, config, starts=starts,
-                    pseudo_transient=t_max is None)
+                solved = solve_steady_state_many(graphs, xs, config,
+                                                 starts=starts)
             for key, st in zip(missing, solved):
                 self._cache[key] = st
                 if st.converged:

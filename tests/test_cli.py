@@ -138,6 +138,15 @@ def test_explicit_initial_values_must_be_finite_exit_2(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["Infinity", "1e400"])
+def test_non_finite_explicit_edge_weight_exits_2(tmp_path, capsys, weight):
+    assert run_cli("simulate", "--out", str(tmp_path),
+                   "--set", "simulate.graph.kind=explicit",
+                   "--set", f"simulate.graph.edges=[[0,1,{weight}],[1,2,1.0]]"
+                   ) == 2
+    assert "invalid graph" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])

@@ -582,14 +582,17 @@ def test_steady_batch_survives_singular_newton_row(monkeypatch):
 
 # -- the flow path alone -------------------------------------------------------------
 # solve_steady_state runs pseudo-transient continuation first, so the RK4 +
-# Newton path that explicit-horizon solves and continuation's fallback take
-# is checked here through pseudo_transient=False
+# Newton path that is continuation's fallback is checked here directly
+
+
+def flow_solve_many(graphs, psi0s, cfg, starts=None):
+    return dynamics._flow_path(*dynamics._stack_problems(graphs, psi0s, starts),
+                               cfg)
 
 
 def flow_solve(g, psi0, cfg, start=None):
-    starts = None if start is None else [start]
-    return solve_steady_state_many([g], [psi0], cfg, starts,
-                                   pseudo_transient=False)[0]
+    return flow_solve_many([g], [psi0], cfg,
+                           None if start is None else [start])[0]
 
 
 @pytest.mark.parametrize("case", [
@@ -617,7 +620,7 @@ def test_flow_path_batch_equals_single_solves():
     g = cycle_graph(4)
     states = [unit_state(rng, 4) for _ in range(3)]
     cfg = NlseConfig(dt=1e-2)
-    batch = solve_steady_state_many([g] * 3, states, cfg, pseudo_transient=False)
+    batch = flow_solve_many([g] * 3, states, cfg)
     for psi0, out in zip(states, batch):
         single = flow_solve(g, psi0, cfg)
         assert out.t_reached == single.t_reached > 0.0
@@ -676,7 +679,7 @@ def connected_cases(draw):
 def test_pseudo_transient_reaches_the_equilibrium_of_the_flow(case):
     g, psi0 = case
     cfg = NlseConfig(dt=1e-2, steady_tol=1e-10)
-    out = solve_steady_state_many([g], [psi0], cfg, pseudo_transient=True)[0]
+    out = solve_steady_state_many([g], [psi0], cfg)[0]
     ref = settled_flow(g, psi0, cfg)
     assert out.converged
     assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
@@ -693,7 +696,7 @@ def test_pseudo_transient_falls_back_at_a_repelling_root(start):
     g = path_graph(len(start))
     cfg = NlseConfig(dt=1e-2)
     flow = flow_solve(g, psi0, cfg)
-    out = solve_steady_state_many([g], [psi0], cfg, pseudo_transient=True)[0]
+    out = solve_steady_state_many([g], [psi0], cfg)[0]
     assert np.array_equal(out.psi_inf, flow.psi_inf)
     assert out.t_reached == flow.t_reached > 0.0
     assert out.residual == flow.residual and out.converged
@@ -719,7 +722,7 @@ def test_pseudo_transient_falls_back_when_newton_finds_a_repelling_root(
     cfg = NlseConfig(dt=1e-2)
     flow = flow_solve(g, psi0, cfg)
     repelled.clear()
-    out = solve_steady_state_many([g], [psi0], cfg, pseudo_transient=True)[0]
+    out = solve_steady_state_many([g], [psi0], cfg)[0]
     assert repelled[0]
     assert np.array_equal(out.psi_inf, flow.psi_inf)
     assert out.t_reached == flow.t_reached > 0.0 and out.converged
@@ -741,7 +744,7 @@ def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
     alone = solve_steady_state(ring, psi0, cfg)
     monkeypatch.setattr(dynamics, "_bordered_system", singular_when_disconnected)
     lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0],
-                                           cfg, pseudo_transient=True)
+                                           cfg)
     flow = flow_solve(split, mirrored, cfg)
     assert np.array_equal(lone.psi_inf, flow.psi_inf)
     assert lone.t_reached == flow.t_reached > 0.0 and lone.converged

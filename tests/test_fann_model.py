@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spectral_moduli.dynamics import NlseConfig, SteadyState, solve_steady_state
 from spectral_moduli.graph_core import GraphError, build_graph
@@ -236,6 +237,24 @@ def test_gauge_aligned_readout_is_phase_invariant(c4_model):
     for theta in (0.3, 1.7, -2.9):
         rotated = fm.readout_value(params, np.exp(1j * theta) * psi)
         assert abs(rotated - base) < 1e-10
+
+
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+       st.floats(-np.pi, np.pi), st.sampled_from(["identity", "tanh"]))
+def test_readouts_are_gauge_invariant(n, seed, theta, activation3):
+    # under psi -> e^{i theta} psi both readouts keep their value, and their
+    # realified cotangents turn by the same rotation
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi /= np.linalg.norm(psi)
+    c, s = np.cos(theta) * np.eye(n), np.sin(theta) * np.eye(n)
+    rotation = np.block([[c, -s], [s, c]])
+    params = fm.random_params(n, n, seed, activation3=activation3)
+    for readout in (PopulationReadout.random(n, seed), fm.ModelReadout(params)):
+        turned = np.exp(1j * theta) * psi
+        assert abs(readout.value(turned) - readout.value(psi)) <= 1e-12
+        assert np.abs(readout.cotangent(turned)
+                      - rotation @ readout.cotangent(psi)).max() <= 1e-12
 
 
 def test_loss_invariant_under_core_phase(c4_model):

@@ -75,6 +75,19 @@ def test_rejects_self_loop_duplicate_and_bad_weight():
         build_graph(3, [(0, 5, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("field", ["weights", "mu", "rho"])
+def test_rejects_non_finite_weights_and_measures(field, bad):
+    d = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+         "mu": [1.0, 1.0, 1.0], "rho": [1.0, 1.0]}
+    if field == "weights":
+        d["edges"][0][2] = bad
+    else:
+        d[field][0] = bad
+    with pytest.raises(GraphError, match="must be positive and finite"):
+        graph_from_dict(d)
+
+
 def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises((ValueError, AttributeError)):

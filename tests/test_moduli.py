@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectral_moduli import dynamics
 from spectral_moduli.dynamics import (NlseConfig, SteadyState, gauge_align,
                                       solve_steady_state,
                                       solve_steady_state_many)
@@ -106,6 +107,7 @@ def engine():
     *[{field: value} for value in (float("nan"), float("inf"))
       for field in ("step_size", "l1_coeff", "l2_coeff", "stall_tol",
                     "probe_t_max")],
+    dict(stall_iters=0),
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -610,6 +612,22 @@ def test_engine_own_horizon_named_explicitly_runs_continuation():
                           named.psi_inf)
 
 
+def test_engine_explicit_horizon_runs_continuation():
+    # a cold start above the Newton hand-off: under an explicit horizon the
+    # engine returns continuation's state, with no flow time spent
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 3, 1.0)])
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=4) + 1j * rng.normal(size=4)
+    x /= np.linalg.norm(x)
+    start_res = dynamics._batch_residual(
+        g.coupling_laplacian()[None], (np.abs(x) ** 2)[None], x[None],
+        RUN_CFG.gamma)[0]
+    assert start_res > dynamics._NEWTON_HANDOFF
+    probe = SteadySolveEngine(RUN_CFG).solve_many([(g, x)], t_max=20.0)[0]
+    # the flow path would have spent RK4 time to reach the hand-off
+    assert probe.converged and probe.t_reached == 0.0
+
+
 @st.composite
 def engine_cases(draw):
     """A random connected graph on N = 3-6 vertices and 1-4 unit inputs."""
@@ -637,15 +655,13 @@ def test_engine_results_equal_direct_solves(case):
     for x, got, got_probe in zip(xs, full, probe):
         # at its own horizon the engine runs continuation, and finds the
         # state the flow path finds
-        flow = solve_steady_state_many([g], [x], cfg,
-                                       pseudo_transient=False)[0]
+        flow = dynamics._flow_path(*dynamics._stack_problems([g], [x]), cfg)[0]
         assert got.converged == flow.converged
         assert np.abs(gauge_align(got.psi_inf, flow.psi_inf)
                       - flow.psi_inf).max() <= 1e-7
         assert np.array_equal(got.psi_inf, solve_steady_state(g, x, cfg).psi_inf)
-        # under an explicit horizon it takes the flow path alone
-        direct = solve_steady_state_many([g], [x], short,
-                                         pseudo_transient=False)[0]
+        # under an explicit horizon it solves as a direct call at that horizon
+        direct = solve_steady_state_many([g], [x], short)[0]
         assert np.array_equal(got_probe.psi_inf, direct.psi_inf)
         assert (got_probe.t_reached, got_probe.residual, got_probe.converged) \
             == (direct.t_reached, direct.residual, direct.converged)
