@@ -881,12 +881,11 @@ def _write_baseline_history(path: str, history, meta: dict) -> None:
             fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.test_loss!r}\n")
 
 
-def _gap_sweep(loss_fn, train_pairs, test_pairs, sizes) -> list[dict]:
+def _gap_sweep(train_losses, test_losses, sizes) -> list[dict]:
     out = []
     for m in sizes:
-        m_eff = min(m, len(train_pairs), len(test_pairs))
-        rep = fm.generalization_gap(loss_fn, train_pairs[:m_eff],
-                                    test_pairs[:m_eff])
+        m_eff = min(m, len(train_losses), len(test_losses))
+        rep = fm.generalization_gap(train_losses[:m_eff], test_losses[:m_eff])
         out.append({"m": rep.m, "train_loss": rep.train_loss,
                     "test_loss": rep.test_loss, "gap": rep.gap,
                     "noise_bound": rep.noise_bound})
@@ -964,24 +963,19 @@ def _run_train(resolved: dict, meta: dict) -> int:
             fm.noisy_input_stream(bumps, sec["noise_delta"],
                                   seed=heldout_seed),
             engine=teacher_engine)(largest)
-        eval_engine = SteadySolveEngine(_TRAIN_FAST)
-        fm.prefetch_inputs(params, point,
-                           [x for x, _ in train_pairs + test_pairs],
-                           eval_engine)
-        model_loss = lambda x, y: fm.loss_sample(params, point, x, y,
-                                                 _TRAIN_FAST,
-                                                 engine=eval_engine)
-        baseline_loss = lambda x, y: fm.baseline_loss_sample(
-            baseline_params, x, y)
+        split = len(train_pairs)
+        model = fm.loss_samples(params, point, train_pairs + test_pairs,
+                                _TRAIN_FAST)
+        baseline = [fm.baseline_loss_sample(baseline_params, x, y)
+                    for x, y in train_pairs + test_pairs]
         _dump_json(os.path.join(out, "gap_report.json"), {
             "meta": meta,
             "noise_delta": sec["noise_delta"],
             "stream_seeds": {"train": train_seed, "heldout": heldout_seed},
             "models": {
-                "model": _gap_sweep(model_loss, train_pairs, test_pairs,
-                                    sizes),
-                "baseline": _gap_sweep(baseline_loss, train_pairs,
-                                       test_pairs, sizes),
+                "model": _gap_sweep(model[:split], model[split:], sizes),
+                "baseline": _gap_sweep(baseline[:split], baseline[split:],
+                                       sizes),
             },
         })
     return 0

@@ -60,6 +60,7 @@ __all__ = [
     "readout_value",
     "forward",
     "loss_sample",
+    "loss_samples",
     "param_gradients",
     "project_params",
     "random_params",
@@ -71,7 +72,6 @@ __all__ = [
     "baseline_train",
     "generalization_gap",
     "model_teacher_sampler",
-    "prefetch_inputs",
     "fixed_set_sampler",
     "noisy_input_stream",
     "save_checkpoint",
@@ -316,19 +316,38 @@ def readout_value(params: ModelParams, psi: np.ndarray) -> float:
     return float(np.real(_apply(params.activation3, abs(z) + params.b3)))
 
 
-def _solve_core(point: ModuliPoint, psi0: np.ndarray,
-                engine: SteadySolveEngine) -> SteadyState:
-    """Steady state of the core from ``psi0``; raises unless it converged."""
+def _core_pass(params: ModelParams, point: ModuliPoint, xs,
+               engine: SteadySolveEngine) -> list:
+    """Core steady states of many inputs, in order, from one engine call;
+    a degenerate input gets its DegenerateInputError in place of a state."""
     g = point.graph
-    if g.n != psi0.size:
-        raise GraphError(f"model has {psi0.size} vertices but the graph has "
-                         f"{g.n}")
-    st = engine.solve(g, psi0)
-    if not st.converged:
+    psi0s = []
+    for x in xs:
+        try:
+            psi0s.append(input_state(params, x))
+        except DegenerateInputError as exc:
+            psi0s.append(exc)
+    jobs = [(g, p) for p in psi0s if isinstance(p, np.ndarray)]
+    if jobs and g.n != jobs[0][1].size:
+        raise GraphError(f"model has {jobs[0][1].size} vertices but the "
+                         f"graph has {g.n}")
+    solved = iter(engine.solve_many(jobs))
+    return [p if isinstance(p, Exception) else next(solved) for p in psi0s]
+
+
+def _checked(core) -> SteadyState:
+    """A ``_core_pass`` entry as a one-input pass returns or raises it."""
+    if isinstance(core, Exception):
+        raise core
+    if not core.converged:
         raise CoreConvergenceError(
-            f"core did not reach a steady state (residual {st.residual:.3e} "
-            f"at t={st.t_reached:.1f})")
-    return st
+            f"core did not reach a steady state (residual {core.residual:.3e} "
+            f"at t={core.t_reached:.1f})")
+    return core
+
+
+def _core_loss(params: ModelParams, core, y) -> float:
+    return float(abs(readout_value(params, _checked(core).psi_inf) - y) ** 2)
 
 
 def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
@@ -336,12 +355,12 @@ def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
     """Full pass: input layer, steady-state core, output layer.
 
     Returns ``(y_hat, psi_inf)``.  Without an engine the core is solved by
-    a fresh engine on ``config``; with one, the engine's config and caches
-    govern the solve.
+    a fresh engine on ``config``; with one, the engine's config and warm
+    starts govern the solve.
     """
     if engine is None:
         engine = SteadySolveEngine(config)
-    st = _solve_core(point, input_state(params, x), engine)
+    st = _checked(_core_pass(params, point, [x], engine)[0])
     return readout_value(params, st.psi_inf), st.psi_inf
 
 
@@ -349,8 +368,18 @@ def loss_sample(params: ModelParams, point: ModuliPoint, x, y,
                 config: NlseConfig, *,
                 engine: SteadySolveEngine | None = None) -> float:
     """Squared modulus of the prediction error for one sample."""
-    y_hat, _ = forward(params, point, x, config, engine=engine)
-    return float(abs(y_hat - y) ** 2)
+    return loss_samples(params, point, [(x, y)], config, engine=engine)[0]
+
+
+def loss_samples(params: ModelParams, point: ModuliPoint, pairs,
+                 config: NlseConfig, *,
+                 engine: SteadySolveEngine | None = None) -> list[float]:
+    """Squared prediction errors of many samples, whose cores are solved in
+    one engine call; raises the failure of the first sample that fails."""
+    if engine is None:
+        engine = SteadySolveEngine(config)
+    cores = _core_pass(params, point, [x for x, _ in pairs], engine)
+    return [_core_loss(params, core, y) for core, (_, y) in zip(cores, pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +417,27 @@ def _input_chain(activation1: str, x, g_state: np.ndarray, pre: np.ndarray,
 
 def param_gradients(params: ModelParams, point: ModuliPoint, x, y,
                     config: NlseConfig, *,
-                    engine: SteadySolveEngine | None = None) -> ParamGradients:
+                    engine: SteadySolveEngine | None = None,
+                    state: SteadyState | None = None) -> ParamGradients:
     """Loss gradients in (a1, b1, a3, b3) for one sample.
 
     The core is differentiated implicitly: the output-layer cotangent is
     priced into the frozen potential by one adjoint solve, and the potential
-    channel ``|psi0|^2`` carries it back to the input layer.
+    channel ``|psi0|^2`` carries it back to the input layer.  ``state`` is
+    the sample's core state if the caller solved it already.
     """
-    if engine is None:
-        engine = SteadySolveEngine(config)
+    if state is None:
+        if engine is None:
+            engine = SteadySolveEngine(config)
+        state = _checked(_core_pass(params, point, [x], engine)[0])
     x, pre, s, nrm = _input_layer(params, x)
     psi0 = s / nrm
-    st = _solve_core(point, psi0, engine)
-    y_hat = readout_value(params, st.psi_inf)
-    g_a3, g_b3, g_psi = _readout_chain(params, st.psi_inf,
+    y_hat = readout_value(params, state.psi_inf)
+    g_a3, g_b3, g_psi = _readout_chain(params, state.psi_inf,
                                        2.0 * (y_hat - float(np.real(y))))
     g = point.graph
     if np.any(g_psi != 0):
-        dv = potential_gradient(g, [psi0], [st], [realify(g_psi)])[0]
+        dv = potential_gradient(g, [psi0], [state], [realify(g_psi)])[0]
     else:
         dv = np.zeros(g.n)
     g_psi0 = 2.0 * dv * psi0
@@ -531,61 +563,32 @@ class BaselineEpochRecord:
     test_loss: float
 
 
-def prefetch_inputs(params: ModelParams, point: ModuliPoint, xs,
-                    engine: SteadySolveEngine) -> None:
-    """Solve the core for many inputs in one vectorized batch.
-
-    Subsequent per-sample forwards and gradients on the same engine hit the
-    cache, which is far cheaper than integrating one state at a time.
-    Degenerate inputs are skipped here and surface in the per-sample calls.
-    """
-    jobs = []
-    for x in xs:
+def _per_sample(fn: Callable, n: int, what: str, failures: list) -> list:
+    """``fn(k)`` for the samples k < n that do not fail, in order; each
+    failure is logged to ``failures`` as "``what`` k: error"."""
+    out = []
+    for k in range(n):
         try:
-            jobs.append((point.graph, input_state(params, x)))
-        except DegenerateInputError:
-            continue
-    if jobs:
-        engine.solve_many(jobs)
-
-
-def _mean_heldout_loss(loss_fn, heldout) -> tuple[float, list]:
-    total, count, failures = 0.0, 0, []
-    for k, (x, y) in enumerate(heldout):
-        try:
-            total += loss_fn(x, y)
-            count += 1
+            out.append(fn(k))
         except _SAMPLE_ERRORS as exc:
-            failures.append(f"heldout sample {k}: {exc}")
-    return (total / count if count else float("nan")), failures
+            failures.append(f"{what} {k}: {exc}")
+    return out
 
 
-def _sgd_step(params, pairs, grad_fn: Callable, config: TrainConfig,
-              failures: list):
-    """One projected batch-mean SGD step on the dense parameters.
+def _mean(losses: list) -> float:
+    return sum(losses) / len(losses) if losses else float("nan")
 
-    ``grad_fn(params, x, y)`` returns a gradient dataclass whose fields name
-    the parameters it moves; gradients are summed field by field in sample
-    order.  A sample that fails is logged to ``failures`` and left out of
-    the mean; with no sample left the parameters stay as they are.
-    """
-    names, sums, used = [], None, 0
-    for k, (x, y) in enumerate(pairs):
-        try:
-            gr = grad_fn(params, x, y)
-        except _SAMPLE_ERRORS as exc:
-            failures.append(f"param gradient, sample {k}: {exc}")
-            continue
-        names = [f.name for f in dataclasses.fields(gr)]
-        sums = [t + getattr(gr, name)
-                for t, name in zip(sums or [0.0] * len(names), names)]
-        used += 1
-    if not used:
+
+def _sgd_step(params, grads: list, config: TrainConfig):
+    """One projected batch-mean SGD step on the dense parameters, along
+    gradient dataclasses whose fields name the parameters they move."""
+    if not grads:
         return params
-    lr = config.lr_params / used
-    return project_params(dataclasses.replace(
-        params, **{name: getattr(params, name) - lr * total
-                   for name, total in zip(names, sums)}), config)
+    lr = config.lr_params / len(grads)
+    return project_params(dataclasses.replace(params, **{
+        f.name: getattr(params, f.name) - lr * sum(getattr(gr, f.name)
+                                                   for gr in grads)
+        for f in dataclasses.fields(grads[0])}), config)
 
 
 def train(sampler, config: TrainConfig, params: ModelParams,
@@ -595,10 +598,11 @@ def train(sampler, config: TrainConfig, params: ModelParams,
 
     Each epoch draws one mini-batch from ``sampler(batch_size)``, takes a
     projected batch-mean SGD step on the dense parameters, then one graph
-    descent step with the updated output layer as readout.  Per-step
-    failures are recorded on the epoch and training continues.  Returns
-    ``(params, point, history)``; with ``epochs == 0`` the inputs pass
-    through untouched.
+    descent step with the updated output layer as readout.  The SGD step
+    and the heldout loss each solve their cores in one engine call.
+    Per-step failures are recorded on the epoch and training continues.
+    Returns ``(params, point, history)``; with ``epochs == 0`` the inputs
+    pass through untouched.
     """
     if engine is None:
         engine = SteadySolveEngine(config.moduli_config.steady)
@@ -609,12 +613,11 @@ def train(sampler, config: TrainConfig, params: ModelParams,
                  for x, y in sampler(config.batch_size)]
         failures: list[str] = []
 
-        prefetch_inputs(params, point, [x for x, _ in pairs], engine)
-        params = _sgd_step(
-            params, pairs,
-            lambda p, x, y: param_gradients(p, point, x, y, engine.config,
-                                            engine=engine),
-            config, failures)
+        cores = _core_pass(params, point, [x for x, _ in pairs], engine)
+        params = _sgd_step(params, _per_sample(
+            lambda k: param_gradients(params, point, *pairs[k], engine.config,
+                                      state=_checked(cores[k])),
+            len(pairs), "param gradient, sample", failures), config)
 
         train_loss = float("nan")
         try:
@@ -629,11 +632,10 @@ def train(sampler, config: TrainConfig, params: ModelParams,
 
         test_loss = float("nan")
         if heldout is not None:
-            prefetch_inputs(params, point, [x for x, _ in heldout], engine)
-            test_loss, held_failures = _mean_heldout_loss(
-                lambda x, y: loss_sample(params, point, x, y, engine.config,
-                                         engine=engine), heldout)
-            failures.extend(held_failures)
+            cores = _core_pass(params, point, [x for x, _ in heldout], engine)
+            test_loss = _mean(_per_sample(
+                lambda k: _core_loss(params, cores[k], heldout[k][1]),
+                len(heldout), "heldout sample", failures))
 
         b0, b1 = betti_numbers(point.graph)
         history.append(EpochRecord(epoch, train_loss, test_loss,
@@ -693,12 +695,15 @@ def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
     for epoch in range(config.epochs):
         pairs = [(np.asarray(x, dtype=complex), y)
                  for x, y in sampler(config.batch_size)]
-        params = _sgd_step(params, pairs, baseline_gradients, config, [])
+        params = _sgd_step(params, _per_sample(
+            lambda k: baseline_gradients(params, *pairs[k]), len(pairs),
+            "param gradient, sample", []), config)
         losses = [baseline_loss_sample(params, x, y) for x, y in pairs]
         test_loss = float("nan")
         if heldout is not None:
-            test_loss, _ = _mean_heldout_loss(
-                lambda x, y: baseline_loss_sample(params, x, y), heldout)
+            test_loss = _mean(_per_sample(
+                lambda k: baseline_loss_sample(params, *heldout[k]),
+                len(heldout), "heldout sample", []))
         history.append(BaselineEpochRecord(
             epoch, float(np.mean(losses)), test_loss))
     return params, history
@@ -723,18 +728,19 @@ class GapReport:
     noise_bound: float
 
 
-def generalization_gap(loss_fn: Callable, train_pairs: Sequence,
-                       heldout_pairs: Sequence) -> GapReport:
-    """Mean loss on both sets and their difference (test minus train).
+def generalization_gap(train_losses: Sequence[float],
+                       heldout_losses: Sequence[float]) -> GapReport:
+    """Mean per-sample loss on both sets and their difference (test minus
+    train).
 
     The two sets must come from disjoint streams for the gap to measure
     generalization; that separation is the caller's responsibility.
     """
-    if len(train_pairs) == 0 or len(heldout_pairs) == 0:
+    if len(train_losses) == 0 or len(heldout_losses) == 0:
         raise ValueError("both sample sets must be nonempty")
-    train_loss = float(np.mean([loss_fn(x, y) for x, y in train_pairs]))
-    test_loss = float(np.mean([loss_fn(x, y) for x, y in heldout_pairs]))
-    m = len(heldout_pairs)
+    train_loss = float(np.mean(train_losses))
+    test_loss = float(np.mean(heldout_losses))
+    m = len(heldout_losses)
     return GapReport(train_loss, test_loss, test_loss - train_loss, m,
                      3.0 / np.sqrt(m))
 
@@ -756,9 +762,9 @@ def model_teacher_sampler(params: ModelParams, point: ModuliPoint,
 
     def draw(batch_size: int):
         xs = [x for x, _ in base_sampler(batch_size)]
-        prefetch_inputs(params, point, xs, engine)
-        return [(x, forward(params, point, x, config, engine=engine)[0])
-                for x in xs]
+        cores = _core_pass(params, point, xs, engine)
+        return [(x, readout_value(params, _checked(core).psi_inf))
+                for x, core in zip(xs, cores)]
 
     return draw
 

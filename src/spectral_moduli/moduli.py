@@ -86,8 +86,11 @@ class OptimizerConfig:
     probe_t_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+        for name, least in (("iterations", 0), ("batch_size", 1),
+                            ("stall_iters", 1)):
+            value = getattr(self, name)
+            if int(value) != value or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not 0.0 < self.init_edge_prob <= 1.0:
             raise ValueError("init_edge_prob must lie in (0, 1]")
         if not 0.0 < self.prune_threshold < 1.0:
@@ -97,8 +100,6 @@ class OptimizerConfig:
         steps = np.atleast_1d(np.asarray(self.step_size, dtype=float))
         if steps.size == 0 or not np.all((steps > 0) & np.isfinite(steps)):
             raise ValueError("step sizes must be positive and finite")
-        if self.batch_size < 1 or self.stall_iters < 1:
-            raise ValueError("batch_size and stall_iters must be at least 1")
         if not all(0.0 <= x < np.inf for x in (self.l1_coeff, self.l2_coeff,
                                                 self.stall_tol)):
             raise ValueError("l1_coeff, l2_coeff, stall_tol must be finite, >= 0")
@@ -153,9 +154,9 @@ class Batch:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[np.ndarray, float]]) -> "Batch":
-        xs, ys = zip(*pairs)
-        return cls(tuple(np.asarray(x, dtype=complex) for x in xs),
-                   tuple(float(y) for y in ys))
+        pairs = list(pairs)
+        return cls(tuple(np.asarray(x, dtype=complex) for x, _ in pairs),
+                   tuple(float(y) for _, y in pairs))
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -175,84 +176,70 @@ class LossBreakdown:
 
 
 class SteadySolveEngine:
-    """Caching batch front-end for the steady-state solver.
-
-    Every steady solve of the package goes through an engine.  Results are
-    cached per (graph identity, input, horizon ``t_max``); converged states
-    are reused as warm starts for the same input on nearby graphs, which
-    makes the repeated solves of the descent loop cheap once iterates
-    stabilize.  ``solve_fn`` replaces the batched solver with a per-job
-    function, for tests.
+    """Batch front-end for the steady-state solver, which every steady
+    solve of the package goes through.  One call solves each distinct
+    (graph, input) job once, from the last converged state of the same
+    input; these warm starts make the descent loop's repeated solves cheap.
+    ``solve_fn`` replaces the batched solver, per job, for tests.
     """
 
     def __init__(self, config: NlseConfig,
                  solve_fn: Callable[..., SteadyState] | None = None):
         self.config = config
         self._solve_fn = solve_fn
-        self._cache: dict[tuple, SteadyState] = {}
         self._warm: dict[bytes, np.ndarray] = {}
 
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
                    t_max: float | None = None) -> list[SteadyState]:
         config = (self.config if t_max is None
                   else dataclasses.replace(self.config, t_max=t_max))
-        keyed = [(g.key(), np.asarray(x).tobytes(), config.t_max)
-                 for g, x in jobs]
-        missing: dict[tuple, int] = {}
+        keyed = [(g.key(), np.asarray(x).tobytes()) for g, x in jobs]
+        first: dict[tuple, int] = {}
         for i, key in enumerate(keyed):
-            if key not in self._cache and key not in missing:
-                missing[key] = i
-        if missing:
-            idx = list(missing.values())
-            graphs = [jobs[i][0] for i in idx]
-            xs = [np.asarray(jobs[i][1], dtype=complex) for i in idx]
-            if self._solve_fn is not None:
-                solved = [self._solve_fn(g, x, config)
-                          for g, x in zip(graphs, xs)]
-            else:
-                starts = [self._warm.get(k[1]) for k in
-                          (keyed[i] for i in idx)]
-                starts = [s if s is not None else x
-                          for s, x in zip(starts, xs)]
-                solved = solve_steady_state_many(graphs, xs, config,
-                                                 starts=starts)
-            for key, st in zip(missing, solved):
-                self._cache[key] = st
-                if st.converged:
-                    self._warm[key[1]] = st.psi_inf
-        return [self._cache[key] for key in keyed]
+            first.setdefault(key, i)
+        graphs = [jobs[i][0] for i in first.values()]
+        xs = [np.asarray(jobs[i][1], dtype=complex) for i in first.values()]
+        if not xs:
+            solved = []
+        elif self._solve_fn is not None:
+            solved = [self._solve_fn(g, x, config) for g, x in zip(graphs, xs)]
+        else:
+            starts = [self._warm.get(key[1], x) for key, x in zip(first, xs)]
+            solved = solve_steady_state_many(graphs, xs, config, starts=starts)
+        states = dict(zip(first, solved))
+        for key, st in states.items():
+            if st.converged:
+                self._warm[key[1]] = st.psi_inf
+        return [states[key] for key in keyed]
 
     def solve(self, g: WeightedGraph, x: np.ndarray) -> SteadyState:
         return self.solve_many([(g, x)])[0]
 
 
-def _group_by_input(batch: Batch) -> list[tuple[np.ndarray, list[int]]]:
-    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+def _group_by_input(batch: Batch) -> tuple[list, list[list[int]]]:
+    """The distinct inputs of a batch and, for each, its sample indices."""
+    groups: dict[bytes, list[int]] = {}
+    xs = []
     for i, x in enumerate(batch.xs):
         key = np.asarray(x).tobytes()
         if key not in groups:
-            groups[key] = (np.asarray(x, dtype=complex), [])
-        groups[key][1].append(i)
-    return list(groups.values())
+            groups[key] = []
+            xs.append(np.asarray(x, dtype=complex))
+        groups[key].append(i)
+    return xs, list(groups.values())
 
 
-def _batch_predictions(g: WeightedGraph, batch: Batch, readout,
-                       engine: SteadySolveEngine, t_max: float | None = None
+def _batch_predictions(batch: Batch, readout, steadies: Sequence[SteadyState]
                        ) -> tuple[list[tuple[np.ndarray, list[int], SteadyState, float]], float]:
-    """Steady states and readout predictions per distinct input.
+    """Readout predictions at the steady states ``steadies`` of the
+    distinct inputs of the batch, in ``_group_by_input`` order.
 
-    ``t_max`` is the horizon of a probe solve; other solves pass none and
-    keep the engine's.  Returns the grouped records and the mean squared
-    data loss; raises LossEvaluationError naming the first offending sample
-    on failure.
+    Returns the grouped records and the mean squared data loss; raises
+    LossEvaluationError naming the first offending sample on failure.
     """
-    groups = _group_by_input(batch)
-    jobs = [(g, x) for x, _ in groups]
-    steadies = (engine.solve_many(jobs) if t_max is None
-                else engine.solve_many(jobs, t_max=t_max))
     records = []
     sq = 0.0
-    for (x, idx), st in zip(groups, steadies):
+    for x, idx, st in zip(*_group_by_input(batch), steadies):
         if not st.converged:
             raise LossEvaluationError(
                 f"steady-state solve did not converge for sample {idx[0]} "
@@ -277,23 +264,25 @@ def regularized_loss(point: ModuliPoint, batch: Batch, readout,
     """Mean squared readout error plus L2/L1 weight penalties."""
     if engine is None:
         engine = SteadySolveEngine(config.steady)
-    _, data = _batch_predictions(point.graph, batch, readout, engine)
+    xs, _ = _group_by_input(batch)
+    steadies = engine.solve_many([(point.graph, x) for x in xs])
+    _, data = _batch_predictions(batch, readout, steadies)
     l2, l1 = _regularizer(point.graph.weights, config)
     return LossBreakdown(data, l2, l1)
 
 
 def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
-                           engine: SteadySolveEngine,
-                           t_max: float | None = None
+                           steadies: Sequence[SteadyState]
                            ) -> tuple[np.ndarray, float]:
-    """Batch-mean data-term gradient in every edge weight, plus data loss.
+    """Batch-mean data-term gradient in every edge weight, plus data loss,
+    at the states ``steadies`` of the distinct inputs on ``g``.
 
     The adjoint solve is shared across samples with the same input: the
     per-sample cotangent is 2 (pred - y) times a fixed readout cotangent,
     so the distinct inputs with a nonzero coefficient are priced in one
     batched call, and each gradient is rescaled and averaged.
     """
-    records, data_loss = _batch_predictions(g, batch, readout, engine, t_max)
+    records, data_loss = _batch_predictions(batch, readout, steadies)
     grad = np.zeros(g.n_edges)
     coeffs = [sum(2.0 * (pred - batch.ys[i]) for i in idx) / len(batch)
               for _, idx, _, pred in records]
@@ -310,16 +299,16 @@ def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
 def stochastic_gradient(point: ModuliPoint, batch: Batch,
                         edge: tuple[int, int], test_weight: float | None = None,
                         *, readout, config: OptimizerConfig,
-                        engine: SteadySolveEngine | None = None) -> float:
+                        engine: SteadySolveEngine | None = None,
+                        steadies: Sequence[SteadyState] | None = None
+                        ) -> float:
     """Batch gradient of the regularized loss in one edge weight.
 
     For an existing edge the gradient is taken on the current graph; for an
     absent edge ``test_weight`` grafts it in first (the probe used by the
     addition rule), and the probe graph is solved up to
-    ``config.probe_t_max``.
+    ``config.probe_t_max``, unless the caller passes its ``steadies``.
     """
-    if engine is None:
-        engine = SteadySolveEngine(config.steady)
     edge = (min(edge), max(edge))
     g = point.graph
     index = g.edge_index()
@@ -333,7 +322,12 @@ def stochastic_gradient(point: ModuliPoint, batch: Batch,
             raise GraphError(f"edge {edge} absent; provide test_weight")
         probe, t_max = g.with_edge(edge, float(test_weight)), config.probe_t_max
         k = probe.edge_index()[edge]
-    grad, _ = _data_weight_gradients(probe, batch, readout, engine, t_max)
+    if steadies is None:
+        if engine is None:
+            engine = SteadySolveEngine(config.steady)
+        xs, _ = _group_by_input(batch)
+        steadies = engine.solve_many([(probe, x) for x in xs], t_max=t_max)
+    grad, _ = _data_weight_gradients(probe, batch, readout, steadies)
     w = probe.weights[k]
     return float(grad[k] + config.l2_coeff * w + config.l1_coeff)
 
@@ -380,8 +374,10 @@ def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
         engine = SteadySolveEngine(config.steady)
     g = point.graph
     theta = config.prune_threshold
+    xs, _ = _group_by_input(batch)
 
-    data_grad, data_loss = _data_weight_gradients(g, batch, readout, engine)
+    data_grad, data_loss = _data_weight_gradients(
+        g, batch, readout, engine.solve_many([(g, x) for x in xs]))
     l2, l1 = _regularizer(g.weights, config)
     grads = data_grad + config.l2_coeff * g.weights + config.l1_coeff
     eta = config.step_size_at(t)
@@ -390,21 +386,19 @@ def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
     edge_grads = dict(zip(g.edges, grads))
 
     candidates = _candidate_pairs(g, config, rng)
-    probes = {e: g.with_edge(e, theta) for e in candidates}
-    # one vectorized pass over every (probe graph, distinct input) pair;
-    # results land in the engine cache for the per-candidate gradients.
-    # It passes t_max even when None: a trace tells the probe pass by it.
-    engine.solve_many([(pg, x) for pg in probes.values()
-                       for x, _ in _group_by_input(batch)],
-                      t_max=config.probe_t_max)
+    # one pass solves every (probe graph, distinct input) pair.  It passes
+    # t_max even when None: a trace tells the probe pass by it.
+    probes = [g.with_edge(e, theta) for e in candidates]
+    solved = engine.solve_many([(pg, x) for pg in probes for x in xs],
+                               t_max=config.probe_t_max)
     test_grads: dict = {}
     added = []
     skipped = []
-    for e in candidates:
+    for j, e in enumerate(candidates):
         try:
-            ge = stochastic_gradient(point, batch, e, test_weight=theta,
-                                     readout=readout, config=config,
-                                     engine=engine)
+            ge = stochastic_gradient(
+                point, batch, e, test_weight=theta, readout=readout,
+                config=config, steadies=solved[j * len(xs):(j + 1) * len(xs)])
         except (LossEvaluationError, NonIsolatedSteadyStateError):
             test_grads[e] = float("nan")
             skipped.append(e)
@@ -552,14 +546,18 @@ def chebyshev_schedule(lam_min: float, lam_max: float, cycle_len: int = 16,
     minimax polynomial factor, which beats any constant step size by
     roughly the square root of the condition number.
     """
-    if not 0 < lam_min <= lam_max:
-        raise ValueError("need 0 < lam_min <= lam_max")
+    if not (0 < lam_min <= lam_max < np.inf and 1.0 <= safety < np.inf):
+        raise ValueError("need 0 < lam_min <= lam_max < inf and a finite "
+                         "safety >= 1, which widens the interval")
+    k, reps = int(cycle_len), int(cycles)
+    if (k, reps) != (cycle_len, cycles) or min(k, reps) < 1:
+        raise ValueError("cycle_len and cycles must be positive integers")
     lo, hi = lam_min / safety, lam_max * safety
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    nodes = [center + radius * np.cos(np.pi * (2 * i + 1) / (2 * cycle_len))
-             for i in range(cycle_len)]
-    ordered = [1.0 / nodes[i] for i in _staggered_order(cycle_len)]
-    return tuple(ordered) * cycles
+    nodes = [center + radius * np.cos(np.pi * (2 * i + 1) / (2 * k))
+             for i in range(k)]
+    ordered = [1.0 / nodes[i] for i in _staggered_order(k)]
+    return tuple(ordered) * reps
 
 
 @dataclass(frozen=True)

@@ -491,6 +491,29 @@ def test_train_heldout_column(c4):
     assert all(np.isnan(h.test_loss) for h in bare)
 
 
+def test_train_epoch_solves_once_per_pass(c4, monkeypatch):
+    # one engine call each for the SGD batch, the graph step's current
+    # graph and probe pass, and the heldout set
+    truth, sampler = c4
+    teacher, point, data = self_consistent_task(truth, sampler)
+    held = data(2)
+    engine = SteadySolveEngine(RUN_CFG)
+    calls = []
+    solve_many = engine.solve_many
+
+    def counting(jobs, *args, **kwargs):
+        calls.append(len(jobs))
+        return solve_many(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_many", counting)
+    params = fm.random_params(truth.n, truth.n, seed=2)
+    _, _, hist = fm.train(data, train_config(epochs=1), params, point,
+                          heldout=held, engine=engine)
+    # a batch of 4 distinct inputs; C4 has two absent edges to probe
+    assert calls == [4, 4, 2 * 4, 2]
+    assert hist[0].failures == ()
+
+
 # ---------------------------------------------------------------------------
 # baseline network
 
@@ -546,8 +569,8 @@ def test_baseline_train_zero_epochs_and_determinism():
 
 
 def test_gap_zero_on_identical_streams():
-    pairs = [(unit_vector(3, s), 0.2 * s) for s in range(5)]
-    report = fm.generalization_gap(lambda x, y: abs(y) ** 2, pairs, pairs)
+    losses = [abs(0.2 * s) ** 2 for s in range(5)]
+    report = fm.generalization_gap(losses, losses)
     assert report.gap == 0.0
     assert report.m == 5
     assert report.noise_bound == pytest.approx(3.0 / np.sqrt(5))
@@ -555,7 +578,9 @@ def test_gap_zero_on_identical_streams():
 
 def test_gap_rejects_empty_sets():
     with pytest.raises(ValueError, match="nonempty"):
-        fm.generalization_gap(lambda x, y: 0.0, [], [(np.ones(2), 0.0)])
+        fm.generalization_gap([], [0.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        fm.generalization_gap([0.0], [])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_moduli import dynamics
+from spectral_moduli import dynamics, moduli
 from spectral_moduli.dynamics import (NlseConfig, SteadyState, gauge_align,
                                       solve_steady_state,
                                       solve_steady_state_many)
@@ -108,6 +108,9 @@ def engine():
       for field in ("step_size", "l1_coeff", "l2_coeff", "stall_tol",
                     "probe_t_max")],
     dict(stall_iters=0),
+    dict(iterations=2.5),
+    dict(batch_size=2.5),
+    dict(stall_iters=1.5),
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -131,6 +134,8 @@ def test_batch_validation():
         Batch(xs=(np.ones(2),), ys=(1.0, 2.0))
     with pytest.raises(ValueError):
         Batch.from_pairs([(np.ones(2), 1.0), (np.ones(3), 2.0)])
+    with pytest.raises(ValueError, match="batch must be nonempty"):
+        Batch.from_pairs([])
     b = Batch.from_pairs([(np.ones(2), 1.0), (np.zeros(2), 0.5)])
     assert len(b) == 2
     assert b.xs[0].dtype == complex
@@ -346,6 +351,29 @@ def test_update_clamps_then_prunes(c3, engine):
     assert set(events.pruned) == set(g.edges)
     assert new_point.graph.n_edges == 0
     assert all(w == 0.0 for w in events.post_update_weights.values())
+
+
+def test_descent_step_solves_once_per_pass(c4, monkeypatch):
+    # the current graph's solve and the probe pass are the step's only
+    # engine calls: every candidate is priced from the probe pass's states
+    truth, readout, sampler = c4
+    engine = SteadySolveEngine(RUN_CFG)
+    calls = []
+    solve_many = engine.solve_many
+
+    def counting(jobs, *args, **kwargs):
+        calls.append((len(jobs), args, kwargs))
+        return solve_many(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_many", counting)
+    batch = Batch.from_pairs(sampler.exact() + sampler.exact()[:1])
+    cfg = opt_config(batch_size=5, probe_t_max=500.0)
+    _, events = descent_step(ModuliPoint(truth.teacher_graph()), batch, cfg,
+                             0, readout=readout, engine=engine)
+    # 4 distinct inputs; C4 has two absent edges to probe
+    assert calls == [(4, (), {}), (2 * 4, (), {"t_max": 500.0})]
+    assert set(events.test_gradients) == {(0, 2), (1, 3)}
+    assert events.skipped_candidates == ()
 
 
 def test_step_rule_replay_over_short_run(c4):
@@ -564,7 +592,36 @@ def test_random_point_probability_extremes():
 # solve engine
 # ---------------------------------------------------------------------------
 
-def test_engine_caches_by_graph_and_input():
+def test_engine_merges_equal_jobs_and_warm_starts_the_next_call(
+        monkeypatch):
+    calls = []
+
+    def recording(graphs, xs, config, starts=None):
+        calls.append([np.array(s) for s in starts])
+        return solve_steady_state_many(graphs, xs, config, starts=starts)
+
+    monkeypatch.setattr(moduli, "solve_steady_state_many", recording)
+    engine = SteadySolveEngine(RUN_CFG)
+    g1 = build_graph(3, [(0, 1, 1.0), (1, 2, 0.7)])
+    g2 = build_graph(3, [(0, 1, 1.2), (1, 2, 0.7)])
+    x = np.array([1.0, 0.5j, 0.3]) / np.linalg.norm([1.0, 0.5, 0.3])
+    # equal jobs in one call are solved once, from the input itself
+    first = engine.solve_many([(g1, x), (g1, x)])
+    assert len(calls) == 1 and len(calls[0]) == 1
+    assert np.array_equal(calls[0][0], x)
+    assert first[0] is first[1] and first[0].converged
+    # a second call solves again, from the first call's converged state
+    again = engine.solve(g1, x)
+    assert len(calls) == 2
+    assert np.array_equal(calls[1][0], first[0].psi_inf)
+    assert again.converged
+    # so does a nearby graph with the same input
+    engine.solve(g2, x)
+    assert len(calls) == 3
+    assert np.array_equal(calls[2][0], again.psi_inf)
+
+
+def test_engine_solve_fn_sees_each_distinct_job_and_horizon():
     calls = []
 
     def fake_solve(g, x, config):
@@ -575,31 +632,19 @@ def test_engine_caches_by_graph_and_input():
 
     engine = SteadySolveEngine(RUN_CFG, solve_fn=fake_solve)
     g1 = build_graph(2, [(0, 1, 1.0)])
-    g2 = build_graph(2, [(0, 1, 2.0)])
     x = np.array([1.0, 0.5])
-    first = engine.solve(g1, x)
-    again = engine.solve(g1, x)
-    assert len(calls) == 1
-    assert first is again
-    engine.solve(g2, x)
-    assert len(calls) == 2
-    # one batched request with a duplicated job still solves it once
-    engine.solve_many([(g1, x * 2), (g1, x * 2)])
+    out = engine.solve_many([(g1, x), (g1, x * 2), (g1, x)])
+    assert len(calls) == 2 and out[0] is out[2]
+    assert [c[2] for c in calls] == [RUN_CFG.t_max] * 2
+    engine.solve_many([(g1, x)], t_max=0.2)
+    assert len(calls) == 3 and calls[-1][2] == 0.2
+    assert engine.solve_many([]) == []
     assert len(calls) == 3
-    # the horizon is part of the key: a short solve neither reads nor
-    # replaces the full-horizon one, and the default horizon named
-    # explicitly is the same key as none
-    short = engine.solve_many([(g1, x)], t_max=0.2)[0]
-    assert len(calls) == 4 and calls[-1][2] == 0.2
-    assert engine.solve(g1, x) is first
-    assert engine.solve_many([(g1, x)], t_max=RUN_CFG.t_max)[0] is first
-    assert engine.solve_many([(g1, x)], t_max=0.2)[0] is short
-    assert len(calls) == 4
 
 
 def test_engine_own_horizon_named_explicitly_runs_continuation():
-    # asked first under its own horizon named explicitly, the engine
-    # caches the continuation result a solve without t_max returns
+    # under its own horizon named explicitly, the engine returns the
+    # continuation result a solve without t_max returns
     g = build_graph(4, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 3, 1.0)])
     rng = np.random.default_rng(5)
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -607,7 +652,7 @@ def test_engine_own_horizon_named_explicitly_runs_continuation():
     engine = SteadySolveEngine(RUN_CFG)
     named = engine.solve_many([(g, x)], t_max=RUN_CFG.t_max)[0]
     assert named.converged and named.t_reached == 0.0
-    assert engine.solve(g, x) is named
+    assert np.array_equal(engine.solve(g, x).psi_inf, named.psi_inf)
     assert np.array_equal(SteadySolveEngine(RUN_CFG).solve(g, x).psi_inf,
                           named.psi_inf)
 
@@ -678,6 +723,16 @@ def test_chebyshev_schedule_validation():
         chebyshev_schedule(2.0, 1.0)
     with pytest.raises(ValueError):
         chebyshev_schedule(1e-6, 1e-4, cycle_len=24)
+    for bad in (dict(cycle_len=0), dict(cycle_len=2.5), dict(cycles=0),
+                dict(cycles=1.5), dict(safety=0.5), dict(safety=float("nan")),
+                dict(safety=float("inf"))):
+        with pytest.raises(ValueError):
+            chebyshev_schedule(1e-6, 1e-4, **bad)
+    with pytest.raises(ValueError):
+        chebyshev_schedule(1e-6, float("inf"))
+    # integral counts given as floats are accepted
+    assert chebyshev_schedule(1e-6, 1e-4, cycle_len=4.0, cycles=2.0) \
+        == chebyshev_schedule(1e-6, 1e-4, cycle_len=4, cycles=2)
 
 
 def test_chebyshev_steps_are_reciprocal_nodes():
