@@ -191,10 +191,10 @@ class TrainConfig:
     r_b2: float = 100.0
 
     def __post_init__(self) -> None:
-        if int(self.epochs) != self.epochs or self.epochs < 0:
-            raise ValueError("epochs must be a nonnegative integer")
-        if int(self.batch_size) != self.batch_size or self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and int(value) == value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not (np.isfinite(self.lr_params) and self.lr_params > 0):
             raise ValueError("lr_params must be positive and finite")
         if not isinstance(self.moduli_config, OptimizerConfig):
@@ -591,26 +591,40 @@ def _sgd_step(params, grads: list, config: TrainConfig):
         for f in dataclasses.fields(grads[0])}), config)
 
 
+def _phase_batches(sampler, config: TrainConfig) -> list[list]:
+    """A phase's mini-batches, in epoch order, from one sampler call that
+    must return exactly ``epochs * batch_size`` pairs."""
+    n, b = config.epochs * config.batch_size, config.batch_size
+    if n == 0:
+        return []
+    pairs = [(np.asarray(x, dtype=complex), y) for x, y in sampler(n)]
+    if len(pairs) != n:
+        raise ValueError(f"sampler returned {len(pairs)} pairs when asked "
+                         f"for {n}")
+    return [pairs[k:k + b] for k in range(0, n, b)]
+
+
 def train(sampler, config: TrainConfig, params: ModelParams,
           point: ModuliPoint, *, heldout: Sequence | None = None,
           engine: SteadySolveEngine | None = None):
     """Interleaved training loop.
 
-    Each epoch draws one mini-batch from ``sampler(batch_size)``, takes a
-    projected batch-mean SGD step on the dense parameters, then one graph
-    descent step with the updated output layer as readout.  The SGD step
-    and the heldout loss each solve their cores in one engine call.
-    Per-step failures are recorded on the epoch and training continues.
-    Returns ``(params, point, history)``; with ``epochs == 0`` the inputs
-    pass through untouched.
+    The phase draws all its mini-batches in one ``sampler`` call, so a
+    teacher sampler labels them in one engine call; a sampler that draws
+    pair by pair from one stream yields the batches that one call per epoch
+    would.  Each epoch takes a projected batch-mean SGD step on the dense
+    parameters along its batch, then one graph descent step with the
+    updated output layer as readout.  The SGD step and the heldout loss
+    each solve their cores in one engine call.  Per-step failures are
+    recorded on the epoch and training continues.  Returns ``(params,
+    point, history)``; with ``epochs == 0`` the inputs pass through
+    untouched and the sampler is not called.
     """
     if engine is None:
         engine = SteadySolveEngine(config.moduli_config.steady)
     rng = np.random.default_rng(config.seed)
     history: list[EpochRecord] = []
-    for epoch in range(config.epochs):
-        pairs = [(np.asarray(x, dtype=complex), y)
-                 for x, y in sampler(config.batch_size)]
+    for epoch, pairs in enumerate(_phase_batches(sampler, config)):
         failures: list[str] = []
 
         cores = _core_pass(params, point, [x for x, _ in pairs], engine)
@@ -689,12 +703,12 @@ def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
                    heldout: Sequence | None = None):
     """Projected batch-SGD on the dense baseline, same policy as ``train``.
 
-    Losses are recorded after each epoch's update on that epoch's batch.
+    The phase draws all its mini-batches in one ``sampler`` call, as in
+    ``train``.  Losses are recorded after each epoch's update on that
+    epoch's batch.
     """
     history: list[BaselineEpochRecord] = []
-    for epoch in range(config.epochs):
-        pairs = [(np.asarray(x, dtype=complex), y)
-                 for x, y in sampler(config.batch_size)]
+    for epoch, pairs in enumerate(_phase_batches(sampler, config)):
         params = _sgd_step(params, _per_sample(
             lambda k: baseline_gradients(params, *pairs[k]), len(pairs),
             "param gradient, sample", []), config)
@@ -755,7 +769,11 @@ def model_teacher_sampler(params: ModelParams, point: ModuliPoint,
     """Wrap an input stream, replacing targets with this model's outputs.
 
     The wrapped model acts as the data-generating teacher, so the task is
-    realizable exactly by construction.
+    realizable exactly by construction.  One draw labels all its inputs in
+    one engine call, and each label is a function of its input alone:
+    equal inputs share a solve within a call and warm-start from their own
+    converged state across calls, so one draw of ``k * b`` pairs equals
+    ``k`` draws of ``b``.
     """
     if engine is None:
         engine = SteadySolveEngine(config)

@@ -89,7 +89,7 @@ class OptimizerConfig:
         for name, least in (("iterations", 0), ("batch_size", 1),
                             ("stall_iters", 1)):
             value = getattr(self, name)
-            if int(value) != value or value < least:
+            if not (np.isfinite(value) and int(value) == value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")
         if not 0.0 < self.init_edge_prob <= 1.0:
             raise ValueError("init_edge_prob must lie in (0, 1]")
@@ -549,9 +549,10 @@ def chebyshev_schedule(lam_min: float, lam_max: float, cycle_len: int = 16,
     if not (0 < lam_min <= lam_max < np.inf and 1.0 <= safety < np.inf):
         raise ValueError("need 0 < lam_min <= lam_max < inf and a finite "
                          "safety >= 1, which widens the interval")
-    k, reps = int(cycle_len), int(cycles)
-    if (k, reps) != (cycle_len, cycles) or min(k, reps) < 1:
+    if not all(np.isfinite(c) and int(c) == c >= 1
+               for c in (cycle_len, cycles)):
         raise ValueError("cycle_len and cycles must be positive integers")
+    k, reps = int(cycle_len), int(cycles)
     lo, hi = lam_min / safety, lam_max * safety
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = [center + radius * np.cos(np.pi * (2 * i + 1) / (2 * k))

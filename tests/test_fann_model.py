@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spectral_moduli.dynamics import NlseConfig, SteadyState, solve_steady_state
 from spectral_moduli.graph_core import GraphError, build_graph
@@ -88,10 +88,12 @@ def test_model_params_validation():
 def test_train_config_validation():
     fm.TrainConfig(epochs=0, batch_size=4, lr_params=0.1,
                    moduli_config=opt_config())
-    with pytest.raises(ValueError, match="epochs"):
-        train_config(epochs=-1)
-    with pytest.raises(ValueError, match="batch_size"):
-        train_config(batch_size=0)
+    for bad in (-1, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epochs"):
+            train_config(epochs=bad)
+    for bad in (0, float("inf")):
+        with pytest.raises(ValueError, match="batch_size"):
+            train_config(batch_size=bad)
     with pytest.raises(ValueError, match="lr_params"):
         train_config(lr_params=0.0)
     with pytest.raises(ValueError, match="match"):
@@ -514,6 +516,55 @@ def test_train_epoch_solves_once_per_pass(c4, monkeypatch):
     assert hist[0].failures == ()
 
 
+def counted_teacher(truth, sampler):
+    """A self-consistent task whose teacher engine logs each call's job
+    count."""
+    teacher, point, _ = self_consistent_task(truth, sampler)
+    engine = SteadySolveEngine(RUN_CFG)
+    calls = []
+    solve_many = engine.solve_many
+
+    def counting(jobs, *args, **kwargs):
+        calls.append(len(jobs))
+        return solve_many(jobs, *args, **kwargs)
+
+    engine.solve_many = counting
+    stream = fm.noisy_input_stream([x for x, _ in sampler.exact()], 0.1,
+                                   seed=4)
+    data = fm.model_teacher_sampler(teacher, point, RUN_CFG, stream,
+                                    engine=engine)
+    return teacher, point, data, calls
+
+
+def train_phase(loop, data, cfg, truth, teacher, point):
+    """History of one ``train`` or ``baseline_train`` phase on ``data``."""
+    if loop == "train":
+        return fm.train(data, cfg, teacher, point)[2]
+    return fm.baseline_train(data, cfg, fm.random_baseline(truth.n, truth.n,
+                                                           seed=1))[1]
+
+
+@pytest.mark.parametrize("loop", ["train", "baseline_train"])
+def test_training_phase_labels_in_one_teacher_call(c4, loop):
+    truth, sampler = c4
+    teacher, point, data, calls = counted_teacher(truth, sampler)
+    hist = train_phase(loop, data, train_config(epochs=3), truth, teacher,
+                       point)
+    assert calls == [3 * 4]
+    assert len(hist) == 3
+
+
+@pytest.mark.parametrize("loop", ["train", "baseline_train"])
+def test_training_rejects_a_sampler_that_miscounts(c4, loop):
+    # like TeacherSampler.exact_sampler(), this sampler ignores its count
+    truth, sampler = c4
+    teacher, point, _ = self_consistent_task(truth, sampler)
+    pairs = [(x, 0.0) for x, _ in sampler.exact()][:3]
+    with pytest.raises(ValueError, match="returned 3 pairs when asked for 8"):
+        train_phase(loop, lambda count: pairs, train_config(epochs=2), truth,
+                    teacher, point)
+
+
 # ---------------------------------------------------------------------------
 # baseline network
 
@@ -605,6 +656,45 @@ def test_noisy_input_stream_properties():
     assert all(np.array_equal(a[0], b[0]) for a, b in zip(batch, again))
     clean = fm.noisy_input_stream(base, 0.0, seed=5)(4)
     assert all(any(np.array_equal(x, b) for b in base) for x, _ in clean)
+
+
+def same_pairs(one, other):
+    return (len(one) == len(other)
+            and all(np.array_equal(x1, x2) and y1 == y2
+                    for (x1, y1), (x2, y2) in zip(one, other)))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(0, 6),
+       st.floats(0.0, 0.5))
+def test_one_draw_equals_consecutive_draws(seed, a, b, delta):
+    base = [unit_vector(3, s) for s in range(3)]
+    whole = fm.noisy_input_stream(base, delta, seed=seed)(a + b)
+    draw = fm.noisy_input_stream(base, delta, seed=seed)
+    assert same_pairs(whole, draw(a) + draw(b))
+    fixed = [(unit_vector(3, seed % 97 + s), float(s)) for s in range(4)]
+    whole = fm.fixed_set_sampler(fixed)(a + b)
+    draw = fm.fixed_set_sampler(fixed)
+    assert same_pairs(whole, draw(a) + draw(b))
+
+
+@settings(max_examples=8)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=5),
+       st.integers(1, 3), st.integers(1, 3))
+def test_teacher_labels_one_draw_equals_k_draws(c4, picks, k, b):
+    # repeated inputs share a solve within one call and warm-start from
+    # their own converged state across calls; the labels agree bit for bit
+    truth, sampler = c4
+    teacher, point, _ = self_consistent_task(truth, sampler)
+    bumps = [x for x, _ in sampler.exact()]
+    inputs = [(bumps[i], 0.0) for i in picks]
+
+    def labelled():
+        return fm.model_teacher_sampler(teacher, point, RUN_CFG,
+                                        fm.fixed_set_sampler(inputs))
+
+    whole = labelled()(k * b)
+    draw = labelled()
+    assert same_pairs(whole, [p for _ in range(k) for p in draw(b)])
 
 
 def test_model_teacher_sampler_targets(c4):

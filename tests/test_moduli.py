@@ -111,6 +111,8 @@ def engine():
     dict(iterations=2.5),
     dict(batch_size=2.5),
     dict(stall_iters=1.5),
+    *[{field: float("inf")}
+      for field in ("iterations", "batch_size", "stall_iters")],
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -725,7 +727,8 @@ def test_chebyshev_schedule_validation():
         chebyshev_schedule(1e-6, 1e-4, cycle_len=24)
     for bad in (dict(cycle_len=0), dict(cycle_len=2.5), dict(cycles=0),
                 dict(cycles=1.5), dict(safety=0.5), dict(safety=float("nan")),
-                dict(safety=float("inf"))):
+                dict(safety=float("inf")), dict(cycle_len=float("inf")),
+                dict(cycles=float("inf"))):
         with pytest.raises(ValueError):
             chebyshev_schedule(1e-6, 1e-4, **bad)
     with pytest.raises(ValueError):
