@@ -24,9 +24,11 @@ shortest round-trip formatting, so a rerun with identical config and seed
 reproduces every output byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.  The environment
-variable ``SPECTRAL_MODULI_THREADS`` caps numeric-library parallelism (best
-effort, via the standard BLAS/OpenMP variables; the experiment code itself
-is single-threaded) and is recorded in the meta block.
+variable ``SPECTRAL_MODULI_THREADS`` declares the run's thread count: it is
+checked (a positive integer) and recorded in the meta block, and changes
+nothing else.  numpy's BLAS sizes its thread pool when it loads, so cap it
+by setting ``OMP_NUM_THREADS``/``OPENBLAS_NUM_THREADS`` before launch; the
+experiment code itself is single-threaded.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -191,17 +194,6 @@ def _resolve_threads() -> int | None:
     if n < 1:
         raise ConfigError(f"{THREADS_ENV} must be at least 1, got {n}")
     return n
-
-
-def _apply_thread_cap(n: int | None) -> None:
-    # Best effort: numeric libraries read these at load time, so the cap is
-    # only guaranteed for child processes and late-loading backends.  The
-    # experiment code itself never spawns threads.
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 # -- config loading and overrides ----------------------------------------------
@@ -515,8 +507,11 @@ def resolve_learn_graph(raw: dict) -> dict:
         "noise_delta": sec.take("noise_delta", None, _optional(_as_float(lo=0.0))),
     }
     sec.finish()
-    if body["noise_delta"] is not None and body["task"] != "c5_noisy":
-        raise ConfigError("learn_graph.noise_delta is only valid for task 'c5_noisy'")
+    # the other tasks draw their full canonical batch whatever size is asked
+    for key in ("batch_size", "noise_delta"):
+        if body[key] is not None and body["task"] != "c5_noisy":
+            raise ConfigError(
+                f"learn_graph.{key} is only valid for task 'c5_noisy'")
     resolved["learn_graph"] = body
     return resolved
 
@@ -722,8 +717,7 @@ def _learn_graph_setup(resolved: dict):
             iterations=sec["iterations"] if sec["iterations"] is not None
             else len(eta),
             prune_threshold=0.05, add_threshold=1e-5, step_size=eta,
-            batch_size=sec["batch_size"] or truth.n,
-            l1_coeff=1e-11, l2_coeff=1e-11, seed=seed,
+            batch_size=truth.n, l1_coeff=1e-11, l2_coeff=1e-11, seed=seed,
             candidate_fraction=info["candidate_fraction"],
             steady=_STEADY_LEARN, probe_t_max=info["probe_t_max"])
         return config, sampler.exact_sampler(), _jittered_true_point(
@@ -742,8 +736,8 @@ def _learn_graph_setup(resolved: dict):
             iterations=sec["iterations"] if sec["iterations"] is not None
             else len(eta),
             prune_threshold=0.05, add_threshold=1e-4, step_size=eta,
-            batch_size=sec["batch_size"] or truth.n,
-            l1_coeff=1e-11, l2_coeff=1e-11, seed=seed, steady=_STEADY_LEARN)
+            batch_size=truth.n, l1_coeff=1e-11, l2_coeff=1e-11, seed=seed,
+            steady=_STEADY_LEARN)
         return config, sampler.exact_sampler(), init, readout, truth
 
     # c5_noisy: finite noisy batches; the run-level seed selects the replicate.
@@ -840,7 +834,6 @@ def _run_learn_graph(resolved: dict, meta: dict) -> int:
 # initialization), while random trainees must cross basins of slow solver
 # convergence — those solves are capped tightly and logged as failures rather
 # than allowed to stall the run.
-_TRAIN_RUN = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=3000.0)
 _TRAIN_FAST = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=400.0)
 _TRAIN_READOUT_SEED = 246
 _TEACHER_OUTPUT_SEED = 91
@@ -851,7 +844,7 @@ def _train_teacher_setup():
         ManifoldSpec("circle", (1.0,), n_net_points=4), inj_radius=2.0)
     g_star = truth.teacher_graph()
     readout = PopulationReadout.random(truth.n, seed=_TRAIN_READOUT_SEED)
-    sampler = TeacherSampler(truth, readout, _TRAIN_RUN, seed=_SAMPLER_SEED)
+    sampler = TeacherSampler(truth, readout, _STEADY_LEARN, seed=_SAMPLER_SEED)
     bumps = [sampler.canonical_bump(v) for v in range(truth.n)]
     rng = np.random.default_rng(_TEACHER_OUTPUT_SEED)
     a3 = (rng.standard_normal(truth.n)
@@ -868,9 +861,8 @@ def _train_config(phase: dict, batch: int, seed: int) -> fm.TrainConfig:
         add_threshold=1e-5, step_size=phase["step_size"], batch_size=batch,
         l1_coeff=1e-11, l2_coeff=1e-11, seed=seed, candidate_fraction=0.5,
         steady=_TRAIN_FAST)
-    return fm.TrainConfig(epochs=phase["epochs"], batch_size=batch,
-                          lr_params=phase["lr"], moduli_config=moduli,
-                          seed=seed)
+    return fm.TrainConfig(epochs=phase["epochs"], lr_params=phase["lr"],
+                          moduli_config=moduli, seed=seed)
 
 
 def _write_baseline_history(path: str, history, meta: dict) -> None:
@@ -882,14 +874,9 @@ def _write_baseline_history(path: str, history, meta: dict) -> None:
 
 
 def _gap_sweep(train_losses, test_losses, sizes) -> list[dict]:
-    out = []
-    for m in sizes:
-        m_eff = min(m, len(train_losses), len(test_losses))
-        rep = fm.generalization_gap(train_losses[:m_eff], test_losses[:m_eff])
-        out.append({"m": rep.m, "train_loss": rep.train_loss,
-                    "test_loss": rep.test_loss, "gap": rep.gap,
-                    "noise_bound": rep.noise_bound})
-    return out
+    return [dataclasses.asdict(fm.generalization_gap(train_losses[:m],
+                                                     test_losses[:m]))
+            for m in sizes]
 
 
 def _run_train(resolved: dict, meta: dict) -> int:
@@ -897,13 +884,13 @@ def _run_train(resolved: dict, meta: dict) -> int:
     seed = resolved["seed"]
     out = resolved["output_dir"]
     truth, g_star, bumps, teacher = _train_teacher_setup()
-    teacher_point = ModuliPoint(g_star)
-    teacher_engine = SteadySolveEngine(_TRAIN_RUN)
-
-    stream = fm.noisy_input_stream(bumps, sec["noise_delta"],
-                                   seed=1000 + seed)
-    data = fm.model_teacher_sampler(teacher, teacher_point, _TRAIN_RUN,
-                                    stream, engine=teacher_engine)
+    # one labeler on one teacher engine for every stream of the run
+    label = functools.partial(fm.model_teacher_sampler, teacher,
+                              ModuliPoint(g_star), _STEADY_LEARN,
+                              engine=SteadySolveEngine(_STEADY_LEARN))
+    stream = functools.partial(fm.noisy_input_stream, bumps,
+                               sec["noise_delta"])
+    data = label(stream(seed=1000 + seed))
 
     if sec["task"] == "teacher_fixed_point":
         params = teacher
@@ -914,18 +901,13 @@ def _run_train(resolved: dict, meta: dict) -> int:
     batch = sec["batch_size"]
 
     history: list[fm.EpochRecord] = []
-    if sec["phase1"]["epochs"]:
+    for k, phase in enumerate((sec["phase1"], sec["phase2"])):
         params, point, part = fm.train(
-            data, _train_config(sec["phase1"], batch, seed), params, point,
+            data, _train_config(phase, batch, seed + k), params, point,
             engine=engine)
-        history.extend(part)
-    if sec["phase2"]["epochs"]:
-        params, point, part = fm.train(
-            data, _train_config(sec["phase2"], batch, seed + 1), params,
-            point, engine=engine)
-        offset = sec["phase1"]["epochs"]
-        history.extend(dataclasses.replace(r, epoch=r.epoch + offset)
-                       for r in part)
+        offset = len(history)
+        history += [dataclasses.replace(r, epoch=r.epoch + offset)
+                    for r in part]
 
     fm.save_checkpoint(os.path.join(out, "checkpoint.json"), params, point,
                        extra={"meta": _canon(meta)})
@@ -937,11 +919,8 @@ def _run_train(resolved: dict, meta: dict) -> int:
     if sec["include_baseline"]:
         baseline_params = fm.random_baseline(truth.n, truth.n, seed=seed)
         baseline_config = fm.TrainConfig(
-            epochs=sec["baseline"]["epochs"], batch_size=batch,
-            lr_params=sec["baseline"]["lr"],
-            moduli_config=OptimizerConfig(iterations=1, batch_size=batch,
-                                          steady=_TRAIN_FAST),
-            seed=seed)
+            epochs=sec["baseline"]["epochs"], lr_params=sec["baseline"]["lr"],
+            moduli_config=OptimizerConfig(batch_size=batch))
         baseline_params, baseline_history = fm.baseline_train(
             data, baseline_config, baseline_params)
         _dump_json(os.path.join(out, "baseline_checkpoint.json"),
@@ -952,17 +931,9 @@ def _run_train(resolved: dict, meta: dict) -> int:
 
     if sec["gap_sizes"]:
         sizes = sec["gap_sizes"]
-        largest = max(sizes)
         train_seed, heldout_seed = 7000 + seed, 8000 + seed
-        train_pairs = fm.model_teacher_sampler(
-            teacher, teacher_point, _TRAIN_RUN,
-            fm.noisy_input_stream(bumps, sec["noise_delta"], seed=train_seed),
-            engine=teacher_engine)(largest)
-        test_pairs = fm.model_teacher_sampler(
-            teacher, teacher_point, _TRAIN_RUN,
-            fm.noisy_input_stream(bumps, sec["noise_delta"],
-                                  seed=heldout_seed),
-            engine=teacher_engine)(largest)
+        train_pairs = label(stream(seed=train_seed))(max(sizes))
+        test_pairs = label(stream(seed=heldout_seed))(max(sizes))
         split = len(train_pairs)
         model = fm.loss_samples(params, point, train_pairs + test_pairs,
                                 _TRAIN_FAST)
@@ -1085,7 +1056,6 @@ def main(argv: list[str] | None = None) -> int:
     section, resolver, runner = _COMMANDS[args.command]
     try:
         threads = _resolve_threads()
-        _apply_thread_cap(threads)
         raw = _load_config(args.config)
         for pair in args.overrides:
             parts, value = _parse_assignment(pair)

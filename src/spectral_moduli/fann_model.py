@@ -106,18 +106,29 @@ def _apply_prime(name: str, z: np.ndarray):
     return np.ones_like(np.asarray(z))
 
 
-def _as_complex_vector(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=complex)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be a vector")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} must be finite")
-    return out
-
-
-def _check_activation(name: str, field: str) -> None:
-    if name not in ACTIVATIONS:
-        raise ValueError(f"{field} must be one of {ACTIVATIONS}, got {name!r}")
+def _check_fields(params, matrices: tuple[str, ...]) -> None:
+    """Cast and check a parameter dataclass's fields in place: the fields
+    named in ``matrices`` are finite complex matrices, the other arrays
+    finite complex vectors, ``b3`` a finite complex scalar, and every string
+    field names an activation."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if f.type == "str":
+            if value not in ACTIVATIONS:
+                raise ValueError(f"{f.name} must be one of {ACTIVATIONS}, "
+                                 f"got {value!r}")
+            continue
+        if f.type == "complex":
+            value = complex(value)
+        else:
+            value = np.asarray(value, dtype=complex)
+            kind, ndim = (("matrix", 2) if f.name in matrices
+                          else ("vector", 1))
+            if value.ndim != ndim:
+                raise ValueError(f"{f.name} must be a {kind}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{f.name} must be finite")
+        object.__setattr__(params, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -137,26 +148,11 @@ class ModelParams:
     activation3: str = "identity"
 
     def __post_init__(self) -> None:
-        a1 = np.asarray(self.a1, dtype=complex)
-        if a1.ndim != 2:
-            raise ValueError("a1 must be a matrix (inputs x vertices)")
-        if not np.all(np.isfinite(a1)):
-            raise ValueError("a1 must be finite")
-        b1 = _as_complex_vector(self.b1, "b1")
-        a3 = _as_complex_vector(self.a3, "a3")
-        b3 = complex(self.b3)
-        if not (np.isfinite(b3.real) and np.isfinite(b3.imag)):
-            raise ValueError("b3 must be finite")
-        if a1.shape[1] != b1.size or b1.size != a3.size:
+        _check_fields(self, matrices=("a1",))
+        if not self.a1.shape[1] == self.b1.size == self.a3.size:
             raise ValueError("a1 columns, b1, and a3 must share the vertex "
-                             f"dimension; got {a1.shape[1]}, {b1.size}, "
-                             f"{a3.size}")
-        _check_activation(self.activation1, "activation1")
-        _check_activation(self.activation3, "activation3")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "b3", b3)
+                             f"dimension; got {self.a1.shape[1]}, "
+                             f"{self.b1.size}, {self.a3.size}")
 
     @property
     def n_inputs(self) -> int:
@@ -171,15 +167,14 @@ class ModelParams:
 class TrainConfig:
     """Training policy: epochs of projected SGD plus one graph step each.
 
-    ``batch_size`` must agree with ``moduli_config.batch_size`` -- both
-    phases of an epoch consume the same mini-batch.  The ``r_*`` radii bound
+    Both phases of an epoch consume the same mini-batch of
+    ``moduli_config.batch_size`` pairs.  The ``r_*`` radii bound
     parameter norms (Frobenius for matrices, L2 for vectors, modulus for
     scalars); updates are projected back into these balls, which also keeps
     tanh pre-activations away from the complex poles.
     """
 
     epochs: int
-    batch_size: int
     lr_params: float
     moduli_config: OptimizerConfig
     seed: int = 0
@@ -191,16 +186,13 @@ class TrainConfig:
     r_b2: float = 100.0
 
     def __post_init__(self) -> None:
-        for name, least in (("epochs", 0), ("batch_size", 1)):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and int(value) == value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}")
+        if not (np.isfinite(self.epochs)
+                and int(self.epochs) == self.epochs >= 0):
+            raise ValueError("epochs must be an integer >= 0")
         if not (np.isfinite(self.lr_params) and self.lr_params > 0):
             raise ValueError("lr_params must be positive and finite")
         if not isinstance(self.moduli_config, OptimizerConfig):
             raise TypeError("moduli_config must be an OptimizerConfig")
-        if self.batch_size != self.moduli_config.batch_size:
-            raise ValueError("batch_size must match moduli_config.batch_size")
         for field in ("r_a1", "r_b1", "r_a3", "r_b3", "r_w2", "r_b2"):
             r = getattr(self, field)
             if not (np.isfinite(r) and r > 0):
@@ -227,34 +219,13 @@ class BaselineParams:
     activation3: str = "identity"
 
     def __post_init__(self) -> None:
-        a1 = np.asarray(self.a1, dtype=complex)
-        w2 = np.asarray(self.w2, dtype=complex)
-        if a1.ndim != 2 or w2.ndim != 2:
-            raise ValueError("a1 and w2 must be matrices")
-        if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(w2))):
-            raise ValueError("a1 and w2 must be finite")
-        b1 = _as_complex_vector(self.b1, "b1")
-        b2 = _as_complex_vector(self.b2, "b2")
-        a3 = _as_complex_vector(self.a3, "a3")
-        b3 = complex(self.b3)
-        if not (np.isfinite(b3.real) and np.isfinite(b3.imag)):
-            raise ValueError("b3 must be finite")
-        h = w2.shape[0]
-        if w2.shape != (h, h) or b2.size != h or a3.size != h:
+        _check_fields(self, matrices=("a1", "w2"))
+        h = self.w2.shape[0]
+        if self.w2.shape != (h, h) or self.b2.size != h or self.a3.size != h:
             raise ValueError("w2 must be square with b2 and a3 of matching "
                              "width")
-        if a1.shape[1] != h or b1.size != h:
+        if self.a1.shape[1] != h or self.b1.size != h:
             raise ValueError("input layer width must match the hidden width")
-        for field, name in ((self.activation1, "activation1"),
-                            (self.activation2, "activation2"),
-                            (self.activation3, "activation3")):
-            _check_activation(field, name)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "b3", b3)
 
 
 @dataclass(frozen=True)
@@ -593,8 +564,9 @@ def _sgd_step(params, grads: list, config: TrainConfig):
 
 def _phase_batches(sampler, config: TrainConfig) -> list[list]:
     """A phase's mini-batches, in epoch order, from one sampler call that
-    must return exactly ``epochs * batch_size`` pairs."""
-    n, b = config.epochs * config.batch_size, config.batch_size
+    must return exactly ``epochs * moduli_config.batch_size`` pairs."""
+    b = config.moduli_config.batch_size
+    n = config.epochs * b
     if n == 0:
         return []
     pairs = [(np.asarray(x, dtype=complex), y) for x, y in sampler(n)]
@@ -609,16 +581,16 @@ def train(sampler, config: TrainConfig, params: ModelParams,
           engine: SteadySolveEngine | None = None):
     """Interleaved training loop.
 
-    The phase draws all its mini-batches in one ``sampler`` call, so a
-    teacher sampler labels them in one engine call; a sampler that draws
-    pair by pair from one stream yields the batches that one call per epoch
-    would.  Each epoch takes a projected batch-mean SGD step on the dense
-    parameters along its batch, then one graph descent step with the
-    updated output layer as readout.  The SGD step and the heldout loss
-    each solve their cores in one engine call.  Per-step failures are
-    recorded on the epoch and training continues.  Returns ``(params,
-    point, history)``; with ``epochs == 0`` the inputs pass through
-    untouched and the sampler is not called.
+    The phase draws all its mini-batches of ``moduli_config.batch_size``
+    pairs in one ``sampler`` call, so a teacher sampler labels them in one
+    engine call; a sampler that draws pair by pair from one stream yields
+    the batches that one call per epoch would.  Each epoch takes a
+    projected batch-mean SGD step on the dense parameters along its batch,
+    then one graph descent step with the updated output layer as readout.
+    The SGD step and the heldout loss each solve their cores in one engine
+    call.  Per-step failures are recorded on the epoch and training
+    continues.  Returns ``(params, point, history)``; with ``epochs == 0``
+    the inputs pass through untouched and the sampler is not called.
     """
     if engine is None:
         engine = SteadySolveEngine(config.moduli_config.steady)

@@ -2,10 +2,13 @@
 
 Also loads the suite's ``hypothesis`` profile: derandomized (the same
 examples on every run), no per-example deadline, few examples, and no
-example database, so property tests stay reproducible and cheap.
+example database, so property tests stay reproducible and cheap.  Every
+test must leave ``os.environ`` as it found it, since later tests hand it to
+child processes.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import settings
@@ -15,6 +18,18 @@ from spectral_moduli import cli
 settings.register_profile("suite", derandomize=True, deadline=None,
                           max_examples=25, database=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def environment_unchanged():
+    """Fail a test that leaves ``os.environ`` changed after its fixtures
+    (``monkeypatch`` included) are torn down."""
+    before = dict(os.environ)
+    yield
+    changed = sorted(k for k in before.keys() | os.environ.keys()
+                     if k != "PYTEST_CURRENT_TEST"
+                     and before.get(k) != os.environ.get(k))
+    assert not changed, f"test left os.environ changed: {changed}"
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import pytest
 import spectral_moduli
 from spectral_moduli import cli
 from spectral_moduli import fann_model as fm
+from spectral_moduli.dynamics import to_circle
 
 
 def run_cli(*args: str) -> int:
@@ -246,6 +247,49 @@ def test_simulate_spin_system_logs_constraint(tmp_path):
     assert header.split(",")[1:4] == ["s0_x", "s0_y", "s0_z"]
 
 
+def simulate_initial_field(seed: int, n: int) -> np.ndarray:
+    """The normalized random real field ``simulate`` starts from."""
+    rng = cli._component_rng(seed, "simulate.initial")
+    field = rng.standard_normal(n)
+    return field / np.linalg.norm(field)
+
+
+def trajectory_rows(path) -> tuple[list[str], np.ndarray]:
+    with open(path) as fh:
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    return lines[0].rstrip("\n").split(","), rows
+
+
+def test_simulate_diffusion_writes_real_field_columns(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--out", str(out), "--seed", "5",
+                   "--set", "simulate.system=diffusion",
+                   "--set", "simulate.dynamics.t_final=0.01") == 0
+    header, rows = trajectory_rows(out / "trajectory.csv")
+    assert header == ["t", "phi_0", "phi_1", "phi_2"]
+    assert len(rows) == 11
+    assert rows[0, 1:].tolist() == simulate_initial_field(5, 3).tolist()
+    records = read_jsonl(out / "invariants.jsonl")
+    assert [set(r) for r in records[1:3]] == [{"t", "norm"}] * 2
+
+
+def test_simulate_spin2d_starts_on_the_circle_chart(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--out", str(out), "--seed", "5",
+                   "--set", "simulate.system=spin2d",
+                   "--set", "simulate.dynamics.t_final=0.01") == 0
+    header, rows = trajectory_rows(out / "trajectory.csv")
+    assert header[1:4] == ["s0_x", "s0_y", "s0_z"]
+    start = to_circle(simulate_initial_field(5, 3))
+    assert rows[0, 1:].tolist() == start.reshape(-1).tolist()
+    spins = rows[:, 1:].reshape(len(rows), 3, 3)
+    assert np.all(spins[:, :, 2] == 0.0)
+    assert np.abs(np.linalg.norm(spins, axis=2) - 1.0).max() <= 1e-9
+    records = read_jsonl(out / "invariants.jsonl")
+    assert all("constraint" in r for r in records[1:])
+
+
 def test_simulate_meta_is_consistent_across_outputs(tmp_path):
     out = tmp_path / "run"
     assert run_cli("simulate", "--out", str(out), "--seed", "3",
@@ -296,6 +340,23 @@ def test_gauge_check_cross_law_reports_honest_failure(tmp_path):
     report = read_json(out / "deviation.json")
     assert report["pass"] is False
     assert report["max_deviation"] > 1e-6
+
+
+def test_gauge_check_real_pair_cross_law_departs(tmp_path):
+    # the circle-valued cross law turns at another rate than the charted
+    # diffusion flow; the pushforward law tracks it to rounding
+    args = ("--set", "gauge_check.pair=real",
+            "--set", "gauge_check.dynamics.t_final=0.1")
+    assert run_cli("gauge-check", "--out", str(tmp_path / "cross"),
+                   *args) == 0
+    cross = read_json(tmp_path / "cross" / "deviation.json")
+    assert cross["pass"] is False
+    assert 0.1 < cross["max_deviation"] <= 2.0
+    assert run_cli("gauge-check", "--out", str(tmp_path / "push"), *args,
+                   "--set", "gauge_check.spin_law=pushforward") == 0
+    push = read_json(tmp_path / "push" / "deviation.json")
+    assert push["pass"] is True
+    assert push["max_deviation"] <= 1e-10
 
 
 def test_gauge_check_single_vertex_tiny_deviation(tmp_path):
@@ -372,6 +433,14 @@ def test_learn_graph_truncated_c4_outputs(tmp_path):
 def test_learn_graph_noise_delta_restricted_to_noisy_task(tmp_path):
     assert run_cli("learn-graph", "--out", str(tmp_path),
                    "--set", "learn_graph.noise_delta=0.1") == 2
+
+
+def test_learn_graph_batch_size_restricted_to_noisy_task(tmp_path, capsys):
+    # the other tasks always draw their full canonical batch
+    assert run_cli("learn-graph", "--out", str(tmp_path),
+                   "--set", "learn_graph.task=c5_chain",
+                   "--set", "learn_graph.batch_size=2") == 2
+    assert "learn_graph.batch_size" in capsys.readouterr().err
 
 
 def test_learn_graph_noisy_replicate_runs(tmp_path):
@@ -484,6 +553,65 @@ def test_report_aggregates_with_content_hashes(tmp_path):
     for name, entry in summary["outputs"].items():
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert entry["sha256"] == digest
+
+
+def test_report_summarizes_learn_graph_output(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("learn-graph", "--out", str(out),
+                   "--set", "learn_graph.iterations=2") == 0
+    assert run_cli("report", "--out", str(out)) == 0
+    outputs = read_json(out / "summary.json")["outputs"]
+    assert set(outputs) == {"strata.jsonl", "final_graph.json", "report.json"}
+    report = read_json(out / "report.json")
+    assert outputs["report.json"] == {
+        "sha256": hashlib.sha256((out / "report.json").read_bytes())
+        .hexdigest(),
+        "task": "c4",
+        "final_betti": report["final"]["betti"],
+        "max_additive_distortion": report["final"]["max_additive_distortion"],
+        "edges_match_truth": report["final"]["edges_match_truth"],
+        "strata_count": report["strata"]["count"],
+        "spurious_count": report["strata"]["spurious_count"],
+    }
+
+
+def test_report_summarizes_train_gap_report(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("train", "--out", str(out),
+                   "--set", "train.phase1.epochs=1",
+                   "--set", "train.phase2.epochs=0",
+                   "--set", "train.baseline.epochs=2",
+                   "--set", "train.gap_sizes=[2,4]") == 0
+    assert run_cli("report", "--out", str(out)) == 0
+    outputs = read_json(out / "summary.json")["outputs"]
+    gap = read_json(out / "gap_report.json")
+    assert outputs["gap_report.json"]["models"] == {
+        model: [{"m": row["m"], "gap": row["gap"]} for row in rows]
+        for model, rows in gap["models"].items()}
+    assert [row["m"] for row in outputs["gap_report.json"]["models"]
+            ["baseline"]] == [2, 4]
+    with open(out / "baseline_history.csv") as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    assert outputs["baseline_history.csv"]["epochs"] == 2
+    assert outputs["baseline_history.csv"]["final_train_loss"] == float(
+        rows[-1]["train_loss"])
+
+
+def test_report_records_a_failed_gauge_check(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("gauge-check", "--out", str(out),
+                   "--set", "gauge_check.initial.mode=spin",
+                   "--set",
+                   "gauge_check.initial.values=[[0,0,-1],[0,0,1],[1,0,0]]"
+                   ) == 3
+    assert run_cli("report", "--out", str(out)) == 0
+    entry = read_json(out / "summary.json")["outputs"]["deviation.json"]
+    assert entry == {
+        "sha256": hashlib.sha256((out / "deviation.json").read_bytes())
+        .hexdigest(),
+        "failure_type": "SouthPoleError",
+        "pass": False,
+    }
 
 
 # -- reruns are byte-identical ---------------------------------------------------

@@ -554,6 +554,29 @@ def test_steady_start_near_repelling_equilibrium_follows_the_flow(start):
     assert np.abs(gauge_align(rec.states[-1001], ref) - ref).max() <= 1e-9
 
 
+def test_unconverged_spectrum_counts_as_repelling(monkeypatch):
+    # without a spectrum no root is trusted: every row counts as repelling,
+    # so continuation accepts none and the flow path finishes them by RK4
+    g = cycle_graph(4)
+    psi0 = unit_state(np.random.default_rng(21), 4)
+    cfg = NlseConfig(dt=5e-2, t_max=3000.0)
+    ref = solve_steady_state(g, psi0, cfg)
+    assert ref.converged and ref.t_reached == 0.0
+
+    def no_spectrum(a):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_spectrum)
+    lap = np.stack([g.coupling_laplacian()] * 2)
+    v = np.stack([np.abs(psi0) ** 2] * 2)
+    psi = np.stack([ref.psi_inf, psi0])
+    assert dynamics._repelling(lap, v, psi, cfg.gamma).tolist() == [True, True]
+    (out,) = solve_steady_state_many([g], [psi0], cfg)
+    assert out.converged and out.t_reached > 0.0
+    assert np.abs(gauge_align(out.psi_inf, ref.psi_inf)
+                  - ref.psi_inf).max() <= 1e-7
+
+
 def test_steady_batch_survives_singular_newton_row(monkeypatch):
     # the disconnected graph's bordered system is singular at its
     # equilibrium (see test_sensitivity); here it is made exactly singular

@@ -35,10 +35,9 @@ def opt_config(**kw):
     return OptimizerConfig(**base)
 
 
-def train_config(**kw):
-    base = dict(epochs=2, batch_size=4, lr_params=0.1,
-                moduli_config=opt_config(batch_size=kw.get("batch_size", 4)),
-                seed=0)
+def train_config(batch_size=4, **kw):
+    base = dict(epochs=2, lr_params=0.1,
+                moduli_config=opt_config(batch_size=batch_size), seed=0)
     base.update(kw)
     return fm.TrainConfig(**base)
 
@@ -86,8 +85,7 @@ def test_model_params_validation():
 
 
 def test_train_config_validation():
-    fm.TrainConfig(epochs=0, batch_size=4, lr_params=0.1,
-                   moduli_config=opt_config())
+    fm.TrainConfig(epochs=0, lr_params=0.1, moduli_config=opt_config())
     for bad in (-1, 2.5, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="epochs"):
             train_config(epochs=bad)
@@ -96,14 +94,10 @@ def test_train_config_validation():
             train_config(batch_size=bad)
     with pytest.raises(ValueError, match="lr_params"):
         train_config(lr_params=0.0)
-    with pytest.raises(ValueError, match="match"):
-        fm.TrainConfig(epochs=1, batch_size=8, lr_params=0.1,
-                       moduli_config=opt_config(batch_size=4))
     with pytest.raises(ValueError, match="r_a3"):
         train_config(r_a3=-1.0)
     with pytest.raises(TypeError, match="OptimizerConfig"):
-        fm.TrainConfig(epochs=1, batch_size=4, lr_params=0.1,
-                       moduli_config=RUN_CFG)
+        fm.TrainConfig(epochs=1, lr_params=0.1, moduli_config=RUN_CFG)
 
 
 def test_baseline_params_validation():
@@ -117,6 +111,12 @@ def test_baseline_params_validation():
         fm.BaselineParams(**{**good, "a1": np.zeros((n, n + 1))})
     with pytest.raises(ValueError, match="activation2"):
         fm.BaselineParams(**good, activation2="sigmoid")
+    with pytest.raises(ValueError, match="matrix"):
+        fm.BaselineParams(**{**good, "w2": np.ones(n)})
+    with pytest.raises(ValueError, match="finite"):
+        fm.BaselineParams(**{**good, "b2": np.array([0.0, np.inf, 0.0])})
+    with pytest.raises(ValueError, match="finite"):
+        fm.BaselineParams(**{**good, "b3": complex(0.0, np.nan)})
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,26 @@ def test_forward_nonconvergence_is_forwarded(c4_model):
     short = NlseConfig(dt=5e-2, steady_tol=1e-12, t_max=0.2)
     with pytest.raises(fm.CoreConvergenceError, match="residual"):
         fm.forward(params, point, unit_vector(4, 3), short)
+
+
+def zero_state_input(params):
+    """An input whose pre-activation a1.T x + b1, hence whose state,
+    vanishes up to rounding."""
+    return np.linalg.solve(params.a1.T, -params.b1)
+
+
+def test_core_pass_puts_a_degenerate_input_in_its_place(c4_model):
+    params, point = c4_model
+    xs = [unit_vector(4, 1), zero_state_input(params), unit_vector(4, 2)]
+    cores = fm._core_pass(params, point, xs, SteadySolveEngine(RUN_CFG))
+    assert len(cores) == 3
+    assert isinstance(cores[1], fm.DegenerateInputError)
+    assert "zero state" in str(cores[1])
+    for k in (0, 2):
+        y, _ = fm.forward(params, point, xs[k], RUN_CFG)
+        assert cores[k].converged
+        assert fm.readout_value(params, cores[k].psi_inf) == \
+            pytest.approx(y, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +496,29 @@ def test_train_logs_failures_and_continues(c4):
                            engine=engine)
     assert len(hist) == 2
     for h in hist:
-        assert len(h.failures) == cfg.batch_size + 1  # every sample + step
+        assert len(h.failures) == cfg.moduli_config.batch_size + 1  # + step
         assert np.isnan(h.train_loss)
     assert pt.graph.key() == point.graph.key()
     assert np.array_equal(p.a1, teacher.a1)
+
+
+def test_train_logs_a_degenerate_input_and_continues(c4_model):
+    params, point = c4_model
+    good = [(unit_vector(4, s), 0.1 * s) for s in (1, 2, 3)]
+    pairs = [good[0], (zero_state_input(params), 0.0), good[1], good[2]]
+    cfg = train_config(epochs=1)
+    p, _, hist = fm.train(fm.fixed_set_sampler(pairs), cfg, params, point)
+    (h,) = hist
+    assert h.failures == ("param gradient, sample 1: input layer produced "
+                          "the zero state",)
+    # the SGD step moves along the three good samples alone; the graph
+    # step then runs at the moved parameters, where no input is degenerate
+    expect = fm._sgd_step(params, [
+        fm.param_gradients(params, point, x, y, RUN_CFG) for x, y in good],
+        cfg)
+    assert np.allclose(p.a1, expect.a1, rtol=0.0, atol=1e-12)
+    assert np.allclose(p.a3, expect.a3, rtol=0.0, atol=1e-12)
+    assert np.isfinite(h.train_loss)
 
 
 def test_train_heldout_column(c4):
@@ -600,6 +639,21 @@ def test_baseline_train_reduces_realizable_loss():
                            for x, y in pairs]))
     assert len(hist) == 40
     assert final < 0.2 * initial
+
+
+def test_baseline_train_heldout_column():
+    n = 3
+    bp = fm.random_baseline(n, n, seed=4)
+    data = fm.fixed_set_sampler([(unit_vector(n, s), 0.1) for s in range(4)])
+    held = [(unit_vector(n, s), 0.2 * s) for s in (10, 11, 12)]
+    out, hist = fm.baseline_train(data, train_config(epochs=2), bp,
+                                  heldout=held)
+    # each epoch's heldout mean is taken after its update
+    assert hist[-1].test_loss == sum(
+        fm.baseline_loss_sample(out, x, y) for x, y in held) / 3
+    assert hist[0].test_loss != hist[1].test_loss
+    _, bare = fm.baseline_train(data, train_config(epochs=2), bp)
+    assert all(np.isnan(h.test_loss) for h in bare)
 
 
 def test_baseline_train_zero_epochs_and_determinism():
