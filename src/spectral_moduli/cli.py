@@ -495,13 +495,10 @@ def resolve_gauge_check(raw: dict) -> dict:
     return resolved
 
 
-_LEARN_TASKS = ("c4", "c8", "p4", "two_circles", "c5_chain", "c5_noisy")
-
-
 def resolve_learn_graph(raw: dict) -> dict:
     resolved, sec = _resolve_top(raw, "learn_graph")
     body = {
-        "task": sec.take("task", "c4", _as_str(_LEARN_TASKS)),
+        "task": sec.take("task", "c4", _as_str(tuple(_TASKS))),
         "iterations": sec.take("iterations", None, _optional(_as_int(lo=0))),
         "batch_size": sec.take("batch_size", None, _optional(_as_int(lo=1))),
         "noise_delta": sec.take("noise_delta", None, _optional(_as_float(lo=0.0))),
@@ -640,119 +637,106 @@ def _run_gauge_check(resolved: dict, meta: dict) -> int:
 
 # -- learn-graph --------------------------------------------------------------------
 
-# Bundled manifold-recovery tasks.  Each entry pins the manifold, the readout
-# seed, the bump-width factor, and the measured curvature window that the
-# accelerated step-size cycle is tuned to; the optimizer starts from the true
-# edge set with 5% jittered weights plus one spurious edge, and must prune the
-# intruder and converge to the teacher weights.
+# Bundled manifold-recovery tasks, one entry each.  ``init=None`` starts
+# from the true edge set with 5% jittered weights plus one spurious edge
+# (0, 2): the optimizer must prune the intruder and converge to the teacher
+# weights.  The accelerated schedules settle at 1 / lam_max, then run
+# Chebyshev cycles tuned to the measured curvature window (lam_min, lam_max).
 _STEADY_LEARN = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=3000.0)
 _SAMPLER_SEED = 202
 _JITTER_SEED = 7
-_SPURIOUS_INIT = ((0, 2),)
 _SPURIOUS_WEIGHT = 0.1
 
-_MANIFOLD_TASKS = {
-    "c4": dict(kind="circle", radii=(1.0,), length=None, n_net_points=4,
-               inj_radius=2.0, readout_seed=246, bump_width_factor=1.0,
-               curvature=(1.01e-7, 6.30e-5), settle=30, cycle_len=64,
-               cycles=2, candidate_fraction=1.0, probe_t_max=None),
-    "c8": dict(kind="circle", radii=(1.0,), length=None, n_net_points=8,
-               inj_radius=1.0, readout_seed=349, bump_width_factor=0.7,
-               curvature=(2.44e-7, 2.16e-5), settle=20, cycle_len=32,
-               cycles=3, candidate_fraction=0.1, probe_t_max=None),
-    "p4": dict(kind="segment", radii=None, length=3.0, n_net_points=4,
-               inj_radius=1.5, readout_seed=366, bump_width_factor=1.0,
-               curvature=(1.02e-6, 1.51e-4), settle=20, cycle_len=32,
-               cycles=3, candidate_fraction=1.0, probe_t_max=None),
-    "two_circles": dict(kind="disjoint_circles", radii=(1.0, 1.0), length=None,
-                        n_net_points=6, inj_radius=1.5, readout_seed=147,
-                        bump_width_factor=0.7, curvature=(3.00e-7, 2.36e-5),
-                        settle=20, cycle_len=32, cycles=2,
-                        candidate_fraction=0.05, probe_t_max=60.0),
+
+@dataclasses.dataclass(frozen=True)
+class _Task:
+    spec: ManifoldSpec
+    inj_radius: float
+    readout_seed: int
+    step_size: tuple[float, ...]
+    bump_width_factor: float = 1.0
+    add_threshold: float = 1e-5
+    candidate_fraction: float = 1.0
+    probe_t_max: float | None = None
+    init: tuple[tuple[int, int, float], ...] | None = None
+
+
+def _accelerated(lam_min: float, lam_max: float, settle: int, cycle_len: int,
+                 cycles: int) -> tuple[float, ...]:
+    return (1.0 / lam_max,) * settle + chebyshev_schedule(
+        lam_min, lam_max, cycle_len, cycles)
+
+
+# The 5-vertex ring studies start on a plateau deep inside the true stratum
+# (all four chain edges, heavily jittered weights) so that edge additions
+# are probed near the within-stratum optimum; c5_chain's long flat tail
+# finishes weight convergence after the chain has been completed, and
+# c5_noisy steps at 1000 throughout (a schedule repeats its last step).
+_C5_RING = dict(spec=ManifoldSpec("circle", (1.0,), n_net_points=5),
+                inj_radius=2.0, readout_seed=28, add_threshold=1e-4,
+                init=((0, 1, 2.331), (1, 2, 2.976), (2, 3, 3.029),
+                      (3, 4, 2.305)))
+
+_TASKS = {
+    "c4": _Task(ManifoldSpec("circle", (1.0,), n_net_points=4), 2.0, 246,
+                _accelerated(1.01e-7, 6.30e-5, 30, 64, 2)),
+    "c8": _Task(ManifoldSpec("circle", (1.0,), n_net_points=8), 1.0, 349,
+                _accelerated(2.44e-7, 2.16e-5, 20, 32, 3),
+                bump_width_factor=0.7, candidate_fraction=0.1),
+    "p4": _Task(ManifoldSpec("segment", length=3.0, n_net_points=4), 1.5, 366,
+                _accelerated(1.02e-6, 1.51e-4, 20, 32, 3)),
+    "two_circles": _Task(
+        ManifoldSpec("disjoint_circles", (1.0, 1.0), n_net_points=6), 1.5, 147,
+        _accelerated(3.00e-7, 2.36e-5, 20, 32, 2), bump_width_factor=0.7,
+        candidate_fraction=0.05, probe_t_max=60.0),
+    "c5_chain": _Task(**_C5_RING, step_size=(1000.0,) * 60 + (17668.0,) * 340),
+    "c5_noisy": _Task(**_C5_RING, step_size=(1000.0,)),
 }
 
-# The 5-vertex ring study starts on a plateau deep inside the true stratum
-# (all four chain edges, heavily jittered weights) so that edge additions are
-# probed near the within-stratum optimum; the long flat tail finishes weight
-# convergence after the chain has been completed.
-_C5_INIT_WEIGHTS = (((0, 1), 2.331), ((1, 2), 2.976), ((2, 3), 3.029),
-                    ((3, 4), 2.305))
-_C5_READOUT_SEED = 28
 
-
-def _manifold_spec(info: dict) -> ManifoldSpec:
-    kwargs: dict[str, Any] = {"kind": info["kind"],
-                              "n_net_points": info["n_net_points"]}
-    if info["radii"] is not None:
-        kwargs["radii"] = tuple(info["radii"])
-    if info["length"] is not None:
-        kwargs["length"] = info["length"]
-    return ManifoldSpec(**kwargs)
-
-
-def _jittered_true_point(truth, seed: int,
-                         spurious: tuple = _SPURIOUS_INIT) -> ModuliPoint:
-    rng = np.random.default_rng(_JITTER_SEED + seed)
-    w0 = truth.teacher_weights * (
-        1.0 + 0.05 * rng.uniform(-1, 1, truth.teacher_weights.size))
-    triples = [(u, v, w) for (u, v), w in zip(truth.e_true, w0)]
-    triples += [(u, v, _SPURIOUS_WEIGHT) for u, v in spurious]
-    return ModuliPoint(build_graph(truth.n, triples))
+def _task_teacher(task: _Task, seed: int,
+                  noise_delta: float | None = None) -> TeacherSampler:
+    """The teacher of a bundled task: its truth, readout and bump width."""
+    truth = build_ground_truth(task.spec, task.inj_radius)
+    readout = PopulationReadout.random(truth.n, seed=task.readout_seed)
+    width = task.bump_width_factor * truth.default_bump_width
+    return TeacherSampler(truth, readout, _STEADY_LEARN, seed=seed,
+                          bump_width=width, noise_delta=noise_delta)
 
 
 def _learn_graph_setup(resolved: dict):
     sec = resolved["learn_graph"]
-    task, seed = sec["task"], resolved["seed"]
-    if task in _MANIFOLD_TASKS:
-        info = _MANIFOLD_TASKS[task]
-        truth = build_ground_truth(_manifold_spec(info), info["inj_radius"])
-        readout = PopulationReadout.random(truth.n, seed=info["readout_seed"])
-        width = info["bump_width_factor"] * truth.default_bump_width
-        sampler = TeacherSampler(truth, readout, _STEADY_LEARN,
-                                 seed=_SAMPLER_SEED, bump_width=width)
-        lam_min, lam_max = info["curvature"]
-        eta = (1.0 / lam_max,) * info["settle"] + chebyshev_schedule(
-            lam_min, lam_max, info["cycle_len"], info["cycles"])
-        config = OptimizerConfig(
-            iterations=sec["iterations"] if sec["iterations"] is not None
-            else len(eta),
-            prune_threshold=0.05, add_threshold=1e-5, step_size=eta,
-            batch_size=truth.n, l1_coeff=1e-11, l2_coeff=1e-11, seed=seed,
-            candidate_fraction=info["candidate_fraction"],
-            steady=_STEADY_LEARN, probe_t_max=info["probe_t_max"])
-        return config, sampler.exact_sampler(), _jittered_true_point(
-            truth, seed), readout, truth
-
-    truth = build_ground_truth(
-        ManifoldSpec("circle", (1.0,), n_net_points=5), inj_radius=2.0)
-    readout = PopulationReadout.random(truth.n, seed=_C5_READOUT_SEED)
-    init = ModuliPoint(build_graph(
-        truth.n, [(u, v, w) for (u, v), w in _C5_INIT_WEIGHTS]))
-    if task == "c5_chain":
-        sampler = TeacherSampler(truth, readout, _STEADY_LEARN,
-                                 seed=_SAMPLER_SEED)
-        eta = (1000.0,) * 60 + (17668.0,) * 340
-        config = OptimizerConfig(
-            iterations=sec["iterations"] if sec["iterations"] is not None
-            else len(eta),
-            prune_threshold=0.05, add_threshold=1e-4, step_size=eta,
-            batch_size=truth.n, l1_coeff=1e-11, l2_coeff=1e-11, seed=seed,
-            steady=_STEADY_LEARN)
-        return config, sampler.exact_sampler(), init, readout, truth
-
-    # c5_noisy: finite noisy batches; the run-level seed selects the replicate.
-    delta = 0.15 if sec["noise_delta"] is None else sec["noise_delta"]
-    batch = sec["batch_size"] or 8
-    iters = sec["iterations"] if sec["iterations"] is not None else 12
-    sampler = TeacherSampler(truth, readout, _STEADY_LEARN,
-                             seed=300 + batch + 1000 * seed,
-                             noise_delta=delta)
+    task, seed = _TASKS[sec["task"]], resolved["seed"]
+    if sec["task"] == "c5_noisy":
+        # finite noisy batches; the run-level seed selects the replicate
+        batch = sec["batch_size"] or 8
+        delta = 0.15 if sec["noise_delta"] is None else sec["noise_delta"]
+        sampler = teacher = _task_teacher(task, 300 + batch + 1000 * seed,
+                                          noise_delta=delta)
+        iterations, opt_seed = 12, batch + 17 * seed
+    else:
+        teacher = _task_teacher(task, _SAMPLER_SEED)
+        sampler, batch = teacher.exact_sampler(), teacher.truth.n
+        iterations, opt_seed = len(task.step_size), seed
+    truth = teacher.truth
     config = OptimizerConfig(
-        iterations=iters, prune_threshold=0.05, add_threshold=1e-4,
-        step_size=(1000.0,) * max(iters, 1), batch_size=batch,
-        l1_coeff=1e-11, l2_coeff=1e-11, seed=batch + 17 * seed,
-        candidate_fraction=1.0, steady=_STEADY_LEARN)
-    return config, sampler, init, readout, truth
+        iterations=iterations if sec["iterations"] is None
+        else sec["iterations"],
+        prune_threshold=0.05, add_threshold=task.add_threshold,
+        step_size=task.step_size, batch_size=batch, l1_coeff=1e-11,
+        l2_coeff=1e-11, seed=opt_seed,
+        candidate_fraction=task.candidate_fraction, steady=_STEADY_LEARN,
+        probe_t_max=task.probe_t_max)
+    if task.init is None:
+        rng = np.random.default_rng(_JITTER_SEED + seed)
+        w0 = truth.teacher_weights * (
+            1.0 + 0.05 * rng.uniform(-1, 1, truth.teacher_weights.size))
+        init = [(u, v, w) for (u, v), w in zip(truth.e_true, w0)]
+        init.append((0, 2, _SPURIOUS_WEIGHT))
+    else:
+        init = list(task.init)
+    return (config, sampler, ModuliPoint(build_graph(truth.n, init)),
+            teacher.readout, truth)
 
 
 def _distortion_checkpoints(log, config, truth) -> list[dict]:
@@ -829,22 +813,18 @@ def _run_learn_graph(resolved: dict, meta: dict) -> int:
 # -- train ----------------------------------------------------------------------
 
 # The bundled training task: a self-consistent linear-input teacher on the
-# circle-of-4 teacher graph.  Targets come from the teacher model itself, so
+# teacher graph of the c4 task.  Targets come from the teacher model itself, so
 # the teacher parameters are an exact zero of the data term (fixed-point
 # initialization), while random trainees must cross basins of slow solver
 # convergence — those solves are capped tightly and logged as failures rather
 # than allowed to stall the run.
 _TRAIN_FAST = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=400.0)
-_TRAIN_READOUT_SEED = 246
 _TEACHER_OUTPUT_SEED = 91
 
 
 def _train_teacher_setup():
-    truth = build_ground_truth(
-        ManifoldSpec("circle", (1.0,), n_net_points=4), inj_radius=2.0)
-    g_star = truth.teacher_graph()
-    readout = PopulationReadout.random(truth.n, seed=_TRAIN_READOUT_SEED)
-    sampler = TeacherSampler(truth, readout, _STEADY_LEARN, seed=_SAMPLER_SEED)
+    sampler = _task_teacher(_TASKS["c4"], _SAMPLER_SEED)
+    truth, g_star = sampler.truth, sampler.graph
     bumps = [sampler.canonical_bump(v) for v in range(truth.n)]
     rng = np.random.default_rng(_TEACHER_OUTPUT_SEED)
     a3 = (rng.standard_normal(truth.n)
@@ -857,10 +837,9 @@ def _train_teacher_setup():
 
 def _train_config(phase: dict, batch: int, seed: int) -> fm.TrainConfig:
     moduli = OptimizerConfig(
-        iterations=1, init_edge_prob=0.5, prune_threshold=0.05,
-        add_threshold=1e-5, step_size=phase["step_size"], batch_size=batch,
-        l1_coeff=1e-11, l2_coeff=1e-11, seed=seed, candidate_fraction=0.5,
-        steady=_TRAIN_FAST)
+        prune_threshold=0.05, add_threshold=1e-5,
+        step_size=phase["step_size"], batch_size=batch, l1_coeff=1e-11,
+        l2_coeff=1e-11, seed=seed, candidate_fraction=0.5, steady=_TRAIN_FAST)
     return fm.TrainConfig(epochs=phase["epochs"], lr_params=phase["lr"],
                           moduli_config=moduli, seed=seed)
 

@@ -777,13 +777,13 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     steps stand in for the flow down to the hand-off residual
     ``_NEWTON_HANDOFF``, so their pseudo-time may add up to ``horizon``;
     from there ``_newton_polish`` finishes the row, as on the flow path.
-    Only rows it accepts are accepted; the others are left to
+    A start already within the hand-off goes straight to that Newton
+    batch, so each call polishes once, and a start already at ``tol`` is
+    accepted as it is.  No other row is accepted; the rest are left to
     ``_flow_path``.  A row is dropped if Newton rejects it, its step is
     not finite, its system is singular, it passes below ``tol`` without
     reaching Newton, or pseudo-time or ``_PTC_MAX_ITER`` run out; so is a
-    start that is non-finite or already at the hand-off, which the flow
-    path finishes at t = 0.  Returns states, residuals and the mask of
-    accepted rows.
+    non-finite start.  Returns states, residuals and the accepted mask.
     """
     nb = len(psi)
     out, out_res = psi.copy(), np.full(nb, np.inf)
@@ -791,10 +791,12 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     pf = _batch_projected_rhs(lap[live], v[live], psi[live], gamma)
     res = np.abs(pf).max(axis=1)
     go = res > _NEWTON_HANDOFF
+    out_res[live[~go]] = res[~go]
+    handed = np.zeros(nb, dtype=bool)
+    handed[live[~go]] = res[~go] > tol
     live, cur, pf, res = live[go], psi[live[go]], pf[go], res[go]
     delta = np.full(live.size, _PTC_DELTA0)
     spent = np.zeros(live.size)
-    handed = np.zeros(nb, dtype=bool)
     for _ in range(_PTC_MAX_ITER):
         spent = spent + delta
         go = spent <= horizon
@@ -823,7 +825,8 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
                config: NlseConfig) -> list[SteadyState]:
     """RK4 + Newton from the starts ``psi`` (B, N): the fallback of
-    ``solve_steady_state_many`` for the rows continuation does not accept.
+    ``solve_steady_state_many`` for the rows continuation does not accept,
+    such as those whose Newton root repels the flow.
 
     RK4 runs in lockstep chunks of 20 steps.  At t = 0 and after every
     chunk, rows whose projected residual is at most 1e-2 are polished by a

@@ -189,6 +189,7 @@ class TrainConfig:
         if not (np.isfinite(self.epochs)
                 and int(self.epochs) == self.epochs >= 0):
             raise ValueError("epochs must be an integer >= 0")
+        object.__setattr__(self, "epochs", int(self.epochs))
         if not (np.isfinite(self.lr_params) and self.lr_params > 0):
             raise ValueError("lr_params must be positive and finite")
         if not isinstance(self.moduli_config, OptimizerConfig):

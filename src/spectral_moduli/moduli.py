@@ -91,6 +91,7 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and int(value) == value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")
+            object.__setattr__(self, name, int(value))  # 4.0 counts as 4
         if not 0.0 < self.init_edge_prob <= 1.0:
             raise ValueError("init_edge_prob must lie in (0, 1]")
         if not 0.0 < self.prune_threshold < 1.0:

@@ -456,6 +456,45 @@ def test_learn_graph_noisy_replicate_runs(tmp_path):
         assert isinstance(report["strata"][key], int)
 
 
+def _cycle_edges(n, offset=0):
+    return sorted(sorted([offset + i, offset + (i + 1) % n]) for i in range(n))
+
+
+_C4, _C5 = _cycle_edges(4), _cycle_edges(5)
+_TWO_CIRCLES = _cycle_edges(6) + _cycle_edges(6, 6)
+
+
+# (n, true edges, Betti numbers, edges after one step, first loss), recorded
+# from the task set-ups as first released, so that every task's truth,
+# readout, sampler, start point and optimizer settings stay as they were
+_TASK_PINS = {
+    "c4": (4, _C4, [1, 1], sorted(_C4 + [[0, 2]]), 9.521708071933205e-08),
+    "c8": (8, _cycle_edges(8), [1, 1], _cycle_edges(8),
+           1.802917125565774e-07),
+    "p4": (4, [[0, 1], [1, 2], [2, 3]], [1, 0],
+           [[0, 1], [1, 2], [1, 3], [2, 3]], 1.8446502113795756e-06),
+    "two_circles": (12, _TWO_CIRCLES, [2, 2], sorted(_TWO_CIRCLES + [[0, 2]]),
+                    9.487683451641845e-08),
+    "c5_chain": (5, _C5, [1, 1], _C5, 3.6886256309375666e-05),
+    "c5_noisy": (5, _C5, [1, 1], _C5, 4.200867823041193e-05),
+}
+
+
+@pytest.mark.parametrize("task", list(_TASK_PINS))
+def test_learn_graph_task_setups_are_pinned(tmp_path, task):
+    n, e_true, betti, edges, loss = _TASK_PINS[task]
+    out = tmp_path / "run"
+    assert run_cli("learn-graph", "--out", str(out),
+                   "--set", f"learn_graph.task={task}",
+                   "--set", "learn_graph.iterations=1") == 0
+    report = read_json(out / "report.json")
+    assert report["truth"]["n"] == n
+    assert report["truth"]["e_true"] == e_true
+    assert report["truth"]["betti"] == betti
+    assert report["final"]["edges"] == edges
+    assert report["loss_history"][0] == pytest.approx(loss, rel=1e-9)
+
+
 # -- train ---------------------------------------------------------------------
 
 

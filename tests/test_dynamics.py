@@ -793,6 +793,42 @@ def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off():
     assert long.converged and long.t_reached == 0.0
 
 
+def test_pseudo_transient_polishes_warm_and_cold_rows_in_one_newton_batch(
+        monkeypatch):
+    # a start already within the hand-off joins the Newton batch of the
+    # rows continuation brings there, rather than waiting for the flow path
+    g = cycle_graph(4)
+    psi0 = unit_state(np.random.default_rng(21), 4)
+    cfg = NlseConfig(dt=5e-2, t_max=3000.0)
+    root = solve_steady_state(g, psi0, cfg).psi_inf
+    warm = root + 1e-3 * unit_state(np.random.default_rng(22), 4)
+    warm /= np.linalg.norm(warm)
+    lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
+    res0 = dynamics._batch_residual(lap, v, warm[None], cfg.gamma)[0]
+    assert cfg.steady_tol < res0 <= dynamics._NEWTON_HANDOFF
+    singles = [solve_steady_state_many([g], [psi0], cfg, [start])[0]
+               for start in (warm, psi0)]
+    polish, flow, calls, flow_rows = (dynamics._newton_polish,
+                                      dynamics._flow_path, [], [])
+
+    def counted_polish(*args):
+        calls.append(len(args[2]))
+        return polish(*args)
+
+    def counted_flow(lap, v, psi, config):
+        flow_rows.append(len(psi))
+        return flow(lap, v, psi, config)
+
+    monkeypatch.setattr(dynamics, "_newton_polish", counted_polish)
+    monkeypatch.setattr(dynamics, "_flow_path", counted_flow)
+    batch = solve_steady_state_many([g, g], [psi0, psi0], cfg, [warm, psi0])
+    assert calls == [2] and sum(flow_rows) == 0
+    for out, single in zip(batch, singles):
+        assert out.converged and out.t_reached == 0.0
+        assert np.array_equal(out.psi_inf, single.psi_inf)
+        assert out.residual == single.residual
+
+
 # -- writers ------------------------------------------------------------------------
 
 

@@ -669,6 +669,23 @@ def test_baseline_train_zero_epochs_and_determinism():
     assert [r.train_loss for r in h1] == [r.train_loss for r in h2]
 
 
+def test_baseline_train_takes_integral_float_counts():
+    # 2.0 epochs of 4.0 pairs pass the integer checks, so they must train
+    # as 2 epochs of 4 pairs
+    n = 3
+    bp = fm.random_baseline(n, n, seed=1)
+    pairs = [(unit_vector(n, s), 0.1 * s) for s in range(8)]
+    runs = [fm.baseline_train(fm.fixed_set_sampler(pairs),
+                              train_config(epochs=epochs,
+                                           batch_size=batch_size), bp)
+            for epochs, batch_size in ((2, 4), (2.0, 4.0))]
+    (one, h1), (two, h2) = runs
+    assert type(train_config(epochs=2.0).epochs) is int
+    assert np.array_equal(one.w2, two.w2) and np.array_equal(one.a3, two.a3)
+    assert [r.train_loss for r in h1] == [r.train_loss for r in h2]
+    assert len(h2) == 2
+
+
 # ---------------------------------------------------------------------------
 # generalization gap
 

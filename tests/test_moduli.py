@@ -450,6 +450,23 @@ def test_run_is_deterministic_to_the_byte(c4, tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_run_takes_integral_float_counts(c4):
+    # 2.0 and 4.0 pass the integer check, so they must run as 2 and 4
+    truth, readout, _ = c4
+    runs = []
+    for iterations, batch_size in ((2, 4), (2.0, 4.0)):
+        cfg = opt_config(iterations=iterations, batch_size=batch_size,
+                         step_size=1000.0)
+        assert (type(cfg.iterations), type(cfg.batch_size)) == (int, int)
+        sampler = TeacherSampler(truth, readout, RUN_CFG, seed=202,
+                                 noise_delta=0.1)
+        runs.append(run(cfg, sampler, ModuliPoint(truth.teacher_graph()),
+                        readout=readout))
+    (p_int, _, h_int), (p_float, _, h_float) = runs
+    assert h_float == h_int and len(h_int) == 2
+    assert np.array_equal(p_float.graph.weights, p_int.graph.weights)
+
+
 def test_run_stalls_early_on_flat_landscape(c3):
     truth, _, sampler = c3
     zeros = PopulationReadout(np.zeros(3))
