@@ -422,6 +422,11 @@ def _initial_field(spec: dict, n: int, field_kind: str,
     return field
 
 
+# simulate and gauge-check take round(t_final / dt) RK4 steps, from 1 to this
+# many: 100 times the default 10^4, about two minutes of stepping
+_MAX_STEPS = 10 ** 6
+
+
 def _resolve_dynamics(sec: _Section, *, dt: float, t_final: float) -> dict:
     out = {
         "gamma": sec.take("gamma", 1.0, _as_float(lo=0.0)),
@@ -430,12 +435,17 @@ def _resolve_dynamics(sec: _Section, *, dt: float, t_final: float) -> dict:
         "renorm_tol": sec.take("renorm_tol", 1e-12, _as_float(lo=0.0, lo_open=True)),
     }
     sec.finish()
+    # below 1 exactly when dt > t_final; at most _MAX_STEPS once rounded,
+    # since round() takes an even ceiling's half-way point down to it
+    steps = out["t_final"] / out["dt"]
+    if not 1.0 <= steps <= _MAX_STEPS + 0.5:
+        raise ConfigError(f"{sec._label('dt')}: t_final / dt = {steps:.6g} "
+                          f"steps, not from 1 to {_MAX_STEPS}")
     return out
 
 
 def _nlse_config(dyn: dict) -> NlseConfig:
-    return NlseConfig(gamma=dyn["gamma"], dt=dyn["dt"],
-                      t_max=max(dyn["t_final"], dyn["dt"]),
+    return NlseConfig(gamma=dyn["gamma"], dt=dyn["dt"], t_max=dyn["t_final"],
                       renorm_tol=dyn["renorm_tol"])
 
 

@@ -27,8 +27,9 @@ takes one state or a stacked batch, and there is one stepper, ``_rk4_step``
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,11 +242,7 @@ def to_sphere(psi: np.ndarray) -> np.ndarray:
 
 def to_plane(s: np.ndarray) -> np.ndarray:
     """Inverse of ``to_sphere``: psi = (S_x + i S_y) / (1 + S_z)."""
-    s = np.asarray(s, dtype=float)
-    den = 1.0 + s[..., 2]
-    if np.any(den <= _POLE_TOL):
-        raise SouthPoleError("state touches the excluded south pole (S_z = -1)")
-    return (s[..., 0] + 1j * s[..., 1]) / den
+    return _plane_point(np.asarray(s, dtype=float))[0]
 
 
 def to_circle(phi: np.ndarray) -> np.ndarray:
@@ -285,16 +282,24 @@ def phase_constraint_2d(t: np.ndarray) -> float:
     return float(np.sum((1.0 - t[..., 1]) / den))
 
 
-def _pushforward_sphere(psi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Differential of ``to_sphere`` at psi applied to dpsi/dt = f."""
-    x, y = psi.real, psi.imag
-    a, b = f.real, f.imag
-    u = 1.0 + x * x + y * y
-    p = x * a + y * b
-    ds = np.empty(psi.shape + (3,))
-    ds[..., 0] = 2.0 * a / u - 4.0 * x * p / u ** 2
-    ds[..., 1] = 2.0 * b / u - 4.0 * y * p / u ** 2
-    ds[..., 2] = -4.0 * p / u ** 2
+def _plane_point(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``to_plane`` of spins (..., 3), and the chart factor c = 1 + S_z."""
+    c = 1.0 + s[..., 2]
+    if (c <= _POLE_TOL).any():
+        raise SouthPoleError("state touches the excluded south pole (S_z = -1)")
+    return (s[..., 0] + 1j * s[..., 1]) / c, c
+
+
+def _sphere_velocity(s: np.ndarray, c: np.ndarray, psi: np.ndarray,
+                     f: np.ndarray) -> np.ndarray:
+    """Differential of ``to_sphere`` at psi = ``_plane_point(s)`` applied to
+    dpsi/dt = f.  On the sphere c = 2 / (1 + |psi|^2), so with p =
+    Re(conj(psi) f) it is dS = c [(Re f, Im f, 0) - p (S_x, S_y, c)]."""
+    p = psi.real * f.real + psi.imag * f.imag
+    ds = np.empty(s.shape)
+    ds[..., 0] = c * (f.real - p * s[..., 0])
+    ds[..., 1] = c * (f.imag - p * s[..., 1])
+    ds[..., 2] = -c * (p * c)
     return ds
 
 
@@ -320,8 +325,8 @@ def _diffusion_raw(lap: np.ndarray, v: np.ndarray, phi: np.ndarray,
 
 def _ll_induced_raw(lap: np.ndarray, v: np.ndarray, s: np.ndarray,
                     gamma: float) -> np.ndarray:
-    psi = to_plane(s)
-    return _pushforward_sphere(psi, _nlse_raw(lap, v, psi, gamma))
+    psi, c = _plane_point(s)
+    return _sphere_velocity(s, c, psi, _nlse_raw(lap, v, psi, gamma))
 
 
 def _spin2d_induced_raw(lap: np.ndarray, v: np.ndarray, t: np.ndarray,
@@ -428,25 +433,58 @@ def make_rhs(g: WeightedGraph, initial: np.ndarray, config: NlseConfig,
     raise ValueError(f"unknown system {system!r}")
 
 
-def _rk4_step(rhs: Callable, y: np.ndarray, dt: float,
-              renorm_tol: float | None) -> tuple[np.ndarray, float]:
-    """One classical RK4 step, then renormalization along the last axis.
-
-    Each vector along it (a complex field, one spin, one row of a steady
-    batch) whose norm is off 1 by more than ``renorm_tol`` is rescaled to
-    unit norm; None rescales nothing.  Returns the state and the largest
-    drift before rescaling (0 without renormalization).
+def _renormalize(y: np.ndarray,
+                 renorm_tol: float | None) -> tuple[np.ndarray, float]:
+    """Rescale to unit norm each vector along the last axis (a complex
+    field, one spin, one row of a steady batch) whose norm is off 1 by more
+    than ``renorm_tol``; None rescales nothing.  Returns the state and the
+    largest drift before rescaling (0 without), non-finite if the state is.
     """
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if renorm_tol is None:
         return y, 0.0
     nrm = np.linalg.norm(y, axis=-1, keepdims=True)
     drift = np.abs(nrm - 1.0)
     return y / np.where(drift > renorm_tol, nrm, 1.0), float(drift.max())
+
+
+def _rk4_step(rhs: Callable, y: np.ndarray, dt: float,
+              renorm_tol: float | None) -> tuple[np.ndarray, float]:
+    """One classical RK4 step, then ``_renormalize``."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return _renormalize(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                        renorm_tol)
+
+
+# steps per block: the unit of per-step checks, chart comparisons and CSV rows
+_BLOCK = 256
+
+
+def _rk4_blocks(step: Callable, y: np.ndarray, dt: float,
+                n_steps: int) -> Iterator[tuple[np.ndarray, float]]:
+    """Take ``n_steps`` of ``step`` (an RK4 step returning the state and its
+    drift) from ``y``, yielding each block of up to ``_BLOCK`` states (reused
+    by the next) and its largest drift.  The first non-finite state raises
+    ``DivergenceError`` naming its step, at once if its drift is non-finite,
+    else at the block's end."""
+    buf = np.empty((min(n_steps, _BLOCK),) + y.shape, dtype=y.dtype)
+    for first in range(1, n_steps + 1, _BLOCK):
+        block = buf[:min(_BLOCK, n_steps + 1 - first)]
+        worst = 0.0
+        for i in range(len(block)):
+            y, drift = step(y)
+            # a drift overflows on a state whose squares do, finite or not
+            if not math.isfinite(drift) and not np.isfinite(y).all():
+                raise DivergenceError(first + i, (first + i) * dt)
+            block[i] = y
+            worst = max(worst, drift)
+        finite = np.isfinite(block.reshape(len(block), -1)).all(axis=1)
+        if not finite.all():
+            k = first + int(np.argmin(finite))
+            raise DivergenceError(k, k * dt)
+        yield block, worst
 
 
 def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
@@ -477,32 +515,21 @@ def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     constraint = {"ll": phase_constraint,
                   "spin2d": phase_constraint_2d}.get(system)
 
-    times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1,) + y.shape, dtype=y.dtype)
-    logs: dict[str, list[float]] = {"norm": []}
-    if constraint is not None:
-        logs["constraint"] = []
-
-    def log_state(yy: np.ndarray) -> None:
-        if constraint is None:
-            logs["norm"].append(float(np.linalg.norm(yy)))
-        else:
-            logs["norm"].append(float(np.linalg.norm(yy, axis=1).max()))
-            logs["constraint"].append(constraint(yy))
-
-    times[0] = 0.0
     states[0] = y
-    log_state(y)
     max_drift = 0.0
-    for k in range(1, n_steps + 1):
-        y, drift = _rk4_step(rhs, y, config.dt, renorm_tol)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(k, k * config.dt)
+    for k, (block, drift) in enumerate(_rk4_blocks(
+            lambda yy: _rk4_step(rhs, yy, config.dt, renorm_tol), y,
+            config.dt, n_steps)):
+        states[1 + k * _BLOCK:][:len(block)] = block
         max_drift = max(max_drift, drift)
-        times[k] = k * config.dt
-        states[k] = y
-        log_state(y)
-    return TrajectoryRecord(times, states,
+    if constraint is None:
+        logs = {"norm": [float(np.linalg.norm(yy)) for yy in states]}
+    else:
+        logs = {"norm": [float(np.linalg.norm(yy, axis=1).max())
+                         for yy in states],
+                "constraint": [constraint(yy) for yy in states]}
+    return TrajectoryRecord(np.arange(n_steps + 1) * config.dt, states,
                             {k: np.array(v) for k, v in logs.items()},
                             system, max_drift)
 
@@ -962,35 +989,57 @@ def gauge_check(g: WeightedGraph, initial: np.ndarray, config: NlseConfig,
     between the mapped field trajectory and the spin trajectory.  ``pair``
     selects the complex/sphere system or the real/circle system;
     ``spin_law`` selects the cross-product law or the exact pushforward.
+
+    Both flows step as one stacked state, the zero-padded field above one
+    spin per row, renormalized part by part so that each steps bit for bit
+    as under ``integrate``.  Under the pushforward law on the complex pair
+    one ``_nlse_raw`` call per stage serves the field and the spins.
     """
+    n = g.n
     if pair == "complex":
-        psi0 = validate_scalar_field(g, initial)
-        if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+        field0 = validate_scalar_field(g, initial)
+        if abs(np.linalg.norm(field0) - 1.0) > 1e-9:
             raise InvalidStateError("gauge check requires a unit-norm state")
-        field_rhs = make_rhs(g, psi0, config, "nlse")
-        spin_rhs_fn = make_rhs(g, psi0, config, "ll", spin_law)
-        chart = to_sphere
-        y = psi0.copy()
-        s = to_sphere(psi0)
+        systems, chart, field_tol = ("nlse", "ll"), to_sphere, config.renorm_tol
     elif pair == "real":
-        phi0 = validate_real_field(g, initial)
-        field_rhs = make_rhs(g, phi0, config, "diffusion")
-        spin_rhs_fn = make_rhs(g, phi0, config, "spin2d", spin_law)
-        chart = to_circle
-        y = phi0.copy()
-        s = to_circle(phi0)
+        field0 = validate_real_field(g, initial)
+        systems, chart, field_tol = ("diffusion", "spin2d"), to_circle, None
     else:
         raise ValueError(f"unknown pair {pair!r}")
+    field_rhs = make_rhs(g, field0, config, systems[0])
+    spin_rhs = make_rhs(g, field0, config, systems[1], spin_law)
+    if pair == "complex" and spin_law == "pushforward":
+        lap, v = (np.stack([x] * 2) for x in (g.coupling_laplacian(),
+                                              np.abs(field0) ** 2))
+        both = np.empty((2, n), complex)
 
-    n_steps = max(1, int(round(t_final / config.dt)))
-    field_tol = config.renorm_tol if pair == "complex" else None
-    worst = float(np.linalg.norm(chart(y) - s, axis=1).max())
-    for k in range(1, n_steps + 1):
-        y, _ = _rk4_step(field_rhs, y, config.dt, field_tol)
-        s, _ = _rk4_step(spin_rhs_fn, s, config.dt, config.renorm_tol)
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(s))):
-            raise DivergenceError(k, k * config.dt)
-        worst = max(worst, float(np.linalg.norm(chart(y) - s, axis=1).max()))
+        def rates(field, spins):
+            psi, c = _plane_point(spins)
+            both[0], both[1] = field, psi
+            f = _nlse_raw(lap, v, both, config.gamma)
+            return f[0], _sphere_velocity(spins, c, psi, f[1])
+    else:
+        def rates(field, spins):
+            return field_rhs(field), spin_rhs(np.ascontiguousarray(spins))
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        out = np.zeros(y.shape, y.dtype)
+        out[0, :n], out[1:, :3] = rates(y[0, :n], y[1:, :3].real)
+        return out
+
+    def step(y: np.ndarray) -> tuple[np.ndarray, float]:
+        y, _ = _rk4_step(rhs, y, config.dt, None)
+        y[0, :n], field_drift = _renormalize(y[0, :n], field_tol)
+        y[1:, :3], spin_drift = _renormalize(y[1:, :3].real, config.renorm_tol)
+        return y, field_drift + spin_drift  # non-finite if either part is
+
+    y = np.zeros((1 + n, max(n, 3)), dtype=field0.dtype)
+    y[0, :n], y[1:, :3] = field0, chart(field0)
+    worst = 0.0  # the spins start at the chart image of the field
+    for block, _ in _rk4_blocks(step, y, config.dt,
+                                max(1, int(round(t_final / config.dt)))):
+        gap = chart(block[:, 0, :n]) - block[:, 1:, :3].real
+        worst = max(worst, float(np.linalg.norm(gap, axis=-1).max()))
     return worst
 
 
@@ -1004,26 +1053,20 @@ def write_trajectory_csv(record: TrajectoryRecord, path: str) -> None:
     s{j}_x / s{j}_y / s{j}_z triples; real fields use phi_j columns.
     Floats are written with shortest round-trip formatting.
     """
-    states = record.states
-    if np.iscomplexobj(states):
-        n = states.shape[1]
-        header = ["t"] + [c for j in range(n) for c in (f"re_{j}", f"im_{j}")]
-        rows = ((t,) + tuple(x for z in row for x in (z.real, z.imag))
-                for t, row in zip(record.times, states))
-    elif states.ndim == 3:
-        n = states.shape[1]
-        header = ["t"] + [c for j in range(n)
-                          for c in (f"s{j}_x", f"s{j}_y", f"s{j}_z")]
-        rows = ((t,) + tuple(row.reshape(-1))
-                for t, row in zip(record.times, states))
-    else:
-        n = states.shape[1]
-        header = ["t"] + [f"phi_{j}" for j in range(n)]
-        rows = ((t,) + tuple(row) for t, row in zip(record.times, states))
+    columns = (("re_{}", "im_{}") if np.iscomplexobj(record.states) else
+               ("s{}_x", "s{}_y", "s{}_z") if record.states.ndim == 3 else
+               ("phi_{}",))
+    header = ["t"] + [c.format(j) for j in range(record.states.shape[1])
+                      for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for a in range(0, len(record.states), _BLOCK):  # one tolist() a block
+            block = record.states[a:a + _BLOCK]
+            if np.iscomplexobj(block):
+                block = np.stack((block.real, block.imag), axis=-1)
+            rows = np.column_stack((record.times[a:a + _BLOCK],
+                                    block.reshape(len(block), -1))).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_invariants_jsonl(record: TrajectoryRecord, path: str) -> None:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,24 @@ def test_explicit_initial_values_must_be_finite_exit_2(tmp_path, capsys,
     pair = ('simulate.initial={"mode":"explicit","values":%s}' % values)
     assert run_cli("simulate", "--out", str(tmp_path), "--set", pair) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, pairs", [
+    ("simulate", ("simulate.dynamics.dt=20", "simulate.dynamics.t_final=10")),
+    ("simulate", ("simulate.dynamics.dt=1e-300",)),
+    ("gauge-check", ("gauge_check.dynamics.t_final=1e300",)),
+], ids=["step-beyond-horizon", "step-count-beyond-ceiling",
+        "horizon-beyond-ceiling"])
+def test_horizon_and_step_count_checked_before_work_exit_2(tmp_path, command,
+                                                           pairs):
+    # a step past t_final would write a record beyond the horizon asked for;
+    # 10^301 steps would ask numpy for a trajectory it cannot allocate
+    args = [command, "--out", str(tmp_path)]
+    for pair in pairs:
+        args += ["--set", pair]
+    start = time.perf_counter()
+    assert run_cli(*args) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("weight", ["Infinity", "1e400"])
@@ -672,6 +691,13 @@ def test_rerun_simulate_byte_identical(tmp_path):
 
 def test_rerun_gauge_check_byte_identical(tmp_path):
     _rerun_identical(tmp_path, "gauge-check",
+                     "--set", "gauge_check.dynamics.dt=0.01",
+                     "--set", "gauge_check.dynamics.t_final=1.0")
+
+
+def test_rerun_gauge_check_pushforward_byte_identical(tmp_path):
+    _rerun_identical(tmp_path, "gauge-check",
+                     "--set", "gauge_check.spin_law=pushforward",
                      "--set", "gauge_check.dynamics.dt=0.01",
                      "--set", "gauge_check.dynamics.t_final=1.0")
 

@@ -7,6 +7,9 @@ laws; the mismatch of the cross-product laws is pinned down quantitatively
 here, while the acceptance suite checks equivalence on the pushforward laws.
 """
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,6 +337,48 @@ def test_constraint_transport_pushforward_only():
     assert np.abs(c2 - 1.0).max() > 1e-2  # drifts under the cross-product law
 
 
+def _chart_composition(g, s, psi0, gamma):
+    """The pushforward law as chart, complex flow and chart derivative."""
+    psi = to_plane(s)
+    f = nlse_rhs(g, psi, psi0, gamma)
+    x, y, a, b = psi.real, psi.imag, f.real, f.imag
+    u = 1.0 + x * x + y * y
+    p = x * a + y * b
+    return np.stack([2.0 * a / u - 4.0 * x * p / u ** 2,
+                     2.0 * b / u - 4.0 * y * p / u ** 2,
+                     -4.0 * p / u ** 2], axis=-1)
+
+
+def test_ll_rhs_induced_closed_form_is_the_chart_composition():
+    # the two forms agree on the sphere and differ off it by about
+    # (|S|^2 - 1) / (1 + S_z); so the spin next to the pole takes its radius
+    # from (1 - S_z)(1 + S_z), in which 1 + S_z is exact
+    rng = np.random.default_rng(31)
+    graphs = [single_vertex_graph(), path_graph(2), cycle_graph(3),
+              path_graph(5), cycle_graph(8)]
+    for trial in range(40):
+        g = graphs[trial % len(graphs)]
+        s = rng.normal(size=(g.n, 3))
+        s /= np.linalg.norm(s, axis=1)[:, None]
+        if trial % 2:
+            sz = -1.0 + 1e-6
+            r, angle = np.sqrt((1.0 - sz) * (1.0 + sz)), rng.uniform(0, 2 * np.pi)
+            s[rng.integers(g.n)] = [r * np.cos(angle), r * np.sin(angle), sz]
+        psi0 = unit_state(rng, g.n)
+        gamma = rng.uniform(0.0, 2.0)
+        ref = _chart_composition(g, s, psi0, gamma)
+        got = ll_rhs_induced(g, s, psi0, gamma)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_ll_rhs_induced_rejects_the_south_pole():
+    g = path_graph(2)
+    s = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    with pytest.raises(SouthPoleError, match=re.escape(
+            "state touches the excluded south pole (S_z = -1)")):
+        ll_rhs_induced(g, s, np.array([1.0, 0.0j]), 1.0)
+
+
 # -- integrator --------------------------------------------------------------------
 
 
@@ -395,6 +440,52 @@ def test_integrate_divergence_raises_with_step():
             integrate(make_rhs(g, phi0, cfg, "diffusion"), phi0, cfg,
                       system="diffusion", t_final=500.0)
     assert err.value.step >= 1
+
+
+def test_integrate_divergence_names_the_first_non_finite_step():
+    # the diffusion flow is not renormalized, so its states are checked
+    # per block of steps; the steps after the first non-finite one raise
+    # nothing else
+    g = path_graph(2)
+    phi0 = np.array([5.0, -5.0])
+    cfg = NlseConfig(dt=50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            integrate(make_rhs(g, phi0, cfg, "diffusion"), phi0, cfg,
+                      system="diffusion", t_final=500.0)
+    assert (err.value.step, err.value.t) == (4, 200.0)
+
+
+def test_integrate_stops_at_a_non_finite_renormalized_state():
+    # a renormalized state is non-finite exactly when its drift is, so the
+    # step that makes one is the last, and the right-hand side never sees it
+    g = path_graph(2)
+    psi0 = np.ones(2, dtype=complex) / np.sqrt(2.0)
+    rhs = make_rhs(g, psi0, CFG, "nlse")
+    inputs_finite = []
+
+    def poisoned(y):  # the second stage of step 2 returns NaN
+        inputs_finite.append(bool(np.isfinite(y).all()))
+        return rhs(y) * (np.nan if len(inputs_finite) == 6 else 1.0)
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            integrate(poisoned, psi0, CFG, t_final=1.0)
+    assert err.value.step == 2
+    assert len(inputs_finite) == 8 and all(inputs_finite[:6])
+
+
+@pytest.mark.parametrize("scale, step", [(1.0, 4), (1.0 / np.sqrt(50.0), 3)],
+                         ids=["raw", "unit"])
+def test_gauge_check_divergence_names_the_first_non_finite_step(scale, step):
+    g = path_graph(2)
+    phi0 = np.array([5.0, -5.0]) * scale
+    cfg = NlseConfig(dt=50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            gauge_check(g, phi0, cfg, t_final=2000.0, pair="real",
+                        spin_law="pushforward")
+    assert (err.value.step, err.value.t) == (step, step * 50.0)
 
 
 def test_integrate_diffusion_logs_norm_without_asserting():
@@ -937,3 +1028,41 @@ def test_rk4_step_batch_rows_equal_single_steps(case):
         row, _ = dynamics._rk4_step(make_rhs(g, psi0[i], cfg, "nlse"), psi[i],
                                     cfg.dt, cfg.renorm_tol)
         assert np.array_equal(out[i], row)
+
+
+@st.composite
+def gauge_cases(draw):
+    """A random connected graph on N = 1-10 vertices, a unit initial field
+    of either pair, a spin law, a few steps and a block size for them."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+    edges |= {(u, w) for u in range(n) for w in range(u + 1, n)
+              if rng.uniform() < 0.3}
+    g = build_graph(n, [(u, w, float(rng.uniform(0.1, 1.0)))
+                        for u, w in sorted(edges)])
+    pair = draw(st.sampled_from(("complex", "real")))
+    field0 = unit_state(rng, n) if pair == "complex" else unit_state(rng, n).real
+    field0 = field0 / np.linalg.norm(field0)
+    cfg = NlseConfig(gamma=float(rng.uniform(0.0, 2.0)), dt=2e-2)
+    return (g, field0, pair, draw(st.sampled_from(("cross", "pushforward"))),
+            cfg, draw(st.integers(1, 12)), draw(st.integers(1, 5)))
+
+
+@given(gauge_cases())
+def test_gauge_check_steps_each_flow_as_integrate_does(case):
+    # the stacked state changes no bit of either flow, across block ends
+    g, field0, pair, law, cfg, steps, block = case
+    field_system, spin_system, chart = {
+        "complex": ("nlse", "ll", to_sphere),
+        "real": ("diffusion", "spin2d", to_circle)}[pair]
+    t_final = steps * cfg.dt
+    field = integrate(make_rhs(g, field0, cfg, field_system), field0, cfg,
+                      system=field_system, t_final=t_final)
+    spins = integrate(make_rhs(g, field0, cfg, spin_system, law),
+                      chart(field0), cfg, system=spin_system, t_final=t_final)
+    expect = np.linalg.norm(chart(field.states) - spins.states, axis=-1).max()
+    with mock.patch.object(dynamics, "_BLOCK", block):
+        got = gauge_check(g, field0, cfg, t_final=t_final, pair=pair,
+                          spin_law=law)
+    assert got == expect
