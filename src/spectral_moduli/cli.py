@@ -334,7 +334,8 @@ def _as_int_list(value: Any, label: str) -> list[int]:
     items = _as_list(value, label)
     if not items:
         raise ConfigError(f"{label}: list must be nonempty")
-    return [_as_int(lo=1)(v, f"{label}[{i}]") for i, v in enumerate(items)]
+    return [_as_int(lo=1, hi=_MAX_DRAW)(v, f"{label}[{i}]")
+            for i, v in enumerate(items)]
 
 
 # -- graph and initial-state construction ----------------------------------------
@@ -425,6 +426,10 @@ def _initial_field(spec: dict, n: int, field_kind: str,
 # simulate and gauge-check take round(t_final / dt) RK4 steps, from 1 to this
 # many: 100 times the default 10^4, about two minutes of stepping
 _MAX_STEPS = 10 ** 6
+# a sampler draws pair by pair in Python, so the pairs one call draws (a
+# task's batch, a phase's epochs x batch, a gap size) are checked first: at
+# most this many, about 280 times the largest default (60 epochs x 6 pairs)
+_MAX_DRAW = 10 ** 5
 
 
 def _resolve_dynamics(sec: _Section, *, dt: float, t_final: float) -> dict:
@@ -510,7 +515,8 @@ def resolve_learn_graph(raw: dict) -> dict:
     body = {
         "task": sec.take("task", "c4", _as_str(tuple(_TASKS))),
         "iterations": sec.take("iterations", None, _optional(_as_int(lo=0))),
-        "batch_size": sec.take("batch_size", None, _optional(_as_int(lo=1))),
+        "batch_size": sec.take("batch_size", None,
+                               _optional(_as_int(lo=1, hi=_MAX_DRAW))),
         "noise_delta": sec.take("noise_delta", None, _optional(_as_float(lo=0.0))),
     }
     sec.finish()
@@ -568,6 +574,10 @@ def resolve_train(raw: dict) -> dict:
     if body["gap_sizes"] is not None and not body["include_baseline"]:
         # The gap report contrasts the model against the dense baseline.
         raise ConfigError("train.gap_sizes requires train.include_baseline")
+    for phase in ("phase1", "phase2", "baseline")[:2 + body["include_baseline"]]:
+        if (pairs := body[phase]["epochs"] * body["batch_size"]) > _MAX_DRAW:
+            raise ConfigError(f"train.{phase}.epochs x train.batch_size: must "
+                              f"be at most {_MAX_DRAW}, got {pairs}")
     resolved["train"] = body
     return resolved
 

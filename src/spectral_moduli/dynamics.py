@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -547,7 +547,9 @@ class SteadyState:
     the flow time integrated by RK4; a Newton polish adds none, and it is 0
     for a state pseudo-transient continuation accepts.  ``gamma``
     is the dissipation rate of the flow the state is an equilibrium of;
-    every derivative of the state is taken at it.
+    every derivative of the state is taken at it.  A root Newton accepted
+    carries its ``_bordered_system`` in ``bordered``, keyed by what it was
+    built from: the bytes of the Laplacian, potential and state, and gamma.
     """
 
     psi_inf: np.ndarray
@@ -555,6 +557,7 @@ class SteadyState:
     residual: float
     converged: bool
     gamma: float
+    bordered: tuple | None = field(default=None, compare=False, repr=False)
 
 
 # Newton takes over from RK4 once the projected residual is at most this.
@@ -591,35 +594,48 @@ def _batch_residual(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     return np.abs(_batch_projected_rhs(lap, v, psi, gamma)).max(axis=1)
 
 
-def _realified_jacobian(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-                        gamma: float) -> np.ndarray:
-    """Realified Jacobians (B, 2N, 2N) of the complex flow, in closed form.
+def _diagonal(b: np.ndarray, row: int, col: int, count: int) -> np.ndarray:
+    """View of the entries (row + j, col + j), j < ``count``, of each matrix
+    of the C-contiguous stack ``b``: a basic slice of it flattened."""
+    m, start = b.shape[-1], row * b.shape[-1] + col
+    return b.reshape(len(b), -1)[:, start:start + count * (m + 1):m + 1]
 
-    ``lap`` (B, N, N) holds coupling Laplacians, ``v`` (B, N) frozen
-    potentials and ``psi`` (B, N) the states.  The |psi|^2 and projector
-    terms make dF = A delta + C conj(delta) real-linear only; acting on
-    [Re; Im] stacks this is [[Re(A+C), -Im(A-C)], [Im(A+C), Re(A-C)]].
-    With d = L psi + (|psi|^2 - V) psi, s = <psi, d> and n2 = |psi|^2,
-    F = -i (L + V) psi - gamma (d - psi s / n2).
+
+def _realified_jacobian(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                        gamma: float, out: np.ndarray,
+                        rotating: bool = False) -> None:
+    """Write into the top-left 2N x 2N blocks of the C-contiguous ``out``
+    (B, M, M) the realified Jacobians J of the complex flow at the states
+    ``psi`` = x + i y (B, N), or, ``rotating``, J - alpha i with alpha =
+    -<psi, (L + V) psi> / n2, n2 = |psi|^2; ``lap`` (B, N, N) holds coupling
+    Laplacians and ``v`` (B, N) frozen potentials.  F = -i (L + V) psi -
+    gamma (d - psi s / n2), d = L psi + (|psi|^2 - V) psi, and s = <psi, d>
+    is real as L is.  So on [x; y], J = [[-gamma L, L], [-L, -gamma L]] plus
+    the diagonals gamma (V - 2 |psi|^2 + sigma) -+ gamma (x^2 - y^2) at (j, j)
+    and (j+N, j+N) and +-V - 2 gamma x y at (j, j+N) and (j+N, j), plus z h^T:
+    sigma = s / n2, z = [x; y], h = (2 gamma / n2) [Re c - sigma x; Im c -
+    sigma y] and c = L psi + (2 |psi|^2 - V) psi.
     """
-    eye = np.eye(psi.shape[1])
-    r2 = np.abs(psi) ** 2
-    n2 = r2.sum(axis=1)[:, None, None]
-    d = np.einsum("sij,sj->si", lap, psi) + (r2 - v) * psi
-    s = np.sum(np.conj(psi) * d, axis=1)[:, None, None]
-    # dd = A_d delta + diag(psi^2) conj(delta), ds = a_s delta + c_s conj(delta)
-    a_d = lap + (2.0 * r2 - v)[:, :, None] * eye
-    a_s = np.einsum("si,sij->sj", np.conj(psi), a_d)
-    c_s = d + r2 * psi
-    a_p = (a_d - (s / n2) * eye - psi[:, :, None] * a_s[:, None, :] / n2
-           + (s / n2 ** 2) * psi[:, :, None] * np.conj(psi)[:, None, :])
-    c_p = ((psi ** 2)[:, :, None] * eye - psi[:, :, None] * c_s[:, None, :] / n2
-           + (s / n2 ** 2) * psi[:, :, None] * psi[:, None, :])
-    a = -1j * (lap + v[:, :, None] * eye) - gamma * a_p
-    c = -gamma * c_p
-    return np.concatenate([
-        np.concatenate([(a + c).real, -(a - c).imag], axis=2),
-        np.concatenate([(a + c).imag, (a - c).real], axis=2)], axis=1)
+    nb, n = psi.shape
+    xy = np.ascontiguousarray(psi, dtype=complex).view(float).reshape(nb, n, 2)
+    lz, sq = lap @ xy, xy * xy
+    r2 = sq[..., 0] + sq[..., 1]
+    n2 = r2.sum(axis=1)[:, None]
+    dz = lz + (r2 - v)[..., None] * xy
+    u = r2 - np.einsum("sjk,sjk->s", xy, dz)[:, None] / n2  # |psi|^2 - sigma
+    hz = (dz + u[..., None] * xy) * (2.0 * gamma / n2)[..., None]
+    j0 = (np.array([[-gamma, 1.0], [-1.0, -gamma]])[:, None, :, None]
+          * lap[:, None, :, None, :]).reshape(nb, 2 * n, 2 * n)
+    z, h = (a.transpose(0, 2, 1).reshape(nb, 2 * n) for a in (xy, hz))
+    np.add(j0, z[:, :, None] * h[:, None, :], out=out[:, :2 * n, :2 * n])
+    main = _diagonal(out, 0, 0, 2 * n).reshape(nb, 2, n)
+    main -= (gamma * (2.0 * sq + (u - v)[..., None])).transpose(0, 2, 1)
+    e = 2.0 * gamma * xy[..., 0] * xy[..., 1]
+    if rotating:  # V + alpha
+        v = v - np.einsum("sjk,sjk->s", xy, lz + v[..., None] * xy)[:, None] / n2
+    upper, lower = _diagonal(out, 0, n, n), _diagonal(out, n, 0, n)
+    upper += v - e
+    lower -= v + e
 
 
 def _dF_dparams(edges: Sequence[tuple[int, int]], psi: np.ndarray,
@@ -658,23 +674,18 @@ def _bordered_system(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     both solve with it.
     """
     nb, n = psi.shape
-    slices = np.stack([np.concatenate([-psi.imag, psi.real], axis=1),
-                       np.concatenate([psi.real, psi.imag], axis=1)], axis=1)
-    mpsi = np.einsum("sij,sj->si", lap, psi) + v * psi
-    alpha = (-np.sum(np.conj(psi) * mpsi, axis=1).real
-             / np.sum(np.abs(psi) ** 2, axis=1))
-    diag = np.arange(n)
-    b = np.zeros((nb, 2 * n + 2, 2 * n + 2))
-    b[:, :2 * n, :2 * n] = _realified_jacobian(lap, v, psi, gamma)
-    b[:, diag, diag + n] += alpha[:, None]
-    b[:, diag + n, diag] -= alpha[:, None]
-    b[:, :2 * n, 2 * n:] = -slices.transpose(0, 2, 1)
-    b[:, 2 * n:, :2 * n] = slices
+    b = np.empty((nb, 2 * n + 2, 2 * n + 2))
+    _realified_jacobian(lap, v, psi, gamma, b, rotating=True)
+    rows = b[:, 2 * n:, :2 * n].reshape(nb, 2, 2, n)
+    rows[:, 0, 0], rows[:, 0, 1] = -psi.imag, psi.real
+    rows[:, 1, 0], rows[:, 1, 1] = psi.real, psi.imag
+    b[:, :2 * n, 2 * n:] = -b[:, 2 * n:, :2 * n].transpose(0, 2, 1)
+    b[:, 2 * n:, 2 * n:] = 0.0
     return b
 
 
 def _repelling(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-               gamma: float) -> np.ndarray:
+               gamma: float, b: np.ndarray | None = None) -> np.ndarray:
     """Whether the linearized flow at each relative equilibrium has a
     growing mode, that is, an eigenvalue with real part above
     ``_NEWTON_STABLE_RATE``.
@@ -683,27 +694,31 @@ def _repelling(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     real complement of the radial and phase directions psi and i psi: the
     flow keeps |psi| and is neutral along the phase.  Components of the
     graph on which psi vanishes are left out too: the flow keeps them at
-    exactly zero, so their modes are never excited.
+    exactly zero, so their modes are never excited.  ``b`` is the states'
+    ``_bordered_system`` if the caller has it; it is left as it is.
     """
     n = psi.shape[1]
     adjacent = (lap != 0).astype(float)
     reach = psi != 0
     for _ in range(n - 1):
         reach |= np.einsum("sij,sj->si", adjacent, reach) > 0
-    b = _bordered_system(lap, v, psi, gamma)
-    a = b[:, :2 * n, :2 * n]
+    b = _bordered_system(lap, v, psi, gamma) if b is None else b
     # the linearization does not couple a vanishing component to the rest,
     # so zeroing its block only turns its eigenvalues into zeros; so does
     # the projection p = 1 - s s^T off s = [psi, i psi] / |psi|
     idle = np.tile(~reach, 2)
-    a[idle[:, :, None] | idle[:, None, :]] = 0.0
+    a = np.where(idle[:, :, None] | idle[:, None, :], 0.0, b[:, :2 * n, :2 * n])
     s = b[:, :2 * n, 2 * n:] / np.linalg.norm(psi, axis=1)[:, None, None]
     p = np.eye(2 * n) - s @ s.transpose(0, 2, 1)
+    pap = p @ a @ p
     try:
-        rate = np.linalg.eigvals(p @ a @ p).real.max(axis=1)
+        return np.linalg.eigvals(pap).real.max(axis=1) > _NEWTON_STABLE_RATE
     except np.linalg.LinAlgError:  # no converged spectrum: leave it to RK4
-        return np.ones(len(psi), dtype=bool)
-    return rate > _NEWTON_STABLE_RATE
+        if len(psi) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([  # one row at a time: the others keep theirs
+            _repelling(lap[i:i + 1], v[i:i + 1], psi[i:i + 1], gamma, b[i:i + 1])
+            for i in range(len(psi))])
 
 
 def _solve_stacked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -737,8 +752,8 @@ def _bordered_step(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     rhs[:, :n] = -pf.real
     rhs[:, n:2 * n] = -pf.imag
     b = _bordered_system(lap, v, psi, gamma)
-    diag = np.arange(2 * n)
-    b[:, diag, diag] -= inv_delta[:, None]
+    main = _diagonal(b, 0, 0, 2 * n)
+    main -= inv_delta[:, None]
     step, solved = _solve_stacked(b, rhs[..., None])
     new = psi + step[:, :n, 0] + 1j * step[:, n:2 * n, 0]
     new = new / np.linalg.norm(new, axis=1)[:, None]
@@ -749,51 +764,54 @@ def _bordered_step(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
 
 def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-                   res: np.ndarray, gamma: float, tol: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched Newton on F(psi) = i alpha psi from hand-off states ``psi``.
+                   res: np.ndarray, gamma: float, tol: float, pf: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched Newton on F(psi) = i alpha psi from hand-off states ``psi``
+    (residuals ``res`` above ``tol``, projected right-hand sides ``pf``).
 
     Each iteration solves every live row's bordered system once and
     renormalizes.  A row is accepted once its residual is at most ``tol``;
     it is dropped when the residual does not fall, the iterate leaves the
     trust radius around its hand-off state or turns non-finite, the system
     is singular, or the iterations run out.  A root at which the flow's
-    linearization has a growing mode is dropped too: the flow leaves such
-    an equilibrium, so it is not the steady state RK4 would reach.
-    Returns states and residuals (Newton's output for accepted rows, the
-    hand-off values for the rest) and a mask of the rows that met such a
-    repelling root.
+    linearization has a growing mode is dropped too, in one check at the
+    end: the flow leaves such an equilibrium, so it is not the steady state
+    RK4 would reach.  Returns states and residuals (Newton's output for
+    accepted rows, the hand-off values for the rest), a mask of the rows
+    that met such a repelling root, and each row's ``SteadyState.bordered``.
     """
-    nb = len(psi)
     out, out_res = psi.copy(), res.copy()
-    repelled = np.zeros(nb, dtype=bool)
-    live = np.arange(nb)
+    live = np.arange(len(psi))
     cur, cur_res = psi, res
-    pf = _batch_projected_rhs(lap, v, cur, gamma)
     for _ in range(_NEWTON_MAX_ITER):
-        la, va = lap[live], v[live]
-        new, new_pf, new_res, ok = _bordered_step(la, va, cur, pf, gamma,
-                                                  np.zeros(live.size))
+        new, new_pf, new_res, ok = _bordered_step(lap[live], v[live], cur, pf,
+                                                  gamma, np.zeros(live.size))
         keep = (ok & (new_res < cur_res)
                 & (np.linalg.norm(new - psi[live], axis=1) <= _NEWTON_TRUST))
         done = keep & (new_res <= tol)
-        if done.any():
-            stable = ~_repelling(la[done], va[done], new[done], gamma)
-            repelled[live[done][~stable]] = True
-            keep[done] = stable
-            done[done] = stable
         out[live[done]] = new[done]
         out_res[live[done]] = new_res[done]
         go = keep & ~done
         live, cur, cur_res, pf = live[go], new[go], new_res[go], new_pf[go]
         if not live.size:
             break
-    return out, out_res, repelled
+    repelled, carried = np.zeros(len(psi), bool), np.full(len(psi), None, object)
+    rows = np.flatnonzero(out_res <= tol)
+    if rows.size:
+        la, va, pa = lap[rows], v[rows], out[rows]
+        b = _bordered_system(la, va, pa, gamma)
+        repelled[rows] = _repelling(la, va, pa, gamma, b)
+        back = rows[repelled[rows]]
+        out[back], out_res[back] = psi[back], res[back]
+        for k in np.flatnonzero(~repelled[rows]):
+            key = la[k].tobytes(), va[k].tobytes(), pa[k].tobytes(), gamma
+            carried[rows[k]] = key, b[k]
+    return out, out_res, repelled, carried
 
 
 def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
                       gamma: float, tol: float, horizon: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched pseudo-transient continuation from the starts ``psi``.
 
     Each iteration takes a backward-Euler step of pseudo-time delta per
@@ -810,15 +828,16 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     ``_flow_path``.  A row is dropped if Newton rejects it, its step is
     not finite, its system is singular, it passes below ``tol`` without
     reaching Newton, or pseudo-time or ``_PTC_MAX_ITER`` run out; so is a
-    non-finite start.  Returns states, residuals and the accepted mask.
+    non-finite start.  Returns states, residuals, the accepted mask and
+    each row's ``SteadyState.bordered``.
     """
     nb = len(psi)
-    out, out_res = psi.copy(), np.full(nb, np.inf)
+    out, out_res, out_pf = psi.copy(), np.full(nb, np.inf), np.zeros_like(psi)
     live = np.flatnonzero(np.isfinite(psi).all(axis=1))
     pf = _batch_projected_rhs(lap[live], v[live], psi[live], gamma)
     res = np.abs(pf).max(axis=1)
     go = res > _NEWTON_HANDOFF
-    out_res[live[~go]] = res[~go]
+    out_res[live[~go]], out_pf[live[~go]] = res[~go], pf[~go]
     handed = np.zeros(nb, dtype=bool)
     handed[live[~go]] = res[~go] > tol
     live, cur, pf, res = live[go], psi[live[go]], pf[go], res[go]
@@ -837,16 +856,19 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
         reach = near & (new_res > tol)
         out[live[reach]] = new[reach]
         out_res[live[reach]] = new_res[reach]
+        out_pf[live[reach]] = new_pf[reach]
         handed[live[reach]] = True
         go = ok & ~near
         delta = delta[go] * res[go] / new_res[go]
         live, cur, pf, res, spent = (
             live[go], new[go], new_pf[go], new_res[go], spent[go])
     rows = np.flatnonzero(handed)
+    carried = np.full(nb, None, object)
     if rows.size:
-        out[rows], out_res[rows], _ = _newton_polish(
-            lap[rows], v[rows], out[rows], out_res[rows], gamma, tol)
-    return out, out_res, out_res <= tol
+        out[rows], out_res[rows], _, carried[rows] = _newton_polish(
+            lap[rows], v[rows], out[rows], out_res[rows], gamma, tol,
+            out_pf[rows])
+    return out, out_res, out_res <= tol, carried
 
 
 def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
@@ -874,18 +896,20 @@ def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     result_res = np.full(n_prob, np.inf)
     ok = np.zeros(n_prob, dtype=bool)
     flow_only = np.zeros(n_prob, dtype=bool)
+    carried = np.full(n_prob, None, object)
     active = np.arange(n_prob)
     step = 0
     while True:
         la, va, pa = lap[active], v[active], psi[active]
         finite = np.isfinite(pa).all(axis=1)
-        safe = np.where(finite[:, None], pa, 1.0)
-        res = np.where(finite, _batch_residual(la, va, safe, gamma), np.inf)
+        pf = _batch_projected_rhs(la, va, np.where(finite[:, None], pa, 1.0),
+                                  gamma)
+        res = np.where(finite, np.abs(pf).max(axis=1), np.inf)
         near = (finite & (res > tol) & (res <= _NEWTON_HANDOFF)
                 & ~flow_only[active])
         if near.any():
-            pa[near], res[near], repelled = _newton_polish(
-                la[near], va[near], pa[near], res[near], gamma, tol)
+            pa[near], res[near], repelled, carried[active[near]] = _newton_polish(
+                la[near], va[near], pa[near], res[near], gamma, tol, pf[near])
             flow_only[active[near][repelled]] = True
         hit = (res <= tol) | ~finite
         rows = active[hit]
@@ -905,15 +929,19 @@ def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
     result_t[active], result_res[active] = step * dt, res[~hit]
     return [SteadyState(psi[i], float(result_t[i]), float(result_res[i]),
-                        bool(ok[i]), float(gamma)) for i in range(n_prob)]
+                        bool(ok[i]), float(gamma), carried[i])
+            for i in range(n_prob)]
 
 
 def _stack_problems(graphs: Sequence[WeightedGraph],
                     psi0s: Sequence[np.ndarray],
                     starts: Sequence[np.ndarray] | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coupling Laplacians, frozen potentials and starts of a batch."""
-    lap = np.stack([g.coupling_laplacian() for g in graphs])
+    """Coupling Laplacians (one build per graph object), frozen potentials
+    and starts of a batch."""
+    distinct = {id(g): g for g in graphs}
+    laps = {k: g.coupling_laplacian() for k, g in distinct.items()}
+    lap = np.stack([laps[id(g)] for g in graphs])
     psi0_arr = np.stack([validate_scalar_field(g, p)
                          for g, p in zip(graphs, psi0s)])
     norms = np.linalg.norm(psi0_arr, axis=1)
@@ -943,10 +971,11 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     if len(graphs) == 0:
         return []
     lap, v, psi = _stack_problems(graphs, psi0s, starts)
-    states, res, accepted = _pseudo_transient(
+    states, res, accepted, carried = _pseudo_transient(
         lap, v, psi, config.gamma, config.steady_tol, config.t_max)
     rest = iter(_flow_path(lap[~accepted], v[~accepted], psi[~accepted], config))
-    return [SteadyState(states[i], 0.0, float(res[i]), True, float(config.gamma))
+    return [SteadyState(states[i], 0.0, float(res[i]), True, float(config.gamma),
+                        carried[i])
             if accepted[i] else next(rest) for i in range(len(psi))]
 
 

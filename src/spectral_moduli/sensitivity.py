@@ -13,10 +13,12 @@ real (2N+2) x (2N+2) system for (d_psi, d_alpha, d_mu).  Everything complex
 is realified as [Re; Im] stacks (the right-hand side contains conj-linear
 terms, so J is real-linear, not complex-linear).  Every derivative of F
 comes from ``dynamics``, which owns F: the bordered matrix from
-``_bordered_system`` (the matrix the steady solver's Newton polish uses)
-and dF/dp from ``_dF_dparams``, both at ``SteadyState.gamma``, the rate of
-the flow the state was solved under.  This module holds only the bordered
-linear algebra and the finite-difference oracle.
+``_bordered_system`` (J in closed form, the matrix the steady solver's
+Newton polish uses, and which a state Newton accepted carries, for pricing
+on the same Laplacian and potential to reuse) and dF/dp from
+``_dF_dparams``, both at ``SteadyState.gamma``, the rate of the flow the
+state was solved under.  This module holds only the bordered linear
+algebra and the finite-difference oracle.
 
 On the bundled tasks N <= 12, so the bordered matrix is at most 26 x 26
 and is inverted outright: for the adjoint, one stacked inverse per batch of
@@ -98,8 +100,10 @@ def rhs_jacobian(g: WeightedGraph, psi0: np.ndarray, psi: np.ndarray,
     """Realified 2N x 2N Jacobian of the complex flow at ``psi``."""
     psi0 = validate_scalar_field(g, psi0)
     psi = validate_scalar_field(g, psi)
-    return _realified_jacobian(g.coupling_laplacian()[None],
-                              (np.abs(psi0) ** 2)[None], psi[None], gamma)[0]
+    out = np.empty((1, 2 * g.n, 2 * g.n))
+    _realified_jacobian(g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None],
+                        psi[None], gamma, out)
+    return out[0]
 
 
 def _states(steadies: Sequence[SteadyState]) -> tuple[np.ndarray, float]:
@@ -130,12 +134,19 @@ def _factor_bordered(g: WeightedGraph, psi0s: Sequence[np.ndarray],
     Returns (inv, cond) per state: the top-left 2N x 2N block of B^-1, the
     only block that right-hand sides with zero border rows reach, and the
     exact 1-norm condition number ||B||_1 ||B^-1||_1.  A batch fails as its
-    first failing state would alone.
+    first failing state would alone.  A state's matrix is not built again
+    if it carries one (``SteadyState.bordered``) of this graph and input.
     """
     psi, gamma = _states(steadies)
     v = np.abs(np.stack([validate_scalar_field(g, p) for p in psi0s])) ** 2
-    lap = np.broadcast_to(g.coupling_laplacian(), (len(psi), g.n, g.n))
-    b = _bordered_system(lap, v, psi, gamma)
+    lap = g.coupling_laplacian()
+    held = [st.bordered if st.bordered is not None and st.bordered[0] == (
+                lap.tobytes(), vi.tobytes(), st.psi_inf.tobytes(), st.gamma)
+            else None for st, vi in zip(steadies, v)]
+    fresh = [i for i, h in enumerate(held) if h is None]
+    built = iter(_bordered_system(np.broadcast_to(lap, (len(fresh), g.n, g.n)),
+                                  v[fresh], psi[fresh], gamma) if fresh else ())
+    b = np.stack([next(built) if h is None else h[1] for h in held])
     # B^-1 by LAPACK's gesv against the identity, as np.linalg.inv computes it
     inv, solved = _solve_stacked(b, np.broadcast_to(np.eye(len(b[0])), b.shape))
     cond = np.linalg.norm(b, 1, axis=(1, 2)) * np.linalg.norm(inv, 1, axis=(1, 2))

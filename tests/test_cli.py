@@ -158,6 +158,35 @@ def test_horizon_and_step_count_checked_before_work_exit_2(tmp_path, command,
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command, pairs", [
+    ("train", ("train.batch_size=1000000000000",)),
+    ("learn-graph", ("learn_graph.task=c5_noisy",
+                     "learn_graph.batch_size=100000000000")),
+    ("train", ("train.gap_sizes=[50,1000000000000]",)),
+], ids=["train-batch", "c5-noisy-batch", "gap-size"])
+def test_sampler_draw_counts_checked_before_work_exit_2(tmp_path, capsys,
+                                                        command, pairs):
+    # a sampler loops over its pairs in Python, growing memory as it goes,
+    # so these draws would otherwise run for hours
+    args = [command, "--out", str(tmp_path)]
+    for pair in pairs:
+        args += ["--set", pair]
+    start = time.perf_counter()
+    assert run_cli(*args) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"must be at most {cli._MAX_DRAW}" in capsys.readouterr().err
+
+
+def test_sampler_draw_ceiling_is_inclusive():
+    raw = {"train": {"batch_size": cli._MAX_DRAW, "phase1": {"epochs": 1},
+                     "phase2": {"epochs": 0}, "include_baseline": False,
+                     "gap_sizes": None}}
+    assert cli.resolve_train(raw)["train"]["batch_size"] == cli._MAX_DRAW
+    raw["train"]["phase2"]["epochs"] = 2
+    with pytest.raises(cli.ConfigError, match="train.phase2.epochs"):
+        cli.resolve_train(raw)
+
+
 @pytest.mark.parametrize("weight", ["Infinity", "1e400"])
 def test_non_finite_explicit_edge_weight_exits_2(tmp_path, capsys, weight):
     assert run_cli("simulate", "--out", str(tmp_path),

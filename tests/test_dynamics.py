@@ -668,6 +668,145 @@ def test_unconverged_spectrum_counts_as_repelling(monkeypatch):
                   - ref.psi_inf).max() <= 1e-7
 
 
+def test_a_failing_spectrum_flags_only_its_own_row():
+    # a non-finite potential spoils one row's linearization, and LAPACK then
+    # refuses the whole stack; the other row keeps its own verdict
+    g = cycle_graph(4)
+    psi0 = unit_state(np.random.default_rng(21), 4)
+    cfg = NlseConfig(dt=5e-2, t_max=3000.0)
+    root = solve_steady_state(g, psi0, cfg).psi_inf
+    lap = np.stack([g.coupling_laplacian()] * 2)
+    v = np.stack([np.abs(psi0) ** 2] * 2)
+    psi = np.stack([root, root])
+    assert dynamics._repelling(lap, v, psi, cfg.gamma).tolist() == [False, False]
+    v[1, 2] = np.nan
+    assert dynamics._repelling(lap, v, psi, cfg.gamma).tolist() == [False, True]
+
+
+def test_repelling_leaves_a_matrix_it_is_handed_as_it_is():
+    # psi vanishes on one triangle, whose blocks the check zeroes
+    g, psi0 = one_empty_triangle_case()
+    lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
+    b = dynamics._bordered_system(lap, v, psi0[None], 1.0)
+    before = b.copy()
+    assert np.array_equal(dynamics._repelling(lap, v, psi0[None], 1.0, b),
+                          dynamics._repelling(lap, v, psi0[None], 1.0))
+    assert np.array_equal(b, before)
+
+
+def test_one_stability_check_per_newton_polish(monkeypatch):
+    # rows Newton accepts at different iterations share one check
+    polish, repelling, checks = dynamics._newton_polish, dynamics._repelling, []
+
+    def counted_polish(*args):
+        checks.append([])
+        return polish(*args)
+
+    def counted_repelling(lap, *args):
+        checks[-1].append(len(lap))
+        return repelling(lap, *args)
+
+    monkeypatch.setattr(dynamics, "_newton_polish", counted_polish)
+    monkeypatch.setattr(dynamics, "_repelling", counted_repelling)
+    rng = np.random.default_rng(23)
+    g = connected_graph(rng, 6)
+    psi0s = [unit_state(rng, 6) for _ in range(8)]
+    out = solve_steady_state_many([g] * 8, psi0s, NlseConfig(dt=1e-2))
+    assert all(st.converged for st in out)
+    assert checks and all(len(c) <= 1 for c in checks)
+    assert max(sum(c) for c in checks) > 1
+
+
+def test_stacking_builds_one_laplacian_per_graph(monkeypatch):
+    ring, path = cycle_graph(4), path_graph(4)
+    graphs = [ring, path, ring, ring, path]
+    psi0s = [unit_state(np.random.default_rng(k), 4) for k in range(5)]
+    expected = np.stack([g.coupling_laplacian() for g in graphs])
+    built = []
+    original = type(ring).coupling_laplacian
+
+    def counted(self):
+        built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(type(ring), "coupling_laplacian", counted)
+    lap, _, _ = dynamics._stack_problems(graphs, psi0s)
+    assert np.array_equal(lap, expected)
+    assert built == [ring, path]
+
+
+def _reference_bordered(lap, v, psi, gamma):
+    """The bordered matrices as the block assembly built them before the
+    closed form: dF = A delta + C conj(delta), realified as
+    [[Re(A+C), -Im(A-C)], [Im(A+C), Re(A-C)]], then J - alpha i and the
+    phase and radial borders."""
+    nb, n = psi.shape
+    eye = np.eye(n)
+    r2 = np.abs(psi) ** 2
+    n2 = r2.sum(axis=1)[:, None, None]
+    d = np.einsum("sij,sj->si", lap, psi) + (r2 - v) * psi
+    s = np.sum(np.conj(psi) * d, axis=1)[:, None, None]
+    a_d = lap + (2.0 * r2 - v)[:, :, None] * eye
+    a_s = np.einsum("si,sij->sj", np.conj(psi), a_d)
+    c_s = d + r2 * psi
+    a_p = (a_d - (s / n2) * eye - psi[:, :, None] * a_s[:, None, :] / n2
+           + (s / n2 ** 2) * psi[:, :, None] * np.conj(psi)[:, None, :])
+    c_p = ((psi ** 2)[:, :, None] * eye - psi[:, :, None] * c_s[:, None, :] / n2
+           + (s / n2 ** 2) * psi[:, :, None] * psi[:, None, :])
+    a = -1j * (lap + v[:, :, None] * eye) - gamma * a_p
+    c = -gamma * c_p
+    jac = np.concatenate([
+        np.concatenate([(a + c).real, -(a - c).imag], axis=2),
+        np.concatenate([(a + c).imag, (a - c).real], axis=2)], axis=1)
+    slices = np.stack([np.concatenate([-psi.imag, psi.real], axis=1),
+                       np.concatenate([psi.real, psi.imag], axis=1)], axis=1)
+    mpsi = np.einsum("sij,sj->si", lap, psi) + v * psi
+    alpha = (-np.sum(np.conj(psi) * mpsi, axis=1).real
+             / np.sum(np.abs(psi) ** 2, axis=1))
+    diag = np.arange(n)
+    b = np.zeros((nb, 2 * n + 2, 2 * n + 2))
+    b[:, :2 * n, :2 * n] = jac
+    b[:, diag, diag + n] += alpha[:, None]
+    b[:, diag + n, diag] -= alpha[:, None]
+    b[:, :2 * n, 2 * n:] = -slices.transpose(0, 2, 1)
+    b[:, 2 * n:, :2 * n] = slices
+    return b
+
+
+@st.composite
+def bordered_cases(draw):
+    """1-5 unit states on random connected graphs of one size N = 1-12, with
+    random frozen potentials, and a gamma in [0, 2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, nb = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    laps = []
+    for _ in range(nb):
+        pairs = {(int(rng.integers(k)), k) for k in range(1, n)}
+        pairs |= {(u, w) for u in range(n) for w in range(u + 1, n)
+                  if rng.uniform() < 0.3}
+        laps.append(build_graph(n, [(u, w, float(rng.uniform(0.1, 3.0)))
+                                    for u, w in sorted(pairs)]
+                                ).coupling_laplacian())
+    psi = np.stack([unit_state(rng, n) for _ in range(nb)])
+    v = np.abs(np.stack([unit_state(rng, n) for _ in range(nb)])) ** 2
+    return np.stack(laps), v, psi, draw(st.floats(0.0, 2.0))
+
+
+@given(bordered_cases())
+def test_closed_form_bordered_system_matches_the_block_assembly(case):
+    lap, v, psi, gamma = case
+    ref = _reference_bordered(lap, v, psi, gamma)
+    b = dynamics._bordered_system(lap, v, psi, gamma)
+    assert np.abs(b - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a row comes out bit for bit as it would alone, on a broadcast
+    # Laplacian as pricing passes it
+    for k in range(len(psi)):
+        one = dynamics._bordered_system(
+            np.broadcast_to(lap[k], lap[k:k + 1].shape), v[k:k + 1],
+            psi[k:k + 1], gamma)
+        assert np.array_equal(one[0], b[k])
+
+
 def test_steady_batch_survives_singular_newton_row(monkeypatch):
     # the disconnected graph's bordered system is singular at its
     # equilibrium (see test_sensitivity); here it is made exactly singular

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spectral_moduli import dynamics
+from spectral_moduli import dynamics, sensitivity
 from spectral_moduli.graph_core import GraphError, build_graph, cycle_graph, single_vertex_graph
 from spectral_moduli.dynamics import (NlseConfig, SteadyState, nlse_rhs, solve_steady_state,
                                       solve_steady_state_many)
@@ -416,3 +416,61 @@ def test_batched_adjoint_rows_equal_batches_of_one(case):
         for k, row in enumerate(rows):
             one = adjoint(g, psi0s[k:k + 1], steadies[k:k + 1], cots[k:k + 1])
             assert np.array_equal(row, one[0])
+
+
+# -- the bordered matrix a Newton-accepted state carries -------------------------
+
+
+def newton_accepted_batch(rng, g, count):
+    psi0s = list(rng.normal(size=(count, g.n)) + 1j * rng.normal(size=(count, g.n)))
+    psi0s = [p / np.linalg.norm(p) for p in psi0s]
+    steadies = solve_steady_state_many([g] * count, psi0s, CFG)
+    assert all(st.converged and st.bordered is not None for st in steadies)
+    return psi0s, steadies
+
+
+def test_pricing_with_the_carried_matrix_equals_a_fresh_build(monkeypatch):
+    rng = np.random.default_rng(31)
+    g = cycle_graph(4)
+    psi0s, steadies = newton_accepted_batch(rng, g, 3)
+    bare = [dataclasses.replace(st, bordered=None) for st in steadies]
+    cots = rng.normal(size=(3, 2 * g.n))
+    built, original = [], sensitivity._bordered_system
+
+    def counted(lap, v, psi, gamma):
+        built.append(len(psi))
+        return original(lap, v, psi, gamma)
+
+    monkeypatch.setattr(sensitivity, "_bordered_system", counted)
+    for price in (steady_state_adjoint, weight_gradients, potential_gradient):
+        carried = price(g, psi0s, steadies, cots)
+        assert built == []  # Newton-accepted states are priced unbuilt
+        assert np.array_equal(carried, price(g, psi0s, bare, cots))
+        assert built == [3]
+        built.clear()
+
+
+def test_a_state_priced_elsewhere_never_reuses_its_carried_matrix():
+    rng = np.random.default_rng(32)
+    g = cycle_graph(4)
+    (psi0,), (st,) = newton_accepted_batch(rng, g, 1)
+    key, b = st.bordered
+    # a carried matrix of zeros fails as singular wherever it is used
+    poisoned = dataclasses.replace(st, bordered=(key, np.zeros_like(b)))
+    cot = rng.normal(size=(1, 2 * g.n))
+    for same in (g, g.with_weights(g.weights.copy())):
+        with pytest.raises(NonIsolatedSteadyStateError):
+            steady_state_adjoint(same, [psi0], [poisoned], cot)
+    other_input = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    for where, x in ((g.with_weights(1.5 * g.weights), psi0),
+                     (g, other_input / np.linalg.norm(other_input))):
+        bare = dataclasses.replace(st, bordered=None)
+        assert np.array_equal(steady_state_adjoint(where, [x], [poisoned], cot),
+                              steady_state_adjoint(where, [x], [bare], cot))
+    # nor does a state whose fields were replaced after the solve
+    for change in ({"psi_inf": 1j * st.psi_inf}, {"gamma": 0.5}):
+        moved = dataclasses.replace(poisoned, **change)
+        assert np.array_equal(
+            steady_state_adjoint(g, [psi0], [moved], cot),
+            steady_state_adjoint(g, [psi0], [dataclasses.replace(
+                moved, bordered=None)], cot))
