@@ -74,7 +74,6 @@ from spectral_moduli.dynamics import (
 from spectral_moduli.sensitivity import NonIsolatedSteadyStateError
 from spectral_moduli.moduli import (
     LossEvaluationError,
-    ModuliPoint,
     OptimizerConfig,
     SteadySolveEngine,
     chebyshev_schedule,
@@ -345,7 +344,7 @@ _GRAPH_KINDS = ("single", "path", "cycle", "complete", "explicit")
 
 def _resolve_graph(sec: _Section) -> dict:
     kind = sec.take("kind", "cycle", _as_str(_GRAPH_KINDS))
-    n = sec.take("n", 3, _as_int(lo=1))
+    n = sec.take("n", 3, _as_int(lo=1, hi=_MAX_VERTICES))
     weight = sec.take("weight", 1.0, _as_float(lo=0.0, lo_open=True))
     edges = sec.take("edges", None, _optional(_as_list))
     sec.finish()
@@ -423,13 +422,22 @@ def _initial_field(spec: dict, n: int, field_kind: str,
     return field
 
 
-# simulate and gauge-check take round(t_final / dt) RK4 steps, from 1 to this
-# many: 100 times the default 10^4, about two minutes of stepping
+# Every count that sizes an allocation or a loop is checked before work
+# starts.  simulate and gauge-check take round(t_final / dt) RK4 steps, from
+# 1 to this many: 100 times the default 10^4, about two minutes of stepping
 _MAX_STEPS = 10 ** 6
+# a graph's n sizes dense n x n matrices, and gauge-check keeps blocks of
+# 256 zero-padded (n + 1) x n states: 165 MB at this ceiling
+_MAX_VERTICES = 200
+# simulate stores (steps + 1) x n vertex states, 160 MB complex at most
+_MAX_STATES = 10 ** 7
 # a sampler draws pair by pair in Python, so the pairs one call draws (a
 # task's batch, a phase's epochs x batch, a gap size) are checked first: at
-# most this many, about 280 times the largest default (60 epochs x 6 pairs)
+# most this many, about 280 times the largest default (60 epochs x 6 pairs);
+# so are the rows of learn-graph's probe pass (candidate pairs x batch)
 _MAX_DRAW = 10 ** 5
+# learn-graph logs every iteration: ten times c5_chain's 400-step schedule
+_MAX_ITERATIONS = 4000
 
 
 def _resolve_dynamics(sec: _Section, *, dt: float, t_final: float) -> dict:
@@ -489,6 +497,10 @@ def resolve_simulate(raw: dict) -> dict:
                                       dt=1e-3, t_final=10.0),
     }
     sec.finish()
+    dyn, n = body["dynamics"], body["graph"]["n"]
+    if (states := (round(dyn["t_final"] / dyn["dt"]) + 1) * n) > _MAX_STATES:
+        raise ConfigError(f"simulate: (steps + 1) x graph.n = {states} stored "
+                          f"vertex states, must be at most {_MAX_STATES}")
     resolved["simulate"] = body
     return resolved
 
@@ -514,7 +526,8 @@ def resolve_learn_graph(raw: dict) -> dict:
     resolved, sec = _resolve_top(raw, "learn_graph")
     body = {
         "task": sec.take("task", "c4", _as_str(tuple(_TASKS))),
-        "iterations": sec.take("iterations", None, _optional(_as_int(lo=0))),
+        "iterations": sec.take("iterations", None,
+                               _optional(_as_int(lo=0, hi=_MAX_ITERATIONS))),
         "batch_size": sec.take("batch_size", None,
                                _optional(_as_int(lo=1, hi=_MAX_DRAW))),
         "noise_delta": sec.take("noise_delta", None, _optional(_as_float(lo=0.0))),
@@ -747,6 +760,11 @@ def _learn_graph_setup(resolved: dict):
         l2_coeff=1e-11, seed=opt_seed,
         candidate_fraction=task.candidate_fraction, steady=_STEADY_LEARN,
         probe_t_max=task.probe_t_max)
+    pairs = truth.n * (truth.n - 1) // 2
+    rows = max(1, math.ceil(config.candidate_fraction * pairs)) * batch
+    if rows > _MAX_DRAW:
+        raise ConfigError(f"learn_graph.batch_size: the probe pass would solve "
+                          f"{rows} rows at once, must be at most {_MAX_DRAW}")
     if task.init is None:
         rng = np.random.default_rng(_JITTER_SEED + seed)
         w0 = truth.teacher_weights * (
@@ -755,8 +773,7 @@ def _learn_graph_setup(resolved: dict):
         init.append((0, 2, _SPURIOUS_WEIGHT))
     else:
         init = list(task.init)
-    return (config, sampler, ModuliPoint(build_graph(truth.n, init)),
-            teacher.readout, truth)
+    return config, sampler, build_graph(truth.n, init), teacher.readout, truth
 
 
 def _distortion_checkpoints(log, config, truth) -> list[dict]:
@@ -778,18 +795,18 @@ def _distortion_checkpoints(log, config, truth) -> list[dict]:
 
 def _run_learn_graph(resolved: dict, meta: dict) -> int:
     config, sampler, init, readout, truth = _learn_graph_setup(resolved)
-    point, log, history = run(config, sampler, init, readout=readout)
+    g, log, history = run(config, sampler, init, readout=readout)
 
     out = resolved["output_dir"]
     strata_path = os.path.join(out, "strata.jsonl")
     write_strata_jsonl(log, strata_path)
     _prepend_line(strata_path, _meta_record(meta))
     _dump_json(os.path.join(out, "final_graph.json"),
-               {"meta": meta, "graph": graph_to_dict(point.graph)})
+               {"meta": meta, "graph": graph_to_dict(g)})
 
-    final_rep = distortion_report(point.graph, truth)
+    final_rep = distortion_report(g, truth)
     summary = visited_strata_count(log, truth.e_true)
-    edges_match = point.edge_set == truth.e_true
+    edges_match = g.edges == truth.e_true
     report = {
         "meta": meta,
         "task": resolved["learn_graph"]["task"],
@@ -800,15 +817,14 @@ def _run_learn_graph(resolved: dict, meta: dict) -> int:
             "teacher_weights": truth.teacher_weights,
         },
         "final": {
-            "edges": [list(e) for e in point.edge_set],
-            "weights": point.graph.weights,
-            "betti": list(betti_numbers(point.graph)),
+            "edges": [list(e) for e in g.edges],
+            "weights": g.weights,
+            "betti": list(betti_numbers(g)),
             "max_additive_distortion": final_rep.max_additive_distortion,
             "gh_upper_bound": final_rep.gh_upper_bound,
             "edges_match_truth": edges_match,
             "max_weight_error": (
-                float(np.abs(point.graph.weights
-                             - truth.teacher_weights).max())
+                float(np.abs(g.weights - truth.teacher_weights).max())
                 if edges_match and truth.e_true else None),
         },
         "checkpoints": _distortion_checkpoints(log, config, truth),
@@ -882,10 +898,11 @@ def _run_train(resolved: dict, meta: dict) -> int:
     sec = resolved["train"]
     seed = resolved["seed"]
     out = resolved["output_dir"]
-    truth, g_star, bumps, teacher = _train_teacher_setup()
+    # the trainee's graph starts at the teacher's
+    truth, g, bumps, teacher = _train_teacher_setup()
     # one labeler on one teacher engine for every stream of the run
-    label = functools.partial(fm.model_teacher_sampler, teacher,
-                              ModuliPoint(g_star), _STEADY_LEARN,
+    label = functools.partial(fm.model_teacher_sampler, teacher, g,
+                              _STEADY_LEARN,
                               engine=SteadySolveEngine(_STEADY_LEARN))
     stream = functools.partial(fm.noisy_input_stream, bumps,
                                sec["noise_delta"])
@@ -895,20 +912,19 @@ def _run_train(resolved: dict, meta: dict) -> int:
         params = teacher
     else:
         params = fm.random_params(truth.n, truth.n, seed=seed)
-    point = ModuliPoint(g_star)
     engine = SteadySolveEngine(_TRAIN_FAST)
     batch = sec["batch_size"]
 
     history: list[fm.EpochRecord] = []
     for k, phase in enumerate((sec["phase1"], sec["phase2"])):
-        params, point, part = fm.train(
-            data, _train_config(phase, batch, seed + k), params, point,
+        params, g, part = fm.train(
+            data, _train_config(phase, batch, seed + k), params, g,
             engine=engine)
         offset = len(history)
         history += [dataclasses.replace(r, epoch=r.epoch + offset)
                     for r in part]
 
-    fm.save_checkpoint(os.path.join(out, "checkpoint.json"), params, point,
+    fm.save_checkpoint(os.path.join(out, "checkpoint.json"), params, g,
                        extra={"meta": _canon(meta)})
     hist_path = os.path.join(out, "history.csv")
     fm.write_history_csv(hist_path, history)
@@ -934,7 +950,7 @@ def _run_train(resolved: dict, meta: dict) -> int:
         train_pairs = label(stream(seed=train_seed))(max(sizes))
         test_pairs = label(stream(seed=heldout_seed))(max(sizes))
         split = len(train_pairs)
-        model = fm.loss_samples(params, point, train_pairs + test_pairs,
+        model = fm.loss_samples(params, g, train_pairs + test_pairs,
                                 _TRAIN_FAST)
         baseline = [fm.baseline_loss_sample(baseline_params, x, y)
                     for x, y in train_pairs + test_pairs]

@@ -37,6 +37,7 @@ from .graph_core import (
     WeightedGraph,
     validate_real_field,
     validate_scalar_field,
+    validate_scalar_fields,
     validate_spin_field,
 )
 
@@ -589,11 +590,6 @@ def _batch_projected_rhs(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
                       / (np.abs(psi) ** 2).sum(axis=-1, keepdims=True))
 
 
-def _batch_residual(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-                    gamma: float) -> np.ndarray:
-    return np.abs(_batch_projected_rhs(lap, v, psi, gamma)).max(axis=1)
-
-
 def _diagonal(b: np.ndarray, row: int, col: int, count: int) -> np.ndarray:
     """View of the entries (row + j, col + j), j < ``count``, of each matrix
     of the C-contiguous stack ``b``: a basic slice of it flattened."""
@@ -942,8 +938,7 @@ def _stack_problems(graphs: Sequence[WeightedGraph],
     distinct = {id(g): g for g in graphs}
     laps = {k: g.coupling_laplacian() for k, g in distinct.items()}
     lap = np.stack([laps[id(g)] for g in graphs])
-    psi0_arr = np.stack([validate_scalar_field(g, p)
-                         for g, p in zip(graphs, psi0s)])
+    psi0_arr = validate_scalar_fields(graphs[0], psi0s)
     norms = np.linalg.norm(psi0_arr, axis=1)
     if np.abs(norms - 1.0).max() > 1e-9:
         raise InvalidStateError("initial states must be unit norm (tol 1e-9)")
@@ -973,7 +968,8 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     lap, v, psi = _stack_problems(graphs, psi0s, starts)
     states, res, accepted, carried = _pseudo_transient(
         lap, v, psi, config.gamma, config.steady_tol, config.t_max)
-    rest = iter(_flow_path(lap[~accepted], v[~accepted], psi[~accepted], config))
+    rest = iter(() if accepted.all() else _flow_path(
+        lap[~accepted], v[~accepted], psi[~accepted], config))
     return [SteadyState(states[i], 0.0, float(res[i]), True, float(config.gamma),
                         carried[i])
             if accepted[i] else next(rest) for i in range(len(psi))]

@@ -6,8 +6,8 @@ The model maps a complex input vector to a scalar through three layers:
   sphere (the core's phase space; a zero pre-normalization state is an
   error);
 * core: the steady state ``psi_inf`` of the dissipative flow on the current
-  weighted graph, reached from ``psi0`` with the frozen potential
-  ``|psi0|^2``;
+  ``WeightedGraph`` (every function that runs the core takes it), reached
+  from ``psi0`` with the frozen potential ``|psi0|^2``;
 * output layer: ``y = sigma3(<a3, psi_inf> + b3)``.
 
 The core's output carries an arbitrary global phase, so the output layer
@@ -36,8 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import NlseConfig, SteadyState
-from .graph_core import GraphError, graph_from_dict, graph_to_dict
-from .moduli import (Batch, LossEvaluationError, ModuliPoint, OptimizerConfig,
+from .graph_core import (GraphError, WeightedGraph, graph_from_dict,
+                         graph_to_dict)
+from .moduli import (Batch, LossEvaluationError, OptimizerConfig,
                      SteadySolveEngine, descent_step)
 from .sensitivity import (NonIsolatedSteadyStateError, potential_gradient,
                           realify)
@@ -288,11 +289,10 @@ def readout_value(params: ModelParams, psi: np.ndarray) -> float:
     return float(np.real(_apply(params.activation3, abs(z) + params.b3)))
 
 
-def _core_pass(params: ModelParams, point: ModuliPoint, xs,
+def _core_pass(params: ModelParams, g: WeightedGraph, xs,
                engine: SteadySolveEngine) -> list:
     """Core steady states of many inputs, in order, from one engine call;
     a degenerate input gets its DegenerateInputError in place of a state."""
-    g = point.graph
     psi0s = []
     for x in xs:
         try:
@@ -322,7 +322,7 @@ def _core_loss(params: ModelParams, core, y) -> float:
     return float(abs(readout_value(params, _checked(core).psi_inf) - y) ** 2)
 
 
-def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
+def forward(params: ModelParams, g: WeightedGraph, x, config: NlseConfig,
             *, engine: SteadySolveEngine | None = None):
     """Full pass: input layer, steady-state core, output layer.
 
@@ -332,25 +332,25 @@ def forward(params: ModelParams, point: ModuliPoint, x, config: NlseConfig,
     """
     if engine is None:
         engine = SteadySolveEngine(config)
-    st = _checked(_core_pass(params, point, [x], engine)[0])
+    st = _checked(_core_pass(params, g, [x], engine)[0])
     return readout_value(params, st.psi_inf), st.psi_inf
 
 
-def loss_sample(params: ModelParams, point: ModuliPoint, x, y,
+def loss_sample(params: ModelParams, g: WeightedGraph, x, y,
                 config: NlseConfig, *,
                 engine: SteadySolveEngine | None = None) -> float:
     """Squared modulus of the prediction error for one sample."""
-    return loss_samples(params, point, [(x, y)], config, engine=engine)[0]
+    return loss_samples(params, g, [(x, y)], config, engine=engine)[0]
 
 
-def loss_samples(params: ModelParams, point: ModuliPoint, pairs,
+def loss_samples(params: ModelParams, g: WeightedGraph, pairs,
                  config: NlseConfig, *,
                  engine: SteadySolveEngine | None = None) -> list[float]:
     """Squared prediction errors of many samples, whose cores are solved in
     one engine call; raises the failure of the first sample that fails."""
     if engine is None:
         engine = SteadySolveEngine(config)
-    cores = _core_pass(params, point, [x for x, _ in pairs], engine)
+    cores = _core_pass(params, g, [x for x, _ in pairs], engine)
     return [_core_loss(params, core, y) for core, (_, y) in zip(cores, pairs)]
 
 
@@ -387,7 +387,7 @@ def _input_chain(activation1: str, x, g_state: np.ndarray, pre: np.ndarray,
     return g_a1, g_b1
 
 
-def param_gradients(params: ModelParams, point: ModuliPoint, x, y,
+def param_gradients(params: ModelParams, g: WeightedGraph, x, y,
                     config: NlseConfig, *,
                     engine: SteadySolveEngine | None = None,
                     state: SteadyState | None = None) -> ParamGradients:
@@ -401,13 +401,12 @@ def param_gradients(params: ModelParams, point: ModuliPoint, x, y,
     if state is None:
         if engine is None:
             engine = SteadySolveEngine(config)
-        state = _checked(_core_pass(params, point, [x], engine)[0])
+        state = _checked(_core_pass(params, g, [x], engine)[0])
     x, pre, s, nrm = _input_layer(params, x)
     psi0 = s / nrm
     y_hat = readout_value(params, state.psi_inf)
     g_a3, g_b3, g_psi = _readout_chain(params, state.psi_inf,
                                        2.0 * (y_hat - float(np.real(y))))
-    g = point.graph
     if np.any(g_psi != 0):
         dv = potential_gradient(g, [psi0], [state], [realify(g_psi)])[0]
     else:
@@ -578,9 +577,9 @@ def _phase_batches(sampler, config: TrainConfig) -> list[list]:
 
 
 def train(sampler, config: TrainConfig, params: ModelParams,
-          point: ModuliPoint, *, heldout: Sequence | None = None,
+          g: WeightedGraph, *, heldout: Sequence | None = None,
           engine: SteadySolveEngine | None = None):
-    """Interleaved training loop.
+    """Interleaved training loop of the model ``params`` on the graph ``g``.
 
     The phase draws all its mini-batches of ``moduli_config.batch_size``
     pairs in one ``sampler`` call, so a teacher sampler labels them in one
@@ -590,7 +589,7 @@ def train(sampler, config: TrainConfig, params: ModelParams,
     then one graph descent step with the updated output layer as readout.
     The SGD step and the heldout loss each solve their cores in one engine
     call.  Per-step failures are recorded on the epoch and training
-    continues.  Returns ``(params, point, history)``; with ``epochs == 0``
+    continues.  Returns ``(params, graph, history)``; with ``epochs == 0``
     the inputs pass through untouched and the sampler is not called.
     """
     if engine is None:
@@ -600,9 +599,9 @@ def train(sampler, config: TrainConfig, params: ModelParams,
     for epoch, pairs in enumerate(_phase_batches(sampler, config)):
         failures: list[str] = []
 
-        cores = _core_pass(params, point, [x for x, _ in pairs], engine)
+        cores = _core_pass(params, g, [x for x, _ in pairs], engine)
         params = _sgd_step(params, _per_sample(
-            lambda k: param_gradients(params, point, *pairs[k], engine.config,
+            lambda k: param_gradients(params, g, *pairs[k], engine.config,
                                       state=_checked(cores[k])),
             len(pairs), "param gradient, sample", failures), config)
 
@@ -610,25 +609,24 @@ def train(sampler, config: TrainConfig, params: ModelParams,
         try:
             batch = Batch.from_pairs([(input_state(params, x), y)
                                       for x, y in pairs])
-            point, events = descent_step(point, batch, config.moduli_config,
-                                         epoch, readout=ModelReadout(params),
-                                         engine=engine, rng=rng)
+            g, events = descent_step(g, batch, config.moduli_config, epoch,
+                                     readout=ModelReadout(params),
+                                     engine=engine, rng=rng)
             train_loss = events.loss.data
         except _SAMPLE_ERRORS as exc:
             failures.append(f"graph step: {exc}")
 
         test_loss = float("nan")
         if heldout is not None:
-            cores = _core_pass(params, point, [x for x, _ in heldout], engine)
+            cores = _core_pass(params, g, [x for x, _ in heldout], engine)
             test_loss = _mean(_per_sample(
                 lambda k: _core_loss(params, cores[k], heldout[k][1]),
                 len(heldout), "heldout sample", failures))
 
-        b0, b1 = betti_numbers(point.graph)
-        history.append(EpochRecord(epoch, train_loss, test_loss,
-                                   point.graph.n_edges, b0, b1,
-                                   tuple(failures)))
-    return params, point, history
+        b0, b1 = betti_numbers(g)
+        history.append(EpochRecord(epoch, train_loss, test_loss, g.n_edges,
+                                   b0, b1, tuple(failures)))
+    return params, g, history
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +734,7 @@ def generalization_gap(train_losses: Sequence[float],
 # data plumbing
 
 
-def model_teacher_sampler(params: ModelParams, point: ModuliPoint,
+def model_teacher_sampler(params: ModelParams, g: WeightedGraph,
                           config: NlseConfig, base_sampler, *,
                           engine: SteadySolveEngine | None = None):
     """Wrap an input stream, replacing targets with this model's outputs.
@@ -753,7 +751,7 @@ def model_teacher_sampler(params: ModelParams, point: ModuliPoint,
 
     def draw(batch_size: int):
         xs = [x for x, _ in base_sampler(batch_size)]
-        cores = _core_pass(params, point, xs, engine)
+        cores = _core_pass(params, g, xs, engine)
         return [(x, readout_value(params, _checked(core).psi_inf))
                 for x, core in zip(xs, cores)]
 
@@ -801,12 +799,12 @@ def _decode_array(d: dict) -> np.ndarray:
                                                               dtype=float)
 
 
-def save_checkpoint(path, params: ModelParams, point: ModuliPoint, *,
+def save_checkpoint(path, params: ModelParams, g: WeightedGraph, *,
                     extra: dict | None = None) -> None:
     """Write the model and graph as deterministic, realified JSON."""
     payload = {
         "model": _encode_params(params),
-        "graph": graph_to_dict(point.graph),
+        "graph": graph_to_dict(g),
         "extra": extra if extra is not None else {},
     }
     with open(path, "w") as fh:
@@ -814,7 +812,7 @@ def save_checkpoint(path, params: ModelParams, point: ModuliPoint, *,
         fh.write("\n")
 
 
-def load_checkpoint(path) -> tuple[ModelParams, ModuliPoint]:
+def load_checkpoint(path) -> tuple[ModelParams, WeightedGraph]:
     with open(path) as fh:
         payload = json.load(fh)
     m = payload["model"]
@@ -823,7 +821,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModuliPoint]:
         a3=_decode_array(m["a3"]),
         b3=complex(m["b3"]["re"], m["b3"]["im"]),
         activation1=m["activation1"], activation3=m["activation3"])
-    return params, ModuliPoint(graph_from_dict(payload["graph"]))
+    return params, graph_from_dict(payload["graph"])
 
 
 def write_history_csv(path, history: Sequence[EpochRecord]) -> None:

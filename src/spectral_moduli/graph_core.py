@@ -38,6 +38,7 @@ __all__ = [
     "cycle_graph",
     "complete_graph",
     "validate_scalar_field",
+    "validate_scalar_fields",
     "validate_real_field",
     "validate_spin_field",
     "discrete_gradient",
@@ -254,6 +255,16 @@ def validate_scalar_field(g: WeightedGraph, f: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(f.view(float))):
         raise DimensionMismatchError("scalar field contains non-finite entries")
     return f
+
+
+def validate_scalar_fields(g: WeightedGraph, fs: Sequence) -> np.ndarray:
+    """Scalar fields as one (B, N) complex stack, checked at once."""
+    arrs = [np.asarray(f, dtype=complex) for f in fs]
+    stack = np.stack(arrs) if all(a.shape == (g.n,) for a in arrs) else None
+    if stack is None or not np.isfinite(stack.view(float)).all():
+        for a in arrs:  # raises what the first bad field raises alone
+            validate_scalar_field(g, a)
+    return stack
 
 
 def validate_real_field(g: WeightedGraph, f: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Stochastic descent over the stratified space of weighted graphs.
 
 The search space is the disjoint union of strata, one per edge set, each
-carrying the positive weights of its edges.  A descent step does three
+carrying the positive weights of its edges, so a point of it is a
+``WeightedGraph``, which checks both.  A descent step does three
 things with one mini-batch: (i) updates every existing weight with the
 batch gradient of the regularized loss, (ii) tests every absent edge by
 grafting it at the probe weight and measuring the batch gradient there —
@@ -32,7 +33,6 @@ from .sensitivity import NonIsolatedSteadyStateError, weight_gradients
 __all__ = [
     "LossEvaluationError",
     "OptimizerConfig",
-    "ModuliPoint",
     "Batch",
     "LossBreakdown",
     "IterationRecord",
@@ -116,33 +116,29 @@ class OptimizerConfig:
         return float(sched[min(t, len(sched) - 1)])
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
-    """A point of the moduli space: an edge set with positive weights."""
-
-    graph: WeightedGraph
-
-    @property
-    def edge_set(self) -> tuple[tuple[int, int], ...]:
-        return self.graph.edges
-
-
 def random_point(n: int, config: OptimizerConfig,
-                 rng: np.random.Generator | None = None) -> ModuliPoint:
-    """Initial point: each edge present with probability p, weight one."""
+                 rng: np.random.Generator | None = None) -> WeightedGraph:
+    """Initial graph: each edge present with probability p, weight one."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     triples = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
                if rng.random() < config.init_edge_prob]
-    return ModuliPoint(build_graph(n, triples))
+    return build_graph(n, triples)
 
 
 @dataclass(frozen=True)
 class Batch:
-    """Mini-batch of (input field, target) pairs with uniform dimension."""
+    """Mini-batch of (input field, target) pairs with uniform dimension.
+
+    ``inputs`` holds the distinct inputs as complex arrays, in order of
+    first appearance (equal bytes are one input), and ``groups`` the sample
+    indices of each.
+    """
 
     xs: tuple
     ys: tuple
+    inputs: tuple = field(init=False, compare=False, repr=False)
+    groups: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.xs) == 0:
@@ -152,6 +148,12 @@ class Batch:
         dims = {np.asarray(x).shape for x in self.xs}
         if len(dims) != 1:
             raise ValueError("batch inputs must share one dimension")
+        groups: dict[bytes, list[int]] = {}
+        for i, x in enumerate(self.xs):
+            groups.setdefault(np.asarray(x).tobytes(), []).append(i)
+        object.__setattr__(self, "groups", tuple(groups.values()))
+        object.__setattr__(self, "inputs", tuple(
+            np.asarray(self.xs[idx[0]], dtype=complex) for idx in self.groups))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[np.ndarray, float]]) -> "Batch":
@@ -217,30 +219,17 @@ class SteadySolveEngine:
         return self.solve_many([(g, x)])[0]
 
 
-def _group_by_input(batch: Batch) -> tuple[list, list[list[int]]]:
-    """The distinct inputs of a batch and, for each, its sample indices."""
-    groups: dict[bytes, list[int]] = {}
-    xs = []
-    for i, x in enumerate(batch.xs):
-        key = np.asarray(x).tobytes()
-        if key not in groups:
-            groups[key] = []
-            xs.append(np.asarray(x, dtype=complex))
-        groups[key].append(i)
-    return xs, list(groups.values())
-
-
 def _batch_predictions(batch: Batch, readout, steadies: Sequence[SteadyState]
                        ) -> tuple[list[tuple[np.ndarray, list[int], SteadyState, float]], float]:
     """Readout predictions at the steady states ``steadies`` of the
-    distinct inputs of the batch, in ``_group_by_input`` order.
+    distinct inputs of the batch, in ``batch.inputs`` order.
 
     Returns the grouped records and the mean squared data loss; raises
     LossEvaluationError naming the first offending sample on failure.
     """
     records = []
     sq = 0.0
-    for x, idx, st in zip(*_group_by_input(batch), steadies):
+    for x, idx, st in zip(batch.inputs, batch.groups, steadies):
         if not st.converged:
             raise LossEvaluationError(
                 f"steady-state solve did not converge for sample {idx[0]} "
@@ -259,16 +248,15 @@ def _regularizer(weights: np.ndarray, config: OptimizerConfig
     return l2, l1
 
 
-def regularized_loss(point: ModuliPoint, batch: Batch, readout,
+def regularized_loss(g: WeightedGraph, batch: Batch, readout,
                      config: OptimizerConfig,
                      engine: SteadySolveEngine | None = None) -> LossBreakdown:
     """Mean squared readout error plus L2/L1 weight penalties."""
     if engine is None:
         engine = SteadySolveEngine(config.steady)
-    xs, _ = _group_by_input(batch)
-    steadies = engine.solve_many([(point.graph, x) for x in xs])
+    steadies = engine.solve_many([(g, x) for x in batch.inputs])
     _, data = _batch_predictions(batch, readout, steadies)
-    l2, l1 = _regularizer(point.graph.weights, config)
+    l2, l1 = _regularizer(g.weights, config)
     return LossBreakdown(data, l2, l1)
 
 
@@ -297,7 +285,7 @@ def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
     return grad, data_loss
 
 
-def stochastic_gradient(point: ModuliPoint, batch: Batch,
+def stochastic_gradient(g: WeightedGraph, batch: Batch,
                         edge: tuple[int, int], test_weight: float | None = None,
                         *, readout, config: OptimizerConfig,
                         engine: SteadySolveEngine | None = None,
@@ -311,7 +299,6 @@ def stochastic_gradient(point: ModuliPoint, batch: Batch,
     ``config.probe_t_max``, unless the caller passes its ``steadies``.
     """
     edge = (min(edge), max(edge))
-    g = point.graph
     index = g.edge_index()
     if edge in index:
         if test_weight is not None:
@@ -326,8 +313,8 @@ def stochastic_gradient(point: ModuliPoint, batch: Batch,
     if steadies is None:
         if engine is None:
             engine = SteadySolveEngine(config.steady)
-        xs, _ = _group_by_input(batch)
-        steadies = engine.solve_many([(probe, x) for x in xs], t_max=t_max)
+        steadies = engine.solve_many([(probe, x) for x in batch.inputs],
+                                     t_max=t_max)
     grad, _ = _data_weight_gradients(probe, batch, readout, steadies)
     w = probe.weights[k]
     return float(grad[k] + config.l2_coeff * w + config.l1_coeff)
@@ -360,11 +347,11 @@ def _candidate_pairs(g: WeightedGraph, config: OptimizerConfig,
     return pairs
 
 
-def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
+def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
                  t: int, *, readout,
                  engine: SteadySolveEngine | None = None,
                  rng: np.random.Generator | None = None
-                 ) -> tuple[ModuliPoint, StepEvents]:
+                 ) -> tuple[WeightedGraph, StepEvents]:
     """One simultaneous update: weight SGD, candidate tests, prune.
 
     All gradients use the same batch and the pre-step weights.  Candidate
@@ -373,9 +360,8 @@ def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
     """
     if engine is None:
         engine = SteadySolveEngine(config.steady)
-    g = point.graph
     theta = config.prune_threshold
-    xs, _ = _group_by_input(batch)
+    xs = batch.inputs
 
     data_grad, data_loss = _data_weight_gradients(
         g, batch, readout, engine.solve_many([(g, x) for x in xs]))
@@ -398,7 +384,7 @@ def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
     for j, e in enumerate(candidates):
         try:
             ge = stochastic_gradient(
-                point, batch, e, test_weight=theta, readout=readout,
+                g, batch, e, test_weight=theta, readout=readout,
                 config=config, steadies=solved[j * len(xs):(j + 1) * len(xs)])
         except (LossEvaluationError, NonIsolatedSteadyStateError):
             test_grads[e] = float("nan")
@@ -415,7 +401,7 @@ def descent_step(point: ModuliPoint, batch: Batch, config: OptimizerConfig,
     events = StepEvents(tuple(added), pruned,
                         LossBreakdown(data_loss, l2, l1), edge_grads,
                         test_grads, post_update, tuple(skipped))
-    return ModuliPoint(new_graph), events
+    return new_graph, events
 
 
 @dataclass(frozen=True)
@@ -467,58 +453,52 @@ def write_strata_jsonl(log: StrataLog, path) -> None:
 
 def run(config: OptimizerConfig, sampler, initial, *, readout,
         engine: SteadySolveEngine | None = None
-        ) -> tuple[ModuliPoint, StrataLog, list[float]]:
+        ) -> tuple[WeightedGraph, StrataLog, list[float]]:
     """Full descent loop with strata instrumentation.
 
-    ``initial`` is a ModuliPoint, a WeightedGraph, or a vertex count (the
-    random edge-probability policy).  The loop stops early once the edge
-    set and weights are stable within ``stall_tol`` for ``stall_iters``
-    consecutive iterations.  Failed steps leave the point unchanged and
-    are recorded.
+    ``initial`` is the starting graph, or a vertex count (``random_point``'s
+    edge-probability policy).  The loop stops early once the edge set and
+    weights are stable within ``stall_tol`` for ``stall_iters`` consecutive
+    iterations.  Failed steps leave the graph unchanged and are recorded.
+    Returns the final graph, the strata log and the loss history.
     """
     rng = np.random.default_rng(config.seed)
-    if isinstance(initial, ModuliPoint):
-        point = initial
+    if isinstance(initial, (int, np.integer)):
+        g = random_point(int(initial), config, rng)
     elif isinstance(initial, WeightedGraph):
-        point = ModuliPoint(initial)
-    elif isinstance(initial, (int, np.integer)):
-        point = random_point(int(initial), config, rng)
+        g = initial
     else:
-        raise TypeError("initial must be a point, a graph, or a vertex count")
+        raise TypeError("initial must be a graph or a vertex count")
     if engine is None:
         engine = SteadySolveEngine(config.steady)
 
     log = StrataLog()
-    log.visit(point.edge_set, 0)
+    log.visit(g.edges, 0)
     history: list[float] = []
     stable = 0
     for t in range(config.iterations):
         batch = Batch.from_pairs(sampler(config.batch_size))
         try:
-            new_point, events = descent_step(point, batch, config, t,
-                                             readout=readout, engine=engine,
-                                             rng=rng)
+            new_g, events = descent_step(g, batch, config, t, readout=readout,
+                                         engine=engine, rng=rng)
         except (LossEvaluationError, NonIsolatedSteadyStateError) as exc:
-            log.record(IterationRecord(t, point.edge_set,
-                                       tuple(point.graph.weights), (), (),
+            log.record(IterationRecord(t, g.edges, tuple(g.weights), (), (),
                                        None, failed=str(exc)))
             history.append(float("nan"))
             stable = 0
             continue
-        same_edges = new_point.edge_set == point.edge_set
-        drift = (float(np.max(np.abs(new_point.graph.weights
-                                     - point.graph.weights)))
-                 if same_edges and point.graph.n_edges else 0.0)
-        point = new_point
-        log.visit(point.edge_set, t + 1)
-        log.record(IterationRecord(t, point.edge_set,
-                                   tuple(point.graph.weights), events.added,
+        same_edges = new_g.edges == g.edges
+        drift = (float(np.max(np.abs(new_g.weights - g.weights)))
+                 if same_edges and g.n_edges else 0.0)
+        g = new_g
+        log.visit(g.edges, t + 1)
+        log.record(IterationRecord(t, g.edges, tuple(g.weights), events.added,
                                    events.pruned, events.loss.total, events))
         history.append(events.loss.total)
         stable = stable + 1 if (same_edges and drift < config.stall_tol) else 0
         if stable >= config.stall_iters:
             break
-    return point, log, history
+    return g, log, history
 
 
 def _staggered_order(k: int) -> list[int]:

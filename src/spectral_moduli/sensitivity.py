@@ -43,7 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph_core import GraphError, WeightedGraph, validate_scalar_field
+from .graph_core import (GraphError, WeightedGraph, validate_scalar_field,
+                         validate_scalar_fields)
 from .dynamics import (NlseConfig, SteadyState, _bordered_system, _dF_dparams,
                        _realified_jacobian, _solve_stacked, gauge_align,
                        solve_steady_state)
@@ -138,7 +139,7 @@ def _factor_bordered(g: WeightedGraph, psi0s: Sequence[np.ndarray],
     if it carries one (``SteadyState.bordered``) of this graph and input.
     """
     psi, gamma = _states(steadies)
-    v = np.abs(np.stack([validate_scalar_field(g, p) for p in psi0s])) ** 2
+    v = np.abs(validate_scalar_fields(g, psi0s)) ** 2
     lap = g.coupling_laplacian()
     held = [st.bordered if st.bordered is not None and st.bordered[0] == (
                 lap.tobytes(), vi.tobytes(), st.psi_inf.tobytes(), st.gamma)

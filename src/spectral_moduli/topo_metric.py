@@ -58,7 +58,6 @@ class ManifoldSpec:
     length: float = 3.0
     n_net_points: int = 4
     noise_delta: float = 0.0
-    ambient_dim: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -74,8 +73,6 @@ class ManifoldSpec:
             raise ValueError("need at least 2 net points on a segment")
         if self.noise_delta < 0:
             raise ValueError("noise_delta must be nonnegative")
-        if self.ambient_dim < 2:
-            raise ValueError("ambient_dim must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ def build_ground_truth(spec: ManifoldSpec, inj_radius: float,
             xs = np.sort(np.clip(
                 xs + rng.uniform(-spec.noise_delta, spec.noise_delta,
                                  size=xs.shape), 0.0, spec.length))
-        pts = np.zeros((spec.n_net_points, spec.ambient_dim))
+        pts = np.zeros((spec.n_net_points, 2))
         pts[:, 0] = xs
         dist = np.abs(xs[:, None] - xs[None, :])
         betti = (1, 0)
@@ -166,7 +163,7 @@ def build_ground_truth(spec: ManifoldSpec, inj_radius: float,
         radii = spec.radii
         n_per = spec.n_net_points
         total = n_per * len(radii)
-        pts = np.zeros((total, spec.ambient_dim))
+        pts = np.zeros((total, 2))
         dist = np.full((total, total), np.inf)
         max_r = max(radii)
         for k, radius in enumerate(radii):

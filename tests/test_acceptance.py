@@ -54,7 +54,6 @@ from spectral_moduli.dynamics import (
 from spectral_moduli.sensitivity import dpsi_dpsi0, dpsi_dw, fd_oracle
 from spectral_moduli.moduli import (
     Batch,
-    ModuliPoint,
     OptimizerConfig,
     SteadySolveEngine,
     run,
@@ -211,14 +210,14 @@ def test_criterion_07_add_prune_sign_margins(c4_teacher):
         steady=config)
     engine = SteadySolveEngine(config)
     for edge in truth.e_true:
-        sub = ModuliPoint(build_graph(
+        sub = build_graph(
             truth.n, [(u, v, weights[(u, v)]) for (u, v) in truth.e_true
-                      if (u, v) != edge]))
+                      if (u, v) != edge])
         grad = stochastic_gradient(sub, batch, edge, test_weight=0.05,
                                    readout=readout, config=probe_config,
                                    engine=engine)
         assert grad < -theta, f"missing true edge {edge}: gradient {grad:+.3e}"
-    teacher_point = ModuliPoint(truth.teacher_graph())
+    teacher_point = truth.teacher_graph()
     for edge in ((0, 2), (1, 3)):
         grad = stochastic_gradient(teacher_point, batch, edge,
                                    test_weight=0.05, readout=readout,
@@ -239,15 +238,15 @@ def test_criterion_07_add_prune_sign_margins(c4_teacher):
             step_size=eta, batch_size=truth.n, l1_coeff=1e-11,
             l2_coeff=1e-11, seed=seed, candidate_fraction=0.5, steady=config)
         point, log, _ = run(run_config, exact,
-                            ModuliPoint(build_graph(truth.n, triples)),
+                            build_graph(truth.n, triples),
                             readout=readout)
         added = [e for r in log.records for e in r.added]
         true_prunes = [(e, r.t) for r in log.records for e in r.pruned
                        if e in truth.e_true]
         assert drop in added, f"seed {seed}: {drop} never re-added"
         assert not true_prunes, f"seed {seed}: true edges pruned {true_prunes}"
-        assert set(truth.e_true) <= set(point.edge_set), (
-            f"seed {seed}: final edges {point.edge_set}")
+        assert set(truth.e_true) <= set(point.edges), (
+            f"seed {seed}: final edges {point.edges}")
 
 
 def test_criterion_08_strata_accounting(cli_task, load_report):
@@ -303,7 +302,7 @@ def test_criterion_09_model_correctness_and_gap_report(cli_task):
     config = NlseConfig(dt=1e-2, steady_tol=1e-11, t_max=4000.0)
     truth = build_ground_truth(
         ManifoldSpec("circle", (1.0,), n_net_points=4), inj_radius=2.0)
-    point = ModuliPoint(truth.teacher_graph())
+    point = truth.teacher_graph()
     params = fm.random_params(4, 4, seed=12)
     x, y = unit_state(4, seed=3), 0.25
     grads = fm.param_gradients(params, point, x, y, config)

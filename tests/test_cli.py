@@ -1,16 +1,21 @@
 """Driver tests: config validation, exit codes, output formats, reruns."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import spectral_moduli
 from spectral_moduli import cli
@@ -185,6 +190,174 @@ def test_sampler_draw_ceiling_is_inclusive():
     raw["train"]["phase2"]["epochs"] = 2
     with pytest.raises(cli.ConfigError, match="train.phase2.epochs"):
         cli.resolve_train(raw)
+
+
+@pytest.mark.parametrize("command, pairs, message", [
+    ("simulate", ("simulate.graph.n=30000", "simulate.dynamics.t_final=0.002"),
+     f"must be at most {cli._MAX_VERTICES}"),
+    ("gauge-check", ("gauge_check.graph.n=30000",
+                     "gauge_check.dynamics.t_final=0.002"),
+     f"must be at most {cli._MAX_VERTICES}"),
+    ("simulate", ("simulate.graph.n=2000", "simulate.dynamics.dt=1e-5"),
+     f"must be at most {cli._MAX_VERTICES}"),
+    ("simulate", ("simulate.graph.n=200", "simulate.dynamics.dt=1e-5"),
+     f"must be at most {cli._MAX_STATES}"),
+    ("learn-graph", ("learn_graph.task=c5_noisy",
+                     "learn_graph.batch_size=100000",
+                     "learn_graph.iterations=1"),
+     f"must be at most {cli._MAX_DRAW}"),
+], ids=["dense-matrix", "gauge-dense-matrix", "stored-trajectory",
+        "stored-trajectory-at-vertex-ceiling", "probe-pass-rows"])
+def test_allocation_sizes_checked_before_work_exit_2(tmp_path, capsys,
+                                                     command, pairs, message):
+    # each would ask numpy for gigabytes: a dense 30000 x 30000 matrix,
+    # 10^6 stored states of 2000 (or 200) vertices, or a steady solve of
+    # 10 candidate pairs x 10^5 inputs
+    args = [command, "--out", str(tmp_path)]
+    for pair in pairs:
+        args += ["--set", pair]
+    start = time.perf_counter()
+    assert run_cli(*args) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_allocation_ceilings_are_inclusive():
+    sim = {"simulate": {"graph": {"n": cli._MAX_VERTICES},
+                        "dynamics": {"dt": 1.0, "t_final": 49999.0}}}
+    assert cli.resolve_simulate(sim)["simulate"]["graph"]["n"] == 200
+    sim["simulate"]["dynamics"]["t_final"] = 50000.0  # 10^7 + 200 states
+    with pytest.raises(cli.ConfigError, match="stored vertex states"):
+        cli.resolve_simulate(sim)
+    with pytest.raises(cli.ConfigError, match="gauge_check.graph.n"):
+        cli.resolve_gauge_check(
+            {"gauge_check": {"graph": {"n": cli._MAX_VERTICES + 1}}})
+    # c5_noisy probes at most its 10 vertex pairs on every batch input
+    raw = {"learn_graph": {"task": "c5_noisy",
+                           "batch_size": cli._MAX_DRAW // 10}}
+    config = cli._learn_graph_setup(cli.resolve_learn_graph(raw))[0]
+    assert config.batch_size == cli._MAX_DRAW // 10
+    raw["learn_graph"]["batch_size"] += 1
+    with pytest.raises(cli.ConfigError, match="probe pass"):
+        cli._learn_graph_setup(cli.resolve_learn_graph(raw))
+
+
+@pytest.mark.parametrize("task", ["c4", "c5_noisy"])
+def test_learn_graph_iterations_checked_at_resolve_exit_2(tmp_path, capsys,
+                                                          task):
+    # every iteration logs a record, so 10^9 of them would run for hours
+    assert cli._MAX_ITERATIONS >= len(cli._TASKS["c5_chain"].step_size)
+    raw = {"learn_graph": {"task": task, "iterations": cli._MAX_ITERATIONS}}
+    assert cli.resolve_learn_graph(raw)["learn_graph"]["iterations"] \
+        == cli._MAX_ITERATIONS
+    start = time.perf_counter()
+    assert run_cli("learn-graph", "--out", str(tmp_path),
+                   "--set", f"learn_graph.task={task}",
+                   "--set", "learn_graph.iterations=1000000000") == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"must be at most {cli._MAX_ITERATIONS}" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | st.integers(0, 64) | st.floats(1e-3, 10.0)
+    | st.sampled_from(("c5_noisy", "teacher_fixed_point", "explicit", "spin",
+                       "ll", "real", "pushforward")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_FIELD_KEYS = ("graph", "graph.kind", "graph.n", "graph.weight", "graph.edges",
+               "initial", "initial.mode", "initial.values",
+               "initial.normalize", "dynamics", "dynamics.gamma",
+               "dynamics.dt", "dynamics.t_final", "dynamics.renorm_tol")
+_PHASE_KEYS = tuple(f"{phase}{key}" for phase in ("phase1", "phase2")
+                    for key in ("", ".epochs", ".lr", ".step_size"))
+_RESOLVERS = {
+    "simulate": (cli.resolve_simulate, ("system", "spin_law") + _FIELD_KEYS),
+    "gauge_check": (cli.resolve_gauge_check,
+                    ("pair", "spin_law", "threshold") + _FIELD_KEYS),
+    "learn_graph": (cli.resolve_learn_graph,
+                    ("task", "iterations", "batch_size", "noise_delta")),
+    "train": (cli.resolve_train,
+              ("task", "batch_size", "noise_delta", "include_baseline",
+               "gap_sizes", "baseline", "baseline.epochs", "baseline.lr")
+              + _PHASE_KEYS),
+}
+
+
+@given(data=st.data())
+def test_resolvers_resolve_or_raise_config_error(data):
+    # random JSON values at random known keys: a config either resolves to
+    # one the meta block can hash, or is refused as a config error (exit 2)
+    section = data.draw(st.sampled_from(sorted(_RESOLVERS)))
+    resolver, keys = _RESOLVERS[section]
+    paths = ("seed", "output_dir", section) + tuple(
+        f"{section}.{key}" for key in keys)
+    raw: dict = {}
+    try:
+        for path, value in data.draw(st.lists(
+                st.tuples(st.sampled_from(paths), _JSON), min_size=0,
+                max_size=3)):
+            cli._apply_assignment(raw, path.split("."), value)
+        resolved = resolver(raw)
+    except cli.ConfigError:
+        return
+    assert cli._canonical_json(resolved)
+
+
+_TYPED_ERRORS = {"InvalidStateError", "SingularProjectorError",
+                 "SouthPoleError", "DivergenceError", "GraphError",
+                 "DimensionMismatchError"}
+_EXTREME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, 1e-300, 1e308, -1e308])
+
+
+@given(data=st.data())
+def test_small_flow_runs_exit_0_2_or_3_with_a_typed_error(data):
+    # resolved simulate and gauge-check configs on small graphs and short
+    # horizons, extreme numbers included: exit 3 only for a typed failure
+    command = data.draw(st.sampled_from(["simulate", "gauge_check"]))
+    kind = data.draw(st.sampled_from(["single", "path", "cycle", "complete"]))
+    n = 1 if kind == "single" else data.draw(st.integers(1, 4))
+    t_final = data.draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    body = {
+        "spin_law": data.draw(st.sampled_from(["cross", "pushforward"])),
+        "graph": {"kind": kind, "n": n,
+                  "weight": data.draw(st.sampled_from([1.0, 1e-300, 1e308])
+                                      | st.floats(0.01, 100.0))},
+        "dynamics": {"gamma": data.draw(st.sampled_from([0.0, 1.0, 1e308])),
+                     "t_final": t_final,
+                     "dt": t_final / data.draw(st.integers(1, 20))},
+    }
+    if command == "simulate":
+        body["system"] = data.draw(st.sampled_from(cli._SYSTEMS))
+        complex_field = body["system"] in ("nlse", "ll")
+        modes = ["random_unit", "explicit"]
+    else:
+        body["pair"] = data.draw(st.sampled_from(["complex", "real"]))
+        complex_field = body["pair"] == "complex"
+        modes = ["random_unit", "explicit", "spin"]
+    mode = data.draw(st.sampled_from(modes))
+    body["initial"] = {"mode": mode}
+    if mode == "spin":  # the south pole (0, 0, -1) is the chart's hole
+        entry = (st.lists(_EXTREME, min_size=3, max_size=3)
+                 | st.just([0.0, 0.0, -1.0]))
+    else:
+        entry = (st.lists(_EXTREME, min_size=2, max_size=2)
+                 if complex_field else _EXTREME)
+    if mode != "random_unit":
+        body["initial"]["values"] = data.draw(st.lists(entry, min_size=n,
+                                                       max_size=n))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err):
+        code = cli.main([command.replace("_", "-"), "--out", out,
+                         "--set", f"{command}={json.dumps(body)}"])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 3:
+        found = re.search(r"(?:runtime error|gauge check failed): (\w+):",
+                          err.getvalue())
+        assert found and found.group(1) in _TYPED_ERRORS, err.getvalue()
 
 
 @pytest.mark.parametrize("weight", ["Infinity", "1e400"])
@@ -557,7 +730,7 @@ def test_train_zero_epochs_passthrough(tmp_path):
     params, point = fm.load_checkpoint(out / "checkpoint.json")
     assert params.activation1 == "identity"
     assert np.array_equal(params.a1, np.eye(4, dtype=complex))
-    assert point.graph.n_edges == 4
+    assert point.n_edges == 4
 
 
 def test_train_teacher_fixed_point_stays_at_zero_loss(tmp_path):

@@ -635,7 +635,8 @@ def test_steady_start_near_repelling_equilibrium_follows_the_flow(start):
     g = path_graph(len(start))
     cfg = NlseConfig(dt=1e-2)
     lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
-    res0 = dynamics._batch_residual(lap, v, psi0[None], cfg.gamma)[0]
+    res0 = np.abs(dynamics._batch_projected_rhs(
+        lap, v, psi0[None], cfg.gamma)).max(axis=1)[0]
     assert cfg.steady_tol < res0 <= dynamics._NEWTON_HANDOFF
     out = solve_steady_state(g, psi0, cfg)
     rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=200.0)
@@ -1034,7 +1035,8 @@ def test_pseudo_transient_polishes_warm_and_cold_rows_in_one_newton_batch(
     warm = root + 1e-3 * unit_state(np.random.default_rng(22), 4)
     warm /= np.linalg.norm(warm)
     lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
-    res0 = dynamics._batch_residual(lap, v, warm[None], cfg.gamma)[0]
+    res0 = np.abs(dynamics._batch_projected_rhs(
+        lap, v, warm[None], cfg.gamma)).max(axis=1)[0]
     assert cfg.steady_tol < res0 <= dynamics._NEWTON_HANDOFF
     singles = [solve_steady_state_many([g], [psi0], cfg, [start])[0]
                for start in (warm, psi0)]
@@ -1057,6 +1059,17 @@ def test_pseudo_transient_polishes_warm_and_cold_rows_in_one_newton_batch(
         assert out.converged and out.t_reached == 0.0
         assert np.array_equal(out.psi_inf, single.psi_inf)
         assert out.residual == single.residual
+
+
+def test_flow_path_skipped_when_continuation_accepts_every_row(monkeypatch):
+    g = cycle_graph(4)
+    psi0 = unit_state(np.random.default_rng(21), 4)
+    calls = []
+    monkeypatch.setattr(dynamics, "_flow_path", lambda *a: calls.append(a))
+    out = solve_steady_state_many([g, g], [psi0, psi0],
+                                  NlseConfig(dt=5e-2, t_max=3000.0))
+    assert calls == []
+    assert all(st.converged and st.t_reached == 0.0 for st in out)
 
 
 # -- writers ------------------------------------------------------------------------

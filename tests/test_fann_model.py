@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from spectral_moduli.dynamics import NlseConfig, SteadyState, solve_steady_state
 from spectral_moduli.graph_core import GraphError, build_graph
-from spectral_moduli.moduli import (Batch, ModuliPoint, OptimizerConfig,
+from spectral_moduli.moduli import (Batch, OptimizerConfig,
                                     SteadySolveEngine, regularized_loss)
 from spectral_moduli.topo_metric import (ManifoldSpec, PopulationReadout,
                                          TeacherSampler, build_ground_truth)
@@ -56,7 +56,7 @@ def c4_model(c4):
     """Random params and the teacher graph for a converged desk instance."""
     truth, _ = c4
     params = fm.random_params(truth.n, truth.n, seed=12)
-    return params, ModuliPoint(truth.teacher_graph())
+    return params, truth.teacher_graph()
 
 
 def unit_vector(n, seed):
@@ -150,7 +150,7 @@ def test_forward_single_vertex_hand_value():
     params = fm.ModelParams(a1=np.zeros((1, 1)), b1=np.ones(1),
                             a3=np.ones(1), b3=0.0, activation1="identity",
                             activation3="identity")
-    point = ModuliPoint(build_graph(1, []))
+    point = build_graph(1, [])
     y, psi = fm.forward(params, point, np.zeros(1), RUN_CFG)
     assert y == pytest.approx(1.0, abs=1e-12)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
@@ -161,7 +161,7 @@ def test_forward_stationary_p2_equals_readout_of_psi0():
     # equilibrium, so the core returns it unchanged and the whole model
     # collapses to the output layer
     b1 = np.ones(2) / np.sqrt(2.0)
-    point = ModuliPoint(build_graph(2, [(0, 1, 0.7)]))
+    point = build_graph(2, [(0, 1, 0.7)])
     aligned = fm.ModelParams(a1=np.zeros((2, 2)), b1=b1,
                              a3=b1.astype(complex), b3=0.5,
                              activation1="identity", activation3="identity")
@@ -176,7 +176,7 @@ def test_forward_composition_matches_manual_chain(c4_model):
     x = unit_vector(4, 17)
     y, psi = fm.forward(params, point, x, RUN_CFG)
     psi0 = fm.input_state(params, x)
-    st = solve_steady_state(point.graph, psi0, RUN_CFG)
+    st = solve_steady_state(point, psi0, RUN_CFG)
     assert np.array_equal(psi, st.psi_inf)
     assert y == fm.readout_value(params, st.psi_inf)
 
@@ -194,7 +194,7 @@ def test_forward_engine_config_governs_solves(c4_model):
 def test_forward_vertex_mismatch(c4_model):
     params, _ = c4_model
     with pytest.raises(GraphError, match="vertices"):
-        fm.forward(params, ModuliPoint(build_graph(3, [(0, 1, 1.0)])),
+        fm.forward(params, build_graph(3, [(0, 1, 1.0)]),
                    unit_vector(4, 3), RUN_CFG)
 
 
@@ -434,7 +434,7 @@ def self_consistent_task(truth, sampler, n_pairs=4):
     teacher = fm.ModelParams(a1=np.eye(n, dtype=complex), b1=np.zeros(n),
                              a3=a3, b3=0.0, activation1="identity",
                              activation3="identity")
-    point = ModuliPoint(truth.teacher_graph())
+    point = truth.teacher_graph()
     bumps = [x for x, _ in sampler.exact()][:n_pairs]
     base = fm.fixed_set_sampler([(x, 0.0) for x in bumps])
     data = fm.model_teacher_sampler(teacher, point, RUN_CFG, base)
@@ -456,7 +456,7 @@ def test_train_teacher_fixed_point(c4):
     p, pt, hist = fm.train(data, cfg, teacher, point)
     assert len(hist) == 10
     assert max(h.train_loss for h in hist) < 1e-8
-    assert pt.graph.edges == point.graph.edges
+    assert pt.edges == point.edges
     assert all((h.b0, h.b1) == truth.betti for h in hist)
     assert all(h.failures == () for h in hist)
 
@@ -464,7 +464,7 @@ def test_train_teacher_fixed_point(c4):
 def test_train_is_deterministic(c4):
     truth, sampler = c4
     rng_params = fm.random_params(truth.n, truth.n, seed=2)
-    point = ModuliPoint(truth.teacher_graph())
+    point = truth.teacher_graph()
     runs = []
     for _ in range(2):
         teacher, tpoint, data = self_consistent_task(truth, sampler)
@@ -474,7 +474,7 @@ def test_train_is_deterministic(c4):
     (p1, pt1, l1), (p2, pt2, l2) = runs
     assert l1 == l2
     assert np.array_equal(p1.a1, p2.a1) and p1.b3 == p2.b3
-    assert np.array_equal(pt1.graph.weights, pt2.graph.weights)
+    assert np.array_equal(pt1.weights, pt2.weights)
 
 
 def test_train_logs_failures_and_continues(c4):
@@ -498,7 +498,7 @@ def test_train_logs_failures_and_continues(c4):
     for h in hist:
         assert len(h.failures) == cfg.moduli_config.batch_size + 1  # + step
         assert np.isnan(h.train_loss)
-    assert pt.graph.key() == point.graph.key()
+    assert pt.key() == point.key()
     assert np.array_equal(p.a1, teacher.a1)
 
 
@@ -787,8 +787,8 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path, c4_model):
     assert np.array_equal(loaded_params.a1, params.a1)
     assert np.array_equal(loaded_params.a3, params.a3)
     assert loaded_params.b3 == params.b3
-    assert loaded_point.graph.edges == point.graph.edges
-    assert np.array_equal(loaded_point.graph.weights, point.graph.weights)
+    assert loaded_point.edges == point.edges
+    assert np.array_equal(loaded_point.weights, point.weights)
     first = path.read_bytes()
     fm.save_checkpoint(path, loaded_params, loaded_point, extra={"note": 1})
     assert path.read_bytes() == first
@@ -797,19 +797,19 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path, c4_model):
 
 def test_checkpoint_keeps_vertex_and_edge_measures(tmp_path, c4_model):
     params, point = c4_model
-    g = point.graph
+    g = point
     rng = np.random.default_rng(12)
     graph = build_graph(g.n, [(u, v, w) for (u, v), w in
                               zip(g.edges, g.weights)][::-1],
                         mu=rng.uniform(0.5, 2.0, g.n),
                         rho=rng.uniform(0.5, 2.0, g.n_edges))
     path = tmp_path / "model.json"
-    fm.save_checkpoint(path, params, ModuliPoint(graph))
+    fm.save_checkpoint(path, params, graph)
     _, loaded = fm.load_checkpoint(path)
-    assert loaded.graph.edges == graph.edges
-    assert np.array_equal(loaded.graph.weights, graph.weights)
-    assert np.array_equal(loaded.graph.mu, graph.mu)
-    assert np.array_equal(loaded.graph.rho, graph.rho)
+    assert loaded.edges == graph.edges
+    assert np.array_equal(loaded.weights, graph.weights)
+    assert np.array_equal(loaded.mu, graph.mu)
+    assert np.array_equal(loaded.rho, graph.rho)
 
 
 def test_history_csv_format(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectral_moduli import fann_model
-from spectral_moduli.moduli import ModuliPoint
 
 from spectral_moduli.graph_core import (
     DimensionMismatchError,
@@ -32,6 +31,8 @@ from spectral_moduli.graph_core import (
     save_graph,
     single_vertex_graph,
     spin_norms,
+    validate_scalar_field,
+    validate_scalar_fields,
 )
 
 
@@ -176,6 +177,25 @@ def test_dimension_mismatch_raises():
         discrete_gradient(g, np.ones(2))
     with pytest.raises(DimensionMismatchError):
         norm_l2(g, np.ones(5))
+
+
+@pytest.mark.parametrize("bad", [np.ones(4), np.ones((3, 1)),
+                                 np.array([1.0, np.nan, 0.0]),
+                                 np.array([1.0, 0.0, 1j * np.inf])])
+@pytest.mark.parametrize("at", [0, 2])
+def test_validate_scalar_fields_fails_as_its_first_bad_field(bad, at):
+    g = path_graph(3)
+    fields = [np.ones(3), np.arange(3.0), 1j * np.ones(3)]
+    stack = validate_scalar_fields(g, fields)
+    assert stack.dtype == complex and np.array_equal(stack, fields)
+    fields[at] = bad
+    # a later bad field of the other kind must not mask the first one
+    later = np.ones(5) if bad.shape == (3,) else np.full(3, np.nan)
+    with pytest.raises(DimensionMismatchError) as alone:
+        validate_scalar_field(g, bad)
+    with pytest.raises(DimensionMismatchError) as batch:
+        validate_scalar_fields(g, fields + [later])
+    assert str(batch.value) == str(alone.value)
 
 
 # -- scalar norms --------------------------------------------------------------
@@ -405,8 +425,8 @@ def test_edge_add_remove_and_serialization_round_trips(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "checkpoint.json")
         fann_model.save_checkpoint(path, fann_model.random_params(2, g.n, 0),
-                                   ModuliPoint(grafted))
-        assert fann_model.load_checkpoint(path)[1].graph.key() == grafted.key()
+                                   grafted)
+        assert fann_model.load_checkpoint(path)[1].key() == grafted.key()
 
 
 def test_save_load_file_and_determinism(tmp_path):

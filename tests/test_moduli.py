@@ -26,7 +26,6 @@ from spectral_moduli.moduli import (
     Batch,
     LossBreakdown,
     LossEvaluationError,
-    ModuliPoint,
     OptimizerConfig,
     SteadySolveEngine,
     StrataLog,
@@ -143,6 +142,20 @@ def test_batch_validation():
     assert b.xs[0].dtype == complex
 
 
+def test_batch_carries_its_distinct_inputs_in_first_appearance_order():
+    a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    # equal bytes are one input: -0.0 and 0.0 differ, a real and a complex
+    # copy of one field do too
+    xs = (b, a, b.copy(), np.array([-0.0, 1.0]), b.astype(complex), a)
+    batch = Batch(xs, tuple(range(len(xs))))
+    assert batch.groups == ([0, 2], [1, 5], [3], [4])
+    assert [x.dtype for x in batch.inputs] == [complex] * 4
+    for x, idx in zip(batch.inputs, batch.groups):
+        assert np.array_equal(x, xs[idx[0]])
+    assert Batch.from_pairs(zip(xs, batch.ys)).groups == ([0, 2, 4], [1, 5],
+                                                          [3])
+
+
 def test_loss_breakdown_total_is_sum():
     lb = LossBreakdown(data=0.5, l2=0.25, l1=0.125)
     assert lb.total == 0.875
@@ -158,7 +171,7 @@ def test_regularizer_hand_value(engine):
     uniform = np.ones(3) / np.sqrt(3.0)
     batch = Batch.from_pairs([(uniform, 0.0)])
     cfg = opt_config(l1_coeff=0.1, l2_coeff=0.2)
-    lb = regularized_loss(ModuliPoint(g), batch, PopulationReadout(np.zeros(3)),
+    lb = regularized_loss(g, batch, PopulationReadout(np.zeros(3)),
                           cfg, engine=engine)
     assert lb.l2 + lb.l1 == pytest.approx(0.8, abs=1e-15)
 
@@ -167,7 +180,7 @@ def test_regularizer_vanishes_without_edges():
     g = build_graph(1, [])
     batch = Batch.from_pairs([(np.array([1.0]), 0.0)])
     cfg = opt_config(l1_coeff=0.7, l2_coeff=0.9, batch_size=1)
-    lb = regularized_loss(ModuliPoint(g), batch, PopulationReadout(np.ones(1)),
+    lb = regularized_loss(g, batch, PopulationReadout(np.ones(1)),
                           cfg)
     assert lb.l1 == 0.0 and lb.l2 == 0.0
 
@@ -176,7 +189,7 @@ def test_teacher_data_term_is_tiny(c3, engine):
     truth, readout, sampler = c3
     batch = Batch.from_pairs(sampler.exact())
     cfg = opt_config(l1_coeff=0.0, l2_coeff=0.0, batch_size=3)
-    lb = regularized_loss(ModuliPoint(truth.teacher_graph()), batch, readout,
+    lb = regularized_loss(truth.teacher_graph(), batch, readout,
                           cfg, engine=engine)
     assert lb.data < 1e-10
     assert lb.total == lb.data
@@ -188,7 +201,7 @@ def test_loss_error_names_failing_sample(c3):
     short = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=0.2)
     cfg = opt_config(steady=short, batch_size=3)
     with pytest.raises(LossEvaluationError, match="sample 0"):
-        regularized_loss(ModuliPoint(truth.teacher_graph()), batch, readout,
+        regularized_loss(truth.teacher_graph(), batch, readout,
                          cfg, engine=SteadySolveEngine(short))
 
 
@@ -209,7 +222,7 @@ def fd_loss_gradient(graph, edge, batch, readout, cfg, h=1e-4):
         w[idx] += sign * h
         shifted = build_graph(graph.n, [(u, v, wi) for (u, v), wi
                                         in zip(graph.edges, w)])
-        lb = regularized_loss(ModuliPoint(shifted), batch, readout, cfg,
+        lb = regularized_loss(shifted, batch, readout, cfg,
                               engine=SteadySolveEngine(cfg.steady))
         out.append(lb.total)
     return (out[0] - out[1]) / (2.0 * h)
@@ -225,7 +238,7 @@ def test_gradient_matches_fd_on_existing_edge(c3):
     cfg = opt_config(steady=TIGHT_CFG, l1_coeff=1e-6, l2_coeff=1e-6,
                      batch_size=1)
     edge = truth.e_true[0]
-    grad = stochastic_gradient(ModuliPoint(g), batch, edge, readout=readout,
+    grad = stochastic_gradient(g, batch, edge, readout=readout,
                                config=cfg)
     fd = fd_loss_gradient(g, edge, batch, readout, cfg)
     assert rel_err(grad, fd) < 1e-3
@@ -243,7 +256,7 @@ def test_gradient_is_taken_at_the_gamma_the_engine_solved_at(c3):
     cfg = opt_config(steady=TIGHT_CFG, l1_coeff=1e-6, l2_coeff=1e-6,
                      batch_size=1)
     edge = truth.e_true[0]
-    grad = stochastic_gradient(ModuliPoint(g), batch, edge, readout=readout,
+    grad = stochastic_gradient(g, batch, edge, readout=readout,
                                config=cfg, engine=SteadySolveEngine(half))
     fd = fd_loss_gradient(g, edge, batch, readout,
                           dataclasses.replace(cfg, steady=half))
@@ -258,7 +271,7 @@ def test_gradient_matches_fd_on_probe_edge(c4):
     batch = Batch.from_pairs(sampler.exact()[:1])
     cfg = opt_config(steady=TIGHT_CFG, l1_coeff=1e-6, l2_coeff=1e-6,
                      batch_size=1)
-    grad = stochastic_gradient(ModuliPoint(sub), batch, (0, 1),
+    grad = stochastic_gradient(sub, batch, (0, 1),
                                test_weight=0.05, readout=readout, config=cfg)
     grafted = sub.with_edge((0, 1), 0.05)
     fd = fd_loss_gradient(grafted, (0, 1), batch, readout, cfg)
@@ -272,7 +285,7 @@ def test_constant_readout_gradient_is_pure_regularizer(c3, engine):
     batch = Batch.from_pairs([(x, 0.0) for x, _ in sampler.exact()])
     cfg = opt_config(l1_coeff=0.3, l2_coeff=0.7, batch_size=3)
     for e, w in zip(g.edges, g.weights):
-        grad = stochastic_gradient(ModuliPoint(g), batch, e, readout=zeros,
+        grad = stochastic_gradient(g, batch, e, readout=zeros,
                                    config=cfg, engine=engine)
         assert grad == pytest.approx(0.7 * w + 0.3, rel=1e-12)
 
@@ -283,14 +296,14 @@ def test_teacher_point_gradient_dominated_by_regularizer(c4, engine):
     batch = Batch.from_pairs(sampler.exact())
     cfg = opt_config(l1_coeff=1e-7, l2_coeff=1e-7)
     for e, w in zip(g.edges, g.weights):
-        grad = stochastic_gradient(ModuliPoint(g), batch, e, readout=readout,
+        grad = stochastic_gradient(g, batch, e, readout=readout,
                                    config=cfg, engine=engine)
         assert abs(grad) <= 1e-7 * w + 1e-7 + 1e-6
 
 
 def test_gradient_argument_errors(c4, engine):
     truth, readout, sampler = c4
-    point = ModuliPoint(truth.teacher_graph())
+    point = truth.teacher_graph()
     batch = Batch.from_pairs(sampler.exact())
     cfg = opt_config()
     with pytest.raises(ValueError):
@@ -310,17 +323,17 @@ def test_step_is_pure_sgd_when_rules_disabled(c4, engine):
     triples = [(u, v, w * s) for (u, v), w, s in
                zip(truth.e_true, truth.teacher_weights,
                    (1.1, 0.95, 1.02, 0.9))]
-    point = ModuliPoint(build_graph(4, triples))
+    point = build_graph(4, triples)
     batch = Batch.from_pairs(sampler.exact())
     cfg = opt_config(add_threshold=0.999, prune_threshold=1e-9,
                      step_size=100.0)
     new_point, events = descent_step(point, batch, cfg, 0, readout=readout,
                                      engine=engine)
     assert events.added == () and events.pruned == ()
-    assert new_point.edge_set == point.edge_set
+    assert new_point.edges == point.edges
     # replay: w' = w - eta * g with g recomputed independently
-    for e, w_old, w_new in zip(point.edge_set, point.graph.weights,
-                               new_point.graph.weights):
+    for e, w_old, w_new in zip(point.edges, point.weights,
+                               new_point.weights):
         g_e = stochastic_gradient(point, batch, e, readout=readout,
                                   config=cfg, engine=engine)
         assert w_new == pytest.approx(w_old - 100.0 * g_e, rel=1e-12)
@@ -333,11 +346,11 @@ def test_candidate_added_at_exactly_twice_probe_weight(c4, engine):
                           if (u, v) != (0, 1)])
     batch = Batch.from_pairs(sampler.exact())
     cfg = opt_config(step_size=1.0)
-    new_point, events = descent_step(ModuliPoint(sub), batch, cfg, 0,
+    new_point, events = descent_step(sub, batch, cfg, 0,
                                      readout=readout, engine=engine)
     assert (0, 1) in events.added
     assert events.test_gradients[(0, 1)] < -cfg.add_threshold
-    new_w = dict(zip(new_point.edge_set, new_point.graph.weights))
+    new_w = dict(zip(new_point.edges, new_point.weights))
     assert new_w[(0, 1)] == 2.0 * cfg.prune_threshold
 
 
@@ -348,10 +361,10 @@ def test_update_clamps_then_prunes(c3, engine):
     # enormous l2 and step size drive every weight to the clamp at zero
     cfg = opt_config(l2_coeff=1.0, step_size=10.0, add_threshold=0.999,
                      batch_size=3)
-    new_point, events = descent_step(ModuliPoint(g), batch, cfg, 0,
+    new_point, events = descent_step(g, batch, cfg, 0,
                                      readout=readout, engine=engine)
     assert set(events.pruned) == set(g.edges)
-    assert new_point.graph.n_edges == 0
+    assert new_point.n_edges == 0
     assert all(w == 0.0 for w in events.post_update_weights.values())
 
 
@@ -370,7 +383,7 @@ def test_descent_step_solves_once_per_pass(c4, monkeypatch):
     monkeypatch.setattr(engine, "solve_many", counting)
     batch = Batch.from_pairs(sampler.exact() + sampler.exact()[:1])
     cfg = opt_config(batch_size=5, probe_t_max=500.0)
-    _, events = descent_step(ModuliPoint(truth.teacher_graph()), batch, cfg,
+    _, events = descent_step(truth.teacher_graph(), batch, cfg,
                              0, readout=readout, engine=engine)
     # 4 distinct inputs; C4 has two absent edges to probe
     assert calls == [(4, (), {}), (2 * 4, (), {"t_max": 500.0})]
@@ -383,12 +396,12 @@ def test_step_rule_replay_over_short_run(c4):
     rng = np.random.default_rng(3)
     triples = [(u, v, w * (1 + 0.05 * rng.uniform(-1, 1))) for (u, v), w in
                zip(truth.e_true, truth.teacher_weights)] + [(0, 2, 0.1)]
-    init = ModuliPoint(build_graph(4, triples))
+    init = build_graph(4, triples)
     cfg = opt_config(iterations=8, step_size=(15873.0,) * 8, batch_size=4)
     point, log, history = run(cfg, sampler.exact_sampler(), init,
                               readout=readout)
     assert len(log.records) == 8
-    prev_edges = set(init.edge_set)
+    prev_edges = set(init.edges)
     for rec in log.records:
         ev = rec.events
         assert ev is not None
@@ -411,11 +424,11 @@ def test_step_rule_replay_over_short_run(c4):
 
 def test_run_zero_iterations_returns_initial(c4):
     truth, readout, sampler = c4
-    init = ModuliPoint(truth.teacher_graph())
+    init = truth.teacher_graph()
     cfg = opt_config(iterations=0)
     point, log, history = run(cfg, sampler.exact_sampler(), init,
                               readout=readout)
-    assert point.edge_set == init.edge_set
+    assert point.edges == init.edges
     assert len(log.visited) == 1
     assert history == []
 
@@ -425,10 +438,10 @@ def test_run_accepts_graph_and_vertex_count(c4):
     cfg = opt_config(iterations=0, init_edge_prob=1.0)
     point, _, _ = run(cfg, sampler.exact_sampler(), truth.teacher_graph(),
                       readout=readout)
-    assert point.edge_set == truth.e_true
+    assert point.edges == truth.e_true
     point, _, _ = run(cfg, sampler.exact_sampler(), 4, readout=readout)
-    assert point.graph.n_edges == 6  # every pair, weight one
-    assert np.all(point.graph.weights == 1.0)
+    assert point.n_edges == 6  # every pair, weight one
+    assert np.all(point.weights == 1.0)
     with pytest.raises(TypeError):
         run(cfg, sampler.exact_sampler(), "nope", readout=readout)
 
@@ -442,7 +455,7 @@ def test_run_is_deterministic_to_the_byte(c4, tmp_path):
                      candidate_fraction=0.5, seed=9)
     paths = []
     for tag in ("a", "b"):
-        init = ModuliPoint(build_graph(4, triples))
+        init = build_graph(4, triples)
         _, log, _ = run(cfg, sampler.exact_sampler(), init, readout=readout)
         p = tmp_path / f"{tag}.jsonl"
         write_strata_jsonl(log, p)
@@ -460,11 +473,11 @@ def test_run_takes_integral_float_counts(c4):
         assert (type(cfg.iterations), type(cfg.batch_size)) == (int, int)
         sampler = TeacherSampler(truth, readout, RUN_CFG, seed=202,
                                  noise_delta=0.1)
-        runs.append(run(cfg, sampler, ModuliPoint(truth.teacher_graph()),
+        runs.append(run(cfg, sampler, truth.teacher_graph(),
                         readout=readout))
     (p_int, _, h_int), (p_float, _, h_float) = runs
     assert h_float == h_int and len(h_int) == 2
-    assert np.array_equal(p_float.graph.weights, p_int.graph.weights)
+    assert np.array_equal(p_float.weights, p_int.weights)
 
 
 def test_run_stalls_early_on_flat_landscape(c3):
@@ -474,10 +487,10 @@ def test_run_stalls_early_on_flat_landscape(c3):
     cfg = opt_config(iterations=50, l1_coeff=0.0, l2_coeff=0.0,
                      batch_size=3, stall_iters=6)
     point, log, history = run(cfg, lambda b: stream,
-                              ModuliPoint(truth.teacher_graph()),
+                              truth.teacher_graph(),
                               readout=zeros)
     assert len(log.records) == 6
-    assert point.edge_set == truth.e_true
+    assert point.edges == truth.e_true
 
 
 def test_run_logs_failed_steps_and_continues(c3):
@@ -489,11 +502,11 @@ def test_run_logs_failed_steps_and_continues(c3):
                            converged=False, gamma=config.gamma)
 
     engine = SteadySolveEngine(RUN_CFG, solve_fn=never_converges)
-    init = ModuliPoint(truth.teacher_graph())
+    init = truth.teacher_graph()
     cfg = opt_config(iterations=4, batch_size=3)
     point, log, history = run(cfg, sampler.exact_sampler(), init,
                               readout=readout, engine=engine)
-    assert point.edge_set == init.edge_set
+    assert point.edges == init.edges
     assert all(r.failed is not None for r in log.records)
     assert all(np.isnan(h) for h in history)
     assert len(log.visited) == 1
@@ -502,7 +515,7 @@ def test_run_logs_failed_steps_and_continues(c3):
 def test_probe_horizon_skips_slow_candidates(c4):
     truth, readout, sampler = c4
     w = dict(zip(truth.e_true, truth.teacher_weights))
-    init = ModuliPoint(truth.teacher_graph())
+    init = truth.teacher_graph()
     # a probe horizon far too short for any candidate solve to converge
     cfg = opt_config(iterations=1, probe_t_max=0.2, batch_size=4)
     engine = SteadySolveEngine(RUN_CFG)
@@ -513,7 +526,7 @@ def test_probe_horizon_skips_slow_candidates(c4):
     assert set(ev.skipped_candidates) == {(0, 2), (1, 3)}
     assert all(np.isnan(g) for g in ev.test_gradients.values())
     assert log.records[0].added == ()
-    assert point.edge_set == truth.e_true
+    assert point.edges == truth.e_true
     # a lone probe gradient keeps the horizon too, on a fresh engine as on
     # the one the step filled
     batch = Batch.from_pairs(sampler.exact())
@@ -523,7 +536,7 @@ def test_probe_horizon_skips_slow_candidates(c4):
                                 readout=readout, config=cfg, engine=eng)
     # a full-horizon solve of a probe graph does not read the short probe
     # solve from the cache
-    probe = ModuliPoint(init.graph.with_edge((0, 2), 0.05))
+    probe = init.with_edge((0, 2), 0.05)
     shared = regularized_loss(probe, batch, readout, cfg, engine=engine)
     fresh = regularized_loss(probe, batch, readout, cfg,
                              engine=SteadySolveEngine(RUN_CFG))
@@ -538,9 +551,9 @@ def test_subset_start_recovers_missing_edge(c3):
                           if (u, v) != drop])
     eta = (100.0,) * 10 + (20000.0,) * 20
     cfg = opt_config(iterations=len(eta), step_size=eta, batch_size=3)
-    point, log, history = run(cfg, sampler.exact_sampler(), ModuliPoint(sub),
+    point, log, history = run(cfg, sampler.exact_sampler(), sub,
                               readout=readout)
-    assert point.edge_set == truth.e_true
+    assert point.edges == truth.e_true
     added = [e for r in log.records for e in r.added]
     assert drop in added
     assert history[-1] < history[0]
@@ -600,11 +613,11 @@ def test_jsonl_record_shape(tmp_path):
 def test_random_point_probability_extremes():
     cfg = opt_config(init_edge_prob=1.0)
     p = random_point(5, cfg)
-    assert p.graph.n_edges == 10
-    assert np.all(p.graph.weights == 1.0)
+    assert p.n_edges == 10
+    assert np.all(p.weights == 1.0)
     cfg_sparse = opt_config(init_edge_prob=1e-12, seed=1)
     rng = np.random.default_rng(1)
-    assert random_point(5, cfg_sparse, rng).graph.n_edges == 0
+    assert random_point(5, cfg_sparse, rng).n_edges == 0
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +696,9 @@ def test_engine_explicit_horizon_runs_continuation():
     rng = np.random.default_rng(5)
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
     x /= np.linalg.norm(x)
-    start_res = dynamics._batch_residual(
+    start_res = np.abs(dynamics._batch_projected_rhs(
         g.coupling_laplacian()[None], (np.abs(x) ** 2)[None], x[None],
-        RUN_CFG.gamma)[0]
+        RUN_CFG.gamma)).max(axis=1)[0]
     assert start_res > dynamics._NEWTON_HANDOFF
     probe = SteadySolveEngine(RUN_CFG).solve_many([(g, x)], t_max=20.0)[0]
     # the flow path would have spent RK4 time to reach the hand-off
