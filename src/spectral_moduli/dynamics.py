@@ -551,6 +551,7 @@ class SteadyState:
     every derivative of the state is taken at it.  A root Newton accepted
     carries its ``_bordered_system`` in ``bordered``, keyed by what it was
     built from: the bytes of the Laplacian, potential and state, and gamma.
+    An unconverged state's ``reason`` is "repelled", "horizon" or "non_finite".
     """
 
     psi_inf: np.ndarray
@@ -559,6 +560,7 @@ class SteadyState:
     converged: bool
     gamma: float
     bordered: tuple | None = field(default=None, compare=False, repr=False)
+    reason: str | None = None
 
 
 # Newton takes over from RK4 once the projected residual is at most this.
@@ -692,29 +694,48 @@ def _repelling(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     graph on which psi vanishes are left out too: the flow keeps them at
     exactly zero, so their modes are never excited.  ``b`` is the states'
     ``_bordered_system`` if the caller has it; it is left as it is.
+
+    A row with a finite Cholesky factor of tau I - (M + M^T) / 2, M its
+    projected linearization and tau the rate, takes no ``eigvals``: no
+    eigenvalue of M has a real part above the spectrum of (M + M^T) / 2
+    (Horn & Johnson, Topics in Matrix Analysis, 1991, sec. 1.5).
     """
     n = psi.shape[1]
-    adjacent = (lap != 0).astype(float)
-    reach = psi != 0
-    for _ in range(n - 1):
-        reach |= np.einsum("sij,sj->si", adjacent, reach) > 0
     b = _bordered_system(lap, v, psi, gamma) if b is None else b
-    # the linearization does not couple a vanishing component to the rest,
-    # so zeroing its block only turns its eigenvalues into zeros; so does
-    # the projection p = 1 - s s^T off s = [psi, i psi] / |psi|
-    idle = np.tile(~reach, 2)
-    a = np.where(idle[:, :, None] | idle[:, None, :], 0.0, b[:, :2 * n, :2 * n])
+    a = b[:, :2 * n, :2 * n]
+    reach = psi != 0
+    if not reach.all():
+        adjacent = (lap != 0).astype(float)
+        for _ in range(n - 1):
+            reach |= np.einsum("sij,sj->si", adjacent, reach) > 0
+        # the linearization does not couple a vanishing component to the
+        # rest, so zeroing its block only turns its eigenvalues into zeros;
+        # so does the projection p = 1 - s s^T off s = [psi, i psi] / |psi|
+        idle = np.tile(~reach, 2)
+        a = np.where(idle[:, :, None] | idle[:, None, :], 0.0, a)
     s = b[:, :2 * n, 2 * n:] / np.linalg.norm(psi, axis=1)[:, None, None]
     p = np.eye(2 * n) - s @ s.transpose(0, 2, 1)
     pap = p @ a @ p
+    # LAPACK factors a NaN matrix without an error: the factor must be finite
+    c = _NEWTON_STABLE_RATE * np.eye(2 * n) - 0.5 * (pap + pap.transpose(0, 2, 1))
+    certified = _row_by_row(
+        lambda m: np.isfinite(np.linalg.cholesky(m)).all(axis=(1, 2)), c, False)
+    out = np.zeros(len(psi), dtype=bool)
+    if not certified.all():
+        out[~certified] = _row_by_row(
+            lambda m: np.linalg.eigvals(m).real.max(axis=1) > _NEWTON_STABLE_RATE,
+            pap[~certified], True)  # no converged spectrum: leave it to RK4
+    return out
+
+
+def _row_by_row(check: Callable, m: np.ndarray, refused: bool) -> np.ndarray:
+    """``check`` of the stack ``m``, or of one row at a time if LAPACK refuses
+    it: the other rows keep their verdicts, and a refused row gets ``refused``."""
     try:
-        return np.linalg.eigvals(pap).real.max(axis=1) > _NEWTON_STABLE_RATE
-    except np.linalg.LinAlgError:  # no converged spectrum: leave it to RK4
-        if len(psi) == 1:
-            return np.ones(1, dtype=bool)
-        return np.concatenate([  # one row at a time: the others keep theirs
-            _repelling(lap[i:i + 1], v[i:i + 1], psi[i:i + 1], gamma, b[i:i + 1])
-            for i in range(len(psi))])
+        return check(m)
+    except np.linalg.LinAlgError:
+        return np.full(1, refused) if len(m) == 1 else np.concatenate(
+            [_row_by_row(check, m[i:i + 1], refused) for i in range(len(m))])
 
 
 def _solve_stacked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -824,8 +845,8 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     ``_flow_path``.  A row is dropped if Newton rejects it, its step is
     not finite, its system is singular, it passes below ``tol`` without
     reaching Newton, or pseudo-time or ``_PTC_MAX_ITER`` run out; so is a
-    non-finite start.  Returns states, residuals, the accepted mask and
-    each row's ``SteadyState.bordered``.
+    non-finite start.  Returns states, residuals, the accepted mask, each
+    row's ``SteadyState.bordered`` and the mask of repelled Newton roots.
     """
     nb = len(psi)
     out, out_res, out_pf = psi.copy(), np.full(nb, np.inf), np.zeros_like(psi)
@@ -859,12 +880,12 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
         live, cur, pf, res, spent = (
             live[go], new[go], new_pf[go], new_res[go], spent[go])
     rows = np.flatnonzero(handed)
-    carried = np.full(nb, None, object)
+    carried, repelled = np.full(nb, None, object), np.zeros(nb, dtype=bool)
     if rows.size:
-        out[rows], out_res[rows], _, carried[rows] = _newton_polish(
+        out[rows], out_res[rows], repelled[rows], carried[rows] = _newton_polish(
             lap[rows], v[rows], out[rows], out_res[rows], gamma, tol,
             out_pf[rows])
-    return out, out_res, out_res <= tol, carried
+    return out, out_res, out_res <= tol, carried, repelled
 
 
 def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
@@ -925,7 +946,8 @@ def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
     result_t[active], result_res[active] = step * dt, res[~hit]
     return [SteadyState(psi[i], float(result_t[i]), float(result_res[i]),
-                        bool(ok[i]), float(gamma), carried[i])
+                        bool(ok[i]), float(gamma), carried[i], None if ok[i]
+                        else "horizon" if result_res[i] < np.inf else "non_finite")
             for i in range(n_prob)]
 
 
@@ -951,7 +973,7 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
                             psi0s: Sequence[np.ndarray],
                             config: NlseConfig,
                             starts: Sequence[np.ndarray] | None = None,
-                            ) -> list[SteadyState]:
+                            *, probe: bool = False) -> list[SteadyState]:
     """Drive many independent flows to relative equilibria in lockstep.
 
     All graphs must share the vertex count.  ``starts`` optionally replaces
@@ -961,18 +983,20 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     Pseudo-transient continuation (``_pseudo_transient``) runs first, and
     the rows it accepts come back converged with ``t_reached = 0``.  The
     flow path (``_flow_path``) finishes every other row from its own start,
-    and its ``t_reached`` is RK4 flow time.
+    and its ``t_reached`` is RK4 flow time.  In a ``probe`` solve, a row
+    whose Newton root repels comes back unconverged at once ("repelled").
     """
     if len(graphs) == 0:
         return []
     lap, v, psi = _stack_problems(graphs, psi0s, starts)
-    states, res, accepted, carried = _pseudo_transient(
+    states, res, accepted, carried, repelled = _pseudo_transient(
         lap, v, psi, config.gamma, config.steady_tol, config.t_max)
-    rest = iter(() if accepted.all() else _flow_path(
-        lap[~accepted], v[~accepted], psi[~accepted], config))
-    return [SteadyState(states[i], 0.0, float(res[i]), True, float(config.gamma),
-                        carried[i])
-            if accepted[i] else next(rest) for i in range(len(psi))]
+    flow = ~accepted & ~(probe & repelled)
+    rest = iter(_flow_path(lap[flow], v[flow], psi[flow], config)
+                if flow.any() else ())
+    return [next(rest) if flow[i] else SteadyState(
+        states[i], 0.0, float(res[i]), bool(accepted[i]), float(config.gamma),
+        carried[i], None if accepted[i] else "repelled") for i in range(len(psi))]
 
 
 def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,

@@ -20,6 +20,7 @@ and audited after a run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -28,7 +29,8 @@ import numpy as np
 
 from .dynamics import NlseConfig, SteadyState, solve_steady_state_many
 from .graph_core import GraphError, WeightedGraph, build_graph
-from .sensitivity import NonIsolatedSteadyStateError, weight_gradients
+from .sensitivity import (NonIsolatedSteadyStateError, edge_gradients,
+                          weight_gradients)
 
 __all__ = [
     "LossEvaluationError",
@@ -191,6 +193,7 @@ class SteadySolveEngine:
         self.config = config
         self._solve_fn = solve_fn
         self._warm: dict[bytes, np.ndarray] = {}
+        self._probing = False
 
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
                    t_max: float | None = None) -> list[SteadyState]:
@@ -208,7 +211,9 @@ class SteadySolveEngine:
             solved = [self._solve_fn(g, x, config) for g, x in zip(graphs, xs)]
         else:
             starts = [self._warm.get(key[1], x) for key, x in zip(first, xs)]
-            solved = solve_steady_state_many(graphs, xs, config, starts=starts)
+            solve = (functools.partial(solve_steady_state_many, probe=True)
+                     if self._probing else solve_steady_state_many)
+            solved = solve(graphs, xs, config, starts=starts)
         states = dict(zip(first, solved))
         for key, st in states.items():
             if st.converged:
@@ -217,6 +222,15 @@ class SteadySolveEngine:
 
     def solve(self, g: WeightedGraph, x: np.ndarray) -> SteadyState:
         return self.solve_many([(g, x)])[0]
+
+    def solve_probes(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
+                     t_max: float | None) -> list[SteadyState]:
+        """A probe pass: ``solve_many``, but repelled rows fail at once."""
+        self._probing = True
+        try:
+            return self.solve_many(jobs, t_max=t_max)
+        finally:
+            self._probing = False
 
 
 def _batch_predictions(batch: Batch, readout, steadies: Sequence[SteadyState]
@@ -233,7 +247,7 @@ def _batch_predictions(batch: Batch, readout, steadies: Sequence[SteadyState]
         if not st.converged:
             raise LossEvaluationError(
                 f"steady-state solve did not converge for sample {idx[0]} "
-                f"(residual {st.residual:.3e} at t={st.t_reached:.1f})")
+                f"({st.reason}: residual {st.residual:.3e} at t={st.t_reached:.1f})")
         pred = readout.value(st.psi_inf)
         records.append((x, idx, st, pred))
         for i in idx:
@@ -261,10 +275,11 @@ def regularized_loss(g: WeightedGraph, batch: Batch, readout,
 
 
 def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
-                           steadies: Sequence[SteadyState]
+                           steadies: Sequence[SteadyState],
+                           edges: Sequence[tuple[int, int]] | None = None
                            ) -> tuple[np.ndarray, float]:
-    """Batch-mean data-term gradient in every edge weight, plus data loss,
-    at the states ``steadies`` of the distinct inputs on ``g``.
+    """Batch-mean data-term gradient in each weight of ``edges`` (default all
+    of them), plus data loss, at the states ``steadies`` of the inputs on ``g``.
 
     The adjoint solve is shared across samples with the same input: the
     per-sample cotangent is 2 (pred - y) times a fixed readout cotangent,
@@ -272,14 +287,16 @@ def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
     batched call, and each gradient is rescaled and averaged.
     """
     records, data_loss = _batch_predictions(batch, readout, steadies)
-    grad = np.zeros(g.n_edges)
+    grad = np.zeros(g.n_edges if edges is None else len(edges))
     coeffs = [sum(2.0 * (pred - batch.ys[i]) for i in idx) / len(batch)
               for _, idx, _, pred in records]
-    rows = [k for k, c in enumerate(coeffs) if c != 0.0] if g.n_edges else []
+    rows = [k for k, c in enumerate(coeffs) if c != 0.0] if grad.size else []
     if rows:
         sts = [records[k][2] for k in rows]
-        bases = weight_gradients(g, [records[k][0] for k in rows], sts,
-                                 [readout.cotangent(st.psi_inf) for st in sts])
+        args = (g, [records[k][0] for k in rows], sts,
+                [readout.cotangent(st.psi_inf) for st in sts])
+        bases = (weight_gradients(*args) if edges is None
+                 else edge_gradients(*args, edges))
         for k, base in zip(rows, bases):
             grad += coeffs[k] * base
     return grad, data_loss
@@ -289,35 +306,36 @@ def stochastic_gradient(g: WeightedGraph, batch: Batch,
                         edge: tuple[int, int], test_weight: float | None = None,
                         *, readout, config: OptimizerConfig,
                         engine: SteadySolveEngine | None = None,
-                        steadies: Sequence[SteadyState] | None = None
-                        ) -> float:
+                        steadies: Sequence[SteadyState] | None = None,
+                        probe: WeightedGraph | None = None) -> float:
     """Batch gradient of the regularized loss in one edge weight.
 
     For an existing edge the gradient is taken on the current graph; for an
     absent edge ``test_weight`` grafts it in first (the probe used by the
-    addition rule), and the probe graph is solved up to
-    ``config.probe_t_max``, unless the caller passes its ``steadies``.
+    addition rule; ``probe`` is that graph if the caller has built it), and
+    the probe graph is solved as a probe pass up to ``config.probe_t_max``,
+    unless the caller passes its ``steadies``.  Only ``edge`` is priced.
     """
     edge = (min(edge), max(edge))
-    index = g.edge_index()
-    if edge in index:
-        if test_weight is not None:
-            raise ValueError("test_weight only applies to absent edges")
-        probe, t_max = g, None
-        k = index[edge]
-    else:
-        if test_weight is None:
-            raise GraphError(f"edge {edge} absent; provide test_weight")
-        probe, t_max = g.with_edge(edge, float(test_weight)), config.probe_t_max
-        k = probe.edge_index()[edge]
+    if edge in g.edge_index():
+        if test_weight is not None or probe is not None:
+            raise ValueError("test_weight and probe only apply to absent edges")
+        probe = g
+    elif test_weight is None:
+        raise GraphError(f"edge {edge} absent; provide test_weight")
+    elif probe is None:
+        probe = g.with_edge(edge, float(test_weight))
+    k = probe.edge_index().get(edge)
+    if k is None or (probe is not g and probe.weights[k] != test_weight):
+        raise ValueError(f"probe must carry edge {edge} at {test_weight}")
     if steadies is None:
         if engine is None:
             engine = SteadySolveEngine(config.steady)
-        steadies = engine.solve_many([(probe, x) for x in batch.inputs],
-                                     t_max=t_max)
-    grad, _ = _data_weight_gradients(probe, batch, readout, steadies)
-    w = probe.weights[k]
-    return float(grad[k] + config.l2_coeff * w + config.l1_coeff)
+        jobs = [(probe, x) for x in batch.inputs]
+        steadies = (engine.solve_many(jobs) if probe is g
+                    else engine.solve_probes(jobs, t_max=config.probe_t_max))
+    grad, _ = _data_weight_gradients(probe, batch, readout, steadies, [edge])
+    return float(grad[0] + config.l2_coeff * probe.weights[k] + config.l1_coeff)
 
 
 @dataclass(frozen=True)
@@ -376,16 +394,16 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     # one pass solves every (probe graph, distinct input) pair.  It passes
     # t_max even when None: a trace tells the probe pass by it.
     probes = [g.with_edge(e, theta) for e in candidates]
-    solved = engine.solve_many([(pg, x) for pg in probes for x in xs],
-                               t_max=config.probe_t_max)
+    solved = engine.solve_probes([(pg, x) for pg in probes for x in xs],
+                                 t_max=config.probe_t_max)
     test_grads: dict = {}
     added = []
     skipped = []
-    for j, e in enumerate(candidates):
+    for j, (e, pg) in enumerate(zip(candidates, probes)):
         try:
             ge = stochastic_gradient(
-                g, batch, e, test_weight=theta, readout=readout,
-                config=config, steadies=solved[j * len(xs):(j + 1) * len(xs)])
+                g, batch, e, test_weight=theta, readout=readout, config=config,
+                steadies=solved[j * len(xs):(j + 1) * len(xs)], probe=pg)
         except (LossEvaluationError, NonIsolatedSteadyStateError):
             test_grads[e] = float("nan")
             skipped.append(e)

@@ -61,6 +61,7 @@ __all__ = [
     "fd_oracle",
     "steady_state_adjoint",
     "weight_gradients",
+    "edge_gradients",
     "potential_gradient",
 ]
 
@@ -270,10 +271,17 @@ def weight_gradients(g: WeightedGraph, psi0s: Sequence[np.ndarray],
                      steadies: Sequence[SteadyState],
                      cotangents: np.ndarray) -> np.ndarray:
     """Loss gradients (B, E) in every edge weight via the adjoint states."""
-    if g.n_edges == 0:
+    return edge_gradients(g, psi0s, steadies, cotangents, g.edges)
+
+
+def edge_gradients(g: WeightedGraph, psi0s: Sequence[np.ndarray],
+                   steadies: Sequence[SteadyState], cotangents: np.ndarray,
+                   edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Loss gradients (B, K) in the weights of the K ``edges`` of ``g`` alone."""
+    if len(edges) == 0:
         return np.zeros((len(steadies), 0))
     lam = steady_state_adjoint(g, psi0s, steadies, cotangents)
-    d_w = _dF_dparams(g.edges, *_states(steadies))[:, :g.n_edges]
+    d_w = _dF_dparams(edges, *_states(steadies))[:, :len(edges)]
     return -(d_w @ lam[..., None])[..., 0]
 
 

@@ -647,17 +647,22 @@ def test_steady_start_near_repelling_equilibrium_follows_the_flow(start):
 
 
 def test_unconverged_spectrum_counts_as_repelling(monkeypatch):
-    # without a spectrum no root is trusted: every row counts as repelling,
-    # so continuation accepts none and the flow path finishes them by RK4
+    # without a stability certificate or a spectrum no root is trusted:
+    # every row counts as repelling, so continuation accepts none and the
+    # flow path finishes them by RK4
     g = cycle_graph(4)
     psi0 = unit_state(np.random.default_rng(21), 4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
     ref = solve_steady_state(g, psi0, cfg)
     assert ref.converged and ref.t_reached == 0.0
 
+    def no_factor(a):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+
     def no_spectrum(a):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
     monkeypatch.setattr(np.linalg, "eigvals", no_spectrum)
     lap = np.stack([g.coupling_laplacian()] * 2)
     v = np.stack([np.abs(psi0) ** 2] * 2)
@@ -939,6 +944,82 @@ def test_pseudo_transient_reaches_the_equilibrium_of_the_flow(case):
     assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
     lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
     assert not dynamics._repelling(lap, v, out.psi_inf[None], cfg.gamma)[0]
+
+
+def projected_linearizations(b, psi):
+    """P A P per row: A the top-left 2N x 2N block of the bordered matrices
+    ``b``, P the projector off the realified psi and i psi."""
+    n = psi.shape[1]
+    s = np.stack([np.concatenate([psi.real, psi.imag], axis=1),
+                  np.concatenate([-psi.imag, psi.real], axis=1)], axis=2)
+    s /= np.linalg.norm(psi, axis=1)[:, None, None]
+    p = np.eye(2 * n) - s @ s.transpose(0, 2, 1)
+    return p @ b[:, :2 * n, :2 * n] @ p
+
+
+@settings(max_examples=10)
+@given(connected_cases())
+def test_stability_certificate_agrees_with_the_spectrum(case):
+    # at every root Newton accepts, the verdict is the eigvals-only one, and
+    # a row the Cholesky certificate passes has no growing mode
+    g, psi0 = case
+    checked, repelling = [], dynamics._repelling
+
+    def recorded(lap, v, psi, gamma, b=None):
+        out = repelling(lap, v, psi, gamma, b)
+        checked.append((dynamics._bordered_system(lap, v, psi, gamma), psi, out))
+        return out
+
+    with mock.patch.object(dynamics, "_repelling", recorded):
+        out = solve_steady_state_many([g], [psi0], NlseConfig(dt=1e-2))[0]
+    assert out.converged and checked
+    certified_any = False
+    for b, psi, verdict in checked:
+        assert (psi != 0).all()
+        m = projected_linearizations(b, psi)
+        rate = np.linalg.eigvals(m).real.max(axis=1)
+        assert verdict.tolist() == (rate > dynamics._NEWTON_STABLE_RATE).tolist()
+        for row, x in zip(rate, m):
+            # the certificate: tau I - (M + M^T) / 2 has a finite factor
+            try:
+                factor = np.linalg.cholesky(dynamics._NEWTON_STABLE_RATE
+                                            * np.eye(len(x)) - 0.5 * (x + x.T))
+            except np.linalg.LinAlgError:
+                continue
+            assert np.isfinite(factor).all()
+            assert row <= dynamics._NEWTON_STABLE_RATE
+            certified_any = True
+    assert certified_any
+
+
+def test_a_row_without_a_certificate_takes_the_spectrum_alone(monkeypatch):
+    # LAPACK may return a non-finite factor without an error; that row, and
+    # only it, takes eigvals, whose verdict it gets (here shifted to grow)
+    g = cycle_graph(4)
+    cfg = NlseConfig(dt=5e-2, t_max=3000.0)
+    psi0s = [unit_state(np.random.default_rng(k), 4) for k in (21, 22, 23)]
+    roots = [solve_steady_state(g, x, cfg).psi_inf for x in psi0s]
+    lap = np.stack([g.coupling_laplacian()] * 3)
+    v = np.abs(np.stack(psi0s)) ** 2
+    psi = np.stack(roots)
+    assert dynamics._repelling(lap, v, psi, cfg.gamma).tolist() == [False] * 3
+    factor, spectrum, seen = np.linalg.cholesky, np.linalg.eigvals, []
+
+    def fails_on_row_one(c):
+        f = factor(c)
+        if c.ndim == 3:
+            f[1, -1, -1] = np.nan
+        return f
+
+    def shifted_spectrum(m):
+        seen.append(len(m))
+        return spectrum(m) + 1.0
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails_on_row_one)
+    monkeypatch.setattr(np.linalg, "eigvals", shifted_spectrum)
+    assert dynamics._repelling(lap, v, psi, cfg.gamma).tolist() == [
+        False, True, False]
+    assert seen == [1]
 
 
 @pytest.mark.parametrize("start", [[1.0, -0.99], [1.0, 0.01, -0.99]])

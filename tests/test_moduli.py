@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spectral_moduli import dynamics, moduli
 from spectral_moduli.dynamics import (NlseConfig, SteadyState, gauge_align,
@@ -389,6 +389,160 @@ def test_descent_step_solves_once_per_pass(c4, monkeypatch):
     assert calls == [(4, (), {}), (2 * 4, (), {"t_max": 500.0})]
     assert set(events.test_gradients) == {(0, 2), (1, 3)}
     assert events.skipped_candidates == ()
+
+
+def test_descent_step_reads_no_spectrum_and_grafts_each_probe_once(
+        c4, monkeypatch):
+    # every root of the step is certified stable without eigvals, and each
+    # candidate's probe graph is built once, for its solve and its pricing
+    truth, readout, sampler = c4
+    spectra, grafts = [], []
+    eigvals, with_edge = np.linalg.eigvals, WeightedGraph.with_edge
+
+    def counted_eigvals(a):
+        spectra.append(len(a))
+        return eigvals(a)
+
+    def counted_with_edge(self, *args, **kwargs):
+        grafts.append(args[0])
+        return with_edge(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(WeightedGraph, "with_edge", counted_with_edge)
+    batch = Batch.from_pairs(sampler.exact())
+    cfg = opt_config(batch_size=4, probe_t_max=500.0)
+    _, events = descent_step(truth.teacher_graph(), batch, cfg, 0,
+                             readout=readout, engine=SteadySolveEngine(RUN_CFG))
+    assert spectra == []
+    assert grafts == [(0, 2), (1, 3)]
+    assert set(events.test_gradients) == {(0, 2), (1, 3)}
+    assert events.skipped_candidates == ()
+
+
+def two_pairs_case():
+    """Two disjoint edges, inputs on the first: every probe edge joins the
+    second pair, and turns the warm start into a saddle Newton lands on."""
+    g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    rng = np.random.default_rng(5)
+    xs = []
+    for _ in range(2):
+        x = np.zeros(4, dtype=complex)
+        x[:2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        xs.append(x / np.linalg.norm(x))
+    return g, PopulationReadout.random(4, seed=5), Batch.from_pairs(
+        [(x, 0.1) for x in xs])
+
+
+def test_repelled_probe_rows_fail_without_the_flow_path(monkeypatch):
+    g, readout, batch = two_pairs_case()
+    flow_rows, probe_states = [], []
+    flow_path = dynamics._flow_path
+
+    def counted_flow(lap, v, psi, config):
+        flow_rows.append(len(psi))
+        return flow_path(lap, v, psi, config)
+
+    engine = SteadySolveEngine(RUN_CFG)
+    solve_many = engine.solve_many
+
+    def recorded(jobs, *args, **kwargs):
+        out = solve_many(jobs, *args, **kwargs)
+        probe_states.append(out)
+        return out
+
+    monkeypatch.setattr(dynamics, "_flow_path", counted_flow)
+    monkeypatch.setattr(engine, "solve_many", recorded)
+    cfg = opt_config(batch_size=2, step_size=1e-3, probe_t_max=20.0)
+    _, events = descent_step(g, batch, cfg, 0, readout=readout, engine=engine)
+    assert flow_rows == []
+    current, probes = probe_states
+    assert all(st.converged for st in current)
+    assert len(probes) == 8
+    assert all(not st.converged and st.reason == "repelled" and
+               st.t_reached == 0.0 for st in probes)
+    assert set(events.skipped_candidates) == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert all(np.isnan(v) for v in events.test_gradients.values())
+    # a skipped probe says why
+    with pytest.raises(LossEvaluationError, match="sample 0 \\(repelled: "):
+        moduli._batch_predictions(batch, readout, probes[:2])
+
+
+def test_a_plain_solve_still_finishes_repelled_rows_on_the_flow_path():
+    # outside a probe pass the same rows reach the flow path, as before
+    g, _, batch = two_pairs_case()
+    probe = g.with_edge((0, 2), 0.05)
+    engine = SteadySolveEngine(RUN_CFG)
+    warm = engine.solve_many([(g, x) for x in batch.inputs])
+    jobs = [(probe, x) for x in batch.inputs]
+    short = dataclasses.replace(RUN_CFG, t_max=20.0)
+    plain = solve_steady_state_many([probe] * 2, list(batch.inputs), short,
+                                    [st.psi_inf for st in warm])
+    probed = engine.solve_probes(jobs, t_max=20.0)
+    assert [st.reason for st in probed] == ["repelled"] * 2
+    assert all(st.reason != "repelled" and st.t_reached > 0.0
+               for st in plain)
+
+
+def test_skipped_solve_error_names_the_horizon(c3):
+    truth, readout, sampler = c3
+    batch = Batch.from_pairs(sampler.exact())
+    short = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=0.2)
+    cfg = opt_config(steady=short, batch_size=3)
+    with pytest.raises(LossEvaluationError, match="sample 0 \\(horizon: "):
+        regularized_loss(truth.teacher_graph(), batch, readout,
+                         cfg, engine=SteadySolveEngine(short))
+
+
+@st.composite
+def probe_cases(draw):
+    """A random connected graph on N = 3-6 vertices, one of its absent
+    edges, and a batch of 1-3 unit inputs with random targets."""
+    n = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = {(int(rng.integers(k)), k) for k in range(1, n)}
+    edges |= {(u, w) for u in range(n) for w in range(u + 1, n)
+              if rng.uniform() < 0.3}
+    absent = [(u, w) for u in range(n) for w in range(u + 1, n)
+              if (u, w) not in edges]
+    assume(absent)
+    g = build_graph(n, [(u, w, float(rng.uniform(0.5, 2.0)))
+                        for u, w in sorted(edges)])
+    xs = [rng.normal(size=n) + 1j * rng.normal(size=n)
+          for _ in range(draw(st.integers(1, 3)))]
+    batch = Batch.from_pairs([(x / np.linalg.norm(x), float(rng.uniform()))
+                              for x in xs])
+    edge = absent[draw(st.integers(0, len(absent) - 1))]
+    return g, edge, batch, PopulationReadout.random(n, seed=int(rng.integers(99)))
+
+
+@settings(max_examples=10)
+@given(probe_cases(), st.floats(0.01, 0.5))
+def test_one_priced_edge_equals_the_full_gradient(case, weight):
+    g, edge, batch, readout = case
+    cfg = opt_config(l1_coeff=1e-3, l2_coeff=2e-3, batch_size=len(batch))
+    probe = g.with_edge(edge, weight)
+    states = SteadySolveEngine(RUN_CFG).solve_many(
+        [(probe, x) for x in batch.inputs])
+    assume(all(st.converged for st in states))
+    k = probe.edge_index()[edge]
+    full = (moduli._data_weight_gradients(probe, batch, readout, states)[0][k]
+            + cfg.l2_coeff * weight + cfg.l1_coeff)
+    one = stochastic_gradient(g, batch, edge, test_weight=weight,
+                              readout=readout, config=cfg, steadies=states,
+                              probe=probe)
+    assert abs(one - full) <= 1e-14 * abs(full)
+
+
+def test_probe_graph_must_carry_the_edge_at_the_test_weight(c4, engine):
+    truth, readout, sampler = c4
+    g = truth.teacher_graph()
+    batch = Batch.from_pairs(sampler.exact())
+    cfg = opt_config()
+    for probe in (g.with_edge((0, 2), 0.1), g.with_edge((1, 3), 0.05), g):
+        with pytest.raises(ValueError):
+            stochastic_gradient(g, batch, (0, 2), test_weight=0.05,
+                                readout=readout, config=cfg, engine=engine,
+                                probe=probe)
 
 
 def test_step_rule_replay_over_short_run(c4):
