@@ -426,8 +426,8 @@ def _initial_field(spec: dict, n: int, field_kind: str,
 # starts.  simulate and gauge-check take round(t_final / dt) RK4 steps, from
 # 1 to this many: 100 times the default 10^4, about two minutes of stepping
 _MAX_STEPS = 10 ** 6
-# a graph's n sizes dense n x n matrices, and gauge-check keeps blocks of
-# 256 zero-padded (n + 1) x n states: 165 MB at this ceiling
+# a graph's n sizes dense n x n matrices; gauge-check keeps blocks of 256
+# flat states of 4n entries, 3.3 MB complex at this ceiling
 _MAX_VERTICES = 200
 # simulate stores (steps + 1) x n vertex states, 160 MB complex at most
 _MAX_STATES = 10 ** 7

@@ -19,9 +19,9 @@ through those maps; they are what trajectory-level gauge agreement actually
 requires, and ``gauge_check`` can integrate either spin law.
 
 The complex flow has one right-hand side on raw arrays, ``_nlse_raw``, which
-takes one state or a stacked batch, and there is one stepper, ``_rk4_step``
-(RK4 plus renormalization along the last axis).  ``integrate``,
-``gauge_check`` and the flow path of the steady-state solver all use it.
+takes one state or a stacked batch.  Trajectories (``integrate``,
+``gauge_check``) take RK4 steps, ``_rk4_step``; equilibria are found on the
+bordered system their derivatives differentiate (``_bordered_step``).
 """
 
 from __future__ import annotations
@@ -437,8 +437,8 @@ def make_rhs(g: WeightedGraph, initial: np.ndarray, config: NlseConfig,
 def _renormalize(y: np.ndarray,
                  renorm_tol: float | None) -> tuple[np.ndarray, float]:
     """Rescale to unit norm each vector along the last axis (a complex
-    field, one spin, one row of a steady batch) whose norm is off 1 by more
-    than ``renorm_tol``; None rescales nothing.  Returns the state and the
+    field or one spin of a trajectory) whose norm is off 1 by more than
+    ``renorm_tol``; None rescales nothing.  Returns the state and the
     largest drift before rescaling (0 without), non-finite if the state is.
     """
     if renorm_tol is None:
@@ -450,7 +450,7 @@ def _renormalize(y: np.ndarray,
 
 def _rk4_step(rhs: Callable, y: np.ndarray, dt: float,
               renorm_tol: float | None) -> tuple[np.ndarray, float]:
-    """One classical RK4 step, then ``_renormalize``."""
+    """One classical RK4 step, then ``_renormalize``; trajectories only."""
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
@@ -545,13 +545,14 @@ class SteadyState:
     ``residual`` is the sup norm of the projection of F off the state;
     it vanishes exactly when the state is stationary modulo a global phase
     (the flow keeps rotating at a constant rate there).  ``t_reached`` is
-    the flow time integrated by RK4; a Newton polish adds none, and it is 0
-    for a state pseudo-transient continuation accepts.  ``gamma``
+    the flow time ``_flow_path`` stepped; a Newton polish adds none, and it
+    is 0 for a state pseudo-transient continuation accepts.  ``gamma``
     is the dissipation rate of the flow the state is an equilibrium of;
     every derivative of the state is taken at it.  A root Newton accepted
     carries its ``_bordered_system`` in ``bordered``, keyed by what it was
     built from: the bytes of the Laplacian, potential and state, and gamma.
-    An unconverged state's ``reason`` is "repelled", "horizon" or "non_finite".
+    An unconverged state's ``reason`` is "repelled", "horizon", "singular"
+    (a bordered step failed) or "non_finite" (a non-finite start).
     """
 
     psi_inf: np.ndarray
@@ -563,7 +564,7 @@ class SteadyState:
     reason: str | None = None
 
 
-# Newton takes over from RK4 once the projected residual is at most this.
+# Newton takes over once the projected residual is at most this.
 # At 1e-1 it already finishes c4's candidate probes within a 0.2 flow-time
 # horizon, which is meant to skip them as too slow.
 _NEWTON_HANDOFF = 1e-2
@@ -724,7 +725,7 @@ def _repelling(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     if not certified.all():
         out[~certified] = _row_by_row(
             lambda m: np.linalg.eigvals(m).real.max(axis=1) > _NEWTON_STABLE_RATE,
-            pap[~certified], True)  # no converged spectrum: leave it to RK4
+            pap[~certified], True)  # no converged spectrum: leave it to the flow
     return out
 
 
@@ -793,7 +794,7 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     is singular, or the iterations run out.  A root at which the flow's
     linearization has a growing mode is dropped too, in one check at the
     end: the flow leaves such an equilibrium, so it is not the steady state
-    RK4 would reach.  Returns states and residuals (Newton's output for
+    the flow would reach.  Returns states and residuals (Newton's output for
     accepted rows, the hand-off values for the rest), a mask of the rows
     that met such a repelling root, and each row's ``SteadyState.bordered``.
     """
@@ -842,11 +843,12 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     A start already within the hand-off goes straight to that Newton
     batch, so each call polishes once, and a start already at ``tol`` is
     accepted as it is.  No other row is accepted; the rest are left to
-    ``_flow_path``.  A row is dropped if Newton rejects it, its step is
-    not finite, its system is singular, it passes below ``tol`` without
-    reaching Newton, or pseudo-time or ``_PTC_MAX_ITER`` run out; so is a
-    non-finite start.  Returns states, residuals, the accepted mask, each
-    row's ``SteadyState.bordered`` and the mask of repelled Newton roots.
+    ``_flow_path``, which holds delta at ``dt``.  A row is dropped if
+    Newton rejects it, its step is not finite, its system is singular, it
+    passes below ``tol`` without reaching Newton, or pseudo-time or
+    ``_PTC_MAX_ITER`` run out; so is a non-finite start.  Returns states,
+    residuals, the accepted mask, each row's ``SteadyState.bordered`` and
+    the mask of repelled Newton roots.
     """
     nb = len(psi)
     out, out_res, out_pf = psi.copy(), np.full(nb, np.inf), np.zeros_like(psi)
@@ -890,65 +892,46 @@ def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
 def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
                config: NlseConfig) -> list[SteadyState]:
-    """RK4 + Newton from the starts ``psi`` (B, N): the fallback of
-    ``solve_steady_state_many`` for the rows continuation does not accept,
-    such as those whose Newton root repels the flow.
-
-    RK4 runs in lockstep chunks of 20 steps.  At t = 0 and after every
-    chunk, rows whose projected residual is at most 1e-2 are polished by a
-    batched Newton on their bordered systems (``_newton_polish``); rows
-    Newton does not accept resume RK4 from where they were handed off.  A
-    row whose Newton root repels the flow is left to RK4 for the rest of
-    the solve, as a plain RK4 solve would have been.  ``t_max`` bounds the
-    flow time, which ``t_reached`` reports.  Rows that fail to converge by
-    ``t_max`` come back with ``converged=False``; rows that go non-finite
-    come back with an infinite residual.
+    """Backward-Euler steps of pseudo-time ``dt`` on the bordered system from
+    the starts ``psi`` (B, N), at most round(``t_max`` / ``dt``): the fallback
+    of ``solve_steady_state_many`` for rows continuation does not accept.  A
+    row whose residual falls on a step into (``steady_tol``,
+    ``_NEWTON_HANDOFF``] goes through ``_newton_polish``; one Newton rejects
+    (its root repels, say) steps on from its hand-off state.  A row is
+    accepted at ``steady_tol``; ``t_reached`` is the flow time stepped.  A
+    failed step ends its row ("singular"), as do a non-finite start
+    ("non_finite") and ``t_max`` ("horizon").
     """
-    dt, gamma, tol = config.dt, config.gamma, config.steady_tol
-    check_every = 20
+    nb, dt, gamma, tol = len(psi), config.dt, config.gamma, config.steady_tol
+    out, t, out_res = psi.copy(), np.zeros(nb), np.full(nb, np.inf)
+    reason, carried = np.full(nb, "non_finite", object), np.full(nb, None, object)
+    live = np.flatnonzero(np.isfinite(psi).all(axis=1))
+    cur, ok = psi[live], np.ones(live.size, dtype=bool)
+    pf = _batch_projected_rhs(lap[live], v[live], cur, gamma)
+    res = np.abs(pf).max(axis=1)
     total_steps = max(1, int(round(config.t_max / dt)))
-    psi = psi.copy()
-    n_prob = len(psi)
-    result_t = np.zeros(n_prob)
-    result_res = np.full(n_prob, np.inf)
-    ok = np.zeros(n_prob, dtype=bool)
-    flow_only = np.zeros(n_prob, dtype=bool)
-    carried = np.full(n_prob, None, object)
-    active = np.arange(n_prob)
-    step = 0
-    while True:
-        la, va, pa = lap[active], v[active], psi[active]
-        finite = np.isfinite(pa).all(axis=1)
-        pf = _batch_projected_rhs(la, va, np.where(finite[:, None], pa, 1.0),
-                                  gamma)
-        res = np.where(finite, np.abs(pf).max(axis=1), np.inf)
-        near = (finite & (res > tol) & (res <= _NEWTON_HANDOFF)
-                & ~flow_only[active])
-        if near.any():
-            pa[near], res[near], repelled, carried[active[near]] = _newton_polish(
-                la[near], va[near], pa[near], res[near], gamma, tol, pf[near])
-            flow_only[active[near][repelled]] = True
-        hit = (res <= tol) | ~finite
-        rows = active[hit]
-        psi[rows], result_t[rows], result_res[rows] = pa[hit], step * dt, res[hit]
-        ok[rows] = finite[hit] & (res[hit] <= tol)
-        active = active[~hit]
-        if not active.size or step >= total_steps:
+    for step in range(total_steps + 1):
+        stop = ~ok | (res <= tol) | (step == total_steps)
+        rows = live[stop]
+        out[rows], out_res[rows] = cur[stop], res[stop]
+        t[rows] = (step - ~ok[stop]) * dt  # a failed step moved nothing
+        reason[rows] = np.where(~ok[stop], "singular",
+                                np.where(res[stop] <= tol, None, "horizon"))
+        live, cur, pf, res = (x[~stop] for x in (live, cur, pf, res))
+        if not live.size:
             break
-        chunk = min(check_every, total_steps - step)
-        la, va = lap[active], v[active]
-        pa = psi[active]
-        for _ in range(chunk):
-            pa, _ = _rk4_step(lambda p: _nlse_raw(la, va, p, gamma), pa, dt,
-                              config.renorm_tol)
-        step += chunk
-        psi[active] = pa
-
-    result_t[active], result_res[active] = step * dt, res[~hit]
-    return [SteadyState(psi[i], float(result_t[i]), float(result_res[i]),
-                        bool(ok[i]), float(gamma), carried[i], None if ok[i]
-                        else "horizon" if result_res[i] < np.inf else "non_finite")
-            for i in range(n_prob)]
+        new, new_pf, new_res, ok = _bordered_step(
+            lap[live], v[live], cur, pf, gamma, np.full(live.size, 1.0 / dt))
+        fell = (ok & (res > _NEWTON_HANDOFF) & (new_res <= _NEWTON_HANDOFF)
+                & (new_res > tol))
+        cur[ok], pf[ok], res[ok] = new[ok], new_pf[ok], new_res[ok]
+        if fell.any():
+            cur[fell], res[fell], _, carried[live[fell]] = _newton_polish(
+                lap[live[fell]], v[live[fell]], cur[fell], res[fell], gamma,
+                tol, pf[fell])
+    return [SteadyState(out[i], float(t[i]), float(out_res[i]),
+                        reason[i] is None, float(gamma), carried[i], reason[i])
+            for i in range(nb)]
 
 
 def _stack_problems(graphs: Sequence[WeightedGraph],
@@ -982,9 +965,10 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
 
     Pseudo-transient continuation (``_pseudo_transient``) runs first, and
     the rows it accepts come back converged with ``t_reached = 0``.  The
-    flow path (``_flow_path``) finishes every other row from its own start,
-    and its ``t_reached`` is RK4 flow time.  In a ``probe`` solve, a row
-    whose Newton root repels comes back unconverged at once ("repelled").
+    flow path (``_flow_path``) finishes every other row from its own start
+    by backward-Euler steps of ``dt``, and ``t_reached`` is their flow time.
+    In a ``probe`` solve, a row whose Newton root repels comes back
+    unconverged at once ("repelled").
     """
     if len(graphs) == 0:
         return []
@@ -1039,10 +1023,10 @@ def gauge_check(g: WeightedGraph, initial: np.ndarray, config: NlseConfig,
     selects the complex/sphere system or the real/circle system;
     ``spin_law`` selects the cross-product law or the exact pushforward.
 
-    Both flows step as one stacked state, the zero-padded field above one
-    spin per row, renormalized part by part so that each steps bit for bit
-    as under ``integrate``.  Under the pushforward law on the complex pair
-    one ``_nlse_raw`` call per stage serves the field and the spins.
+    Both flows step as one flat state, the field and then the spins (4N
+    entries), renormalized part by part so that each steps bit for bit as
+    under ``integrate``.  Under the pushforward law on the complex pair one
+    ``_nlse_raw`` call per stage serves the field and the spins.
     """
     n = g.n
     if pair == "complex":
@@ -1072,22 +1056,21 @@ def gauge_check(g: WeightedGraph, initial: np.ndarray, config: NlseConfig,
             return field_rhs(field), spin_rhs(np.ascontiguousarray(spins))
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.shape, y.dtype)
-        out[0, :n], out[1:, :3] = rates(y[0, :n], y[1:, :3].real)
-        return out
+        field, spins = rates(y[:n], y[n:].reshape(n, 3).real)
+        return np.concatenate([field, spins.ravel()])
 
     def step(y: np.ndarray) -> tuple[np.ndarray, float]:
         y, _ = _rk4_step(rhs, y, config.dt, None)
-        y[0, :n], field_drift = _renormalize(y[0, :n], field_tol)
-        y[1:, :3], spin_drift = _renormalize(y[1:, :3].real, config.renorm_tol)
+        spins = y[n:].reshape(n, 3)
+        y[:n], field_drift = _renormalize(y[:n], field_tol)
+        spins[:], spin_drift = _renormalize(spins.real, config.renorm_tol)
         return y, field_drift + spin_drift  # non-finite if either part is
 
-    y = np.zeros((1 + n, max(n, 3)), dtype=field0.dtype)
-    y[0, :n], y[1:, :3] = field0, chart(field0)
+    y = np.concatenate([field0, chart(field0).ravel()])
     worst = 0.0  # the spins start at the chart image of the field
     for block, _ in _rk4_blocks(step, y, config.dt,
                                 max(1, int(round(t_final / config.dt)))):
-        gap = chart(block[:, 0, :n]) - block[:, 1:, :3].real
+        gap = chart(block[:, :n]) - block[:, n:].reshape(-1, n, 3).real
         worst = max(worst, float(np.linalg.norm(gap, axis=-1).max()))
     return worst
 

@@ -20,7 +20,6 @@ and audited after a run.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -185,7 +184,9 @@ class SteadySolveEngine:
     solve of the package goes through.  One call solves each distinct
     (graph, input) job once, from the last converged state of the same
     input; these warm starts make the descent loop's repeated solves cheap.
-    ``solve_fn`` replaces the batched solver, per job, for tests.
+    ``solve_fn`` replaces the batched solver, per job, for tests.  A
+    ``probe`` call is a probe pass: a row whose Newton root repels fails at
+    once (see ``solve_steady_state_many``).
     """
 
     def __init__(self, config: NlseConfig,
@@ -193,10 +194,10 @@ class SteadySolveEngine:
         self.config = config
         self._solve_fn = solve_fn
         self._warm: dict[bytes, np.ndarray] = {}
-        self._probing = False
 
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
-                   t_max: float | None = None) -> list[SteadyState]:
+                   t_max: float | None = None, *,
+                   probe: bool = False) -> list[SteadyState]:
         config = (self.config if t_max is None
                   else dataclasses.replace(self.config, t_max=t_max))
         keyed = [(g.key(), np.asarray(x).tobytes()) for g, x in jobs]
@@ -211,9 +212,10 @@ class SteadySolveEngine:
             solved = [self._solve_fn(g, x, config) for g, x in zip(graphs, xs)]
         else:
             starts = [self._warm.get(key[1], x) for key, x in zip(first, xs)]
-            solve = (functools.partial(solve_steady_state_many, probe=True)
-                     if self._probing else solve_steady_state_many)
-            solved = solve(graphs, xs, config, starts=starts)
+            # a plain pass passes no keyword: stand-in solvers need not take it
+            flags = {"probe": True} if probe else {}
+            solved = solve_steady_state_many(graphs, xs, config, starts=starts,
+                                             **flags)
         states = dict(zip(first, solved))
         for key, st in states.items():
             if st.converged:
@@ -222,15 +224,6 @@ class SteadySolveEngine:
 
     def solve(self, g: WeightedGraph, x: np.ndarray) -> SteadyState:
         return self.solve_many([(g, x)])[0]
-
-    def solve_probes(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
-                     t_max: float | None) -> list[SteadyState]:
-        """A probe pass: ``solve_many``, but repelled rows fail at once."""
-        self._probing = True
-        try:
-            return self.solve_many(jobs, t_max=t_max)
-        finally:
-            self._probing = False
 
 
 def _batch_predictions(batch: Batch, readout, steadies: Sequence[SteadyState]
@@ -333,7 +326,8 @@ def stochastic_gradient(g: WeightedGraph, batch: Batch,
             engine = SteadySolveEngine(config.steady)
         jobs = [(probe, x) for x in batch.inputs]
         steadies = (engine.solve_many(jobs) if probe is g
-                    else engine.solve_probes(jobs, t_max=config.probe_t_max))
+                    else engine.solve_many(jobs, t_max=config.probe_t_max,
+                                           probe=True))
     grad, _ = _data_weight_gradients(probe, batch, readout, steadies, [edge])
     return float(grad[0] + config.l2_coeff * probe.weights[k] + config.l1_coeff)
 
@@ -394,8 +388,8 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     # one pass solves every (probe graph, distinct input) pair.  It passes
     # t_max even when None: a trace tells the probe pass by it.
     probes = [g.with_edge(e, theta) for e in candidates]
-    solved = engine.solve_probes([(pg, x) for pg in probes for x in xs],
-                                 t_max=config.probe_t_max)
+    solved = engine.solve_many([(pg, x) for pg in probes for x in xs],
+                               t_max=config.probe_t_max, probe=True)
     test_grads: dict = {}
     added = []
     skipped = []

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spectral_moduli
-from spectral_moduli import cli
+from spectral_moduli import cli, dynamics
 from spectral_moduli import fann_model as fm
 from spectral_moduli.dynamics import to_circle
 
@@ -884,6 +884,20 @@ def _rerun_identical(tmp_path, *args: str) -> None:
     before = dir_hashes(out)
     assert run_cli(*argv) == 0
     assert dir_hashes(out) == before
+
+
+def test_benchmark_seeds_never_reach_the_flow_path(tmp_path, monkeypatch):
+    # the first seeds of the learn_c8 and train_desk benchmark workloads:
+    # continuation takes every row they solve, so a change that sends their
+    # rows to the fallback fails here, not only in a benchmark
+    def refused(*args):
+        raise AssertionError("a bundled row reached the flow path")
+
+    monkeypatch.setattr(dynamics, "_flow_path", refused)
+    for k, args in enumerate((["learn-graph", "--set", "learn_graph.task=c8"],
+                              ["train"])):
+        assert run_cli(*args, "--seed", "0",
+                       "--out", str(tmp_path / f"run{k}")) == 0
 
 
 def test_rerun_simulate_byte_identical(tmp_path):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spectral_moduli import dynamics
 from spectral_moduli.graph_core import build_graph, cycle_graph, path_graph, single_vertex_graph
@@ -816,7 +816,8 @@ def test_closed_form_bordered_system_matches_the_block_assembly(case):
 def test_steady_batch_survives_singular_newton_row(monkeypatch):
     # the disconnected graph's bordered system is singular at its
     # equilibrium (see test_sensitivity); here it is made exactly singular
-    # all along the Newton path, so its row must fall back to RK4 alone
+    # everywhere, which leaves no step for any bordered solver: its row
+    # must end alone, with its reason, and the other row as if alone
     original = dynamics._bordered_system
 
     def singular_when_disconnected(lap, v, psi, gamma):
@@ -831,12 +832,12 @@ def test_steady_batch_survives_singular_newton_row(monkeypatch):
     psi0 = unit_state(np.random.default_rng(21), 4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
     lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0], cfg)
-    assert lone.converged and joined.converged
+    assert not lone.converged and lone.reason == "singular"
     single = solve_steady_state(ring, psi0, cfg)
-    assert np.abs(joined.psi_inf - single.psi_inf).max() < 1e-12
-    assert joined.t_reached == single.t_reached
-    # without Newton the split row needs far more flow time than the ring
-    assert lone.t_reached > joined.t_reached
+    assert joined.converged
+    assert np.array_equal(joined.psi_inf, single.psi_inf)
+    assert (joined.t_reached, joined.residual) == (single.t_reached,
+                                                   single.residual)
 
 
 # -- the flow path alone -------------------------------------------------------------
@@ -898,6 +899,26 @@ def test_flow_path_warm_start_converges_faster():
     assert warm.t_reached < cold.t_reached
 
 
+def test_flow_path_rows_take_no_rk4_step(monkeypatch):
+    # a row continuation leaves to the flow path steps on the bordered
+    # system; RK4 serves trajectories only
+    def no_rk4(*args):
+        raise AssertionError("a steady solve took an RK4 step")
+
+    flow, rows = dynamics._flow_path, []
+
+    def counted(lap, v, psi, config):
+        rows.append(len(psi))
+        return flow(lap, v, psi, config)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", no_rk4)
+    monkeypatch.setattr(dynamics, "_flow_path", counted)
+    psi0 = np.array([1.0, -0.99], dtype=complex) / np.hypot(1.0, 0.99)
+    out = solve_steady_state(path_graph(2), psi0, NlseConfig(dt=1e-2))
+    assert rows == [1]
+    assert out.converged and out.t_reached > 0.0
+
+
 def test_flow_path_triangle_matches_fine_step_reference():
     g = cycle_graph(3)
     psi0 = np.array([0.8, 0.6, 0.0]) + 0j
@@ -912,17 +933,26 @@ def test_flow_path_triangle_matches_fine_step_reference():
 # -- pseudo-transient continuation ---------------------------------------------
 
 
-def settled_flow(g, psi0, cfg, chunk=20.0, max_chunks=20):
-    """The state a long ``integrate`` run settles at: chunks of flow time
-    until one moves the state by at most 1e-10 modulo phase."""
+def flow_settles(g, psi0, cfg, start=None, chunk=20.0, max_chunks=20):
+    """The state a long ``integrate`` run from ``start`` (``psi0`` if None)
+    settles at: chunks of flow time until one moves the state by at most
+    1e-10 modulo phase.  None if no chunk of ``max_chunks`` does."""
     rhs = make_rhs(g, psi0, cfg, "nlse")
-    y = psi0
+    y = psi0 if start is None else start
     for _ in range(max_chunks):
         nxt = integrate(rhs, y, cfg, t_final=chunk).states[-1]
         if np.abs(gauge_align(y, nxt) - nxt).max() <= 1e-10:
             return nxt
         y = nxt
-    raise AssertionError("the flow did not settle")
+    return None
+
+
+def settled_flow(g, psi0, cfg, chunk=20.0, max_chunks=20):
+    """``flow_settles`` from ``psi0``, which must settle."""
+    out = flow_settles(g, psi0, cfg, chunk=chunk, max_chunks=max_chunks)
+    if out is None:
+        raise AssertionError("the flow did not settle")
+    return out
 
 
 @st.composite
@@ -940,6 +970,50 @@ def test_pseudo_transient_reaches_the_equilibrium_of_the_flow(case):
     cfg = NlseConfig(dt=1e-2, steady_tol=1e-10)
     out = solve_steady_state_many([g], [psi0], cfg)[0]
     ref = settled_flow(g, psi0, cfg)
+    assert out.converged
+    assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
+    lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
+    assert not dynamics._repelling(lap, v, out.psi_inf[None], cfg.gamma)[0]
+
+
+@st.composite
+def saddle_cases(draw):
+    """A random path or cycle on N = 2-8 vertices, an input near one of its
+    Laplacian's excited modes, and a start within 1e-3 of a root that
+    Newton on the bordered system finds from that input and that repels
+    the flow."""
+    kind = draw(st.sampled_from(("path", "cycle")))
+    n = draw(st.integers(2 if kind == "path" else 3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] * (kind == "cycle")
+    g = build_graph(n, [(u, w, float(rng.uniform(0.5, 2.0))) for u, w in pairs])
+    lap = g.coupling_laplacian()
+    mode = np.linalg.eigh(lap)[1][:, draw(st.integers(1, n - 1))]
+    psi0 = mode + 0.05 * unit_state(rng, n)
+    psi0 = psi0 / np.linalg.norm(psi0)
+    lap, v, root = lap[None], (np.abs(psi0) ** 2)[None], psi0[None]
+    pf = dynamics._batch_projected_rhs(lap, v, root, 1.0)
+    for _ in range(30):  # Newton steps, as _newton_polish takes them
+        root, pf, res, ok = dynamics._bordered_step(lap, v, root, pf, 1.0,
+                                                    np.zeros(1))
+        assume(ok[0])
+        if res[0] <= 1e-13:
+            break
+    assume(res[0] <= 1e-13 and dynamics._repelling(lap, v, root, 1.0)[0])
+    start = root[0] + 1e-3 * unit_state(rng, n)
+    return g, psi0, start / np.linalg.norm(start)
+
+
+@settings(max_examples=10)
+@given(saddle_cases())
+def test_starts_near_a_repelling_root_reach_the_equilibrium_of_the_flow(case):
+    # continuation's Newton finds the saddle again and rejects it, so the
+    # flow path must leave it as the flow does
+    g, psi0, start = case
+    cfg = NlseConfig(dt=1e-2, steady_tol=1e-10)
+    ref = flow_settles(g, psi0, cfg, start)
+    assume(ref is not None)
+    out = solve_steady_state_many([g], [psi0], cfg, [start])[0]
     assert out.converged
     assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
     lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
@@ -1082,9 +1156,13 @@ def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
                                            cfg)
     flow = flow_solve(split, mirrored, cfg)
     assert np.array_equal(lone.psi_inf, flow.psi_inf)
-    assert lone.t_reached == flow.t_reached > 0.0 and lone.converged
+    # the flow path cannot step it either: it ends where it started
+    assert np.array_equal(lone.psi_inf, mirrored)
+    assert lone.t_reached == flow.t_reached == 0.0
+    assert not lone.converged and lone.reason == flow.reason == "singular"
     # the ring row is continuation's, as without the singular row beside it
     assert np.array_equal(joined.psi_inf, alone.psi_inf)
+    assert joined.residual == alone.residual
     assert joined.t_reached == 0.0 and joined.converged
 
 
@@ -1299,3 +1377,23 @@ def test_gauge_check_steps_each_flow_as_integrate_does(case):
         got = gauge_check(g, field0, cfg, t_final=t_final, pair=pair,
                           spin_law=law)
     assert got == expect
+
+
+@pytest.mark.parametrize("pair", ["complex", "real"])
+@pytest.mark.parametrize("law", ["cross", "pushforward"])
+def test_gauge_check_steps_one_flat_state_of_4n_entries(monkeypatch, pair, law):
+    # the field, then its spins: n + 3n entries, not a padded n x n stack
+    n = 50
+    field0 = unit_state(np.random.default_rng(7), n)
+    if pair == "real":
+        field0 = field0.real / np.linalg.norm(field0.real)
+    shapes, step = [], dynamics._rk4_step
+
+    def recorded(rhs, y, dt, renorm_tol):
+        shapes.append(y.shape)
+        return step(rhs, y, dt, renorm_tol)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", recorded)
+    gauge_check(cycle_graph(n), field0, NlseConfig(dt=1e-3), t_final=3e-3,
+                pair=pair, spin_law=law)
+    assert shapes == [(4 * n,)] * 3

@@ -386,7 +386,7 @@ def test_descent_step_solves_once_per_pass(c4, monkeypatch):
     _, events = descent_step(truth.teacher_graph(), batch, cfg,
                              0, readout=readout, engine=engine)
     # 4 distinct inputs; C4 has two absent edges to probe
-    assert calls == [(4, (), {}), (2 * 4, (), {"t_max": 500.0})]
+    assert calls == [(4, (), {}), (2 * 4, (), {"t_max": 500.0, "probe": True})]
     assert set(events.test_gradients) == {(0, 2), (1, 3)}
     assert events.skipped_candidates == ()
 
@@ -477,7 +477,7 @@ def test_a_plain_solve_still_finishes_repelled_rows_on_the_flow_path():
     short = dataclasses.replace(RUN_CFG, t_max=20.0)
     plain = solve_steady_state_many([probe] * 2, list(batch.inputs), short,
                                     [st.psi_inf for st in warm])
-    probed = engine.solve_probes(jobs, t_max=20.0)
+    probed = engine.solve_many(jobs, t_max=20.0, probe=True)
     assert [st.reason for st in probed] == ["repelled"] * 2
     assert all(st.reason != "repelled" and st.t_reached > 0.0
                for st in plain)
