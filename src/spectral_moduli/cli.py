@@ -690,7 +690,6 @@ class _Task:
     bump_width_factor: float = 1.0
     add_threshold: float = 1e-5
     candidate_fraction: float = 1.0
-    probe_t_max: float | None = None
     init: tuple[tuple[int, int, float], ...] | None = None
 
 
@@ -721,7 +720,7 @@ _TASKS = {
     "two_circles": _Task(
         ManifoldSpec("disjoint_circles", (1.0, 1.0), n_net_points=6), 1.5, 147,
         _accelerated(3.00e-7, 2.36e-5, 20, 32, 2), bump_width_factor=0.7,
-        candidate_fraction=0.05, probe_t_max=60.0),
+        candidate_fraction=0.05),
     "c5_chain": _Task(**_C5_RING, step_size=(1000.0,) * 60 + (17668.0,) * 340),
     "c5_noisy": _Task(**_C5_RING, step_size=(1000.0,)),
 }
@@ -758,8 +757,7 @@ def _learn_graph_setup(resolved: dict):
         prune_threshold=0.05, add_threshold=task.add_threshold,
         step_size=task.step_size, batch_size=batch, l1_coeff=1e-11,
         l2_coeff=1e-11, seed=opt_seed,
-        candidate_fraction=task.candidate_fraction, steady=_STEADY_LEARN,
-        probe_t_max=task.probe_t_max)
+        candidate_fraction=task.candidate_fraction, steady=_STEADY_LEARN)
     pairs = truth.n * (truth.n - 1) // 2
     rows = max(1, math.ceil(config.candidate_fraction * pairs)) * batch
     if rows > _MAX_DRAW:

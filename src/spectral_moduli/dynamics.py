@@ -20,12 +20,14 @@ requires, and ``gauge_check`` can integrate either spin law.
 
 The complex flow has one right-hand side on raw arrays, ``_nlse_raw``, which
 takes one state or a stacked batch.  Trajectories (``integrate``,
-``gauge_check``) take RK4 steps, ``_rk4_step``; equilibria are found on the
-bordered system their derivatives differentiate (``_bordered_step``).
+``gauge_check``) take RK4 steps, ``_rk4_step``; equilibria are found by
+one lockstep loop of backward-Euler steps (``_settle``) on the bordered
+system their derivatives differentiate (``_bordered_step``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -545,8 +547,8 @@ class SteadyState:
     ``residual`` is the sup norm of the projection of F off the state;
     it vanishes exactly when the state is stationary modulo a global phase
     (the flow keeps rotating at a constant rate there).  ``t_reached`` is
-    the flow time ``_flow_path`` stepped; a Newton polish adds none, and it
-    is 0 for a state pseudo-transient continuation accepts.  ``gamma``
+    the flow time of the steps a row took after it gave up continuation
+    (``_settle``), 0 if it never did; a Newton polish adds none.  ``gamma``
     is the dissipation rate of the flow the state is an equilibrium of;
     every derivative of the state is taken at it.  A root Newton accepted
     carries its ``_bordered_system`` in ``bordered``, keyed by what it was
@@ -564,9 +566,9 @@ class SteadyState:
     reason: str | None = None
 
 
-# Newton takes over once the projected residual is at most this.
-# At 1e-1 it already finishes c4's candidate probes within a 0.2 flow-time
-# horizon, which is meant to skip them as too slow.
+# a row waits for Newton once its projected residual is at most this.
+# At 1e-1 Newton already finishes c4's candidate probes within a 0.2
+# flow-time horizon, which is meant to skip them as too slow.
 _NEWTON_HANDOFF = 1e-2
 _NEWTON_MAX_ITER = 8
 # largest distance from the hand-off state a Newton iterate may wander
@@ -575,8 +577,8 @@ _NEWTON_TRUST = 0.5
 # linearization at a state Newton may return; beyond it the state repels
 # the flow (round-off in the eigenvalues, zero ones included, is ~1e-15)
 _NEWTON_STABLE_RATE = 1e-9
-# first pseudo-time step of pseudo-transient continuation; at 0.5 it lands
-# on saddles the flow leaves in 718 of the 1,718 rows of train at seed 0
+# first pseudo-time step of every row; at 0.5 continuation lands on
+# saddles the flow leaves in 718 of the 1,718 rows of train at seed 0
 _PTC_DELTA0 = 0.2
 _PTC_MAX_ITER = 50
 
@@ -827,111 +829,87 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     return out, out_res, repelled, carried
 
 
-def _pseudo_transient(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-                      gamma: float, tol: float, horizon: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched pseudo-transient continuation from the starts ``psi``.
+def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
+            config: NlseConfig, probe: bool) -> list[SteadyState]:
+    """Lockstep backward-Euler steps (``_bordered_step``) on the bordered
+    system from the starts ``psi`` (B, N) to relative equilibria of the flow.
 
-    Each iteration takes a backward-Euler step of pseudo-time delta per
-    live row (``_bordered_step``); delta starts at ``_PTC_DELTA0`` and
-    grows by switched evolution relaxation, delta_{k+1} = delta_k res_k /
-    res_{k+1}, so the first steps follow the flow and later ones approach
-    Newton steps (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  The
-    steps stand in for the flow down to the hand-off residual
-    ``_NEWTON_HANDOFF``, so their pseudo-time may add up to ``horizon``;
-    from there ``_newton_polish`` finishes the row, as on the flow path.
-    A start already within the hand-off goes straight to that Newton
-    batch, so each call polishes once, and a start already at ``tol`` is
-    accepted as it is.  No other row is accepted; the rest are left to
-    ``_flow_path``, which holds delta at ``dt``.  A row is dropped if
-    Newton rejects it, its step is not finite, its system is singular, it
-    passes below ``tol`` without reaching Newton, or pseudo-time or
-    ``_PTC_MAX_ITER`` run out; so is a non-finite start.  Returns states,
-    residuals, the accepted mask, each row's ``SteadyState.bordered`` and
-    the mask of repelled Newton roots.
+    Every row starts out continuing: its pseudo-time step delta starts at
+    ``_PTC_DELTA0`` and grows by switched evolution relaxation, delta_{k+1} =
+    delta_k res_k / res_{k+1}, so the first steps follow the flow and later
+    ones approach Newton steps (Kelley & Keyes, SIAM J. Numer. Anal. 35,
+    1998).  A row at most ``_NEWTON_HANDOFF`` from rest waits, and whenever no
+    continuing row steps, the waiting rows go through one ``_newton_polish``.
+    A row gives up continuing when Newton rejects it, its step fails, it has
+    taken ``_PTC_MAX_ITER`` steps or its next delta would overrun ``t_max``;
+    from where it is it then follows the flow, delta held at ``dt``, and it
+    waits for Newton again only once it has left the hand-off band and come
+    back.  A following row is accepted at ``steady_tol`` and ends at a failed
+    step ("singular"); in a ``probe`` solve a continuing row whose Newton
+    root repels ends at once ("repelled").  The pseudo-time a row steps stays
+    within ``t_max`` ("horizon").  A start at ``steady_tol`` is accepted as it
+    is, and a non-finite one ends at once ("non_finite").  ``t_reached`` is
+    the pseudo-time of the steps a row followed, 0 where continuation ends it.
     """
-    nb = len(psi)
-    out, out_res, out_pf = psi.copy(), np.full(nb, np.inf), np.zeros_like(psi)
-    live = np.flatnonzero(np.isfinite(psi).all(axis=1))
-    pf = _batch_projected_rhs(lap[live], v[live], psi[live], gamma)
-    res = np.abs(pf).max(axis=1)
-    go = res > _NEWTON_HANDOFF
-    out_res[live[~go]], out_pf[live[~go]] = res[~go], pf[~go]
-    handed = np.zeros(nb, dtype=bool)
-    handed[live[~go]] = res[~go] > tol
-    live, cur, pf, res = live[go], psi[live[go]], pf[go], res[go]
-    delta = np.full(live.size, _PTC_DELTA0)
-    spent = np.zeros(live.size)
-    for _ in range(_PTC_MAX_ITER):
-        spent = spent + delta
-        go = spent <= horizon
-        live, cur, pf, res, delta, spent = (
-            x[go] for x in (live, cur, pf, res, delta, spent))
-        if not live.size:
-            break
-        new, new_pf, new_res, ok = _bordered_step(
-            lap[live], v[live], cur, pf, gamma, 1.0 / delta)
-        near = ok & (new_res <= _NEWTON_HANDOFF)
-        reach = near & (new_res > tol)
-        out[live[reach]] = new[reach]
-        out_res[live[reach]] = new_res[reach]
-        out_pf[live[reach]] = new_pf[reach]
-        handed[live[reach]] = True
-        go = ok & ~near
-        delta = delta[go] * res[go] / new_res[go]
-        live, cur, pf, res, spent = (
-            live[go], new[go], new_pf[go], new_res[go], spent[go])
-    rows = np.flatnonzero(handed)
-    carried, repelled = np.full(nb, None, object), np.zeros(nb, dtype=bool)
-    if rows.size:
-        out[rows], out_res[rows], repelled[rows], carried[rows] = _newton_polish(
-            lap[rows], v[rows], out[rows], out_res[rows], gamma, tol,
-            out_pf[rows])
-    return out, out_res, out_res <= tol, carried, repelled
-
-
-def _flow_path(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-               config: NlseConfig) -> list[SteadyState]:
-    """Backward-Euler steps of pseudo-time ``dt`` on the bordered system from
-    the starts ``psi`` (B, N), at most round(``t_max`` / ``dt``): the fallback
-    of ``solve_steady_state_many`` for rows continuation does not accept.  A
-    row whose residual falls on a step into (``steady_tol``,
-    ``_NEWTON_HANDOFF``] goes through ``_newton_polish``; one Newton rejects
-    (its root repels, say) steps on from its hand-off state.  A row is
-    accepted at ``steady_tol``; ``t_reached`` is the flow time stepped.  A
-    failed step ends its row ("singular"), as do a non-finite start
-    ("non_finite") and ``t_max`` ("horizon").
-    """
-    nb, dt, gamma, tol = len(psi), config.dt, config.gamma, config.steady_tol
-    out, t, out_res = psi.copy(), np.zeros(nb), np.full(nb, np.inf)
+    nb, dt, tol = len(psi), config.dt, config.steady_tol
+    gamma = float(config.gamma)
+    psi, pf, res = psi.copy(), np.zeros_like(psi), np.full(nb, np.inf)
+    delta, spent = np.full(nb, _PTC_DELTA0), np.zeros(nb)
+    steps, follows = np.zeros(nb, dtype=int), np.zeros(nb, dtype=bool)
     reason, carried = np.full(nb, "non_finite", object), np.full(nb, None, object)
     live = np.flatnonzero(np.isfinite(psi).all(axis=1))
-    cur, ok = psi[live], np.ones(live.size, dtype=bool)
-    pf = _batch_projected_rhs(lap[live], v[live], cur, gamma)
-    res = np.abs(pf).max(axis=1)
-    total_steps = max(1, int(round(config.t_max / dt)))
-    for step in range(total_steps + 1):
-        stop = ~ok | (res <= tol) | (step == total_steps)
-        rows = live[stop]
-        out[rows], out_res[rows] = cur[stop], res[stop]
-        t[rows] = (step - ~ok[stop]) * dt  # a failed step moved nothing
-        reason[rows] = np.where(~ok[stop], "singular",
-                                np.where(res[stop] <= tol, None, "horizon"))
-        live, cur, pf, res = (x[~stop] for x in (live, cur, pf, res))
+    reason[live] = None
+    pf[live] = _batch_projected_rhs(lap[live], v[live], psi[live], gamma)
+    res[live] = np.abs(pf[live]).max(axis=1)
+    live = live[res[live] > tol]
+    band = res[live] <= _NEWTON_HANDOFF
+    wait, live = live[band], live[~band]
+    for it in itertools.count():
+        if wait.size and follows[live].all():
+            psi[wait], res[wait], repelled, carried[wait] = _newton_polish(
+                lap[wait], v[wait], psi[wait], res[wait], gamma, tol, pf[wait])
+            ends = probe & repelled & ~follows[wait]
+            reason[wait[ends]] = "repelled"
+            back = wait[(repelled | (res[wait] > tol)) & ~ends]
+            follows[back], delta[back] = True, dt
+            live, wait = np.concatenate([live, back]), wait[:0]
         if not live.size:
             break
+        d = delta[live]
+        nxt = spent[live] + d
+        if it == _PTC_MAX_ITER or (nxt > config.t_max).any():
+            quit = ~follows[live] & ((it == _PTC_MAX_ITER) | (nxt > config.t_max))
+            follows[live[quit]], delta[live[quit]], d[quit] = True, dt, dt
+            nxt = spent[live] + d
+            over = nxt > config.t_max
+            reason[live[over]] = "horizon"
+            live, d, nxt = live[~over], d[~over], nxt[~over]
+            if not live.size:
+                continue
+        spent[live], fol, old = nxt, follows[live], res[live]
         new, new_pf, new_res, ok = _bordered_step(
-            lap[live], v[live], cur, pf, gamma, np.full(live.size, 1.0 / dt))
-        fell = (ok & (res > _NEWTON_HANDOFF) & (new_res <= _NEWTON_HANDOFF)
-                & (new_res > tol))
-        cur[ok], pf[ok], res[ok] = new[ok], new_pf[ok], new_res[ok]
-        if fell.any():
-            cur[fell], res[fell], _, carried[live[fell]] = _newton_polish(
-                lap[live[fell]], v[live[fell]], cur[fell], res[fell], gamma,
-                tol, pf[fell])
-    return [SteadyState(out[i], float(t[i]), float(out_res[i]),
-                        reason[i] is None, float(gamma), carried[i], reason[i])
-            for i in range(nb)]
+            lap[live], v[live], psi[live], pf[live], gamma, 1.0 / d)
+        if not ok.all():  # a failed step moves nothing
+            bad = live[~ok]
+            new[~ok], new_pf[~ok], new_res[~ok] = psi[bad], pf[bad], old[~ok]
+            reason[live[fol & ~ok]] = "singular"
+            follows[bad], delta[bad] = True, dt
+        psi[live], pf[live], res[live] = new, new_pf, new_res
+        fell = new_res <= _NEWTON_HANDOFF
+        keep = ~fell
+        if fol.any():
+            steps[live[fol & ok]] += 1
+            ends = fol & (~ok | (new_res <= tol))
+            fell &= ~ends & (old > _NEWTON_HANDOFF)
+            keep = ~ends & ~fell
+        if not fol.all():
+            grow = keep & ~follows[live]
+            delta[live[grow]] = d[grow] * old[grow] / new_res[grow]
+        wait = np.concatenate([wait, live[fell]])
+        live = live[keep]
+    t, res = (steps * dt).tolist(), res.tolist()
+    return [SteadyState(psi[i], t[i], res[i], reason[i] is None, gamma,
+                        carried[i], reason[i]) for i in range(nb)]
 
 
 def _stack_problems(graphs: Sequence[WeightedGraph],
@@ -963,33 +941,22 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     the start point (the frozen potential still comes from the matching
     ``psi0``), which lets callers warm-start perturbed problems.
 
-    Pseudo-transient continuation (``_pseudo_transient``) runs first, and
-    the rows it accepts come back converged with ``t_reached = 0``.  The
-    flow path (``_flow_path``) finishes every other row from its own start
-    by backward-Euler steps of ``dt``, and ``t_reached`` is their flow time.
-    In a ``probe`` solve, a row whose Newton root repels comes back
+    Every row continues by pseudo-transient continuation, and a row that
+    gives up follows the flow from where it is (``_settle``).  In a
+    ``probe`` solve, a continuing row whose Newton root repels comes back
     unconverged at once ("repelled").
     """
     if len(graphs) == 0:
         return []
-    lap, v, psi = _stack_problems(graphs, psi0s, starts)
-    states, res, accepted, carried, repelled = _pseudo_transient(
-        lap, v, psi, config.gamma, config.steady_tol, config.t_max)
-    flow = ~accepted & ~(probe & repelled)
-    rest = iter(_flow_path(lap[flow], v[flow], psi[flow], config)
-                if flow.any() else ())
-    return [next(rest) if flow[i] else SteadyState(
-        states[i], 0.0, float(res[i]), bool(accepted[i]), float(config.gamma),
-        carried[i], None if accepted[i] else "repelled") for i in range(len(psi))]
+    return _settle(*_stack_problems(graphs, psi0s, starts), config, probe)
 
 
 def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
                        *, start: np.ndarray | None = None) -> SteadyState:
     """Drive the complex flow of one problem to a relative equilibrium.
 
-    The batch-of-one ``solve_steady_state_many``: continuation first, the
-    flow path where it does not accept.  The returned state keeps whatever
-    global phase it ended at.
+    The batch-of-one ``solve_steady_state_many``.  The returned state keeps
+    whatever global phase it ended at.
     """
     starts = None if start is None else [start]
     out = solve_steady_state_many([g], [psi0], config, starts)[0]

@@ -212,10 +212,8 @@ class SteadySolveEngine:
             solved = [self._solve_fn(g, x, config) for g, x in zip(graphs, xs)]
         else:
             starts = [self._warm.get(key[1], x) for key, x in zip(first, xs)]
-            # a plain pass passes no keyword: stand-in solvers need not take it
-            flags = {"probe": True} if probe else {}
             solved = solve_steady_state_many(graphs, xs, config, starts=starts,
-                                             **flags)
+                                             probe=probe)
         states = dict(zip(first, solved))
         for key, st in states.items():
             if st.converged:

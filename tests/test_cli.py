@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spectral_moduli
-from spectral_moduli import cli, dynamics
+from spectral_moduli import cli, moduli
 from spectral_moduli import fann_model as fm
 from spectral_moduli.dynamics import to_circle
 
@@ -888,16 +888,22 @@ def _rerun_identical(tmp_path, *args: str) -> None:
 
 def test_benchmark_seeds_never_reach_the_flow_path(tmp_path, monkeypatch):
     # the first seeds of the learn_c8 and train_desk benchmark workloads:
-    # continuation takes every row they solve, so a change that sends their
-    # rows to the fallback fails here, not only in a benchmark
-    def refused(*args):
-        raise AssertionError("a bundled row reached the flow path")
+    # continuation finishes every row they solve, so no row follows the
+    # flow, and a change that makes one do so fails here, not only in a
+    # benchmark
+    solve, rows = moduli.solve_steady_state_many, []
 
-    monkeypatch.setattr(dynamics, "_flow_path", refused)
+    def recorded(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        rows.extend(st.t_reached for st in out)
+        return out
+
+    monkeypatch.setattr(moduli, "solve_steady_state_many", recorded)
     for k, args in enumerate((["learn-graph", "--set", "learn_graph.task=c8"],
                               ["train"])):
         assert run_cli(*args, "--seed", "0",
                        "--out", str(tmp_path / f"run{k}")) == 0
+    assert rows and all(t == 0.0 for t in rows)
 
 
 def test_rerun_simulate_byte_identical(tmp_path):

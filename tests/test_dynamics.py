@@ -840,19 +840,37 @@ def test_steady_batch_survives_singular_newton_row(monkeypatch):
                                                    single.residual)
 
 
-# -- the flow path alone -------------------------------------------------------------
-# solve_steady_state runs pseudo-transient continuation first, so the RK4 +
-# Newton path that is continuation's fallback is checked here directly
+# -- rows that follow the flow ------------------------------------------------------
+# a row that gives up continuation follows the flow, delta held at dt; with
+# _PTC_MAX_ITER at 0 every row does so from its start, so that path is
+# checked here on its own
 
 
 def flow_solve_many(graphs, psi0s, cfg, starts=None):
-    return dynamics._flow_path(*dynamics._stack_problems(graphs, psi0s, starts),
-                               cfg)
+    with mock.patch.object(dynamics, "_PTC_MAX_ITER", 0):
+        return solve_steady_state_many(graphs, psi0s, cfg, starts)
 
 
 def flow_solve(g, psi0, cfg, start=None):
     return flow_solve_many([g], [psi0], cfg,
                            None if start is None else [start])[0]
+
+
+def recorded_steps(monkeypatch):
+    """The ``inv_delta`` of every ``_bordered_step`` call, one array per
+    call: 1 / dt for a row that follows the flow, 0 for a Newton step."""
+    step, calls = dynamics._bordered_step, []
+
+    def recorded(lap, v, psi, pf, gamma, inv_delta):
+        calls.append(inv_delta.copy())
+        return step(lap, v, psi, pf, gamma, inv_delta)
+
+    monkeypatch.setattr(dynamics, "_bordered_step", recorded)
+    return calls
+
+
+def followed_steps(calls, dt):
+    return sum(int((inv == 1.0 / dt).sum()) for inv in calls)
 
 
 @pytest.mark.parametrize("case", [
@@ -900,23 +918,18 @@ def test_flow_path_warm_start_converges_faster():
 
 
 def test_flow_path_rows_take_no_rk4_step(monkeypatch):
-    # a row continuation leaves to the flow path steps on the bordered
-    # system; RK4 serves trajectories only
+    # a row that follows the flow steps on the bordered system; RK4 serves
+    # trajectories only
     def no_rk4(*args):
         raise AssertionError("a steady solve took an RK4 step")
 
-    flow, rows = dynamics._flow_path, []
-
-    def counted(lap, v, psi, config):
-        rows.append(len(psi))
-        return flow(lap, v, psi, config)
-
     monkeypatch.setattr(dynamics, "_rk4_step", no_rk4)
-    monkeypatch.setattr(dynamics, "_flow_path", counted)
+    cfg = NlseConfig(dt=1e-2)
+    calls = recorded_steps(monkeypatch)
     psi0 = np.array([1.0, -0.99], dtype=complex) / np.hypot(1.0, 0.99)
-    out = solve_steady_state(path_graph(2), psi0, NlseConfig(dt=1e-2))
-    assert rows == [1]
+    out = solve_steady_state(path_graph(2), psi0, cfg)
     assert out.converged and out.t_reached > 0.0
+    assert followed_steps(calls, cfg.dt) * cfg.dt == out.t_reached
 
 
 def test_flow_path_triangle_matches_fine_step_reference():
@@ -1020,6 +1033,24 @@ def test_starts_near_a_repelling_root_reach_the_equilibrium_of_the_flow(case):
     assert not dynamics._repelling(lap, v, out.psi_inf[None], cfg.gamma)[0]
 
 
+@settings(max_examples=10)
+@given(connected_cases())
+def test_rows_that_give_up_midway_reach_the_equilibrium_of_the_flow(case):
+    # after two continuation steps every row gives up and follows the flow
+    # from where it is; wherever it converges, it is where the flow from its
+    # start settles
+    g, psi0 = case
+    cfg = NlseConfig(dt=1e-2, steady_tol=1e-10)
+    ref = flow_settles(g, psi0, cfg)
+    assume(ref is not None)
+    with mock.patch.object(dynamics, "_PTC_MAX_ITER", 2):
+        out = solve_steady_state_many([g], [psi0], cfg)[0]
+    if out.converged:
+        assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
+        lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
+        assert not dynamics._repelling(lap, v, out.psi_inf[None], cfg.gamma)[0]
+
+
 def projected_linearizations(b, psi):
     """P A P per row: A the top-left 2N x 2N block of the bordered matrices
     ``b``, P the projector off the realified psi and i psi."""
@@ -1096,16 +1127,33 @@ def test_a_row_without_a_certificate_takes_the_spectrum_alone(monkeypatch):
     assert seen == [1]
 
 
+def recorded_polish(monkeypatch):
+    """The hand-off states of every ``_newton_polish`` call, and whether
+    each of its rows met a repelling root."""
+    polish, calls = dynamics._newton_polish, []
+
+    def recorded(*args):
+        out = polish(*args)
+        calls.append((args[2].copy(), out[2].copy()))
+        return out
+
+    monkeypatch.setattr(dynamics, "_newton_polish", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("start", [[1.0, -0.99], [1.0, 0.01, -0.99]])
-def test_pseudo_transient_falls_back_at_a_repelling_root(start):
+def test_pseudo_transient_falls_back_at_a_repelling_root(start, monkeypatch):
     # the start is already within the Newton hand-off, next to the
-    # antisymmetric equilibrium the flow leaves; the row must get the flow
-    # path's result
+    # antisymmetric equilibrium the flow leaves; Newton finds that root and
+    # rejects it, so the row follows the flow from where it gave up: its start
     psi0 = np.array(start, dtype=complex) / np.linalg.norm(start)
     g = path_graph(len(start))
     cfg = NlseConfig(dt=1e-2)
     flow = flow_solve(g, psi0, cfg)
+    polished = recorded_polish(monkeypatch)
     out = solve_steady_state_many([g], [psi0], cfg)[0]
+    (handed, repelled), = polished[:1]
+    assert np.array_equal(handed[0], psi0) and repelled[0]
     assert np.array_equal(out.psi_inf, flow.psi_inf)
     assert out.t_reached == flow.t_reached > 0.0
     assert out.residual == flow.residual and out.converged
@@ -1115,26 +1163,20 @@ def test_pseudo_transient_falls_back_when_newton_finds_a_repelling_root(
         monkeypatch):
     # with a first pseudo-time step of 1, continuation from this start
     # reaches the hand-off next to the antisymmetric equilibrium the flow
-    # leaves; Newton finds that root and rejects it, and the row must get
-    # the flow path's result
+    # leaves; Newton finds that root and rejects it, and the row follows
+    # the flow from its hand-off state, not from its start
     monkeypatch.setattr(dynamics, "_PTC_DELTA0", 1.0)
-    polish, repelled = dynamics._newton_polish, []
-
-    def recorded(*args):
-        out = polish(*args)
-        repelled.append(bool(out[2].any()))
-        return out
-
-    monkeypatch.setattr(dynamics, "_newton_polish", recorded)
+    polished = recorded_polish(monkeypatch)
     psi0 = np.array([1.0, -0.6], dtype=complex) / np.hypot(1.0, 0.6)
     g = path_graph(2)
     cfg = NlseConfig(dt=1e-2)
-    flow = flow_solve(g, psi0, cfg)
-    repelled.clear()
     out = solve_steady_state_many([g], [psi0], cfg)[0]
-    assert repelled[0]
+    handed, repelled = polished[0]
+    assert repelled[0] and not np.array_equal(handed[0], psi0)
+    flow = flow_solve(g, psi0, cfg, start=handed[0])
     assert np.array_equal(out.psi_inf, flow.psi_inf)
     assert out.t_reached == flow.t_reached > 0.0 and out.converged
+    assert out.residual == flow.residual
 
 
 def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
@@ -1155,8 +1197,9 @@ def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
     lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0],
                                            cfg)
     flow = flow_solve(split, mirrored, cfg)
+    # its continuation step fails, so it gives up; the step that follows
+    # the flow fails too, so it ends where it started
     assert np.array_equal(lone.psi_inf, flow.psi_inf)
-    # the flow path cannot step it either: it ends where it started
     assert np.array_equal(lone.psi_inf, mirrored)
     assert lone.t_reached == flow.t_reached == 0.0
     assert not lone.converged and lone.reason == flow.reason == "singular"
@@ -1166,19 +1209,33 @@ def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
     assert joined.t_reached == 0.0 and joined.converged
 
 
-def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off():
-    # a horizon shorter than the first pseudo-time step leaves the row to
-    # the flow path, which does not converge in that time
+def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off(monkeypatch):
     rng = np.random.default_rng(17)
     g = cycle_graph(3)
     psi0 = unit_state(rng, 3)
+    # a horizon shorter than the first pseudo-time step: the row follows
+    # the flow from its start for the whole horizon, and does not converge
     cfg = NlseConfig(dt=1e-2, t_max=0.1)
     out = solve_steady_state(g, psi0, cfg)
     flow = flow_solve(g, psi0, cfg)
-    assert not out.converged
+    assert not out.converged and out.reason == flow.reason == "horizon"
     assert np.array_equal(out.psi_inf, flow.psi_inf)
-    assert out.t_reached == flow.t_reached
+    assert out.t_reached == flow.t_reached == 10 * cfg.dt
+    # a row that gives up after two steps follows the flow for what is
+    # left of the one horizon
+    cfg = NlseConfig(dt=1e-2, t_max=1.0)
+    monkeypatch.setattr(dynamics, "_PTC_MAX_ITER", 2)
+    calls = recorded_steps(monkeypatch)
+    out = solve_steady_state(g, psi0, cfg)
+    assert not out.converged and out.reason == "horizon"
+    inv = np.concatenate(calls)
+    followed = inv == 1.0 / cfg.dt
+    assert followed.sum() * cfg.dt == out.t_reached
+    assert not followed[:2].any() and followed[2:].all()
+    spent = np.sum(1.0 / inv)
+    assert cfg.t_max - cfg.dt < spent <= cfg.t_max + 1e-12
     # with room for it, continuation finds the state without flow time
+    monkeypatch.undo()
     long = solve_steady_state(g, psi0, NlseConfig(dt=1e-2))
     assert long.converged and long.t_reached == 0.0
 
@@ -1186,7 +1243,7 @@ def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off():
 def test_pseudo_transient_polishes_warm_and_cold_rows_in_one_newton_batch(
         monkeypatch):
     # a start already within the hand-off joins the Newton batch of the
-    # rows continuation brings there, rather than waiting for the flow path
+    # rows continuation brings there, and no row follows the flow
     g = cycle_graph(4)
     psi0 = unit_state(np.random.default_rng(21), 4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
@@ -1199,21 +1256,11 @@ def test_pseudo_transient_polishes_warm_and_cold_rows_in_one_newton_batch(
     assert cfg.steady_tol < res0 <= dynamics._NEWTON_HANDOFF
     singles = [solve_steady_state_many([g], [psi0], cfg, [start])[0]
                for start in (warm, psi0)]
-    polish, flow, calls, flow_rows = (dynamics._newton_polish,
-                                      dynamics._flow_path, [], [])
-
-    def counted_polish(*args):
-        calls.append(len(args[2]))
-        return polish(*args)
-
-    def counted_flow(lap, v, psi, config):
-        flow_rows.append(len(psi))
-        return flow(lap, v, psi, config)
-
-    monkeypatch.setattr(dynamics, "_newton_polish", counted_polish)
-    monkeypatch.setattr(dynamics, "_flow_path", counted_flow)
+    polished = recorded_polish(monkeypatch)
+    steps = recorded_steps(monkeypatch)
     batch = solve_steady_state_many([g, g], [psi0, psi0], cfg, [warm, psi0])
-    assert calls == [2] and sum(flow_rows) == 0
+    assert [len(handed) for handed, _ in polished] == [2]
+    assert followed_steps(steps, cfg.dt) == 0
     for out, single in zip(batch, singles):
         assert out.converged and out.t_reached == 0.0
         assert np.array_equal(out.psi_inf, single.psi_inf)
@@ -1223,11 +1270,10 @@ def test_pseudo_transient_polishes_warm_and_cold_rows_in_one_newton_batch(
 def test_flow_path_skipped_when_continuation_accepts_every_row(monkeypatch):
     g = cycle_graph(4)
     psi0 = unit_state(np.random.default_rng(21), 4)
-    calls = []
-    monkeypatch.setattr(dynamics, "_flow_path", lambda *a: calls.append(a))
-    out = solve_steady_state_many([g, g], [psi0, psi0],
-                                  NlseConfig(dt=5e-2, t_max=3000.0))
-    assert calls == []
+    cfg = NlseConfig(dt=5e-2, t_max=3000.0)
+    steps = recorded_steps(monkeypatch)
+    out = solve_steady_state_many([g, g], [psi0, psi0], cfg)
+    assert steps and followed_steps(steps, cfg.dt) == 0
     assert all(st.converged and st.t_reached == 0.0 for st in out)
 
 

@@ -12,6 +12,7 @@ Oracles used here:
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -435,12 +436,12 @@ def two_pairs_case():
 
 def test_repelled_probe_rows_fail_without_the_flow_path(monkeypatch):
     g, readout, batch = two_pairs_case()
-    flow_rows, probe_states = [], []
-    flow_path = dynamics._flow_path
+    probe_states, inv_deltas = [], []
+    step = dynamics._bordered_step
 
-    def counted_flow(lap, v, psi, config):
-        flow_rows.append(len(psi))
-        return flow_path(lap, v, psi, config)
+    def recorded_step(lap, v, psi, pf, gamma, inv_delta):
+        inv_deltas.append(inv_delta.copy())
+        return step(lap, v, psi, pf, gamma, inv_delta)
 
     engine = SteadySolveEngine(RUN_CFG)
     solve_many = engine.solve_many
@@ -450,11 +451,13 @@ def test_repelled_probe_rows_fail_without_the_flow_path(monkeypatch):
         probe_states.append(out)
         return out
 
-    monkeypatch.setattr(dynamics, "_flow_path", counted_flow)
+    monkeypatch.setattr(dynamics, "_bordered_step", recorded_step)
     monkeypatch.setattr(engine, "solve_many", recorded)
     cfg = opt_config(batch_size=2, step_size=1e-3, probe_t_max=20.0)
     _, events = descent_step(g, batch, cfg, 0, readout=readout, engine=engine)
-    assert flow_rows == []
+    # no row took a step that follows the flow
+    assert inv_deltas
+    assert not any((inv == 1.0 / RUN_CFG.dt).any() for inv in inv_deltas)
     current, probes = probe_states
     assert all(st.converged for st in current)
     assert len(probes) == 8
@@ -782,9 +785,10 @@ def test_engine_merges_equal_jobs_and_warm_starts_the_next_call(
         monkeypatch):
     calls = []
 
-    def recording(graphs, xs, config, starts=None):
+    def recording(graphs, xs, config, starts=None, probe=False):
         calls.append([np.array(s) for s in starts])
-        return solve_steady_state_many(graphs, xs, config, starts=starts)
+        return solve_steady_state_many(graphs, xs, config, starts=starts,
+                                       probe=probe)
 
     monkeypatch.setattr(moduli, "solve_steady_state_many", recording)
     engine = SteadySolveEngine(RUN_CFG)
@@ -884,9 +888,10 @@ def test_engine_results_equal_direct_solves(case):
     probe = SteadySolveEngine(cfg).solve_many(jobs, t_max=20.0)
     short = dataclasses.replace(cfg, t_max=20.0)
     for x, got, got_probe in zip(xs, full, probe):
-        # at its own horizon the engine runs continuation, and finds the
-        # state the flow path finds
-        flow = dynamics._flow_path(*dynamics._stack_problems([g], [x]), cfg)[0]
+        # at its own horizon the engine finds the state a row finds that
+        # follows the flow from its start
+        with mock.patch.object(dynamics, "_PTC_MAX_ITER", 0):
+            flow = solve_steady_state_many([g], [x], cfg)[0]
         assert got.converged == flow.converged
         assert np.abs(gauge_align(got.psi_inf, flow.psi_inf)
                       - flow.psi_inf).max() <= 1e-7
