@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import zlib
 from typing import Any, Callable
@@ -141,10 +142,11 @@ def _sha256_file(path: str) -> str:
 
 
 def _prepend_line(path: str, line: str) -> None:
-    with open(path) as fh:
-        body = fh.read()
-    with open(path, "w") as fh:
-        fh.write(line + "\n" + body)
+    # the body streams through a file beside it, never held in memory whole
+    with open(path) as body, open(path + ".tmp", "w") as out:
+        out.write(line + "\n")
+        shutil.copyfileobj(body, out)
+    os.replace(path + ".tmp", path)
 
 
 def _package_version() -> str:
@@ -329,6 +331,16 @@ def _as_list(value: Any, label: str) -> list:
     return value
 
 
+def _as_number_tree(value: Any, label: str) -> list:
+    """A nested list whose every leaf is a JSON number, returned as given."""
+    for i, v in enumerate(_as_list(value, label)):
+        if isinstance(v, list):
+            _as_number_tree(v, f"{label}[{i}]")
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{label}[{i}]: expected a number, got {v!r}")
+    return value
+
+
 def _as_int_list(value: Any, label: str) -> list[int]:
     items = _as_list(value, label)
     if not items:
@@ -352,6 +364,13 @@ def _resolve_graph(sec: _Section) -> dict:
         raise ConfigError("graph.edges is required when graph.kind is 'explicit'")
     if kind != "explicit" and edges is not None:
         raise ConfigError("graph.edges is only valid when graph.kind is 'explicit'")
+    for i, edge in enumerate(edges or ()):
+        where = f"invalid graph: {sec._label('edges')}[{i}]"
+        if not (isinstance(edge, list) and len(edge) == 3):
+            raise ConfigError(f"{where}: expected [u, v, weight], got {edge!r}")
+        _as_int(lo=0, hi=n - 1)(edge[0], f"{where}[0]")
+        _as_int(lo=0, hi=n - 1)(edge[1], f"{where}[1]")
+        _as_float(lo=0.0, lo_open=True)(edge[2], f"{where}[2]")
     return {"kind": kind, "n": n, "weight": weight, "edges": edges}
 
 
@@ -366,15 +385,14 @@ def _graph_from_config(spec: dict) -> WeightedGraph:
             return cycle_graph(n, weight)
         if kind == "complete":
             return complete_graph(n, weight)
-        triples = [(int(u), int(v), float(w)) for u, v, w in spec["edges"]]
-        return build_graph(n, triples)
+        return build_graph(n, spec["edges"])  # typed when resolved
     except (GraphError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid graph: {exc}")
 
 
 def _resolve_initial(sec: _Section, modes: tuple[str, ...]) -> dict:
     mode = sec.take("mode", "random_unit", _as_str(modes))
-    values = sec.take("values", None, _optional(_as_list))
+    values = sec.take("values", None, _optional(_as_number_tree))
     normalize = sec.take("normalize", True, _as_bool)
     sec.finish()
     if mode == "random_unit" and values is not None:
@@ -387,8 +405,8 @@ def _resolve_initial(sec: _Section, modes: tuple[str, ...]) -> dict:
 def _numeric_array(values: list, shape: tuple[int, ...], label: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
-    except (ValueError, TypeError):
-        raise ConfigError(f"{label}: values must be numeric")
+    except (ValueError, OverflowError):  # ragged, or an int beyond float range
+        raise ConfigError(f"{label}: expected shape {shape} of finite numbers")
     if arr.shape != shape:
         raise ConfigError(f"{label}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -551,8 +551,9 @@ class SteadyState:
     (``_settle``), 0 if it never did; a Newton polish adds none.  ``gamma``
     is the dissipation rate of the flow the state is an equilibrium of;
     every derivative of the state is taken at it.  A root Newton accepted
-    carries its ``_bordered_system`` in ``bordered``, keyed by what it was
-    built from: the bytes of the Laplacian, potential and state, and gamma.
+    or certified carries its ``_bordered_system`` in ``bordered``, keyed by
+    what it was built from: the bytes of the Laplacian, potential and state,
+    and gamma.
     An unconverged state's ``reason`` is "repelled", "horizon", "singular"
     (a bordered step failed) or "non_finite" (a non-finite start).
     """
@@ -787,23 +788,26 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
                    res: np.ndarray, gamma: float, tol: float, pf: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched Newton on F(psi) = i alpha psi from hand-off states ``psi``
-    (residuals ``res`` above ``tol``, projected right-hand sides ``pf``).
+    (residuals ``res``, projected right-hand sides ``pf``).
 
     Each iteration solves every live row's bordered system once and
-    renormalizes.  A row is accepted once its residual is at most ``tol``;
-    it is dropped when the residual does not fall, the iterate leaves the
-    trust radius around its hand-off state or turns non-finite, the system
-    is singular, or the iterations run out.  A root at which the flow's
-    linearization has a growing mode is dropped too, in one check at the
-    end: the flow leaves such an equilibrium, so it is not the steady state
-    the flow would reach.  Returns states and residuals (Newton's output for
-    accepted rows, the hand-off values for the rest), a mask of the rows
-    that met such a repelling root, and each row's ``SteadyState.bordered``.
+    renormalizes.  A row is accepted once its residual is at most ``tol``,
+    without a step if it starts there; it is dropped when the residual does
+    not fall, the iterate leaves the trust radius around its hand-off state
+    or turns non-finite, the system is singular, or the iterations run out.
+    A root at which the flow's linearization has a growing mode is dropped
+    too, in one check at the end: the flow leaves such an equilibrium, so it
+    is not the steady state the flow would reach.  Returns states and
+    residuals (Newton's output for accepted rows, the hand-off values for the
+    rest), a mask of the rows that met such a repelling root, and each row's
+    ``SteadyState.bordered``.
     """
     out, out_res = psi.copy(), res.copy()
-    live = np.arange(len(psi))
-    cur, cur_res = psi, res
+    live = np.flatnonzero(res > tol)
+    cur, cur_res, pf = psi[live], res[live], pf[live]
     for _ in range(_NEWTON_MAX_ITER):
+        if not live.size:
+            break
         new, new_pf, new_res, ok = _bordered_step(lap[live], v[live], cur, pf,
                                                   gamma, np.zeros(live.size))
         keep = (ok & (new_res < cur_res)
@@ -813,8 +817,6 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
         out_res[live[done]] = new_res[done]
         go = keep & ~done
         live, cur, cur_res, pf = live[go], new[go], new_res[go], new_pf[go]
-        if not live.size:
-            break
     repelled, carried = np.zeros(len(psi), bool), np.full(len(psi), None, object)
     rows = np.flatnonzero(out_res <= tol)
     if rows.size:
@@ -844,12 +846,13 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     taken ``_PTC_MAX_ITER`` steps or its next delta would overrun ``t_max``;
     from where it is it then follows the flow, delta held at ``dt``, and it
     waits for Newton again only once it has left the hand-off band and come
-    back.  A following row is accepted at ``steady_tol`` and ends at a failed
-    step ("singular"); in a ``probe`` solve a continuing row whose Newton
-    root repels ends at once ("repelled").  The pseudo-time a row steps stays
-    within ``t_max`` ("horizon").  A start at ``steady_tol`` is accepted as it
-    is, and a non-finite one ends at once ("non_finite").  ``t_reached`` is
-    the pseudo-time of the steps a row followed, 0 where continuation ends it.
+    back.  A following row is accepted when a step takes it from above
+    ``steady_tol`` to at most it, and ends at a failed step ("singular"); in
+    a ``probe`` solve a continuing row whose Newton root repels ends at once
+    ("repelled").  The pseudo-time a row steps stays within ``t_max``
+    ("horizon").  A start at ``steady_tol`` waits, and a non-finite one ends
+    at once ("non_finite").  ``t_reached`` is the pseudo-time of the steps a
+    row followed, 0 where continuation ends it.
     """
     nb, dt, tol = len(psi), config.dt, config.steady_tol
     gamma = float(config.gamma)
@@ -861,7 +864,6 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     reason[live] = None
     pf[live] = _batch_projected_rhs(lap[live], v[live], psi[live], gamma)
     res[live] = np.abs(pf[live]).max(axis=1)
-    live = live[res[live] > tol]
     band = res[live] <= _NEWTON_HANDOFF
     wait, live = live[band], live[~band]
     for it in itertools.count():
@@ -899,7 +901,7 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
         keep = ~fell
         if fol.any():
             steps[live[fol & ok]] += 1
-            ends = fol & (~ok | (new_res <= tol))
+            ends = fol & (~ok | ((new_res <= tol) & (old > tol)))
             fell &= ~ends & (old > _NEWTON_HANDOFF)
             keep = ~ends & ~fell
         if not fol.all():

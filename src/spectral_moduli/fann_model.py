@@ -742,9 +742,9 @@ def model_teacher_sampler(params: ModelParams, g: WeightedGraph,
     The wrapped model acts as the data-generating teacher, so the task is
     realizable exactly by construction.  One draw labels all its inputs in
     one engine call, and each label is a function of its input alone:
-    equal inputs share a solve within a call and warm-start from their own
-    converged state across calls, so one draw of ``k * b`` pairs equals
-    ``k`` draws of ``b``.
+    each input is solved from its own start, its last converged state
+    across calls, so one draw of ``k * b`` pairs equals ``k`` draws of
+    ``b``.
     """
     if engine is None:
         engine = SteadySolveEngine(config)

@@ -463,6 +463,9 @@ def graph_to_dict(g: WeightedGraph) -> dict:
 def graph_from_dict(d: dict) -> WeightedGraph:
     try:
         n = int(d["n"])
+        for x in (x for u, v, _ in d["edges"] for x in (u, v)):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"edge endpoint {x!r} is not an integer")
         triples = [(int(u), int(v), float(w)) for u, v, w in d["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph dictionary: {exc}") from exc

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,32 +129,18 @@ def random_point(n: int, config: OptimizerConfig,
 
 @dataclass(frozen=True)
 class Batch:
-    """Mini-batch of (input field, target) pairs with uniform dimension.
-
-    ``inputs`` holds the distinct inputs as complex arrays, in order of
-    first appearance (equal bytes are one input), and ``groups`` the sample
-    indices of each.
-    """
+    """Mini-batch of (input field, target) pairs with uniform dimension."""
 
     xs: tuple
     ys: tuple
-    inputs: tuple = field(init=False, compare=False, repr=False)
-    groups: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.xs) == 0:
             raise ValueError("batch must be nonempty")
         if len(self.xs) != len(self.ys):
             raise ValueError("inputs and targets must pair up")
-        dims = {np.asarray(x).shape for x in self.xs}
-        if len(dims) != 1:
+        if len({np.asarray(x).shape for x in self.xs}) != 1:
             raise ValueError("batch inputs must share one dimension")
-        groups: dict[bytes, list[int]] = {}
-        for i, x in enumerate(self.xs):
-            groups.setdefault(np.asarray(x).tobytes(), []).append(i)
-        object.__setattr__(self, "groups", tuple(groups.values()))
-        object.__setattr__(self, "inputs", tuple(
-            np.asarray(self.xs[idx[0]], dtype=complex) for idx in self.groups))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[np.ndarray, float]]) -> "Batch":
@@ -181,69 +167,48 @@ class LossBreakdown:
 
 class SteadySolveEngine:
     """Batch front-end for the steady-state solver, which every steady
-    solve of the package goes through.  One call solves each distinct
-    (graph, input) job once, from the last converged state of the same
-    input; these warm starts make the descent loop's repeated solves cheap.
-    ``solve_fn`` replaces the batched solver, per job, for tests.  A
+    solve of the package goes through.  One call solves its (graph, input)
+    jobs as one batch, each from the last converged state of its input;
+    these warm starts make the descent loop's repeated solves cheap.  A
     ``probe`` call is a probe pass: a row whose Newton root repels fails at
     once (see ``solve_steady_state_many``).
     """
 
-    def __init__(self, config: NlseConfig,
-                 solve_fn: Callable[..., SteadyState] | None = None):
+    def __init__(self, config: NlseConfig):
         self.config = config
-        self._solve_fn = solve_fn
         self._warm: dict[bytes, np.ndarray] = {}
 
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
                    t_max: float | None = None, *,
                    probe: bool = False) -> list[SteadyState]:
+        if not jobs:
+            return []
         config = (self.config if t_max is None
                   else dataclasses.replace(self.config, t_max=t_max))
-        keyed = [(g.key(), np.asarray(x).tobytes()) for g, x in jobs]
-        first: dict[tuple, int] = {}
-        for i, key in enumerate(keyed):
-            first.setdefault(key, i)
-        graphs = [jobs[i][0] for i in first.values()]
-        xs = [np.asarray(jobs[i][1], dtype=complex) for i in first.values()]
-        if not xs:
-            solved = []
-        elif self._solve_fn is not None:
-            solved = [self._solve_fn(g, x, config) for g, x in zip(graphs, xs)]
-        else:
-            starts = [self._warm.get(key[1], x) for key, x in zip(first, xs)]
-            solved = solve_steady_state_many(graphs, xs, config, starts=starts,
-                                             probe=probe)
-        states = dict(zip(first, solved))
-        for key, st in states.items():
+        keys = [np.asarray(x).tobytes() for _, x in jobs]
+        xs = [np.asarray(x, dtype=complex) for _, x in jobs]
+        starts = [self._warm.get(key, x) for key, x in zip(keys, xs)]
+        solved = solve_steady_state_many([g for g, _ in jobs], xs, config,
+                                         starts=starts, probe=probe)
+        for key, st in zip(keys, solved):
             if st.converged:
-                self._warm[key[1]] = st.psi_inf
-        return [states[key] for key in keyed]
-
-    def solve(self, g: WeightedGraph, x: np.ndarray) -> SteadyState:
-        return self.solve_many([(g, x)])[0]
+                self._warm[key] = st.psi_inf
+        return solved
 
 
 def _batch_predictions(batch: Batch, readout, steadies: Sequence[SteadyState]
-                       ) -> tuple[list[tuple[np.ndarray, list[int], SteadyState, float]], float]:
-    """Readout predictions at the steady states ``steadies`` of the
-    distinct inputs of the batch, in ``batch.inputs`` order.
-
-    Returns the grouped records and the mean squared data loss; raises
+                       ) -> tuple[list[float], float]:
+    """Readout predictions at the steady states ``steadies`` of the samples
+    of the batch, and the mean squared data loss; raises
     LossEvaluationError naming the first offending sample on failure.
     """
-    records = []
-    sq = 0.0
-    for x, idx, st in zip(batch.inputs, batch.groups, steadies):
+    for i, st in enumerate(steadies):
         if not st.converged:
             raise LossEvaluationError(
-                f"steady-state solve did not converge for sample {idx[0]} "
+                f"steady-state solve did not converge for sample {i} "
                 f"({st.reason}: residual {st.residual:.3e} at t={st.t_reached:.1f})")
-        pred = readout.value(st.psi_inf)
-        records.append((x, idx, st, pred))
-        for i in idx:
-            sq += (pred - batch.ys[i]) ** 2
-    return records, sq / len(batch)
+    preds = [readout.value(st.psi_inf) for st in steadies]
+    return preds, sum((p - y) ** 2 for p, y in zip(preds, batch.ys)) / len(batch)
 
 
 def _regularizer(weights: np.ndarray, config: OptimizerConfig
@@ -259,7 +224,7 @@ def regularized_loss(g: WeightedGraph, batch: Batch, readout,
     """Mean squared readout error plus L2/L1 weight penalties."""
     if engine is None:
         engine = SteadySolveEngine(config.steady)
-    steadies = engine.solve_many([(g, x) for x in batch.inputs])
+    steadies = engine.solve_many([(g, x) for x in batch.xs])
     _, data = _batch_predictions(batch, readout, steadies)
     l2, l1 = _regularizer(g.weights, config)
     return LossBreakdown(data, l2, l1)
@@ -270,26 +235,25 @@ def _data_weight_gradients(g: WeightedGraph, batch: Batch, readout,
                            edges: Sequence[tuple[int, int]] | None = None
                            ) -> tuple[np.ndarray, float]:
     """Batch-mean data-term gradient in each weight of ``edges`` (default all
-    of them), plus data loss, at the states ``steadies`` of the inputs on ``g``.
+    of them), plus data loss, at the states ``steadies`` of the samples on
+    ``g``.
 
-    The adjoint solve is shared across samples with the same input: the
-    per-sample cotangent is 2 (pred - y) times a fixed readout cotangent,
-    so the distinct inputs with a nonzero coefficient are priced in one
-    batched call, and each gradient is rescaled and averaged.
+    The per-sample cotangent is 2 (pred - y) / B times a fixed readout
+    cotangent, so the samples with a nonzero coefficient are priced in one
+    batched adjoint call, and their gradients are rescaled and summed.
     """
-    records, data_loss = _batch_predictions(batch, readout, steadies)
+    preds, data_loss = _batch_predictions(batch, readout, steadies)
     grad = np.zeros(g.n_edges if edges is None else len(edges))
-    coeffs = [sum(2.0 * (pred - batch.ys[i]) for i in idx) / len(batch)
-              for _, idx, _, pred in records]
-    rows = [k for k, c in enumerate(coeffs) if c != 0.0] if grad.size else []
+    coeffs = [2.0 * (pred - y) / len(batch) for pred, y in zip(preds, batch.ys)]
+    rows = [i for i, c in enumerate(coeffs) if c != 0.0] if grad.size else []
     if rows:
-        sts = [records[k][2] for k in rows]
-        args = (g, [records[k][0] for k in rows], sts,
+        sts = [steadies[i] for i in rows]
+        args = (g, [batch.xs[i] for i in rows], sts,
                 [readout.cotangent(st.psi_inf) for st in sts])
         bases = (weight_gradients(*args) if edges is None
                  else edge_gradients(*args, edges))
-        for k, base in zip(rows, bases):
-            grad += coeffs[k] * base
+        for i, base in zip(rows, bases):
+            grad += coeffs[i] * base
     return grad, data_loss
 
 
@@ -322,7 +286,7 @@ def stochastic_gradient(g: WeightedGraph, batch: Batch,
     if steadies is None:
         if engine is None:
             engine = SteadySolveEngine(config.steady)
-        jobs = [(probe, x) for x in batch.inputs]
+        jobs = [(probe, x) for x in batch.xs]
         steadies = (engine.solve_many(jobs) if probe is g
                     else engine.solve_many(jobs, t_max=config.probe_t_max,
                                            probe=True))
@@ -371,7 +335,7 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     if engine is None:
         engine = SteadySolveEngine(config.steady)
     theta = config.prune_threshold
-    xs = batch.inputs
+    xs = batch.xs
 
     data_grad, data_loss = _data_weight_gradients(
         g, batch, readout, engine.solve_many([(g, x) for x in xs]))
@@ -383,7 +347,7 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     edge_grads = dict(zip(g.edges, grads))
 
     candidates = _candidate_pairs(g, config, rng)
-    # one pass solves every (probe graph, distinct input) pair.  It passes
+    # one pass solves every (probe graph, sample) pair.  It passes
     # t_max even when None: a trace tells the probe pass by it.
     probes = [g.with_edge(e, theta) for e in candidates]
     solved = engine.solve_many([(pg, x) for pg in probes for x in xs],

@@ -329,8 +329,7 @@ class TeacherSampler:
     L2 size at most ``noise_delta`` before renormalization (drawn by
     ``noisy_input_stream``).  y is the readout of the steady state computed
     on the teacher graph; each batch is labelled by one call to the
-    sampler's own ``SteadySolveEngine``, which solves a repeated input
-    once per call.
+    sampler's own ``SteadySolveEngine``.
     """
 
     def __init__(self, truth: GroundTruth, readout: PopulationReadout,

@@ -360,6 +360,51 @@ def test_small_flow_runs_exit_0_2_or_3_with_a_typed_error(data):
         assert found and found.group(1) in _TYPED_ERRORS, err.getvalue()
 
 
+_BAD_ENDPOINT = (st.integers(-3, 3).map(lambda k: k + 0.5) | st.booleans()
+                 | st.sampled_from(["0", "1", "", "a"]))
+_BAD_WEIGHT = (st.booleans() | st.sampled_from(["1.0", "", "w"]) | st.none()
+               | st.lists(st.floats(0.1, 2.0), max_size=2))
+
+
+@given(data=st.data())
+def test_explicit_edges_with_an_untyped_entry_exit_2_naming_it(data):
+    # a fractional, boolean or string endpoint, or a non-numeric weight, is
+    # refused before any work, by its place in the list; none is truncated
+    # or cast into a graph
+    n = data.draw(st.integers(2, 5))
+    edges = [[u, u + 1, data.draw(st.floats(0.1, 2.0))] for u in range(n - 1)]
+    i = data.draw(st.integers(0, len(edges) - 1))
+    k = data.draw(st.integers(0, 2))
+    edges[i][k] = data.draw(_BAD_WEIGHT if k == 2 else _BAD_ENDPOINT)
+    body = {"kind": "explicit", "n": n, "edges": edges}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["simulate", "--out", out,
+                         "--set", f"simulate.graph={json.dumps(body)}"])
+    assert code == 2, err.getvalue()
+    assert f"simulate.graph.edges[{i}][{k}]:" in err.getvalue()
+
+
+def test_explicit_initial_values_must_be_numbers_exit_2(tmp_path, capsys):
+    values = '[[1, 0], [true, false], [0, "0.5"]]'
+    assert run_cli("simulate", "--out", str(tmp_path),
+                   "--set", "simulate.initial.mode=explicit",
+                   "--set", f"simulate.initial.values={values}") == 2
+    assert "simulate.initial.values[1][0]: expected a number" in (
+        capsys.readouterr().err)
+
+
+def test_prepend_line_streams_the_body_and_leaves_no_temporary_file(
+        tmp_path):
+    path = tmp_path / "body.csv"
+    body = "".join(f"{k},{k * k}\n" for k in range(5000))
+    path.write_text(body)
+    cli._prepend_line(str(path), "# meta: {}")
+    assert path.read_text() == "# meta: {}\n" + body
+    assert os.listdir(tmp_path) == ["body.csv"]
+
+
 @pytest.mark.parametrize("weight", ["Infinity", "1e400"])
 def test_non_finite_explicit_edge_weight_exits_2(tmp_path, capsys, weight):
     assert run_cli("simulate", "--out", str(tmp_path),
@@ -890,11 +935,14 @@ def test_benchmark_seeds_never_reach_the_flow_path(tmp_path, monkeypatch):
     # the first seeds of the learn_c8 and train_desk benchmark workloads:
     # continuation finishes every row they solve, so no row follows the
     # flow, and a change that makes one do so fails here, not only in a
-    # benchmark
-    solve, rows = moduli.solve_steady_state_many, []
+    # benchmark.  No solver call holds one (graph, input) job twice either,
+    # so merging equal jobs would save these runs nothing
+    solve, rows, repeats = moduli.solve_steady_state_many, [], []
 
-    def recorded(*args, **kwargs):
-        out = solve(*args, **kwargs)
+    def recorded(graphs, xs, *args, **kwargs):
+        jobs = [(g.key(), np.asarray(x).tobytes()) for g, x in zip(graphs, xs)]
+        repeats.append(len(jobs) - len(set(jobs)))
+        out = solve(graphs, xs, *args, **kwargs)
         rows.extend(st.t_reached for st in out)
         return out
 
@@ -904,6 +952,7 @@ def test_benchmark_seeds_never_reach_the_flow_path(tmp_path, monkeypatch):
         assert run_cli(*args, "--seed", "0",
                        "--out", str(tmp_path / f"run{k}")) == 0
     assert rows and all(t == 0.0 for t in rows)
+    assert repeats and not any(repeats)
 
 
 def test_rerun_simulate_byte_identical(tmp_path):

@@ -989,12 +989,11 @@ def test_pseudo_transient_reaches_the_equilibrium_of_the_flow(case):
     assert not dynamics._repelling(lap, v, out.psi_inf[None], cfg.gamma)[0]
 
 
-@st.composite
-def saddle_cases(draw):
+def draw_saddle(draw):
     """A random path or cycle on N = 2-8 vertices, an input near one of its
-    Laplacian's excited modes, and a start within 1e-3 of a root that
-    Newton on the bordered system finds from that input and that repels
-    the flow."""
+    Laplacian's excited modes, a root that Newton on the bordered system
+    finds from that input (residual at most 1e-13) and that repels the
+    flow, and the generator that built them."""
     kind = draw(st.sampled_from(("path", "cycle")))
     n = draw(st.integers(2 if kind == "path" else 3, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -1013,8 +1012,22 @@ def saddle_cases(draw):
         if res[0] <= 1e-13:
             break
     assume(res[0] <= 1e-13 and dynamics._repelling(lap, v, root, 1.0)[0])
-    start = root[0] + 1e-3 * unit_state(rng, n)
+    return g, psi0, root[0], rng
+
+
+@st.composite
+def saddle_cases(draw):
+    """``draw_saddle``'s graph and input, and a start within 1e-3 of its
+    repelling root."""
+    g, psi0, root, rng = draw_saddle(draw)
+    start = root + 1e-3 * unit_state(rng, g.n)
     return g, psi0, start / np.linalg.norm(start)
+
+
+@st.composite
+def saddle_roots(draw):
+    """``draw_saddle``'s graph, input and repelling root."""
+    return draw_saddle(draw)[:3]
 
 
 @settings(max_examples=10)
@@ -1031,6 +1044,24 @@ def test_starts_near_a_repelling_root_reach_the_equilibrium_of_the_flow(case):
     assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
     lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
     assert not dynamics._repelling(lap, v, out.psi_inf[None], cfg.gamma)[0]
+
+
+@settings(max_examples=5)
+@given(saddle_roots())
+def test_a_start_on_a_repelling_root_is_never_accepted_there(case):
+    # the start is at rest to steady_tol, but the flow leaves it: a plain
+    # solve follows the flow away (or runs out of horizon), and a probe
+    # solve gives the row up at once
+    g, psi0, root = case
+    cfg = NlseConfig(dt=1e-2, steady_tol=1e-10, t_max=20.0)
+    lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]
+    plain = solve_steady_state_many([g], [psi0], cfg, [root])[0]
+    assert not (plain.converged and dynamics._repelling(
+        lap, v, plain.psi_inf[None], cfg.gamma)[0])
+    assert plain.converged or plain.reason == "horizon"
+    probe = solve_steady_state_many([g], [psi0], cfg, [root], probe=True)[0]
+    assert not probe.converged and probe.reason == "repelled"
+    assert probe.t_reached == 0.0 and np.array_equal(probe.psi_inf, root)
 
 
 @settings(max_examples=10)

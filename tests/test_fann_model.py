@@ -20,7 +20,7 @@ from spectral_moduli.moduli import (Batch, OptimizerConfig,
                                     SteadySolveEngine, regularized_loss)
 from spectral_moduli.topo_metric import (ManifoldSpec, PopulationReadout,
                                          TeacherSampler, build_ground_truth)
-from spectral_moduli import fann_model as fm
+from spectral_moduli import fann_model as fm, moduli
 
 RUN_CFG = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=3000.0)
 TIGHT_CFG = NlseConfig(dt=1e-2, steady_tol=1e-11, t_max=4000.0)
@@ -477,21 +477,22 @@ def test_train_is_deterministic(c4):
     assert np.array_equal(pt1.weights, pt2.weights)
 
 
-def test_train_logs_failures_and_continues(c4):
+def test_train_logs_failures_and_continues(c4, monkeypatch):
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
 
-    def never_converges(g, x, config):
-        return SteadyState(psi_inf=np.asarray(x, dtype=complex),
-                           t_reached=config.t_max, residual=1.0,
-                           converged=False, gamma=config.gamma)
+    def never_converges(graphs, xs, config, starts=None, probe=False):
+        return [SteadyState(psi_inf=np.asarray(x, dtype=complex),
+                            t_reached=config.t_max, residual=1.0,
+                            converged=False, gamma=config.gamma) for x in xs]
 
-    engine = SteadySolveEngine(RUN_CFG, solve_fn=never_converges)
+    pairs = sampler.exact()  # labelled before the solver fails
+    monkeypatch.setattr(moduli, "solve_steady_state_many", never_converges)
+    engine = SteadySolveEngine(RUN_CFG)
     cfg = train_config(epochs=2)
     with pytest.raises(fm.CoreConvergenceError):
         fm.forward(teacher, point, unit_vector(truth.n, 0), RUN_CFG,
                    engine=engine)
-    pairs = sampler.exact()
     p, pt, hist = fm.train(fm.fixed_set_sampler(pairs), cfg, teacher, point,
                            engine=engine)
     assert len(hist) == 2

@@ -89,6 +89,14 @@ def test_rejects_non_finite_weights_and_measures(field, bad):
         graph_from_dict(d)
 
 
+@pytest.mark.parametrize("end", [0.9, 1.0, True, "1"])
+def test_graph_dictionary_endpoints_must_be_integers(end):
+    # an endpoint is never truncated or cast into a vertex
+    d = {"n": 3, "edges": [[0, 1, 1.0], [end, 2, 1.0]]}
+    with pytest.raises(GraphError, match="is not an integer"):
+        graph_from_dict(d)
+
+
 def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises((ValueError, AttributeError)):

@@ -143,20 +143,6 @@ def test_batch_validation():
     assert b.xs[0].dtype == complex
 
 
-def test_batch_carries_its_distinct_inputs_in_first_appearance_order():
-    a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    # equal bytes are one input: -0.0 and 0.0 differ, a real and a complex
-    # copy of one field do too
-    xs = (b, a, b.copy(), np.array([-0.0, 1.0]), b.astype(complex), a)
-    batch = Batch(xs, tuple(range(len(xs))))
-    assert batch.groups == ([0, 2], [1, 5], [3], [4])
-    assert [x.dtype for x in batch.inputs] == [complex] * 4
-    for x, idx in zip(batch.inputs, batch.groups):
-        assert np.array_equal(x, xs[idx[0]])
-    assert Batch.from_pairs(zip(xs, batch.ys)).groups == ([0, 2, 4], [1, 5],
-                                                          [3])
-
-
 def test_loss_breakdown_total_is_sum():
     lb = LossBreakdown(data=0.5, l2=0.25, l1=0.125)
     assert lb.total == 0.875
@@ -386,8 +372,8 @@ def test_descent_step_solves_once_per_pass(c4, monkeypatch):
     cfg = opt_config(batch_size=5, probe_t_max=500.0)
     _, events = descent_step(truth.teacher_graph(), batch, cfg,
                              0, readout=readout, engine=engine)
-    # 4 distinct inputs; C4 has two absent edges to probe
-    assert calls == [(4, (), {}), (2 * 4, (), {"t_max": 500.0, "probe": True})]
+    # one job per sample, repeated input included; C4 has two absent edges
+    assert calls == [(5, (), {}), (2 * 5, (), {"t_max": 500.0, "probe": True})]
     assert set(events.test_gradients) == {(0, 2), (1, 3)}
     assert events.skipped_candidates == ()
 
@@ -475,10 +461,10 @@ def test_a_plain_solve_still_finishes_repelled_rows_on_the_flow_path():
     g, _, batch = two_pairs_case()
     probe = g.with_edge((0, 2), 0.05)
     engine = SteadySolveEngine(RUN_CFG)
-    warm = engine.solve_many([(g, x) for x in batch.inputs])
-    jobs = [(probe, x) for x in batch.inputs]
+    warm = engine.solve_many([(g, x) for x in batch.xs])
+    jobs = [(probe, x) for x in batch.xs]
     short = dataclasses.replace(RUN_CFG, t_max=20.0)
-    plain = solve_steady_state_many([probe] * 2, list(batch.inputs), short,
+    plain = solve_steady_state_many([probe] * 2, list(batch.xs), short,
                                     [st.psi_inf for st in warm])
     probed = engine.solve_many(jobs, t_max=20.0, probe=True)
     assert [st.reason for st in probed] == ["repelled"] * 2
@@ -525,7 +511,7 @@ def test_one_priced_edge_equals_the_full_gradient(case, weight):
     cfg = opt_config(l1_coeff=1e-3, l2_coeff=2e-3, batch_size=len(batch))
     probe = g.with_edge(edge, weight)
     states = SteadySolveEngine(RUN_CFG).solve_many(
-        [(probe, x) for x in batch.inputs])
+        [(probe, x) for x in batch.xs])
     assume(all(st.converged for st in states))
     k = probe.edge_index()[edge]
     full = (moduli._data_weight_gradients(probe, batch, readout, states)[0][k]
@@ -650,18 +636,20 @@ def test_run_stalls_early_on_flat_landscape(c3):
     assert point.edges == truth.e_true
 
 
-def test_run_logs_failed_steps_and_continues(c3):
+def never_converges(graphs, xs, config, starts=None, probe=False):
+    return [SteadyState(psi_inf=np.asarray(x, dtype=complex),
+                        t_reached=config.t_max, residual=1.0,
+                        converged=False, gamma=config.gamma) for x in xs]
+
+
+def test_run_logs_failed_steps_and_continues(c3, monkeypatch):
     truth, readout, sampler = c3
-
-    def never_converges(g, x, config):
-        return SteadyState(psi_inf=np.asarray(x, dtype=complex),
-                           t_reached=config.t_max, residual=1.0,
-                           converged=False, gamma=config.gamma)
-
-    engine = SteadySolveEngine(RUN_CFG, solve_fn=never_converges)
+    exact = sampler.exact_sampler()  # labelled before the solver fails
+    monkeypatch.setattr(moduli, "solve_steady_state_many", never_converges)
+    engine = SteadySolveEngine(RUN_CFG)
     init = truth.teacher_graph()
     cfg = opt_config(iterations=4, batch_size=3)
-    point, log, history = run(cfg, sampler.exact_sampler(), init,
+    point, log, history = run(cfg, exact, init,
                               readout=readout, engine=engine)
     assert point.edges == init.edges
     assert all(r.failed is not None for r in log.records)
@@ -781,7 +769,7 @@ def test_random_point_probability_extremes():
 # solve engine
 # ---------------------------------------------------------------------------
 
-def test_engine_merges_equal_jobs_and_warm_starts_the_next_call(
+def test_engine_solves_equal_jobs_alike_and_warm_starts_the_next_call(
         monkeypatch):
     calls = []
 
@@ -795,41 +783,46 @@ def test_engine_merges_equal_jobs_and_warm_starts_the_next_call(
     g1 = build_graph(3, [(0, 1, 1.0), (1, 2, 0.7)])
     g2 = build_graph(3, [(0, 1, 1.2), (1, 2, 0.7)])
     x = np.array([1.0, 0.5j, 0.3]) / np.linalg.norm([1.0, 0.5, 0.3])
-    # equal jobs in one call are solved once, from the input itself
+    # equal jobs in one call are both solved, from the input itself, alike
     first = engine.solve_many([(g1, x), (g1, x)])
-    assert len(calls) == 1 and len(calls[0]) == 1
-    assert np.array_equal(calls[0][0], x)
-    assert first[0] is first[1] and first[0].converged
+    assert len(calls) == 1 and len(calls[0]) == 2
+    assert all(np.array_equal(s, x) for s in calls[0])
+    assert first[0].converged
+    assert np.array_equal(first[0].psi_inf, first[1].psi_inf)
     # a second call solves again, from the first call's converged state
-    again = engine.solve(g1, x)
+    [again] = engine.solve_many([(g1, x)])
     assert len(calls) == 2
     assert np.array_equal(calls[1][0], first[0].psi_inf)
     assert again.converged
     # so does a nearby graph with the same input
-    engine.solve(g2, x)
+    engine.solve_many([(g2, x)])
     assert len(calls) == 3
     assert np.array_equal(calls[2][0], again.psi_inf)
 
 
-def test_engine_solve_fn_sees_each_distinct_job_and_horizon():
+def test_engine_solver_sees_every_job_and_horizon(monkeypatch):
     calls = []
 
-    def fake_solve(g, x, config):
-        calls.append((g.key(), np.asarray(x).tobytes(), config.t_max))
-        psi = np.asarray(x, dtype=complex)
-        return SteadyState(psi / np.linalg.norm(psi), 1.0, 0.0, True,
-                           config.gamma)
+    def fake_solve(graphs, xs, config, starts=None, probe=False):
+        calls.append(([(g.key(), np.asarray(x).tobytes())
+                       for g, x in zip(graphs, xs)], config.t_max))
+        return [SteadyState(np.asarray(x, dtype=complex)
+                            / np.linalg.norm(x), 1.0, 0.0, True, config.gamma)
+                for x in xs]
 
-    engine = SteadySolveEngine(RUN_CFG, solve_fn=fake_solve)
+    monkeypatch.setattr(moduli, "solve_steady_state_many", fake_solve)
+    engine = SteadySolveEngine(RUN_CFG)
     g1 = build_graph(2, [(0, 1, 1.0)])
     x = np.array([1.0, 0.5])
     out = engine.solve_many([(g1, x), (g1, x * 2), (g1, x)])
-    assert len(calls) == 2 and out[0] is out[2]
-    assert [c[2] for c in calls] == [RUN_CFG.t_max] * 2
+    assert len(calls) == 1 and len(out) == 3
+    jobs = [(g1.key(), np.asarray(y, dtype=complex).tobytes())
+            for y in (x, x * 2, x)]
+    assert calls[0] == (jobs, RUN_CFG.t_max)
     engine.solve_many([(g1, x)], t_max=0.2)
-    assert len(calls) == 3 and calls[-1][2] == 0.2
+    assert len(calls) == 2 and calls[-1][1] == 0.2
     assert engine.solve_many([]) == []
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_engine_own_horizon_named_explicitly_runs_continuation():
@@ -842,9 +835,11 @@ def test_engine_own_horizon_named_explicitly_runs_continuation():
     engine = SteadySolveEngine(RUN_CFG)
     named = engine.solve_many([(g, x)], t_max=RUN_CFG.t_max)[0]
     assert named.converged and named.t_reached == 0.0
-    assert np.array_equal(engine.solve(g, x).psi_inf, named.psi_inf)
-    assert np.array_equal(SteadySolveEngine(RUN_CFG).solve(g, x).psi_inf,
+    assert np.array_equal(engine.solve_many([(g, x)])[0].psi_inf,
                           named.psi_inf)
+    assert np.array_equal(
+        SteadySolveEngine(RUN_CFG).solve_many([(g, x)])[0].psi_inf,
+        named.psi_inf)
 
 
 def test_engine_explicit_horizon_runs_continuation():

@@ -450,6 +450,32 @@ def test_pricing_with_the_carried_matrix_equals_a_fresh_build(monkeypatch):
         built.clear()
 
 
+def test_a_warm_start_at_rest_keeps_its_bits_and_carries_its_matrix(
+        monkeypatch):
+    # a start already at steady_tol takes no step, and passing the stability
+    # check it carries its matrix, so pricing it builds none
+    rng = np.random.default_rng(33)
+    g = cycle_graph(4)
+    psi0s, steadies = newton_accepted_batch(rng, g, 3)
+    again = solve_steady_state_many([g] * 3, psi0s, CFG,
+                                    [st.psi_inf for st in steadies])
+    for st, re in zip(steadies, again):
+        assert re.converged and re.t_reached == 0.0
+        assert np.array_equal(re.psi_inf, st.psi_inf)
+        assert re.bordered is not None and re.bordered[0] == st.bordered[0]
+    built, original = [], sensitivity._bordered_system
+
+    def counted(lap, v, psi, gamma):
+        built.append(len(psi))
+        return original(lap, v, psi, gamma)
+
+    monkeypatch.setattr(sensitivity, "_bordered_system", counted)
+    cots = rng.normal(size=(3, 2 * g.n))
+    assert np.array_equal(weight_gradients(g, psi0s, again, cots),
+                          weight_gradients(g, psi0s, steadies, cots))
+    assert built == []
+
+
 def test_a_state_priced_elsewhere_never_reuses_its_carried_matrix():
     rng = np.random.default_rng(32)
     g = cycle_graph(4)
