@@ -832,7 +832,8 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
 
 def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-            config: NlseConfig, probe: bool) -> list[SteadyState]:
+            config: NlseConfig, probe: np.ndarray, t_max: np.ndarray
+            ) -> list[SteadyState]:
     """Lockstep backward-Euler steps (``_bordered_step``) on the bordered
     system from the starts ``psi`` (B, N) to relative equilibria of the flow.
 
@@ -843,16 +844,17 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     1998).  A row at most ``_NEWTON_HANDOFF`` from rest waits, and whenever no
     continuing row steps, the waiting rows go through one ``_newton_polish``.
     A row gives up continuing when Newton rejects it, its step fails, it has
-    taken ``_PTC_MAX_ITER`` steps or its next delta would overrun ``t_max``;
+    taken ``_PTC_MAX_ITER`` steps or its next delta would overrun its horizon;
     from where it is it then follows the flow, delta held at ``dt``, and it
     waits for Newton again only once it has left the hand-off band and come
     back.  A following row is accepted when a step takes it from above
-    ``steady_tol`` to at most it, and ends at a failed step ("singular"); in
-    a ``probe`` solve a continuing row whose Newton root repels ends at once
-    ("repelled").  The pseudo-time a row steps stays within ``t_max``
-    ("horizon").  A start at ``steady_tol`` waits, and a non-finite one ends
-    at once ("non_finite").  ``t_reached`` is the pseudo-time of the steps a
-    row followed, 0 where continuation ends it.
+    ``steady_tol`` to at most it, and ends at a failed step ("singular"); a
+    continuing row flagged in ``probe`` (B,) whose Newton root repels ends at
+    once ("repelled").  The pseudo-time a row steps stays within its horizon
+    in ``t_max`` (B,) ("horizon").  A start at ``steady_tol`` waits, and a
+    non-finite one ends at once ("non_finite").  ``t_reached`` is the
+    pseudo-time of the steps a row followed, 0 where continuation ends it.
+    No row's result depends on the other rows of the batch.
     """
     nb, dt, tol = len(psi), config.dt, config.steady_tol
     gamma = float(config.gamma)
@@ -870,20 +872,20 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
         if wait.size and follows[live].all():
             psi[wait], res[wait], repelled, carried[wait] = _newton_polish(
                 lap[wait], v[wait], psi[wait], res[wait], gamma, tol, pf[wait])
-            ends = probe & repelled & ~follows[wait]
+            ends = probe[wait] & repelled & ~follows[wait]
             reason[wait[ends]] = "repelled"
             back = wait[(repelled | (res[wait] > tol)) & ~ends]
             follows[back], delta[back] = True, dt
             live, wait = np.concatenate([live, back]), wait[:0]
         if not live.size:
             break
-        d = delta[live]
+        d, cap = delta[live], t_max[live]
         nxt = spent[live] + d
-        if it == _PTC_MAX_ITER or (nxt > config.t_max).any():
-            quit = ~follows[live] & ((it == _PTC_MAX_ITER) | (nxt > config.t_max))
+        if it == _PTC_MAX_ITER or (nxt > cap).any():
+            quit = ~follows[live] & ((it == _PTC_MAX_ITER) | (nxt > cap))
             follows[live[quit]], delta[live[quit]], d[quit] = True, dt, dt
             nxt = spent[live] + d
-            over = nxt > config.t_max
+            over = nxt > cap
             reason[live[over]] = "horizon"
             live, d, nxt = live[~over], d[~over], nxt[~over]
             if not live.size:
@@ -936,7 +938,9 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
                             psi0s: Sequence[np.ndarray],
                             config: NlseConfig,
                             starts: Sequence[np.ndarray] | None = None,
-                            *, probe: bool = False) -> list[SteadyState]:
+                            *, probe: bool | Sequence[bool] = False,
+                            t_max: float | Sequence[float] | None = None
+                            ) -> list[SteadyState]:
     """Drive many independent flows to relative equilibria in lockstep.
 
     All graphs must share the vertex count.  ``starts`` optionally replaces
@@ -944,13 +948,23 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     ``psi0``), which lets callers warm-start perturbed problems.
 
     Every row continues by pseudo-transient continuation, and a row that
-    gives up follows the flow from where it is (``_settle``).  In a
-    ``probe`` solve, a continuing row whose Newton root repels comes back
-    unconverged at once ("repelled").
+    gives up follows the flow from where it is (``_settle``).  ``probe``
+    flags the probe rows and ``t_max`` gives the horizons (``config.t_max``
+    if None), each one value for every row or one per row.  A probe row
+    whose continuing Newton root repels comes back unconverged at once
+    ("repelled").  A row comes back bit for bit as it would in any other
+    batch.
     """
-    if len(graphs) == 0:
+    nb = len(graphs)
+    if nb == 0:
         return []
-    return _settle(*_stack_problems(graphs, psi0s, starts), config, probe)
+    horizon = np.broadcast_to(np.asarray(
+        config.t_max if t_max is None else t_max, dtype=float), (nb,))
+    if not np.all((horizon > 0.0) & (horizon < np.inf)):
+        raise ValueError("t_max must be positive and finite")
+    return _settle(*_stack_problems(graphs, psi0s, starts), config,
+                   np.broadcast_to(np.asarray(probe, dtype=bool), (nb,)),
+                   horizon)
 
 
 def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,

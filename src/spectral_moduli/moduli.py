@@ -19,7 +19,6 @@ and audited after a run.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -168,30 +167,40 @@ class LossBreakdown:
 class SteadySolveEngine:
     """Batch front-end for the steady-state solver, which every steady
     solve of the package goes through.  One call solves its (graph, input)
-    jobs as one batch, each from the last converged state of its input;
-    these warm starts make the descent loop's repeated solves cheap.  A
-    ``probe`` call is a probe pass: a row whose Newton root repels fails at
-    once (see ``solve_steady_state_many``).
+    jobs as one batch, each from the warm start of its input: the last
+    converged state of a job that is not a probe row, so never a state of a
+    probe graph.  These warm starts make the descent loop's repeated solves
+    cheap.  ``t_max`` and ``probe`` are one value for every job or one per
+    job, and reach the solver as one per row; a None horizon is the
+    engine's own.  A probe row whose Newton root repels fails at once (see
+    ``solve_steady_state_many``).
     """
 
     def __init__(self, config: NlseConfig):
         self.config = config
         self._warm: dict[bytes, np.ndarray] = {}
 
+    def warm_started(self, xs: Iterable[np.ndarray]) -> bool:
+        """Whether every input of ``xs`` has a warm start."""
+        return all(np.asarray(x).tobytes() in self._warm for x in xs)
+
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
-                   t_max: float | None = None, *,
-                   probe: bool = False) -> list[SteadyState]:
+                   t_max: float | None | Sequence[float | None] = None, *,
+                   probe: bool | Sequence[bool] = False) -> list[SteadyState]:
         if not jobs:
             return []
-        config = (self.config if t_max is None
-                  else dataclasses.replace(self.config, t_max=t_max))
+        n = len(jobs)
+        horizons = [self.config.t_max if t is None else t
+                    for t in (t_max if np.ndim(t_max) else [t_max] * n)]
+        probes = np.broadcast_to(np.asarray(probe, dtype=bool), (n,))
         keys = [np.asarray(x).tobytes() for _, x in jobs]
         xs = [np.asarray(x, dtype=complex) for _, x in jobs]
         starts = [self._warm.get(key, x) for key, x in zip(keys, xs)]
-        solved = solve_steady_state_many([g for g, _ in jobs], xs, config,
-                                         starts=starts, probe=probe)
-        for key, st in zip(keys, solved):
-            if st.converged:
+        solved = solve_steady_state_many([g for g, _ in jobs], xs, self.config,
+                                         starts=starts, probe=probes,
+                                         t_max=horizons)
+        for key, st, probed in zip(keys, solved, probes):
+            if st.converged and not probed:
                 self._warm[key] = st.psi_inf
         return solved
 
@@ -321,6 +330,15 @@ def _candidate_pairs(g: WeightedGraph, config: OptimizerConfig,
     return pairs
 
 
+def _probe_jobs(g: WeightedGraph, xs: Sequence[np.ndarray],
+                config: OptimizerConfig, rng: np.random.Generator | None):
+    """Draw a step's candidate edges; return them, their probe graphs and
+    the (probe graph, input) job of every candidate and sample."""
+    candidates = _candidate_pairs(g, config, rng)
+    probes = [g.with_edge(e, config.prune_threshold) for e in candidates]
+    return candidates, probes, [(pg, x) for pg in probes for x in xs]
+
+
 def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
                  t: int, *, readout,
                  engine: SteadySolveEngine | None = None,
@@ -328,17 +346,32 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
                  ) -> tuple[WeightedGraph, StepEvents]:
     """One simultaneous update: weight SGD, candidate tests, prune.
 
-    All gradients use the same batch and the pre-step weights.  Candidate
-    probes whose solves fail are skipped (recorded, never added); a failure
-    on the current graph aborts the whole step by raising.
+    All gradients use the same batch and the pre-step weights.  Every probe
+    row starts from its input's latest current-graph state: once every input
+    has a warm start, the current graph's rows and the probe rows (flagged,
+    to ``config.probe_t_max``) are solved in one engine call from those warm
+    starts; otherwise the current graph is solved first, the candidates are
+    drawn only then, and the probe pass starts from the fresh states.
+    Candidate probes whose solves fail are skipped (recorded, never added);
+    a failure on the current graph aborts the whole step by raising (a warm
+    step has drawn its candidates by then, a cold one has not).
     """
     if engine is None:
         engine = SteadySolveEngine(config.steady)
     theta = config.prune_threshold
     xs = batch.xs
+    jobs, n = [(g, x) for x in xs], len(xs)
+    if engine.warm_started(xs):
+        candidates, probes, probe_jobs = _probe_jobs(g, xs, config, rng)
+        m = len(probe_jobs)
+        states = engine.solve_many(jobs + probe_jobs,
+                                   t_max=[None] * n + [config.probe_t_max] * m,
+                                   probe=[False] * n + [True] * m)
+        current, solved = states[:n], states[n:]
+    else:
+        current, solved = engine.solve_many(jobs), None
 
-    data_grad, data_loss = _data_weight_gradients(
-        g, batch, readout, engine.solve_many([(g, x) for x in xs]))
+    data_grad, data_loss = _data_weight_gradients(g, batch, readout, current)
     l2, l1 = _regularizer(g.weights, config)
     grads = data_grad + config.l2_coeff * g.weights + config.l1_coeff
     eta = config.step_size_at(t)
@@ -346,12 +379,10 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     post_update = dict(zip(g.edges, updated))
     edge_grads = dict(zip(g.edges, grads))
 
-    candidates = _candidate_pairs(g, config, rng)
-    # one pass solves every (probe graph, sample) pair.  It passes
-    # t_max even when None: a trace tells the probe pass by it.
-    probes = [g.with_edge(e, theta) for e in candidates]
-    solved = engine.solve_many([(pg, x) for pg in probes for x in xs],
-                               t_max=config.probe_t_max, probe=True)
+    if solved is None:
+        candidates, probes, probe_jobs = _probe_jobs(g, xs, config, rng)
+        solved = engine.solve_many(probe_jobs, t_max=config.probe_t_max,
+                                   probe=True)
     test_grads: dict = {}
     added = []
     skipped = []

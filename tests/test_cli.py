@@ -938,6 +938,13 @@ def test_benchmark_seeds_never_reach_the_flow_path(tmp_path, monkeypatch):
     # benchmark.  No solver call holds one (graph, input) job twice either,
     # so merging equal jobs would save these runs nothing
     solve, rows, repeats = moduli.solve_steady_state_many, [], []
+    step, step_calls = moduli.descent_step, []
+
+    def counted_step(*args, **kwargs):
+        before = len(repeats)
+        out = step(*args, **kwargs)
+        step_calls.append(len(repeats) - before)
+        return out
 
     def recorded(graphs, xs, *args, **kwargs):
         jobs = [(g.key(), np.asarray(x).tobytes()) for g, x in zip(graphs, xs)]
@@ -947,12 +954,21 @@ def test_benchmark_seeds_never_reach_the_flow_path(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(moduli, "solve_steady_state_many", recorded)
+    monkeypatch.setattr(moduli, "descent_step", counted_step)
+    calls = []
     for k, args in enumerate((["learn-graph", "--set", "learn_graph.task=c8"],
                               ["train"])):
         assert run_cli(*args, "--seed", "0",
                        "--out", str(tmp_path / f"run{k}")) == 0
+        calls.append(len(repeats) - sum(calls))
     assert rows and all(t == 0.0 for t in rows)
     assert repeats and not any(repeats)
+    # c8 makes one call for its teacher targets, two for the first of its
+    # 116 steps and one for each later step (fann_model binds its own
+    # descent_step, so step_calls holds c8's steps alone); train's inputs
+    # are new at every step, so its step still makes two calls
+    assert step_calls == [2] + [1] * 115
+    assert calls == [118, 69]
 
 
 def test_rerun_simulate_byte_identical(tmp_path):

@@ -1308,6 +1308,63 @@ def test_flow_path_skipped_when_continuation_accepts_every_row(monkeypatch):
     assert all(st.converged and st.t_reached == 0.0 for st in out)
 
 
+@st.composite
+def mixed_batches(draw):
+    """Problems on a shared N = 2-8 vertices: ``draw_saddle``'s, started
+    within 1e-3 of its repelling root, and 1-3 on random connected graphs,
+    each with a random input and a start (the input, or its equilibrium on
+    another graph, as a descent step's warm start).  Each problem makes a
+    plain row and a probe row at each of two horizons."""
+    g, psi0, root, rng = draw_saddle(draw)
+    n = g.n
+    start = root + 1e-3 * unit_state(rng, n)
+    problems = [(g, psi0, start / np.linalg.norm(start))]
+    base = connected_graph(rng, n)
+    psi0s = [unit_state(rng, n) for _ in range(draw(st.integers(1, 3)))]
+    roots = solve_steady_state_many([base] * len(psi0s), psi0s,
+                                    NlseConfig(dt=1e-2, t_max=50.0))
+    for psi0, root in zip(psi0s, roots):
+        warm = draw(st.booleans()) and root.converged
+        problems.append((connected_graph(rng, n), psi0,
+                         root.psi_inf if warm else psi0))
+    return [problem + (probe, horizon) for problem in problems
+            for probe in (False, True) for horizon in (3.0, 50.0)]
+
+
+def same_result(a, b):
+    return (a.psi_inf.tobytes() == b.psi_inf.tobytes()
+            and (a.residual, a.t_reached, a.reason, a.converged)
+            == (b.residual, b.t_reached, b.reason, b.converged))
+
+
+@settings(max_examples=10, deadline=None)
+@given(mixed_batches())
+def test_a_row_does_not_depend_on_the_batch_it_is_solved_in(rows):
+    # a descent step solves its current graph's rows and its probe rows in
+    # one batch: each row must come back as a batch of its own kind (one
+    # probe flag, one horizon in the config) returns it, bit for bit
+    graphs, psi0s, starts, probes, horizons = map(list, zip(*rows))
+    cfg = NlseConfig(dt=1e-2, steady_tol=1e-10)
+    mixed = solve_steady_state_many(graphs, psi0s, cfg, starts, probe=probes,
+                                    t_max=horizons)
+    for kind in set(zip(probes, horizons)):
+        own = [i for i, row in enumerate(zip(probes, horizons)) if row == kind]
+        alone = solve_steady_state_many(
+            [graphs[i] for i in own], [psi0s[i] for i in own],
+            NlseConfig(dt=1e-2, steady_tol=1e-10, t_max=kind[1]),
+            [starts[i] for i in own], probe=kind[0])
+        assert all(same_result(mixed[i], out) for i, out in zip(own, alone))
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+def test_row_horizons_must_be_positive_and_finite(horizon):
+    g = cycle_graph(4)
+    psi0 = unit_state(np.random.default_rng(3), 4)
+    with pytest.raises(ValueError, match="t_max"):
+        solve_steady_state_many([g, g], [psi0, psi0], CFG,
+                                t_max=[5.0, horizon])
+
+
 # -- writers ------------------------------------------------------------------------
 
 

@@ -378,6 +378,71 @@ def test_descent_step_solves_once_per_pass(c4, monkeypatch):
     assert events.skipped_candidates == ()
 
 
+def test_a_warm_step_solves_its_current_and_probe_rows_in_one_call(
+        c4, monkeypatch):
+    # once every input has a warm start, a step hands its current graph's
+    # rows and its probe rows to the engine in one call
+    truth, readout, sampler = c4
+    batch = Batch.from_pairs(sampler.exact())
+    cfg = opt_config(batch_size=4, probe_t_max=500.0, step_size=15873.0)
+    init = build_graph(4, [(u, v, 1.03 * w) for (u, v), w in
+                           zip(truth.e_true, truth.teacher_weights)]
+                       + [(0, 2, 0.06)])
+    ref = SteadySolveEngine(RUN_CFG)
+    descent_step(init, batch, cfg, 0, readout=readout, engine=ref)
+    engine = SteadySolveEngine(RUN_CFG)
+    calls, begun, outs = [], [], []
+    solve_many, solve = engine.solve_many, moduli.solve_steady_state_many
+
+    def recorded(jobs, *args, **kwargs):
+        calls.append((len(jobs), args, kwargs))
+        outs.append(solve_many(jobs, *args, **kwargs))
+        return outs[-1]
+
+    def recorded_solve(graphs, xs, config, starts=None, **kwargs):
+        begun.append(starts)
+        return solve(graphs, xs, config, starts, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_many", recorded)
+    monkeypatch.setattr(moduli, "solve_steady_state_many", recorded_solve)
+    g, first = descent_step(init, batch, cfg, 0, readout=readout, engine=engine)
+    assert first.pruned == ((0, 2),) and g.edges == truth.e_true
+    assert calls == [(4, (), {}), (4, (), {"t_max": 500.0, "probe": True})]
+    _, events = descent_step(g, batch, cfg, 1, readout=readout, engine=engine)
+    assert calls[2:] == [(4 + 8, (), {"t_max": [None] * 4 + [500.0] * 8,
+                                      "probe": [False] * 4 + [True] * 8})]
+    # every row starts from its input's state on the last current graph:
+    # the first step's probe pass moved no warm start
+    assert all(np.array_equal(start, outs[0][k % 4].psi_inf)
+               for k, start in enumerate(begun[2]))
+    # the same step through two calls: the current graph, then each probe
+    # from the current graph's fresh states
+    current = ref.solve_many([(g, x) for x in batch.xs])
+    grads = [stochastic_gradient(g, batch, e, readout=readout, config=cfg,
+                                 steadies=current) for e in g.edges]
+    pruned = {e for e, w, ge in zip(g.edges, g.weights, grads)
+              if max(w - cfg.step_size_at(1) * ge, 0.0) < cfg.prune_threshold}
+    tests, skipped = {}, set()
+    for e in events.test_gradients:
+        try:
+            tests[e] = stochastic_gradient(
+                g, batch, e, test_weight=cfg.prune_threshold,
+                readout=readout, config=cfg, engine=ref)
+        except LossEvaluationError:
+            skipped.add(e)
+    assert set(events.pruned) == pruned
+    assert set(events.skipped_candidates) == skipped == set()
+    assert set(events.added) == {e for e, ge in tests.items()
+                                 if ge < -cfg.add_threshold}
+    # both probe states are roots to steady_tol (1e-8), from different
+    # starts; on c4 they differ by a few steady_tol, and so do the test
+    # gradients, relatively: 100 steady_tol leaves room
+    assert set(tests) == {(0, 2), (1, 3)}
+    for e, ge in tests.items():
+        assert events.test_gradients[e] == pytest.approx(
+            ge, rel=100 * RUN_CFG.steady_tol, abs=0.0)
+
+
 def test_descent_step_reads_no_spectrum_and_grafts_each_probe_once(
         c4, monkeypatch):
     # every root of the step is certified stable without eigvals, and each
@@ -636,7 +701,8 @@ def test_run_stalls_early_on_flat_landscape(c3):
     assert point.edges == truth.e_true
 
 
-def never_converges(graphs, xs, config, starts=None, probe=False):
+def never_converges(graphs, xs, config, starts=None, probe=False,
+                    t_max=None):
     return [SteadyState(psi_inf=np.asarray(x, dtype=complex),
                         t_reached=config.t_max, residual=1.0,
                         converged=False, gamma=config.gamma) for x in xs]
@@ -655,6 +721,27 @@ def test_run_logs_failed_steps_and_continues(c3, monkeypatch):
     assert all(r.failed is not None for r in log.records)
     assert all(np.isnan(h) for h in history)
     assert len(log.visited) == 1
+
+
+def test_only_a_warm_step_that_fails_has_drawn_its_candidates(c4, monkeypatch):
+    # a cold step solves its current graph before it draws its candidates,
+    # so failing there leaves the rng as it was; a warm step draws them for
+    # its one engine call first
+    truth, readout, sampler = c4
+    batch = Batch.from_pairs(sampler.exact())  # labelled before the patch
+    g = truth.teacher_graph()
+    cfg = opt_config(candidate_fraction=0.5)
+    warm = SteadySolveEngine(RUN_CFG)
+    warm.solve_many([(g, x) for x in batch.xs])
+    monkeypatch.setattr(moduli, "solve_steady_state_many", never_converges)
+    for engine, draws in ((SteadySolveEngine(RUN_CFG), 0), (warm, 1)):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        with pytest.raises(LossEvaluationError):
+            descent_step(g, batch, cfg, 0, readout=readout, engine=engine,
+                         rng=rng)
+        for _ in range(draws):  # one of the two absent pairs (0, 2), (1, 3)
+            ref.choice(2, size=1, replace=False)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_probe_horizon_skips_slow_candidates(c4):
@@ -773,10 +860,10 @@ def test_engine_solves_equal_jobs_alike_and_warm_starts_the_next_call(
         monkeypatch):
     calls = []
 
-    def recording(graphs, xs, config, starts=None, probe=False):
+    def recording(graphs, xs, config, starts=None, probe=False, t_max=None):
         calls.append([np.array(s) for s in starts])
         return solve_steady_state_many(graphs, xs, config, starts=starts,
-                                       probe=probe)
+                                       probe=probe, t_max=t_max)
 
     monkeypatch.setattr(moduli, "solve_steady_state_many", recording)
     engine = SteadySolveEngine(RUN_CFG)
@@ -803,9 +890,9 @@ def test_engine_solves_equal_jobs_alike_and_warm_starts_the_next_call(
 def test_engine_solver_sees_every_job_and_horizon(monkeypatch):
     calls = []
 
-    def fake_solve(graphs, xs, config, starts=None, probe=False):
+    def fake_solve(graphs, xs, config, starts=None, probe=False, t_max=None):
         calls.append(([(g.key(), np.asarray(x).tobytes())
-                       for g, x in zip(graphs, xs)], config.t_max))
+                       for g, x in zip(graphs, xs)], list(t_max)))
         return [SteadyState(np.asarray(x, dtype=complex)
                             / np.linalg.norm(x), 1.0, 0.0, True, config.gamma)
                 for x in xs]
@@ -818,9 +905,9 @@ def test_engine_solver_sees_every_job_and_horizon(monkeypatch):
     assert len(calls) == 1 and len(out) == 3
     jobs = [(g1.key(), np.asarray(y, dtype=complex).tobytes())
             for y in (x, x * 2, x)]
-    assert calls[0] == (jobs, RUN_CFG.t_max)
+    assert calls[0] == (jobs, [RUN_CFG.t_max] * 3)
     engine.solve_many([(g1, x)], t_max=0.2)
-    assert len(calls) == 2 and calls[-1][1] == 0.2
+    assert len(calls) == 2 and calls[-1][1] == [0.2]
     assert engine.solve_many([]) == []
     assert len(calls) == 2
 
