@@ -777,9 +777,10 @@ def _learn_graph_setup(resolved: dict):
         l2_coeff=1e-11, seed=opt_seed,
         candidate_fraction=task.candidate_fraction, steady=_STEADY_LEARN)
     pairs = truth.n * (truth.n - 1) // 2
-    rows = max(1, math.ceil(config.candidate_fraction * pairs)) * batch
+    # a warm step solves its current rows and its probe rows in one call
+    rows = (math.ceil(config.candidate_fraction * pairs) + 1) * batch
     if rows > _MAX_DRAW:
-        raise ConfigError(f"learn_graph.batch_size: the probe pass would solve "
+        raise ConfigError(f"learn_graph.batch_size: a descent step would solve "
                           f"{rows} rows at once, must be at most {_MAX_DRAW}")
     if task.init is None:
         rng = np.random.default_rng(_JITTER_SEED + seed)

@@ -567,9 +567,9 @@ class SteadyState:
     reason: str | None = None
 
 
-# a row waits for Newton once its projected residual is at most this.
-# At 1e-1 Newton already finishes c4's candidate probes within a 0.2
-# flow-time horizon, which is meant to skip them as too slow.
+# a row waits for Newton once its projected residual is at most this; at
+# 1e-1 Newton would finish rows that a short horizon ends (c4's probe rows
+# at a 0.2 horizon, pinned by a test).
 _NEWTON_HANDOFF = 1e-2
 _NEWTON_MAX_ITER = 8
 # largest distance from the hand-off state a Newton iterate may wander
@@ -832,8 +832,7 @@ def _newton_polish(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
 
 
 def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
-            config: NlseConfig, probe: np.ndarray, t_max: np.ndarray
-            ) -> list[SteadyState]:
+            config: NlseConfig, probe: np.ndarray) -> list[SteadyState]:
     """Lockstep backward-Euler steps (``_bordered_step``) on the bordered
     system from the starts ``psi`` (B, N) to relative equilibria of the flow.
 
@@ -844,19 +843,19 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
     1998).  A row at most ``_NEWTON_HANDOFF`` from rest waits, and whenever no
     continuing row steps, the waiting rows go through one ``_newton_polish``.
     A row gives up continuing when Newton rejects it, its step fails, it has
-    taken ``_PTC_MAX_ITER`` steps or its next delta would overrun its horizon;
+    taken ``_PTC_MAX_ITER`` steps or its next delta would overrun the horizon;
     from where it is it then follows the flow, delta held at ``dt``, and it
     waits for Newton again only once it has left the hand-off band and come
     back.  A following row is accepted when a step takes it from above
     ``steady_tol`` to at most it, and ends at a failed step ("singular"); a
     continuing row flagged in ``probe`` (B,) whose Newton root repels ends at
-    once ("repelled").  The pseudo-time a row steps stays within its horizon
-    in ``t_max`` (B,) ("horizon").  A start at ``steady_tol`` waits, and a
-    non-finite one ends at once ("non_finite").  ``t_reached`` is the
+    once ("repelled").  The pseudo-time a row steps stays within the one
+    horizon ``config.t_max`` ("horizon").  A start at ``steady_tol`` waits,
+    and a non-finite one ends at once ("non_finite").  ``t_reached`` is the
     pseudo-time of the steps a row followed, 0 where continuation ends it.
     No row's result depends on the other rows of the batch.
     """
-    nb, dt, tol = len(psi), config.dt, config.steady_tol
+    nb, dt, tol, cap = len(psi), config.dt, config.steady_tol, config.t_max
     gamma = float(config.gamma)
     psi, pf, res = psi.copy(), np.zeros_like(psi), np.full(nb, np.inf)
     delta, spent = np.full(nb, _PTC_DELTA0), np.zeros(nb)
@@ -879,7 +878,7 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
             live, wait = np.concatenate([live, back]), wait[:0]
         if not live.size:
             break
-        d, cap = delta[live], t_max[live]
+        d = delta[live]
         nxt = spent[live] + d
         if it == _PTC_MAX_ITER or (nxt > cap).any():
             quit = ~follows[live] & ((it == _PTC_MAX_ITER) | (nxt > cap))
@@ -938,8 +937,7 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
                             psi0s: Sequence[np.ndarray],
                             config: NlseConfig,
                             starts: Sequence[np.ndarray] | None = None,
-                            *, probe: bool | Sequence[bool] = False,
-                            t_max: float | Sequence[float] | None = None
+                            *, probe: bool | Sequence[bool] = False
                             ) -> list[SteadyState]:
     """Drive many independent flows to relative equilibria in lockstep.
 
@@ -948,23 +946,18 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
     ``psi0``), which lets callers warm-start perturbed problems.
 
     Every row continues by pseudo-transient continuation, and a row that
-    gives up follows the flow from where it is (``_settle``).  ``probe``
-    flags the probe rows and ``t_max`` gives the horizons (``config.t_max``
-    if None), each one value for every row or one per row.  A probe row
-    whose continuing Newton root repels comes back unconverged at once
+    gives up follows the flow from where it is (``_settle``), and every row
+    runs to the one horizon ``config.t_max``.  ``probe`` flags the probe
+    rows, one value for every row or one per row.  A probe row whose
+    continuing Newton root repels comes back unconverged at once
     ("repelled").  A row comes back bit for bit as it would in any other
     batch.
     """
     nb = len(graphs)
     if nb == 0:
         return []
-    horizon = np.broadcast_to(np.asarray(
-        config.t_max if t_max is None else t_max, dtype=float), (nb,))
-    if not np.all((horizon > 0.0) & (horizon < np.inf)):
-        raise ValueError("t_max must be positive and finite")
     return _settle(*_stack_problems(graphs, psi0s, starts), config,
-                   np.broadcast_to(np.asarray(probe, dtype=bool), (nb,)),
-                   horizon)
+                   np.broadcast_to(np.asarray(probe, dtype=bool), (nb,)))
 
 
 def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,

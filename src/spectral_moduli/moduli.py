@@ -83,7 +83,6 @@ class OptimizerConfig:
     stall_tol: float = 1e-10
     stall_iters: int = 10
     steady: NlseConfig = field(default_factory=lambda: DEFAULT_STEADY)
-    probe_t_max: float | None = None
 
     def __post_init__(self) -> None:
         for name, least in (("iterations", 0), ("batch_size", 1),
@@ -106,8 +105,6 @@ class OptimizerConfig:
             raise ValueError("l1_coeff, l2_coeff, stall_tol must be finite, >= 0")
         if not 0.0 < self.candidate_fraction <= 1.0:
             raise ValueError("candidate_fraction must lie in (0, 1]")
-        if self.probe_t_max is not None and not 0.0 < self.probe_t_max < np.inf:
-            raise ValueError("probe_t_max must be positive and finite")
 
     def step_size_at(self, t: int) -> float:
         if np.isscalar(self.step_size):
@@ -170,10 +167,9 @@ class SteadySolveEngine:
     jobs as one batch, each from the warm start of its input: the last
     converged state of a job that is not a probe row, so never a state of a
     probe graph.  These warm starts make the descent loop's repeated solves
-    cheap.  ``t_max`` and ``probe`` are one value for every job or one per
-    job, and reach the solver as one per row; a None horizon is the
-    engine's own.  A probe row whose Newton root repels fails at once (see
-    ``solve_steady_state_many``).
+    cheap.  Every row runs to the horizon of the engine's ``config``.
+    ``probe`` is one flag for every job or one per job; a probe row whose
+    Newton root repels fails at once (see ``solve_steady_state_many``).
     """
 
     def __init__(self, config: NlseConfig):
@@ -185,20 +181,16 @@ class SteadySolveEngine:
         return all(np.asarray(x).tobytes() in self._warm for x in xs)
 
     def solve_many(self, jobs: Sequence[tuple[WeightedGraph, np.ndarray]],
-                   t_max: float | None | Sequence[float | None] = None, *,
-                   probe: bool | Sequence[bool] = False) -> list[SteadyState]:
+                   *, probe: bool | Sequence[bool] = False
+                   ) -> list[SteadyState]:
         if not jobs:
             return []
-        n = len(jobs)
-        horizons = [self.config.t_max if t is None else t
-                    for t in (t_max if np.ndim(t_max) else [t_max] * n)]
-        probes = np.broadcast_to(np.asarray(probe, dtype=bool), (n,))
+        probes = np.broadcast_to(np.asarray(probe, dtype=bool), (len(jobs),))
         keys = [np.asarray(x).tobytes() for _, x in jobs]
         xs = [np.asarray(x, dtype=complex) for _, x in jobs]
         starts = [self._warm.get(key, x) for key, x in zip(keys, xs)]
         solved = solve_steady_state_many([g for g, _ in jobs], xs, self.config,
-                                         starts=starts, probe=probes,
-                                         t_max=horizons)
+                                         starts=starts, probe=probes)
         for key, st, probed in zip(keys, solved, probes):
             if st.converged and not probed:
                 self._warm[key] = st.psi_inf
@@ -277,8 +269,8 @@ def stochastic_gradient(g: WeightedGraph, batch: Batch,
     For an existing edge the gradient is taken on the current graph; for an
     absent edge ``test_weight`` grafts it in first (the probe used by the
     addition rule; ``probe`` is that graph if the caller has built it), and
-    the probe graph is solved as a probe pass up to ``config.probe_t_max``,
-    unless the caller passes its ``steadies``.  Only ``edge`` is priced.
+    the probe graph is solved as a probe pass, unless the caller passes its
+    ``steadies``.  Only ``edge`` is priced.
     """
     edge = (min(edge), max(edge))
     if edge in g.edge_index():
@@ -296,9 +288,7 @@ def stochastic_gradient(g: WeightedGraph, batch: Batch,
         if engine is None:
             engine = SteadySolveEngine(config.steady)
         jobs = [(probe, x) for x in batch.xs]
-        steadies = (engine.solve_many(jobs) if probe is g
-                    else engine.solve_many(jobs, t_max=config.probe_t_max,
-                                           probe=True))
+        steadies = engine.solve_many(jobs, probe=probe is not g)
     grad, _ = _data_weight_gradients(probe, batch, readout, steadies, [edge])
     return float(grad[0] + config.l2_coeff * probe.weights[k] + config.l1_coeff)
 
@@ -348,10 +338,11 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
 
     All gradients use the same batch and the pre-step weights.  Every probe
     row starts from its input's latest current-graph state: once every input
-    has a warm start, the current graph's rows and the probe rows (flagged,
-    to ``config.probe_t_max``) are solved in one engine call from those warm
-    starts; otherwise the current graph is solved first, the candidates are
-    drawn only then, and the probe pass starts from the fresh states.
+    has a warm start, the current graph's rows and the flagged probe rows
+    are solved in one engine call from those warm starts; otherwise the
+    current graph is solved first, the candidates are drawn only then, and
+    the probe pass starts from the fresh states.  Every row runs to the
+    horizon of the engine's config.
     Candidate probes whose solves fail are skipped (recorded, never added);
     a failure on the current graph aborts the whole step by raising (a warm
     step has drawn its candidates by then, a cold one has not).
@@ -363,10 +354,8 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     jobs, n = [(g, x) for x in xs], len(xs)
     if engine.warm_started(xs):
         candidates, probes, probe_jobs = _probe_jobs(g, xs, config, rng)
-        m = len(probe_jobs)
-        states = engine.solve_many(jobs + probe_jobs,
-                                   t_max=[None] * n + [config.probe_t_max] * m,
-                                   probe=[False] * n + [True] * m)
+        states = engine.solve_many(
+            jobs + probe_jobs, probe=[False] * n + [True] * len(probe_jobs))
         current, solved = states[:n], states[n:]
     else:
         current, solved = engine.solve_many(jobs), None
@@ -381,8 +370,7 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
 
     if solved is None:
         candidates, probes, probe_jobs = _probe_jobs(g, xs, config, rng)
-        solved = engine.solve_many(probe_jobs, t_max=config.probe_t_max,
-                                   probe=True)
+        solved = engine.solve_many(probe_jobs, probe=True)
     test_grads: dict = {}
     added = []
     skipped = []

@@ -232,13 +232,14 @@ def test_allocation_ceilings_are_inclusive():
     with pytest.raises(cli.ConfigError, match="gauge_check.graph.n"):
         cli.resolve_gauge_check(
             {"gauge_check": {"graph": {"n": cli._MAX_VERTICES + 1}}})
-    # c5_noisy probes at most its 10 vertex pairs on every batch input
+    # a c5_noisy step solves at most its 10 vertex pairs and its current
+    # graph on every batch input
     raw = {"learn_graph": {"task": "c5_noisy",
-                           "batch_size": cli._MAX_DRAW // 10}}
+                           "batch_size": cli._MAX_DRAW // 11}}
     config = cli._learn_graph_setup(cli.resolve_learn_graph(raw))[0]
-    assert config.batch_size == cli._MAX_DRAW // 10
+    assert config.batch_size == cli._MAX_DRAW // 11
     raw["learn_graph"]["batch_size"] += 1
-    with pytest.raises(cli.ConfigError, match="probe pass"):
+    with pytest.raises(cli.ConfigError, match="descent step"):
         cli._learn_graph_setup(cli.resolve_learn_graph(raw))
 
 
@@ -1022,6 +1023,14 @@ def test_cli_import_loads_only_numpy():
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['numpy', 'spectral_moduli']"
+
+
+def test_benchmark_selfcheck_passes():
+    # the benchmark's own unit checks: its arithmetic and its wrappers
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    proc = subprocess.run([sys.executable, str(bench / "selfcheck.py")],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_traced_benchmark_binds_to_the_package(tmp_path, monkeypatch):

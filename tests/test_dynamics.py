@@ -1314,7 +1314,7 @@ def mixed_batches(draw):
     within 1e-3 of its repelling root, and 1-3 on random connected graphs,
     each with a random input and a start (the input, or its equilibrium on
     another graph, as a descent step's warm start).  Each problem makes a
-    plain row and a probe row at each of two horizons."""
+    plain row and a probe row."""
     g, psi0, root, rng = draw_saddle(draw)
     n = g.n
     start = root + 1e-3 * unit_state(rng, n)
@@ -1327,8 +1327,8 @@ def mixed_batches(draw):
         warm = draw(st.booleans()) and root.converged
         problems.append((connected_graph(rng, n), psi0,
                          root.psi_inf if warm else psi0))
-    return [problem + (probe, horizon) for problem in problems
-            for probe in (False, True) for horizon in (3.0, 50.0)]
+    return [problem + (probe,) for problem in problems
+            for probe in (False, True)]
 
 
 def same_result(a, b):
@@ -1341,28 +1341,20 @@ def same_result(a, b):
 @given(mixed_batches())
 def test_a_row_does_not_depend_on_the_batch_it_is_solved_in(rows):
     # a descent step solves its current graph's rows and its probe rows in
-    # one batch: each row must come back as a batch of its own kind (one
-    # probe flag, one horizon in the config) returns it, bit for bit
-    graphs, psi0s, starts, probes, horizons = map(list, zip(*rows))
-    cfg = NlseConfig(dt=1e-2, steady_tol=1e-10)
-    mixed = solve_steady_state_many(graphs, psi0s, cfg, starts, probe=probes,
-                                    t_max=horizons)
-    for kind in set(zip(probes, horizons)):
-        own = [i for i, row in enumerate(zip(probes, horizons)) if row == kind]
-        alone = solve_steady_state_many(
-            [graphs[i] for i in own], [psi0s[i] for i in own],
-            NlseConfig(dt=1e-2, steady_tol=1e-10, t_max=kind[1]),
-            [starts[i] for i in own], probe=kind[0])
-        assert all(same_result(mixed[i], out) for i, out in zip(own, alone))
-
-
-@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
-def test_row_horizons_must_be_positive_and_finite(horizon):
-    g = cycle_graph(4)
-    psi0 = unit_state(np.random.default_rng(3), 4)
-    with pytest.raises(ValueError, match="t_max"):
-        solve_steady_state_many([g, g], [psi0, psi0], CFG,
-                                t_max=[5.0, horizon])
+    # one batch: at each horizon, each row must come back as a batch of its
+    # own kind (one probe flag) returns it, bit for bit
+    graphs, psi0s, starts, probes = map(list, zip(*rows))
+    for horizon in (3.0, 50.0):
+        cfg = NlseConfig(dt=1e-2, steady_tol=1e-10, t_max=horizon)
+        mixed = solve_steady_state_many(graphs, psi0s, cfg, starts,
+                                        probe=probes)
+        for kind in (False, True):
+            own = [i for i, probe in enumerate(probes) if probe == kind]
+            alone = solve_steady_state_many(
+                [graphs[i] for i in own], [psi0s[i] for i in own], cfg,
+                [starts[i] for i in own], probe=kind)
+            assert all(same_result(mixed[i], out)
+                       for i, out in zip(own, alone))
 
 
 # -- writers ------------------------------------------------------------------------
@@ -1423,6 +1415,14 @@ def test_integrate_rejects_unknown_system():
 def test_config_rejects_non_finite_fields(field, value):
     # a NaN steady_tol would never converge and run every RK4 step
     with pytest.raises(ValueError, match="finite"):
+        NlseConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["dt", "t_max", "steady_tol", "renorm_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_config_rejects_non_positive_fields(field, value):
+    # the horizon of every steady row is the config's t_max
+    with pytest.raises(ValueError, match="positive"):
         NlseConfig(**{field: value})
 
 

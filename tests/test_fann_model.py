@@ -481,8 +481,7 @@ def test_train_logs_failures_and_continues(c4, monkeypatch):
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
 
-    def never_converges(graphs, xs, config, starts=None, probe=False,
-                        t_max=None):
+    def never_converges(graphs, xs, config, starts=None, probe=False):
         return [SteadyState(psi_inf=np.asarray(x, dtype=complex),
                             t_reached=config.t_max, residual=1.0,
                             converged=False, gamma=config.gamma) for x in xs]

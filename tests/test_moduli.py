@@ -102,11 +102,9 @@ def engine():
     dict(l2_coeff=-1e-3),
     dict(candidate_fraction=0.0),
     dict(candidate_fraction=1.2),
-    dict(probe_t_max=0.0),
     dict(stall_tol=-1e-10),
     *[{field: value} for value in (float("nan"), float("inf"))
-      for field in ("step_size", "l1_coeff", "l2_coeff", "stall_tol",
-                    "probe_t_max")],
+      for field in ("step_size", "l1_coeff", "l2_coeff", "stall_tol")],
     dict(stall_iters=0),
     dict(iterations=2.5),
     dict(batch_size=2.5),
@@ -369,11 +367,11 @@ def test_descent_step_solves_once_per_pass(c4, monkeypatch):
 
     monkeypatch.setattr(engine, "solve_many", counting)
     batch = Batch.from_pairs(sampler.exact() + sampler.exact()[:1])
-    cfg = opt_config(batch_size=5, probe_t_max=500.0)
+    cfg = opt_config(batch_size=5)
     _, events = descent_step(truth.teacher_graph(), batch, cfg,
                              0, readout=readout, engine=engine)
     # one job per sample, repeated input included; C4 has two absent edges
-    assert calls == [(5, (), {}), (2 * 5, (), {"t_max": 500.0, "probe": True})]
+    assert calls == [(5, (), {}), (2 * 5, (), {"probe": True})]
     assert set(events.test_gradients) == {(0, 2), (1, 3)}
     assert events.skipped_candidates == ()
 
@@ -384,7 +382,7 @@ def test_a_warm_step_solves_its_current_and_probe_rows_in_one_call(
     # rows and its probe rows to the engine in one call
     truth, readout, sampler = c4
     batch = Batch.from_pairs(sampler.exact())
-    cfg = opt_config(batch_size=4, probe_t_max=500.0, step_size=15873.0)
+    cfg = opt_config(batch_size=4, step_size=15873.0)
     init = build_graph(4, [(u, v, 1.03 * w) for (u, v), w in
                            zip(truth.e_true, truth.teacher_weights)]
                        + [(0, 2, 0.06)])
@@ -407,10 +405,9 @@ def test_a_warm_step_solves_its_current_and_probe_rows_in_one_call(
     monkeypatch.setattr(moduli, "solve_steady_state_many", recorded_solve)
     g, first = descent_step(init, batch, cfg, 0, readout=readout, engine=engine)
     assert first.pruned == ((0, 2),) and g.edges == truth.e_true
-    assert calls == [(4, (), {}), (4, (), {"t_max": 500.0, "probe": True})]
+    assert calls == [(4, (), {}), (4, (), {"probe": True})]
     _, events = descent_step(g, batch, cfg, 1, readout=readout, engine=engine)
-    assert calls[2:] == [(4 + 8, (), {"t_max": [None] * 4 + [500.0] * 8,
-                                      "probe": [False] * 4 + [True] * 8})]
+    assert calls[2:] == [(4 + 8, (), {"probe": [False] * 4 + [True] * 8})]
     # every row starts from its input's state on the last current graph:
     # the first step's probe pass moved no warm start
     assert all(np.array_equal(start, outs[0][k % 4].psi_inf)
@@ -462,7 +459,7 @@ def test_descent_step_reads_no_spectrum_and_grafts_each_probe_once(
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     monkeypatch.setattr(WeightedGraph, "with_edge", counted_with_edge)
     batch = Batch.from_pairs(sampler.exact())
-    cfg = opt_config(batch_size=4, probe_t_max=500.0)
+    cfg = opt_config(batch_size=4)
     _, events = descent_step(truth.teacher_graph(), batch, cfg, 0,
                              readout=readout, engine=SteadySolveEngine(RUN_CFG))
     assert spectra == []
@@ -504,7 +501,7 @@ def test_repelled_probe_rows_fail_without_the_flow_path(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_bordered_step", recorded_step)
     monkeypatch.setattr(engine, "solve_many", recorded)
-    cfg = opt_config(batch_size=2, step_size=1e-3, probe_t_max=20.0)
+    cfg = opt_config(batch_size=2, step_size=1e-3)
     _, events = descent_step(g, batch, cfg, 0, readout=readout, engine=engine)
     # no row took a step that follows the flow
     assert inv_deltas
@@ -516,6 +513,7 @@ def test_repelled_probe_rows_fail_without_the_flow_path(monkeypatch):
                st.t_reached == 0.0 for st in probes)
     assert set(events.skipped_candidates) == {(0, 2), (0, 3), (1, 2), (1, 3)}
     assert all(np.isnan(v) for v in events.test_gradients.values())
+    assert events.added == ()
     # a skipped probe says why
     with pytest.raises(LossEvaluationError, match="sample 0 \\(repelled: "):
         moduli._batch_predictions(batch, readout, probes[:2])
@@ -531,7 +529,7 @@ def test_a_plain_solve_still_finishes_repelled_rows_on_the_flow_path():
     short = dataclasses.replace(RUN_CFG, t_max=20.0)
     plain = solve_steady_state_many([probe] * 2, list(batch.xs), short,
                                     [st.psi_inf for st in warm])
-    probed = engine.solve_many(jobs, t_max=20.0, probe=True)
+    probed = engine.solve_many(jobs, probe=True)
     assert [st.reason for st in probed] == ["repelled"] * 2
     assert all(st.reason != "repelled" and st.t_reached > 0.0
                for st in plain)
@@ -701,8 +699,7 @@ def test_run_stalls_early_on_flat_landscape(c3):
     assert point.edges == truth.e_true
 
 
-def never_converges(graphs, xs, config, starts=None, probe=False,
-                    t_max=None):
+def never_converges(graphs, xs, config, starts=None, probe=False):
     return [SteadyState(psi_inf=np.asarray(x, dtype=complex),
                         t_reached=config.t_max, residual=1.0,
                         converged=False, gamma=config.gamma) for x in xs]
@@ -744,35 +741,27 @@ def test_only_a_warm_step_that_fails_has_drawn_its_candidates(c4, monkeypatch):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_probe_horizon_skips_slow_candidates(c4):
-    truth, readout, sampler = c4
-    w = dict(zip(truth.e_true, truth.teacher_weights))
-    init = truth.teacher_graph()
-    # a probe horizon far too short for any candidate solve to converge
-    cfg = opt_config(iterations=1, probe_t_max=0.2, batch_size=4)
-    engine = SteadySolveEngine(RUN_CFG)
-    point, log, _ = run(cfg, sampler.exact_sampler(), init, readout=readout,
-                        engine=engine)
-    ev = log.records[0].events
-    assert ev is not None
-    assert set(ev.skipped_candidates) == {(0, 2), (1, 3)}
-    assert all(np.isnan(g) for g in ev.test_gradients.values())
-    assert log.records[0].added == ()
-    assert point.edges == truth.e_true
-    # a lone probe gradient keeps the horizon too, on a fresh engine as on
-    # the one the step filled
+def test_the_newton_hand_off_leaves_short_probe_solves_to_the_horizon(
+        c4, monkeypatch):
+    # c4's probe rows, from the current graph's states, at a 0.2 horizon:
+    # continuation leaves a row of each candidate outside the hand-off
+    # band, so the row ends "horizon"; at a band of 1e-1 Newton would
+    # finish every row at once
+    truth, _, sampler = c4
     batch = Batch.from_pairs(sampler.exact())
-    for eng in (SteadySolveEngine(RUN_CFG), engine):
-        with pytest.raises(LossEvaluationError):
-            stochastic_gradient(init, batch, (0, 2), test_weight=0.05,
-                                readout=readout, config=cfg, engine=eng)
-    # a full-horizon solve of a probe graph does not read the short probe
-    # solve from the cache
-    probe = init.with_edge((0, 2), 0.05)
-    shared = regularized_loss(probe, batch, readout, cfg, engine=engine)
-    fresh = regularized_loss(probe, batch, readout, cfg,
-                             engine=SteadySolveEngine(RUN_CFG))
-    assert shared.data == pytest.approx(fresh.data, rel=1e-6)
+    g = truth.teacher_graph()
+    warm = SteadySolveEngine(RUN_CFG).solve_many([(g, x) for x in batch.xs])
+    probes = [g.with_edge(e, 0.05) for e in ((0, 2), (1, 3))]
+    args = ([pg for pg in probes for _ in batch.xs], list(batch.xs) * 2,
+            dataclasses.replace(RUN_CFG, t_max=0.2),
+            [st.psi_inf for st in warm] * 2)
+    out = solve_steady_state_many(*args, probe=True)
+    assert all(st.converged or st.reason == "horizon" for st in out)
+    assert all(any(st.reason == "horizon" for st in out[k:k + 4])
+               for k in (0, 4))
+    monkeypatch.setattr(dynamics, "_NEWTON_HANDOFF", 1e-1)
+    assert all(st.converged for st in solve_steady_state_many(*args,
+                                                              probe=True))
 
 
 def test_subset_start_recovers_missing_edge(c3):
@@ -860,10 +849,10 @@ def test_engine_solves_equal_jobs_alike_and_warm_starts_the_next_call(
         monkeypatch):
     calls = []
 
-    def recording(graphs, xs, config, starts=None, probe=False, t_max=None):
+    def recording(graphs, xs, config, starts=None, probe=False):
         calls.append([np.array(s) for s in starts])
         return solve_steady_state_many(graphs, xs, config, starts=starts,
-                                       probe=probe, t_max=t_max)
+                                       probe=probe)
 
     monkeypatch.setattr(moduli, "solve_steady_state_many", recording)
     engine = SteadySolveEngine(RUN_CFG)
@@ -890,9 +879,9 @@ def test_engine_solves_equal_jobs_alike_and_warm_starts_the_next_call(
 def test_engine_solver_sees_every_job_and_horizon(monkeypatch):
     calls = []
 
-    def fake_solve(graphs, xs, config, starts=None, probe=False, t_max=None):
+    def fake_solve(graphs, xs, config, starts=None, probe=False):
         calls.append(([(g.key(), np.asarray(x).tobytes())
-                       for g, x in zip(graphs, xs)], list(t_max)))
+                       for g, x in zip(graphs, xs)], config.t_max))
         return [SteadyState(np.asarray(x, dtype=complex)
                             / np.linalg.norm(x), 1.0, 0.0, True, config.gamma)
                 for x in xs]
@@ -905,33 +894,19 @@ def test_engine_solver_sees_every_job_and_horizon(monkeypatch):
     assert len(calls) == 1 and len(out) == 3
     jobs = [(g1.key(), np.asarray(y, dtype=complex).tobytes())
             for y in (x, x * 2, x)]
-    assert calls[0] == (jobs, [RUN_CFG.t_max] * 3)
-    engine.solve_many([(g1, x)], t_max=0.2)
-    assert len(calls) == 2 and calls[-1][1] == [0.2]
+    assert calls[0] == (jobs, RUN_CFG.t_max)
+    # every row runs to the horizon of the engine's config
+    SteadySolveEngine(dataclasses.replace(RUN_CFG, t_max=0.2)).solve_many(
+        [(g1, x)])
+    assert len(calls) == 2 and calls[-1][1] == 0.2
     assert engine.solve_many([]) == []
     assert len(calls) == 2
 
 
-def test_engine_own_horizon_named_explicitly_runs_continuation():
-    # under its own horizon named explicitly, the engine returns the
-    # continuation result a solve without t_max returns
-    g = build_graph(4, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 3, 1.0)])
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=4) + 1j * rng.normal(size=4)
-    x /= np.linalg.norm(x)
-    engine = SteadySolveEngine(RUN_CFG)
-    named = engine.solve_many([(g, x)], t_max=RUN_CFG.t_max)[0]
-    assert named.converged and named.t_reached == 0.0
-    assert np.array_equal(engine.solve_many([(g, x)])[0].psi_inf,
-                          named.psi_inf)
-    assert np.array_equal(
-        SteadySolveEngine(RUN_CFG).solve_many([(g, x)])[0].psi_inf,
-        named.psi_inf)
-
-
 def test_engine_explicit_horizon_runs_continuation():
-    # a cold start above the Newton hand-off: under an explicit horizon the
-    # engine returns continuation's state, with no flow time spent
+    # a cold start above the Newton hand-off: under a short horizon in its
+    # config the engine returns continuation's state, with no flow time
+    # spent, the state it returns at a long horizon
     g = build_graph(4, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 3, 1.0)])
     rng = np.random.default_rng(5)
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -940,9 +915,15 @@ def test_engine_explicit_horizon_runs_continuation():
         g.coupling_laplacian()[None], (np.abs(x) ** 2)[None], x[None],
         RUN_CFG.gamma)).max(axis=1)[0]
     assert start_res > dynamics._NEWTON_HANDOFF
-    probe = SteadySolveEngine(RUN_CFG).solve_many([(g, x)], t_max=20.0)[0]
-    # the flow path would have spent RK4 time to reach the hand-off
+    engine = SteadySolveEngine(dataclasses.replace(RUN_CFG, t_max=20.0))
+    probe = engine.solve_many([(g, x)])[0]
     assert probe.converged and probe.t_reached == 0.0
+    full = SteadySolveEngine(RUN_CFG).solve_many([(g, x)])[0]
+    assert full.converged and full.t_reached == 0.0
+    assert np.array_equal(full.psi_inf, probe.psi_inf)
+    # solved again from that state as its warm start, it comes back as it is
+    assert np.array_equal(engine.solve_many([(g, x)])[0].psi_inf,
+                          probe.psi_inf)
 
 
 @st.composite
@@ -966,9 +947,9 @@ def test_engine_results_equal_direct_solves(case):
     g, xs = case
     cfg = NlseConfig(dt=5e-2, steady_tol=1e-10, t_max=3000.0)
     jobs = [(g, x) for x in xs]
-    full = SteadySolveEngine(cfg).solve_many(jobs)
-    probe = SteadySolveEngine(cfg).solve_many(jobs, t_max=20.0)
     short = dataclasses.replace(cfg, t_max=20.0)
+    full = SteadySolveEngine(cfg).solve_many(jobs)
+    probe = SteadySolveEngine(short).solve_many(jobs)
     for x, got, got_probe in zip(xs, full, probe):
         # at its own horizon the engine finds the state a row finds that
         # follows the flow from its start
@@ -978,7 +959,7 @@ def test_engine_results_equal_direct_solves(case):
         assert np.abs(gauge_align(got.psi_inf, flow.psi_inf)
                       - flow.psi_inf).max() <= 1e-7
         assert np.array_equal(got.psi_inf, solve_steady_state(g, x, cfg).psi_inf)
-        # under an explicit horizon it solves as a direct call at that horizon
+        # under a short horizon it solves as a direct call at that horizon
         direct = solve_steady_state_many([g], [x], short)[0]
         assert np.array_equal(got_probe.psi_inf, direct.psi_inf)
         assert (got_probe.t_reached, got_probe.residual, got_probe.converged) \
