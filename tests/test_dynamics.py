@@ -1357,6 +1357,17 @@ def test_a_row_does_not_depend_on_the_batch_it_is_solved_in(rows):
                        for i, out in zip(own, alone))
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+def test_row_horizons_must_be_positive_and_finite(horizon):
+    # every row runs to its config's t_max, so a bad horizon is refused
+    # before any row is solved
+    g = cycle_graph(4)
+    psi0 = unit_state(np.random.default_rng(3), 4)
+    with pytest.raises(ValueError, match="t_max"):
+        solve_steady_state_many([g, g], [psi0, psi0],
+                                NlseConfig(t_max=horizon))
+
+
 # -- writers ------------------------------------------------------------------------
 
 

@@ -921,9 +921,25 @@ def test_engine_explicit_horizon_runs_continuation():
     full = SteadySolveEngine(RUN_CFG).solve_many([(g, x)])[0]
     assert full.converged and full.t_reached == 0.0
     assert np.array_equal(full.psi_inf, probe.psi_inf)
+
+
+def test_engine_own_horizon_named_explicitly_runs_continuation():
+    # under its own horizon named explicitly in its config, the engine
+    # returns the continuation result the engine of the plain config returns
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (0, 3, 1.0)])
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=4) + 1j * rng.normal(size=4)
+    x /= np.linalg.norm(x)
+    engine = SteadySolveEngine(dataclasses.replace(RUN_CFG,
+                                                   t_max=RUN_CFG.t_max))
+    named = engine.solve_many([(g, x)])[0]
+    assert named.converged and named.t_reached == 0.0
     # solved again from that state as its warm start, it comes back as it is
     assert np.array_equal(engine.solve_many([(g, x)])[0].psi_inf,
-                          probe.psi_inf)
+                          named.psi_inf)
+    assert np.array_equal(
+        SteadySolveEngine(RUN_CFG).solve_many([(g, x)])[0].psi_inf,
+        named.psi_inf)
 
 
 @st.composite
