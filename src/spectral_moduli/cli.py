@@ -482,9 +482,6 @@ def _nlse_config(dyn: dict) -> NlseConfig:
 
 # -- resolvers -------------------------------------------------------------------
 
-_SECTION_NAMES = ("simulate", "gauge_check", "learn_graph", "train", "report")
-
-
 def _resolve_top(raw: dict, command_section: str) -> tuple[dict, _Section]:
     top = _Section(raw, "")
     resolved = {
@@ -492,7 +489,7 @@ def _resolve_top(raw: dict, command_section: str) -> tuple[dict, _Section]:
         "output_dir": top.take("output_dir", "out", _as_str()),
     }
     body = top.section(command_section)
-    for other in _SECTION_NAMES:
+    for other, _, _ in _COMMANDS.values():
         if other != command_section:
             top.discard(other)
     top.finish()
@@ -775,7 +772,7 @@ def _learn_graph_setup(resolved: dict):
         prune_threshold=0.05, add_threshold=task.add_threshold,
         step_size=task.step_size, batch_size=batch, l1_coeff=1e-11,
         l2_coeff=1e-11, seed=opt_seed,
-        candidate_fraction=task.candidate_fraction, steady=_STEADY_LEARN)
+        candidate_fraction=task.candidate_fraction)
     pairs = truth.n * (truth.n - 1) // 2
     # a warm step solves its current rows and its probe rows in one call
     rows = (math.ceil(config.candidate_fraction * pairs) + 1) * batch
@@ -812,7 +809,8 @@ def _distortion_checkpoints(log, config, truth) -> list[dict]:
 
 def _run_learn_graph(resolved: dict, meta: dict) -> int:
     config, sampler, init, readout, truth = _learn_graph_setup(resolved)
-    g, log, history = run(config, sampler, init, readout=readout)
+    g, log, history = run(config, sampler, init, readout=readout,
+                          engine=SteadySolveEngine(_STEADY_LEARN))
 
     out = resolved["output_dir"]
     strata_path = os.path.join(out, "strata.jsonl")
@@ -892,7 +890,7 @@ def _train_config(phase: dict, batch: int, seed: int) -> fm.TrainConfig:
     moduli = OptimizerConfig(
         prune_threshold=0.05, add_threshold=1e-5,
         step_size=phase["step_size"], batch_size=batch, l1_coeff=1e-11,
-        l2_coeff=1e-11, seed=seed, candidate_fraction=0.5, steady=_TRAIN_FAST)
+        l2_coeff=1e-11, seed=seed, candidate_fraction=0.5)
     return fm.TrainConfig(epochs=phase["epochs"], lr_params=phase["lr"],
                           moduli_config=moduli, seed=seed)
 
@@ -919,8 +917,7 @@ def _run_train(resolved: dict, meta: dict) -> int:
     truth, g, bumps, teacher = _train_teacher_setup()
     # one labeler on one teacher engine for every stream of the run
     label = functools.partial(fm.model_teacher_sampler, teacher, g,
-                              _STEADY_LEARN,
-                              engine=SteadySolveEngine(_STEADY_LEARN))
+                              SteadySolveEngine(_STEADY_LEARN))
     stream = functools.partial(fm.noisy_input_stream, bumps,
                                sec["noise_delta"])
     data = label(stream(seed=1000 + seed))
@@ -968,7 +965,7 @@ def _run_train(resolved: dict, meta: dict) -> int:
         test_pairs = label(stream(seed=heldout_seed))(max(sizes))
         split = len(train_pairs)
         model = fm.loss_samples(params, g, train_pairs + test_pairs,
-                                _TRAIN_FAST)
+                                SteadySolveEngine(_TRAIN_FAST))
         baseline = [fm.baseline_loss_sample(baseline_params, x, y)
                     for x, y in train_pairs + test_pairs]
         _dump_json(os.path.join(out, "gap_report.json"), {

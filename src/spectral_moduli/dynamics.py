@@ -491,13 +491,13 @@ def _rk4_blocks(step: Callable, y: np.ndarray, dt: float,
 
 
 def integrate(rhs: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-              config: NlseConfig, *, system: str = "nlse",
+              config: NlseConfig, *, system: str,
               t_final: float | None = None) -> TrajectoryRecord:
     """Classical fixed-step RK4 with post-step renormalization.
 
-    Renormalization policy: the complex flow is rescaled to unit norm,
-    spin systems are rescaled per spin, the real diffusion flow is left
-    untouched.  A rescale only happens when the drift exceeds
+    Renormalization policy, by ``system``: the complex flow is rescaled to
+    unit norm, spin systems are rescaled per spin, the real diffusion flow
+    is left untouched.  A rescale only happens when the drift exceeds
     ``config.renorm_tol``; drift magnitudes are tracked so tests can verify
     the O(dt^5) single-step bound.
     """

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import NlseConfig, SteadyState
+from .dynamics import SteadyState
 from .graph_core import (GraphError, WeightedGraph, graph_from_dict,
                          graph_to_dict)
 from .moduli import (Batch, LossEvaluationError, OptimizerConfig,
@@ -322,34 +322,27 @@ def _core_loss(params: ModelParams, core, y) -> float:
     return float(abs(readout_value(params, _checked(core).psi_inf) - y) ** 2)
 
 
-def forward(params: ModelParams, g: WeightedGraph, x, config: NlseConfig,
-            *, engine: SteadySolveEngine | None = None):
+def forward(params: ModelParams, g: WeightedGraph, x,
+            engine: SteadySolveEngine):
     """Full pass: input layer, steady-state core, output layer.
 
-    Returns ``(y_hat, psi_inf)``.  Without an engine the core is solved by
-    a fresh engine on ``config``; with one, the engine's config and warm
-    starts govern the solve.
+    Returns ``(y_hat, psi_inf)``; ``engine`` solves the core, from its warm
+    start of the input if it has one.
     """
-    if engine is None:
-        engine = SteadySolveEngine(config)
     st = _checked(_core_pass(params, g, [x], engine)[0])
     return readout_value(params, st.psi_inf), st.psi_inf
 
 
 def loss_sample(params: ModelParams, g: WeightedGraph, x, y,
-                config: NlseConfig, *,
-                engine: SteadySolveEngine | None = None) -> float:
+                engine: SteadySolveEngine) -> float:
     """Squared modulus of the prediction error for one sample."""
-    return loss_samples(params, g, [(x, y)], config, engine=engine)[0]
+    return loss_samples(params, g, [(x, y)], engine)[0]
 
 
 def loss_samples(params: ModelParams, g: WeightedGraph, pairs,
-                 config: NlseConfig, *,
-                 engine: SteadySolveEngine | None = None) -> list[float]:
-    """Squared prediction errors of many samples, whose cores are solved in
-    one engine call; raises the failure of the first sample that fails."""
-    if engine is None:
-        engine = SteadySolveEngine(config)
+                 engine: SteadySolveEngine) -> list[float]:
+    """Squared prediction errors of many samples, whose cores ``engine``
+    solves in one call; raises the failure of the first sample that fails."""
     cores = _core_pass(params, g, [x for x, _ in pairs], engine)
     return [_core_loss(params, core, y) for core, (_, y) in zip(cores, pairs)]
 
@@ -388,20 +381,14 @@ def _input_chain(activation1: str, x, g_state: np.ndarray, pre: np.ndarray,
 
 
 def param_gradients(params: ModelParams, g: WeightedGraph, x, y,
-                    config: NlseConfig, *,
-                    engine: SteadySolveEngine | None = None,
-                    state: SteadyState | None = None) -> ParamGradients:
-    """Loss gradients in (a1, b1, a3, b3) for one sample.
+                    state: SteadyState) -> ParamGradients:
+    """Loss gradients in (a1, b1, a3, b3) for one sample at its solved core
+    state ``state``.
 
     The core is differentiated implicitly: the output-layer cotangent is
     priced into the frozen potential by one adjoint solve, and the potential
-    channel ``|psi0|^2`` carries it back to the input layer.  ``state`` is
-    the sample's core state if the caller solved it already.
+    channel ``|psi0|^2`` carries it back to the input layer.
     """
-    if state is None:
-        if engine is None:
-            engine = SteadySolveEngine(config)
-        state = _checked(_core_pass(params, g, [x], engine)[0])
     x, pre, s, nrm = _input_layer(params, x)
     psi0 = s / nrm
     y_hat = readout_value(params, state.psi_inf)
@@ -577,8 +564,8 @@ def _phase_batches(sampler, config: TrainConfig) -> list[list]:
 
 
 def train(sampler, config: TrainConfig, params: ModelParams,
-          g: WeightedGraph, *, heldout: Sequence | None = None,
-          engine: SteadySolveEngine | None = None):
+          g: WeightedGraph, *, engine: SteadySolveEngine,
+          heldout: Sequence | None = None):
     """Interleaved training loop of the model ``params`` on the graph ``g``.
 
     The phase draws all its mini-batches of ``moduli_config.batch_size``
@@ -587,13 +574,11 @@ def train(sampler, config: TrainConfig, params: ModelParams,
     the batches that one call per epoch would.  Each epoch takes a
     projected batch-mean SGD step on the dense parameters along its batch,
     then one graph descent step with the updated output layer as readout.
-    The SGD step and the heldout loss each solve their cores in one engine
-    call.  Per-step failures are recorded on the epoch and training
-    continues.  Returns ``(params, graph, history)``; with ``epochs == 0``
+    The SGD step and the heldout loss each solve their cores in one
+    ``engine`` call, and the graph step solves with it too.  Per-step
+    failures are recorded on the epoch and training continues.  Returns ``(params, graph, history)``; with ``epochs == 0``
     the inputs pass through untouched and the sampler is not called.
     """
-    if engine is None:
-        engine = SteadySolveEngine(config.moduli_config.steady)
     rng = np.random.default_rng(config.seed)
     history: list[EpochRecord] = []
     for epoch, pairs in enumerate(_phase_batches(sampler, config)):
@@ -601,8 +586,8 @@ def train(sampler, config: TrainConfig, params: ModelParams,
 
         cores = _core_pass(params, g, [x for x, _ in pairs], engine)
         params = _sgd_step(params, _per_sample(
-            lambda k: param_gradients(params, g, *pairs[k], engine.config,
-                                      state=_checked(cores[k])),
+            lambda k: param_gradients(params, g, *pairs[k],
+                                      _checked(cores[k])),
             len(pairs), "param gradient, sample", failures), config)
 
         train_loss = float("nan")
@@ -676,21 +661,22 @@ def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
 
     The phase draws all its mini-batches in one ``sampler`` call, as in
     ``train``.  Losses are recorded after each epoch's update on that
-    epoch's batch.
+    epoch's batch, over the samples that do not fail (NaN if none).
     """
     history: list[BaselineEpochRecord] = []
     for epoch, pairs in enumerate(_phase_batches(sampler, config)):
         params = _sgd_step(params, _per_sample(
             lambda k: baseline_gradients(params, *pairs[k]), len(pairs),
             "param gradient, sample", []), config)
-        losses = [baseline_loss_sample(params, x, y) for x, y in pairs]
+        losses = _per_sample(lambda k: baseline_loss_sample(params, *pairs[k]),
+                             len(pairs), "train sample", [])
+        train_loss = float(np.mean(losses)) if losses else float("nan")
         test_loss = float("nan")
         if heldout is not None:
             test_loss = _mean(_per_sample(
                 lambda k: baseline_loss_sample(params, *heldout[k]),
                 len(heldout), "heldout sample", []))
-        history.append(BaselineEpochRecord(
-            epoch, float(np.mean(losses)), test_loss))
+        history.append(BaselineEpochRecord(epoch, train_loss, test_loss))
     return params, history
 
 
@@ -735,20 +721,16 @@ def generalization_gap(train_losses: Sequence[float],
 
 
 def model_teacher_sampler(params: ModelParams, g: WeightedGraph,
-                          config: NlseConfig, base_sampler, *,
-                          engine: SteadySolveEngine | None = None):
+                          engine: SteadySolveEngine, base_sampler):
     """Wrap an input stream, replacing targets with this model's outputs.
 
     The wrapped model acts as the data-generating teacher, so the task is
     realizable exactly by construction.  One draw labels all its inputs in
-    one engine call, and each label is a function of its input alone:
+    one ``engine`` call, and each label is a function of its input alone:
     each input is solved from its own start, its last converged state
     across calls, so one draw of ``k * b`` pairs equals ``k`` draws of
     ``b``.
     """
-    if engine is None:
-        engine = SteadySolveEngine(config)
-
     def draw(batch_size: int):
         xs = [x for x, _ in base_sampler(batch_size)]
         cores = _core_pass(params, g, xs, engine)

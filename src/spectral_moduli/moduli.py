@@ -55,9 +55,6 @@ class LossEvaluationError(RuntimeError):
     """A steady-state solve inside a loss/gradient evaluation failed."""
 
 
-DEFAULT_STEADY = NlseConfig(dt=2e-2, steady_tol=1e-9, t_max=2000.0)
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Hyper-parameters of the graph descent loop.
@@ -82,7 +79,6 @@ class OptimizerConfig:
     candidate_fraction: float = 1.0
     stall_tol: float = 1e-10
     stall_iters: int = 10
-    steady: NlseConfig = field(default_factory=lambda: DEFAULT_STEADY)
 
     def __post_init__(self) -> None:
         for name, least in (("iterations", 0), ("batch_size", 1),
@@ -221,10 +217,9 @@ def _regularizer(weights: np.ndarray, config: OptimizerConfig
 
 def regularized_loss(g: WeightedGraph, batch: Batch, readout,
                      config: OptimizerConfig,
-                     engine: SteadySolveEngine | None = None) -> LossBreakdown:
-    """Mean squared readout error plus L2/L1 weight penalties."""
-    if engine is None:
-        engine = SteadySolveEngine(config.steady)
+                     engine: SteadySolveEngine) -> LossBreakdown:
+    """Mean squared readout error plus L2/L1 weight penalties, at the
+    states ``engine`` solves."""
     steadies = engine.solve_many([(g, x) for x in batch.xs])
     _, data = _batch_predictions(batch, readout, steadies)
     l2, l1 = _regularizer(g.weights, config)
@@ -269,8 +264,9 @@ def stochastic_gradient(g: WeightedGraph, batch: Batch,
     For an existing edge the gradient is taken on the current graph; for an
     absent edge ``test_weight`` grafts it in first (the probe used by the
     addition rule; ``probe`` is that graph if the caller has built it), and
-    the probe graph is solved as a probe pass, unless the caller passes its
-    ``steadies``.  Only ``edge`` is priced.
+    the graph priced is solved by ``engine`` (as a probe pass for a probe
+    graph), unless the caller passes its ``steadies``.  Only ``edge`` is
+    priced.
     """
     edge = (min(edge), max(edge))
     if edge in g.edge_index():
@@ -286,7 +282,7 @@ def stochastic_gradient(g: WeightedGraph, batch: Batch,
         raise ValueError(f"probe must carry edge {edge} at {test_weight}")
     if steadies is None:
         if engine is None:
-            engine = SteadySolveEngine(config.steady)
+            raise ValueError("stochastic_gradient needs an engine or steadies")
         jobs = [(probe, x) for x in batch.xs]
         steadies = engine.solve_many(jobs, probe=probe is not g)
     grad, _ = _data_weight_gradients(probe, batch, readout, steadies, [edge])
@@ -330,8 +326,7 @@ def _probe_jobs(g: WeightedGraph, xs: Sequence[np.ndarray],
 
 
 def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
-                 t: int, *, readout,
-                 engine: SteadySolveEngine | None = None,
+                 t: int, *, readout, engine: SteadySolveEngine,
                  rng: np.random.Generator | None = None
                  ) -> tuple[WeightedGraph, StepEvents]:
     """One simultaneous update: weight SGD, candidate tests, prune.
@@ -347,8 +342,6 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     a failure on the current graph aborts the whole step by raising (a warm
     step has drawn its candidates by then, a cold one has not).
     """
-    if engine is None:
-        engine = SteadySolveEngine(config.steady)
     theta = config.prune_threshold
     xs = batch.xs
     jobs, n = [(g, x) for x in xs], len(xs)
@@ -445,9 +438,10 @@ def write_strata_jsonl(log: StrataLog, path) -> None:
 
 
 def run(config: OptimizerConfig, sampler, initial, *, readout,
-        engine: SteadySolveEngine | None = None
+        engine: SteadySolveEngine
         ) -> tuple[WeightedGraph, StrataLog, list[float]]:
-    """Full descent loop with strata instrumentation.
+    """Full descent loop with strata instrumentation; ``engine`` solves
+    every step and carries the warm starts from step to step.
 
     ``initial`` is the starting graph, or a vertex count (``random_point``'s
     edge-probability policy).  The loop stops early once the edge set and
@@ -462,8 +456,6 @@ def run(config: OptimizerConfig, sampler, initial, *, readout,
         g = initial
     else:
         raise TypeError("initial must be a graph or a vertex count")
-    if engine is None:
-        engine = SteadySolveEngine(config.steady)
 
     log = StrataLog()
     log.visit(g.edges, 0)

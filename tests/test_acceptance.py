@@ -206,8 +206,7 @@ def test_criterion_07_add_prune_sign_margins(c4_teacher):
     batch = Batch.from_pairs(sampler(256))
     probe_config = OptimizerConfig(
         iterations=1, prune_threshold=0.05, add_threshold=theta,
-        step_size=1.0, batch_size=256, l1_coeff=1e-11, l2_coeff=1e-11,
-        steady=config)
+        step_size=1.0, batch_size=256, l1_coeff=1e-11, l2_coeff=1e-11)
     engine = SteadySolveEngine(config)
     for edge in truth.e_true:
         sub = build_graph(
@@ -236,10 +235,10 @@ def test_criterion_07_add_prune_sign_margins(c4_teacher):
         run_config = OptimizerConfig(
             iterations=len(eta), prune_threshold=0.05, add_threshold=theta,
             step_size=eta, batch_size=truth.n, l1_coeff=1e-11,
-            l2_coeff=1e-11, seed=seed, candidate_fraction=0.5, steady=config)
+            l2_coeff=1e-11, seed=seed, candidate_fraction=0.5)
         point, log, _ = run(run_config, exact,
                             build_graph(truth.n, triples),
-                            readout=readout)
+                            readout=readout, engine=SteadySolveEngine(config))
         added = [e for r in log.records for e in r.added]
         true_prunes = [(e, r.t) for r in log.records for e in r.pruned
                        if e in truth.e_true]
@@ -290,7 +289,7 @@ def fd_param_gradient(params, point, x, y, config, field, idx, h=1e-5):
             arr = np.array(getattr(params, field), copy=True)
             arr[idx] += delta
             p = dataclasses.replace(params, **{field: arr})
-        return fm.loss_sample(p, point, x, y, config)
+        return fm.loss_sample(p, point, x, y, SteadySolveEngine(config))
 
     real = (loss_at(h) - loss_at(-h)) / (2 * h)
     imag = (loss_at(1j * h) - loss_at(-1j * h)) / (2 * h)
@@ -305,7 +304,9 @@ def test_criterion_09_model_correctness_and_gap_report(cli_task):
     point = truth.teacher_graph()
     params = fm.random_params(4, 4, seed=12)
     x, y = unit_state(4, seed=3), 0.25
-    grads = fm.param_gradients(params, point, x, y, config)
+    (core,) = SteadySolveEngine(config).solve_many(
+        [(point, fm.input_state(params, x))])
+    grads = fm.param_gradients(params, point, x, y, core)
     checks = [("b3", None, grads.b3), ("a3", (1,), grads.a3[1]),
               ("b1", (2,), grads.b1[2]), ("a1", (0, 1), grads.a1[0, 1])]
     for field, idx, got in checks:

@@ -1,5 +1,6 @@
 """Driver tests: config validation, exit codes, output formats, reruns."""
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -1067,3 +1068,37 @@ def test_traced_benchmark_binds_to_the_package(tmp_path, monkeypatch):
                  "moduli.descent_step.calls",
                  "fann_model.param_gradients.calls"):
         assert metrics[name] > 0, name
+
+
+def engine_constructions(tree: ast.AST, scope: str = "") -> list[str]:
+    """Qualified names of the scopes in ``tree`` that call
+    ``SteadySolveEngine(...)``, once per call; "" for module level."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found += engine_constructions(
+                node, f"{scope}.{node.name}" if scope else node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "SteadySolveEngine":
+                found.append(scope)
+        found += engine_constructions(node, scope)
+    return found
+
+
+def test_engines_are_built_only_by_the_cli_and_the_teacher_sampler():
+    # every solving function is handed its engine: a hidden engine built
+    # from a config would carry a second copy of the steady settings
+    package = Path(spectral_moduli.__file__).resolve().parent
+    builders = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        builders |= {(path.name, scope)
+                     for scope in engine_constructions(tree)}
+    assert {b for b in builders if b[0] != "cli.py"} == {
+        ("topo_metric.py", "TeacherSampler.__init__")}
+    assert ("cli.py", "_run_train") in builders
+    assert ("cli.py", "_run_learn_graph") in builders

@@ -385,7 +385,8 @@ def test_ll_rhs_induced_rejects_the_south_pole():
 def test_integrate_single_vertex_unit_modulus():
     g = single_vertex_graph()
     psi0 = np.array([1.0 + 0j])
-    rec = integrate(make_rhs(g, psi0, CFG, "nlse"), psi0, CFG, t_final=1.0)
+    rec = integrate(make_rhs(g, psi0, CFG, "nlse"), psi0, CFG,
+                    system="nlse", t_final=1.0)
     assert np.abs(np.abs(rec.states) - 1.0).max() < 1e-12
     assert np.abs(rec.invariant_log["norm"] - 1.0).max() < 1e-12
 
@@ -393,7 +394,8 @@ def test_integrate_single_vertex_unit_modulus():
 def test_integrate_symmetric_p2_constant_up_to_phase():
     g = path_graph(2)
     psi0 = np.ones(2) / np.sqrt(2) + 0j
-    rec = integrate(make_rhs(g, psi0, CFG, "nlse"), psi0, CFG, t_final=2.0)
+    rec = integrate(make_rhs(g, psi0, CFG, "nlse"), psi0, CFG,
+                    system="nlse", t_final=2.0)
     overlaps = np.abs(rec.states @ np.conj(psi0))
     assert np.abs(overlaps - 1.0).max() < 1e-9
 
@@ -403,7 +405,8 @@ def test_integrate_norm_conservation_and_step_drift():
     g = cycle_graph(3)
     psi0 = unit_state(rng, 3)
     cfg = NlseConfig(dt=1e-2)
-    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=5.0)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
+                    system="nlse", t_final=5.0)
     assert np.abs(rec.invariant_log["norm"] - 1.0).max() <= 1e-9
     assert rec.max_step_drift < 10 * cfg.dt ** 4
 
@@ -415,7 +418,8 @@ def test_integrate_fourth_order_convergence():
     endpoints = {}
     for dt in (0.02, 0.01, 0.0025):
         cfg = NlseConfig(dt=dt, renorm_tol=1.0)  # renormalization off
-        rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=1.0)
+        rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
+                        system="nlse", t_final=1.0)
         endpoints[dt] = rec.states[-1]
     ref = endpoints[0.0025]
     e1 = np.linalg.norm(endpoints[0.02] - ref)
@@ -428,7 +432,7 @@ def test_integrate_rejects_bad_initial_norm():
     bad = np.array([1.0, 1.0], dtype=complex)
     with pytest.raises(InvalidStateError):
         integrate(make_rhs(g, bad / np.linalg.norm(bad), CFG, "nlse"), bad,
-                  CFG, t_final=0.1)
+                  CFG, system="nlse", t_final=0.1)
 
 
 def test_integrate_divergence_raises_with_step():
@@ -470,7 +474,7 @@ def test_integrate_stops_at_a_non_finite_renormalized_state():
 
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            integrate(poisoned, psi0, CFG, t_final=1.0)
+            integrate(poisoned, psi0, CFG, system="nlse", t_final=1.0)
     assert err.value.step == 2
     assert len(inputs_finite) == 8 and all(inputs_finite[:6])
 
@@ -493,9 +497,15 @@ def test_integrate_diffusion_logs_norm_without_asserting():
     phi0 = np.array([0.9, 0.1])
     phi0 = phi0 / np.linalg.norm(phi0)
     cfg = NlseConfig(dt=1e-3)
-    rec = integrate(make_rhs(g, phi0, cfg, "diffusion"), phi0, cfg, t_final=1.0)
-    assert "norm" in rec.invariant_log
-    assert rec.times.shape[0] == rec.states.shape[0]
+    rec = integrate(make_rhs(g, phi0, cfg, "diffusion"), phi0, cfg,
+                    system="diffusion", t_final=1.0)
+    norms = np.array(rec.invariant_log["norm"])
+    assert rec.times.shape[0] == rec.states.shape[0] == norms.size
+    # the diffusion flow is not renormalized: its norm leaves 1 and falls
+    assert norms[0] == 1.0 and np.all(np.diff(norms) < 0)
+    assert abs(norms[-1] - 0.46755) < 1e-5
+    np.testing.assert_allclose(norms, np.linalg.norm(rec.states, axis=1),
+                               rtol=0, atol=1e-15)
 
 
 def test_integrate_spin_norms_stay_unit():
@@ -615,7 +625,8 @@ def test_steady_newton_polish_agrees_with_long_flow(case):
     g, psi0 = case()
     cfg = NlseConfig(dt=1e-2)
     out = solve_steady_state(g, psi0, cfg)
-    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=60.0)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
+                    system="nlse", t_final=60.0)
     ref = rec.states[-1]
     assert out.converged
     assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
@@ -639,7 +650,8 @@ def test_steady_start_near_repelling_equilibrium_follows_the_flow(start):
         lap, v, psi0[None], cfg.gamma)).max(axis=1)[0]
     assert cfg.steady_tol < res0 <= dynamics._NEWTON_HANDOFF
     out = solve_steady_state(g, psi0, cfg)
-    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=200.0)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
+                    system="nlse", t_final=200.0)
     ref = rec.states[-1]
     assert out.converged
     assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
@@ -882,7 +894,8 @@ def test_flow_path_newton_polish_agrees_with_long_flow(case):
     g, psi0 = case()
     cfg = NlseConfig(dt=1e-2)
     out = flow_solve(g, psi0, cfg)
-    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=60.0)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
+                    system="nlse", t_final=60.0)
     ref = rec.states[-1]
     assert out.converged
     assert np.abs(gauge_align(out.psi_inf, ref) - ref).max() <= 1e-7
@@ -953,7 +966,7 @@ def flow_settles(g, psi0, cfg, start=None, chunk=20.0, max_chunks=20):
     rhs = make_rhs(g, psi0, cfg, "nlse")
     y = psi0 if start is None else start
     for _ in range(max_chunks):
-        nxt = integrate(rhs, y, cfg, t_final=chunk).states[-1]
+        nxt = integrate(rhs, y, cfg, system="nlse", t_final=chunk).states[-1]
         if np.abs(gauge_align(y, nxt) - nxt).max() <= 1e-10:
             return nxt
         y = nxt
@@ -1376,7 +1389,8 @@ def test_writers_are_deterministic(tmp_path):
     g = cycle_graph(3)
     psi0 = unit_state(rng, 3)
     cfg = NlseConfig(dt=1e-2)
-    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg, t_final=0.2)
+    rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
+                    system="nlse", t_final=0.2)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trajectory_csv(rec, pa)
     write_trajectory_csv(rec, pb)

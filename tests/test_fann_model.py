@@ -30,7 +30,7 @@ def opt_config(**kw):
     base = dict(iterations=1, init_edge_prob=0.5, prune_threshold=0.05,
                 add_threshold=1e-5, step_size=1.0, batch_size=4,
                 l1_coeff=1e-11, l2_coeff=1e-11, seed=0,
-                candidate_fraction=1.0, steady=RUN_CFG)
+                candidate_fraction=1.0)
     base.update(kw)
     return OptimizerConfig(**base)
 
@@ -57,6 +57,15 @@ def c4_model(c4):
     truth, _ = c4
     params = fm.random_params(truth.n, truth.n, seed=12)
     return params, truth.teacher_graph()
+
+
+def solved_gradients(params, point, x, y, config):
+    """``param_gradients`` at the core state a fresh engine on ``config``
+    solves."""
+    (core,) = SteadySolveEngine(config).solve_many(
+        [(point, fm.input_state(params, x))])
+    assert core.converged
+    return fm.param_gradients(params, point, x, y, core)
 
 
 def unit_vector(n, seed):
@@ -151,7 +160,7 @@ def test_forward_single_vertex_hand_value():
                             a3=np.ones(1), b3=0.0, activation1="identity",
                             activation3="identity")
     point = build_graph(1, [])
-    y, psi = fm.forward(params, point, np.zeros(1), RUN_CFG)
+    y, psi = fm.forward(params, point, np.zeros(1), SteadySolveEngine(RUN_CFG))
     assert y == pytest.approx(1.0, abs=1e-12)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
@@ -166,7 +175,8 @@ def test_forward_stationary_p2_equals_readout_of_psi0():
                              a3=b1.astype(complex), b3=0.5,
                              activation1="identity", activation3="identity")
     psi0 = fm.input_state(aligned, np.zeros(2))
-    y, psi = fm.forward(aligned, point, np.zeros(2), RUN_CFG)
+    y, psi = fm.forward(aligned, point, np.zeros(2),
+                        SteadySolveEngine(RUN_CFG))
     assert np.array_equal(psi, psi0)
     assert y == pytest.approx(1.5, abs=1e-12)
 
@@ -174,35 +184,25 @@ def test_forward_stationary_p2_equals_readout_of_psi0():
 def test_forward_composition_matches_manual_chain(c4_model):
     params, point = c4_model
     x = unit_vector(4, 17)
-    y, psi = fm.forward(params, point, x, RUN_CFG)
+    y, psi = fm.forward(params, point, x, SteadySolveEngine(RUN_CFG))
     psi0 = fm.input_state(params, x)
     st = solve_steady_state(point, psi0, RUN_CFG)
     assert np.array_equal(psi, st.psi_inf)
     assert y == fm.readout_value(params, st.psi_inf)
 
 
-def test_forward_engine_config_governs_solves(c4_model):
-    params, point = c4_model
-    x = unit_vector(4, 17)
-    engine = SteadySolveEngine(RUN_CFG)
-    y1, psi1 = fm.forward(params, point, x, TIGHT_CFG, engine=engine)
-    y2, psi2 = fm.forward(params, point, x, RUN_CFG)
-    assert np.array_equal(psi1, psi2)
-    assert y1 == y2
-
-
 def test_forward_vertex_mismatch(c4_model):
     params, _ = c4_model
     with pytest.raises(GraphError, match="vertices"):
         fm.forward(params, build_graph(3, [(0, 1, 1.0)]),
-                   unit_vector(4, 3), RUN_CFG)
+                   unit_vector(4, 3), SteadySolveEngine(RUN_CFG))
 
 
 def test_forward_nonconvergence_is_forwarded(c4_model):
     params, point = c4_model
     short = NlseConfig(dt=5e-2, steady_tol=1e-12, t_max=0.2)
     with pytest.raises(fm.CoreConvergenceError, match="residual"):
-        fm.forward(params, point, unit_vector(4, 3), short)
+        fm.forward(params, point, unit_vector(4, 3), SteadySolveEngine(short))
 
 
 def zero_state_input(params):
@@ -219,7 +219,7 @@ def test_core_pass_puts_a_degenerate_input_in_its_place(c4_model):
     assert isinstance(cores[1], fm.DegenerateInputError)
     assert "zero state" in str(cores[1])
     for k in (0, 2):
-        y, _ = fm.forward(params, point, xs[k], RUN_CFG)
+        y, _ = fm.forward(params, point, xs[k], SteadySolveEngine(RUN_CFG))
         assert cores[k].converged
         assert fm.readout_value(params, cores[k].psi_inf) == \
             pytest.approx(y, abs=1e-12)
@@ -232,9 +232,11 @@ def test_core_pass_puts_a_degenerate_input_in_its_place(c4_model):
 def test_loss_sample_trivial_values(c4_model):
     params, point = c4_model
     x = unit_vector(4, 21)
-    y_hat, _ = fm.forward(params, point, x, RUN_CFG)
-    assert fm.loss_sample(params, point, x, y_hat, RUN_CFG) == 0.0
-    assert fm.loss_sample(params, point, x, y_hat - 1.0, RUN_CFG) \
+    y_hat, _ = fm.forward(params, point, x, SteadySolveEngine(RUN_CFG))
+    assert fm.loss_sample(params, point, x, y_hat,
+                          SteadySolveEngine(RUN_CFG)) == 0.0
+    assert fm.loss_sample(params, point, x, y_hat - 1.0,
+                          SteadySolveEngine(RUN_CFG)) \
         == pytest.approx(1.0, rel=1e-12)
 
 
@@ -246,7 +248,7 @@ def test_loss_batch_mean_matches_moduli_data_term(c4_model):
                               for x, y in pairs])
     breakdown = regularized_loss(point, batch, fm.ModelReadout(params),
                                  opt_config(batch_size=3), engine=engine)
-    mean = sum(fm.loss_sample(params, point, x, y, RUN_CFG, engine=engine)
+    mean = sum(fm.loss_sample(params, point, x, y, engine)
                for x, y in pairs) / len(pairs)
     assert breakdown.data == pytest.approx(mean, rel=1e-14)
 
@@ -254,7 +256,7 @@ def test_loss_batch_mean_matches_moduli_data_term(c4_model):
 def test_gauge_aligned_readout_is_phase_invariant(c4_model):
     params, point = c4_model
     x = unit_vector(4, 33)
-    _, psi = fm.forward(params, point, x, RUN_CFG)
+    _, psi = fm.forward(params, point, x, SteadySolveEngine(RUN_CFG))
     base = fm.readout_value(params, psi)
     for theta in (0.3, 1.7, -2.9):
         rotated = fm.readout_value(params, np.exp(1j * theta) * psi)
@@ -290,8 +292,9 @@ def test_loss_invariant_under_core_phase(c4_model):
         b1=np.zeros(4), activation1="identity")
     x = unit_vector(4, 41)
     y = 0.4
-    base = fm.loss_sample(params, point, x, y, RUN_CFG)
-    rotated = fm.loss_sample(params, point, np.exp(1.1j) * x, y, RUN_CFG)
+    base = fm.loss_sample(params, point, x, y, SteadySolveEngine(RUN_CFG))
+    rotated = fm.loss_sample(params, point, np.exp(1.1j) * x, y,
+                             SteadySolveEngine(RUN_CFG))
     assert abs(base - rotated) < 1e-10
 
 
@@ -307,7 +310,7 @@ def fd_model_gradient(params, point, x, y, config, field, idx, h=1e-5):
             arr = np.array(getattr(params, field), copy=True)
             arr[idx] += delta
             p = dataclasses.replace(params, **{field: arr})
-        return fm.loss_sample(p, point, x, y, config)
+        return fm.loss_sample(p, point, x, y, SteadySolveEngine(config))
 
     re = (loss_at(h) - loss_at(-h)) / (2 * h)
     im = (loss_at(1j * h) - loss_at(-1j * h)) / (2 * h)
@@ -318,7 +321,7 @@ def test_param_gradients_match_fd(c4_model):
     params, point = c4_model
     x = unit_vector(4, 3)
     y = 0.7
-    grads = fm.param_gradients(params, point, x, y, TIGHT_CFG)
+    grads = solved_gradients(params, point, x, y, TIGHT_CFG)
     checks = [("b3", None, grads.b3), ("a3", (0,), grads.a3[0]),
               ("a3", (2,), grads.a3[2]), ("b1", (1,), grads.b1[1]),
               ("b1", (3,), grads.b1[3]), ("a1", (0, 1), grads.a1[0, 1]),
@@ -332,8 +335,8 @@ def test_param_gradients_match_fd(c4_model):
 def test_param_gradients_zero_at_exact_fit(c4_model):
     params, point = c4_model
     x = unit_vector(4, 9)
-    y_hat, _ = fm.forward(params, point, x, RUN_CFG)
-    grads = fm.param_gradients(params, point, x, y_hat, RUN_CFG)
+    y_hat, _ = fm.forward(params, point, x, SteadySolveEngine(RUN_CFG))
+    grads = solved_gradients(params, point, x, y_hat, RUN_CFG)
     assert np.all(grads.a1 == 0) and np.all(grads.b1 == 0)
     assert np.all(grads.a3 == 0) and grads.b3 == 0
 
@@ -437,7 +440,8 @@ def self_consistent_task(truth, sampler, n_pairs=4):
     point = truth.teacher_graph()
     bumps = [x for x, _ in sampler.exact()][:n_pairs]
     base = fm.fixed_set_sampler([(x, 0.0) for x in bumps])
-    data = fm.model_teacher_sampler(teacher, point, RUN_CFG, base)
+    data = fm.model_teacher_sampler(teacher, point, SteadySolveEngine(RUN_CFG),
+                                    base)
     return teacher, point, data
 
 
@@ -445,7 +449,8 @@ def test_train_zero_epochs_is_passthrough(c4):
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
     cfg = train_config(epochs=0)
-    p, pt, hist = fm.train(data, cfg, teacher, point)
+    p, pt, hist = fm.train(data, cfg, teacher, point,
+                           engine=SteadySolveEngine(RUN_CFG))
     assert p is teacher and pt is point and hist == []
 
 
@@ -453,7 +458,8 @@ def test_train_teacher_fixed_point(c4):
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
     cfg = train_config(epochs=10, lr_params=0.05)
-    p, pt, hist = fm.train(data, cfg, teacher, point)
+    p, pt, hist = fm.train(data, cfg, teacher, point,
+                           engine=SteadySolveEngine(RUN_CFG))
     assert len(hist) == 10
     assert max(h.train_loss for h in hist) < 1e-8
     assert pt.edges == point.edges
@@ -469,7 +475,8 @@ def test_train_is_deterministic(c4):
     for _ in range(2):
         teacher, tpoint, data = self_consistent_task(truth, sampler)
         cfg = train_config(epochs=3, lr_params=0.2)
-        p, pt, hist = fm.train(data, cfg, rng_params, point)
+        p, pt, hist = fm.train(data, cfg, rng_params, point,
+                               engine=SteadySolveEngine(RUN_CFG))
         runs.append((p, pt, [h.train_loss for h in hist]))
     (p1, pt1, l1), (p2, pt2, l2) = runs
     assert l1 == l2
@@ -491,8 +498,7 @@ def test_train_logs_failures_and_continues(c4, monkeypatch):
     engine = SteadySolveEngine(RUN_CFG)
     cfg = train_config(epochs=2)
     with pytest.raises(fm.CoreConvergenceError):
-        fm.forward(teacher, point, unit_vector(truth.n, 0), RUN_CFG,
-                   engine=engine)
+        fm.forward(teacher, point, unit_vector(truth.n, 0), engine)
     p, pt, hist = fm.train(fm.fixed_set_sampler(pairs), cfg, teacher, point,
                            engine=engine)
     assert len(hist) == 2
@@ -508,14 +514,15 @@ def test_train_logs_a_degenerate_input_and_continues(c4_model):
     good = [(unit_vector(4, s), 0.1 * s) for s in (1, 2, 3)]
     pairs = [good[0], (zero_state_input(params), 0.0), good[1], good[2]]
     cfg = train_config(epochs=1)
-    p, _, hist = fm.train(fm.fixed_set_sampler(pairs), cfg, params, point)
+    p, _, hist = fm.train(fm.fixed_set_sampler(pairs), cfg, params, point,
+                          engine=SteadySolveEngine(RUN_CFG))
     (h,) = hist
     assert h.failures == ("param gradient, sample 1: input layer produced "
                           "the zero state",)
     # the SGD step moves along the three good samples alone; the graph
     # step then runs at the moved parameters, where no input is degenerate
     expect = fm._sgd_step(params, [
-        fm.param_gradients(params, point, x, y, RUN_CFG) for x, y in good],
+        solved_gradients(params, point, x, y, RUN_CFG) for x, y in good],
         cfg)
     assert np.allclose(p.a1, expect.a1, rtol=0.0, atol=1e-12)
     assert np.allclose(p.a3, expect.a3, rtol=0.0, atol=1e-12)
@@ -527,9 +534,11 @@ def test_train_heldout_column(c4):
     teacher, point, data = self_consistent_task(truth, sampler)
     held = data(2)
     cfg = train_config(epochs=2, lr_params=0.05)
-    _, _, hist = fm.train(data, cfg, teacher, point, heldout=held)
+    _, _, hist = fm.train(data, cfg, teacher, point,
+                          engine=SteadySolveEngine(RUN_CFG), heldout=held)
     assert all(h.test_loss < 1e-8 for h in hist)
-    _, _, bare = fm.train(data, cfg, teacher, point)
+    _, _, bare = fm.train(data, cfg, teacher, point,
+                          engine=SteadySolveEngine(RUN_CFG))
     assert all(np.isnan(h.test_loss) for h in bare)
 
 
@@ -571,15 +580,15 @@ def counted_teacher(truth, sampler):
     engine.solve_many = counting
     stream = fm.noisy_input_stream([x for x, _ in sampler.exact()], 0.1,
                                    seed=4)
-    data = fm.model_teacher_sampler(teacher, point, RUN_CFG, stream,
-                                    engine=engine)
+    data = fm.model_teacher_sampler(teacher, point, engine, stream)
     return teacher, point, data, calls
 
 
 def train_phase(loop, data, cfg, truth, teacher, point):
     """History of one ``train`` or ``baseline_train`` phase on ``data``."""
     if loop == "train":
-        return fm.train(data, cfg, teacher, point)[2]
+        return fm.train(data, cfg, teacher, point,
+                        engine=SteadySolveEngine(RUN_CFG))[2]
     return fm.baseline_train(data, cfg, fm.random_baseline(truth.n, truth.n,
                                                            seed=1))[1]
 
@@ -640,6 +649,31 @@ def test_baseline_train_reduces_realizable_loss():
                            for x, y in pairs]))
     assert len(hist) == 40
     assert final < 0.2 * initial
+
+
+def test_baseline_train_skips_a_degenerate_sample_and_continues():
+    # b1 = 0 sends the zero input to the zero state
+    n = 3
+    bp = dataclasses.replace(fm.random_baseline(n, n, seed=0), b1=np.zeros(n))
+    good = [(unit_vector(n, s), 0.1 * s) for s in (1, 2, 3)]
+    pairs = [good[0], (np.zeros(n), 0.3), good[1], good[2]]
+    cfg = train_config(epochs=1)
+    out, (h,) = fm.baseline_train(fm.fixed_set_sampler(pairs), cfg, bp)
+    # the update moves along the three good samples alone; the epoch loss
+    # is then taken at the moved b1, where no input is degenerate
+    expect = fm._sgd_step(bp, [fm.baseline_gradients(bp, x, y)
+                               for x, y in good], cfg)
+    assert np.array_equal(out.w2, expect.w2)
+    assert np.array_equal(out.b1, expect.b1) and out.b3 == expect.b3
+    assert h.train_loss == float(np.mean([fm.baseline_loss_sample(out, x, y)
+                                          for x, y in pairs]))
+    # when every sample fails the update is void, the epoch loss reads NaN
+    # and training goes on
+    zero = fm.fixed_set_sampler([(np.zeros(n), 0.3)])
+    same, hist = fm.baseline_train(zero, train_config(epochs=2, batch_size=2),
+                                   bp)
+    assert len(hist) == 2 and all(np.isnan(r.train_loss) for r in hist)
+    assert np.array_equal(same.w2, bp.w2)
 
 
 def test_baseline_train_heldout_column():
@@ -761,7 +795,8 @@ def test_teacher_labels_one_draw_equals_k_draws(c4, picks, k, b):
     inputs = [(bumps[i], 0.0) for i in picks]
 
     def labelled():
-        return fm.model_teacher_sampler(teacher, point, RUN_CFG,
+        return fm.model_teacher_sampler(teacher, point,
+                                        SteadySolveEngine(RUN_CFG),
                                         fm.fixed_set_sampler(inputs))
 
     whole = labelled()(k * b)
@@ -773,7 +808,8 @@ def test_model_teacher_sampler_targets(c4):
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
     for x, y in data(3):
-        assert y == fm.forward(teacher, point, x, RUN_CFG)[0]
+        assert y == fm.forward(teacher, point, x,
+                               SteadySolveEngine(RUN_CFG))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ TIGHT_CFG = NlseConfig(dt=1e-2, steady_tol=1e-11, t_max=4000.0)
 def opt_config(**kwargs) -> OptimizerConfig:
     base = dict(iterations=1, prune_threshold=0.05, add_threshold=1e-5,
                 step_size=1.0, batch_size=4, l1_coeff=1e-11, l2_coeff=1e-11,
-                seed=0, steady=RUN_CFG)
+                seed=0)
     base.update(kwargs)
     return OptimizerConfig(**base)
 
@@ -166,7 +166,7 @@ def test_regularizer_vanishes_without_edges():
     batch = Batch.from_pairs([(np.array([1.0]), 0.0)])
     cfg = opt_config(l1_coeff=0.7, l2_coeff=0.9, batch_size=1)
     lb = regularized_loss(g, batch, PopulationReadout(np.ones(1)),
-                          cfg)
+                          cfg, engine=SteadySolveEngine(RUN_CFG))
     assert lb.l1 == 0.0 and lb.l2 == 0.0
 
 
@@ -184,7 +184,7 @@ def test_loss_error_names_failing_sample(c3):
     truth, readout, sampler = c3
     batch = Batch.from_pairs(sampler.exact())
     short = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=0.2)
-    cfg = opt_config(steady=short, batch_size=3)
+    cfg = opt_config(batch_size=3)
     with pytest.raises(LossEvaluationError, match="sample 0"):
         regularized_loss(truth.teacher_graph(), batch, readout,
                          cfg, engine=SteadySolveEngine(short))
@@ -198,8 +198,9 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def fd_loss_gradient(graph, edge, batch, readout, cfg, h=1e-4):
-    """Central finite difference of the regularized loss in one weight."""
+def fd_loss_gradient(graph, edge, batch, readout, cfg, steady, h=1e-4):
+    """Central finite difference of the regularized loss in one weight,
+    each side solved by a fresh engine on ``steady``."""
     idx = graph.edge_index()[edge]
     out = []
     for sign in (+1.0, -1.0):
@@ -208,7 +209,7 @@ def fd_loss_gradient(graph, edge, batch, readout, cfg, h=1e-4):
         shifted = build_graph(graph.n, [(u, v, wi) for (u, v), wi
                                         in zip(graph.edges, w)])
         lb = regularized_loss(shifted, batch, readout, cfg,
-                              engine=SteadySolveEngine(cfg.steady))
+                              engine=SteadySolveEngine(steady))
         out.append(lb.total)
     return (out[0] - out[1]) / (2.0 * h)
 
@@ -220,17 +221,16 @@ def test_gradient_matches_fd_on_existing_edge(c3):
                zip(truth.e_true, truth.teacher_weights, (1.15, 0.9, 1.05))]
     g = build_graph(3, triples)
     batch = Batch.from_pairs(sampler.exact()[:1])
-    cfg = opt_config(steady=TIGHT_CFG, l1_coeff=1e-6, l2_coeff=1e-6,
-                     batch_size=1)
+    cfg = opt_config(l1_coeff=1e-6, l2_coeff=1e-6, batch_size=1)
     edge = truth.e_true[0]
     grad = stochastic_gradient(g, batch, edge, readout=readout,
-                               config=cfg)
-    fd = fd_loss_gradient(g, edge, batch, readout, cfg)
+                               config=cfg, engine=SteadySolveEngine(TIGHT_CFG))
+    fd = fd_loss_gradient(g, edge, batch, readout, cfg, TIGHT_CFG)
     assert rel_err(grad, fd) < 1e-3
 
 
 def test_gradient_is_taken_at_the_gamma_the_engine_solved_at(c3):
-    # the engine solves at gamma = 0.5 while config.steady says 1: the
+    # the engine solves at gamma = 0.5, not NlseConfig's default 1: the
     # adjoint must linearize the flow that was solved
     truth, readout, sampler = c3
     triples = [(u, v, w * s) for (u, v), w, s in
@@ -238,13 +238,11 @@ def test_gradient_is_taken_at_the_gamma_the_engine_solved_at(c3):
     g = build_graph(3, triples)
     batch = Batch.from_pairs(sampler.exact()[:1])
     half = dataclasses.replace(TIGHT_CFG, gamma=0.5)
-    cfg = opt_config(steady=TIGHT_CFG, l1_coeff=1e-6, l2_coeff=1e-6,
-                     batch_size=1)
+    cfg = opt_config(l1_coeff=1e-6, l2_coeff=1e-6, batch_size=1)
     edge = truth.e_true[0]
     grad = stochastic_gradient(g, batch, edge, readout=readout,
                                config=cfg, engine=SteadySolveEngine(half))
-    fd = fd_loss_gradient(g, edge, batch, readout,
-                          dataclasses.replace(cfg, steady=half))
+    fd = fd_loss_gradient(g, edge, batch, readout, cfg, half)
     assert rel_err(grad, fd) < 1e-3
 
 
@@ -254,12 +252,12 @@ def test_gradient_matches_fd_on_probe_edge(c4):
     sub = build_graph(4, [(u, v, w[(u, v)]) for (u, v) in truth.e_true
                           if (u, v) != (0, 1)])
     batch = Batch.from_pairs(sampler.exact()[:1])
-    cfg = opt_config(steady=TIGHT_CFG, l1_coeff=1e-6, l2_coeff=1e-6,
-                     batch_size=1)
-    grad = stochastic_gradient(sub, batch, (0, 1),
-                               test_weight=0.05, readout=readout, config=cfg)
+    cfg = opt_config(l1_coeff=1e-6, l2_coeff=1e-6, batch_size=1)
+    grad = stochastic_gradient(sub, batch, (0, 1), test_weight=0.05,
+                               readout=readout, config=cfg,
+                               engine=SteadySolveEngine(TIGHT_CFG))
     grafted = sub.with_edge((0, 1), 0.05)
-    fd = fd_loss_gradient(grafted, (0, 1), batch, readout, cfg)
+    fd = fd_loss_gradient(grafted, (0, 1), batch, readout, cfg, TIGHT_CFG)
     assert rel_err(grad, fd) < 1e-3
 
 
@@ -297,6 +295,10 @@ def test_gradient_argument_errors(c4, engine):
     with pytest.raises(GraphError):
         stochastic_gradient(point, batch, (0, 2), readout=readout, config=cfg,
                             engine=engine)
+    # it solves only with the engine it is given
+    with pytest.raises(ValueError, match="engine or steadies"):
+        stochastic_gradient(point, batch, truth.e_true[0], readout=readout,
+                            config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +541,7 @@ def test_skipped_solve_error_names_the_horizon(c3):
     truth, readout, sampler = c3
     batch = Batch.from_pairs(sampler.exact())
     short = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=0.2)
-    cfg = opt_config(steady=short, batch_size=3)
+    cfg = opt_config(batch_size=3)
     with pytest.raises(LossEvaluationError, match="sample 0 \\(horizon: "):
         regularized_loss(truth.teacher_graph(), batch, readout,
                          cfg, engine=SteadySolveEngine(short))
@@ -605,7 +607,8 @@ def test_step_rule_replay_over_short_run(c4):
     init = build_graph(4, triples)
     cfg = opt_config(iterations=8, step_size=(15873.0,) * 8, batch_size=4)
     point, log, history = run(cfg, sampler.exact_sampler(), init,
-                              readout=readout)
+                              readout=readout,
+                              engine=SteadySolveEngine(RUN_CFG))
     assert len(log.records) == 8
     prev_edges = set(init.edges)
     for rec in log.records:
@@ -633,7 +636,8 @@ def test_run_zero_iterations_returns_initial(c4):
     init = truth.teacher_graph()
     cfg = opt_config(iterations=0)
     point, log, history = run(cfg, sampler.exact_sampler(), init,
-                              readout=readout)
+                              readout=readout,
+                              engine=SteadySolveEngine(RUN_CFG))
     assert point.edges == init.edges
     assert len(log.visited) == 1
     assert history == []
@@ -642,14 +646,17 @@ def test_run_zero_iterations_returns_initial(c4):
 def test_run_accepts_graph_and_vertex_count(c4):
     truth, readout, sampler = c4
     cfg = opt_config(iterations=0, init_edge_prob=1.0)
+    engine = SteadySolveEngine(RUN_CFG)
     point, _, _ = run(cfg, sampler.exact_sampler(), truth.teacher_graph(),
-                      readout=readout)
+                      readout=readout, engine=engine)
     assert point.edges == truth.e_true
-    point, _, _ = run(cfg, sampler.exact_sampler(), 4, readout=readout)
+    point, _, _ = run(cfg, sampler.exact_sampler(), 4, readout=readout,
+                      engine=engine)
     assert point.n_edges == 6  # every pair, weight one
     assert np.all(point.weights == 1.0)
-    with pytest.raises(TypeError):
-        run(cfg, sampler.exact_sampler(), "nope", readout=readout)
+    with pytest.raises(TypeError, match="graph or a vertex count"):
+        run(cfg, sampler.exact_sampler(), "nope", readout=readout,
+            engine=engine)
 
 
 def test_run_is_deterministic_to_the_byte(c4, tmp_path):
@@ -662,7 +669,8 @@ def test_run_is_deterministic_to_the_byte(c4, tmp_path):
     paths = []
     for tag in ("a", "b"):
         init = build_graph(4, triples)
-        _, log, _ = run(cfg, sampler.exact_sampler(), init, readout=readout)
+        _, log, _ = run(cfg, sampler.exact_sampler(), init, readout=readout,
+                        engine=SteadySolveEngine(RUN_CFG))
         p = tmp_path / f"{tag}.jsonl"
         write_strata_jsonl(log, p)
         paths.append(p.read_bytes())
@@ -680,7 +688,7 @@ def test_run_takes_integral_float_counts(c4):
         sampler = TeacherSampler(truth, readout, RUN_CFG, seed=202,
                                  noise_delta=0.1)
         runs.append(run(cfg, sampler, truth.teacher_graph(),
-                        readout=readout))
+                        readout=readout, engine=SteadySolveEngine(RUN_CFG)))
     (p_int, _, h_int), (p_float, _, h_float) = runs
     assert h_float == h_int and len(h_int) == 2
     assert np.array_equal(p_float.weights, p_int.weights)
@@ -693,8 +701,8 @@ def test_run_stalls_early_on_flat_landscape(c3):
     cfg = opt_config(iterations=50, l1_coeff=0.0, l2_coeff=0.0,
                      batch_size=3, stall_iters=6)
     point, log, history = run(cfg, lambda b: stream,
-                              truth.teacher_graph(),
-                              readout=zeros)
+                              truth.teacher_graph(), readout=zeros,
+                              engine=SteadySolveEngine(RUN_CFG))
     assert len(log.records) == 6
     assert point.edges == truth.e_true
 
@@ -773,7 +781,8 @@ def test_subset_start_recovers_missing_edge(c3):
     eta = (100.0,) * 10 + (20000.0,) * 20
     cfg = opt_config(iterations=len(eta), step_size=eta, batch_size=3)
     point, log, history = run(cfg, sampler.exact_sampler(), sub,
-                              readout=readout)
+                              readout=readout,
+                              engine=SteadySolveEngine(RUN_CFG))
     assert point.edges == truth.e_true
     added = [e for r in log.records for e in r.added]
     assert drop in added
