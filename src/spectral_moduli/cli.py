@@ -742,7 +742,7 @@ _TASKS = {
 
 
 def _task_teacher(task: _Task, seed: int,
-                  noise_delta: float | None = None) -> TeacherSampler:
+                  noise_delta: float = 0.0) -> TeacherSampler:
     """The teacher of a bundled task: its truth, readout and bump width."""
     truth = build_ground_truth(task.spec, task.inj_radius)
     readout = PopulationReadout.random(truth.n, seed=task.readout_seed)

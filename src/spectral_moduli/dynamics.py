@@ -554,17 +554,21 @@ class SteadyState:
     or certified carries its ``_bordered_system`` in ``bordered``, keyed by
     what it was built from: the bytes of the Laplacian, potential and state,
     and gamma.
-    An unconverged state's ``reason`` is "repelled", "horizon", "singular"
-    (a bordered step failed) or "non_finite" (a non-finite start).
+    A state has converged exactly when its ``reason`` is None; otherwise
+    ``reason`` is "repelled", "horizon", "singular" (a bordered step
+    failed) or "non_finite" (a non-finite start).
     """
 
     psi_inf: np.ndarray
     t_reached: float
     residual: float
-    converged: bool
     gamma: float
     bordered: tuple | None = field(default=None, compare=False, repr=False)
     reason: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.reason is None
 
 
 # a row waits for Newton once its projected residual is at most this; at
@@ -911,8 +915,8 @@ def _settle(lap: np.ndarray, v: np.ndarray, psi: np.ndarray,
         wait = np.concatenate([wait, live[fell]])
         live = live[keep]
     t, res = (steps * dt).tolist(), res.tolist()
-    return [SteadyState(psi[i], t[i], res[i], reason[i] is None, gamma,
-                        carried[i], reason[i]) for i in range(nb)]
+    return [SteadyState(psi[i], t[i], res[i], gamma, carried[i], reason[i])
+            for i in range(nb)]
 
 
 def _stack_problems(graphs: Sequence[WeightedGraph],

@@ -169,22 +169,16 @@ class TrainConfig:
     """Training policy: epochs of projected SGD plus one graph step each.
 
     Both phases of an epoch consume the same mini-batch of
-    ``moduli_config.batch_size`` pairs.  The ``r_*`` radii bound
-    parameter norms (Frobenius for matrices, L2 for vectors, modulus for
-    scalars); updates are projected back into these balls, which also keeps
-    tanh pre-activations away from the complex poles.
+    ``moduli_config.batch_size`` pairs.  Each SGD update is projected back
+    into the parameter balls of ``project_params``.  The balls do not keep
+    tanh pre-activations off the complex poles at ±iπ/2; ``_input_layer``
+    rejects the non-finite state a pole gives, and the sample is skipped.
     """
 
     epochs: int
     lr_params: float
     moduli_config: OptimizerConfig
     seed: int = 0
-    r_a1: float = 100.0
-    r_b1: float = 100.0
-    r_a3: float = 100.0
-    r_b3: float = 100.0
-    r_w2: float = 100.0
-    r_b2: float = 100.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.epochs)
@@ -195,10 +189,6 @@ class TrainConfig:
             raise ValueError("lr_params must be positive and finite")
         if not isinstance(self.moduli_config, OptimizerConfig):
             raise TypeError("moduli_config must be an OptimizerConfig")
-        for field in ("r_a1", "r_b1", "r_a3", "r_b3", "r_w2", "r_b2"):
-            r = getattr(self, field)
-            if not (np.isfinite(r) and r > 0):
-                raise ValueError(f"{field} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -407,8 +397,9 @@ def param_gradients(params: ModelParams, g: WeightedGraph, x, y,
 # projection and initialization
 
 
-def _shrink(a: np.ndarray, bound: float) -> np.ndarray:
-    """Scale into the closed norm ball; the bound holds exactly on return."""
+def _shrink(a, bound: float):
+    """Scale an array or a complex scalar into the closed norm ball; the
+    bound holds exactly on return."""
     nrm = float(np.linalg.norm(a))
     if nrm <= bound:
         return a
@@ -418,57 +409,54 @@ def _shrink(a: np.ndarray, bound: float) -> np.ndarray:
     return out
 
 
-def _shrink_scalar(b: complex, bound: float) -> complex:
-    return complex(_shrink(np.array([b], dtype=complex), bound)[0])
+_RADIUS = 100.0
 
 
-def project_params(params, config: TrainConfig):
-    """Project every dense parameter of a model or a baseline into its norm
-    ball: the field ``p`` into the ball of radius ``config.r_p``."""
-    projected = {}
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, str):
-            continue
-        bound = getattr(config, "r_" + f.name)
-        projected[f.name] = (_shrink_scalar(value, bound)
-                             if isinstance(value, complex)
-                             else _shrink(value, bound))
-    return dataclasses.replace(params, **projected)
+def project_params(params):
+    """Project every dense parameter of a model or a baseline into the ball
+    of radius ``_RADIUS`` (Frobenius norm for matrices, L2 for vectors,
+    modulus for scalars)."""
+    return dataclasses.replace(params, **{
+        f.name: _shrink(getattr(params, f.name), _RADIUS)
+        for f in dataclasses.fields(params) if f.type != "str"})
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# the scale of the random draws of every field but a3
+_SCALE = 0.5
+
+
 def random_params(n_inputs: int, n_vertices: int, seed: int, *,
-                  scale: float = 0.5, activation1: str = "tanh",
+                  activation1: str = "tanh",
                   activation3: str = "identity") -> ModelParams:
     """Seeded random initialization with O(1) pre-activations."""
     rng = np.random.default_rng(seed)
     return ModelParams(
-        a1=scale * _complex_normal(rng, (n_inputs, n_vertices))
+        a1=_SCALE * _complex_normal(rng, (n_inputs, n_vertices))
         / np.sqrt(n_inputs),
-        b1=scale * _complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
+        b1=_SCALE * _complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
         a3=_complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
-        b3=scale * complex(*rng.standard_normal(2)) / 4.0,
+        b3=_SCALE * complex(*rng.standard_normal(2)) / 4.0,
         activation1=activation1, activation3=activation3)
 
 
 def random_baseline(n_inputs: int, n_vertices: int, seed: int, *,
-                    scale: float = 0.5, activation1: str = "tanh",
-                    activation2: str = "tanh",
+                    activation1: str = "tanh", activation2: str = "tanh",
                     activation3: str = "identity") -> BaselineParams:
+    """Seeded random baseline, drawn at the scale of ``random_params``."""
     rng = np.random.default_rng(seed)
     return BaselineParams(
-        a1=scale * _complex_normal(rng, (n_inputs, n_vertices))
+        a1=_SCALE * _complex_normal(rng, (n_inputs, n_vertices))
         / np.sqrt(n_inputs),
-        b1=scale * _complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
-        w2=scale * _complex_normal(rng, (n_vertices, n_vertices))
+        b1=_SCALE * _complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
+        w2=_SCALE * _complex_normal(rng, (n_vertices, n_vertices))
         / np.sqrt(n_vertices),
-        b2=scale * _complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
+        b2=_SCALE * _complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
         a3=_complex_normal(rng, n_vertices) / np.sqrt(n_vertices),
-        b3=scale * complex(*rng.standard_normal(2)) / 4.0,
+        b3=_SCALE * complex(*rng.standard_normal(2)) / 4.0,
         activation1=activation1, activation2=activation2,
         activation3=activation3)
 
@@ -516,9 +504,12 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class BaselineEpochRecord:
+    """One epoch of baseline training; failures as in ``EpochRecord``."""
+
     epoch: int
     train_loss: float
     test_loss: float
+    failures: tuple = ()
 
 
 def _per_sample(fn: Callable, n: int, what: str, failures: list) -> list:
@@ -546,7 +537,7 @@ def _sgd_step(params, grads: list, config: TrainConfig):
     return project_params(dataclasses.replace(params, **{
         f.name: getattr(params, f.name) - lr * sum(getattr(gr, f.name)
                                                    for gr in grads)
-        for f in dataclasses.fields(grads[0])}), config)
+        for f in dataclasses.fields(grads[0])}))
 
 
 def _phase_batches(sampler, config: TrainConfig) -> list[list]:
@@ -661,22 +652,25 @@ def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
 
     The phase draws all its mini-batches in one ``sampler`` call, as in
     ``train``.  Losses are recorded after each epoch's update on that
-    epoch's batch, over the samples that do not fail (NaN if none).
+    epoch's batch, over the samples that do not fail (NaN if none).  Each
+    failing sample is logged on the epoch, and training continues.
     """
     history: list[BaselineEpochRecord] = []
     for epoch, pairs in enumerate(_phase_batches(sampler, config)):
+        failures: list[str] = []
         params = _sgd_step(params, _per_sample(
             lambda k: baseline_gradients(params, *pairs[k]), len(pairs),
-            "param gradient, sample", []), config)
+            "param gradient, sample", failures), config)
         losses = _per_sample(lambda k: baseline_loss_sample(params, *pairs[k]),
-                             len(pairs), "train sample", [])
+                             len(pairs), "train sample", failures)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         test_loss = float("nan")
         if heldout is not None:
             test_loss = _mean(_per_sample(
                 lambda k: baseline_loss_sample(params, *heldout[k]),
-                len(heldout), "heldout sample", []))
-        history.append(BaselineEpochRecord(epoch, train_loss, test_loss))
+                len(heldout), "heldout sample", failures))
+        history.append(BaselineEpochRecord(epoch, train_loss, test_loss,
+                                           tuple(failures)))
     return params, history
 
 
@@ -809,7 +803,7 @@ def load_checkpoint(path) -> tuple[ModelParams, WeightedGraph]:
 def write_history_csv(path, history: Sequence[EpochRecord]) -> None:
     """Epoch records as CSV with shortest round-trip float formatting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "train_loss", "test_loss", "n_edges",
                          "b0", "b1"])
         for rec in history:

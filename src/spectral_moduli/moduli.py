@@ -46,7 +46,6 @@ __all__ = [
     "run",
     "visited_strata_count",
     "write_strata_jsonl",
-    "random_point",
     "chebyshev_schedule",
 ]
 
@@ -68,7 +67,6 @@ class OptimizerConfig:
     """
 
     iterations: int = 100
-    init_edge_prob: float = 1.0
     prune_threshold: float = 0.05
     add_threshold: float = 0.05
     step_size: float | tuple[float, ...] = 0.05
@@ -77,18 +75,13 @@ class OptimizerConfig:
     l2_coeff: float = 1e-5
     seed: int = 0
     candidate_fraction: float = 1.0
-    stall_tol: float = 1e-10
-    stall_iters: int = 10
 
     def __post_init__(self) -> None:
-        for name, least in (("iterations", 0), ("batch_size", 1),
-                            ("stall_iters", 1)):
+        for name, least in (("iterations", 0), ("batch_size", 1)):
             value = getattr(self, name)
             if not (np.isfinite(value) and int(value) == value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))  # 4.0 counts as 4
-        if not 0.0 < self.init_edge_prob <= 1.0:
-            raise ValueError("init_edge_prob must lie in (0, 1]")
         if not 0.0 < self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in (0, 1)")
         if not 0.0 < self.add_threshold < 1.0:
@@ -96,9 +89,8 @@ class OptimizerConfig:
         steps = np.atleast_1d(np.asarray(self.step_size, dtype=float))
         if steps.size == 0 or not np.all((steps > 0) & np.isfinite(steps)):
             raise ValueError("step sizes must be positive and finite")
-        if not all(0.0 <= x < np.inf for x in (self.l1_coeff, self.l2_coeff,
-                                                self.stall_tol)):
-            raise ValueError("l1_coeff, l2_coeff, stall_tol must be finite, >= 0")
+        if not all(0.0 <= x < np.inf for x in (self.l1_coeff, self.l2_coeff)):
+            raise ValueError("l1_coeff, l2_coeff must be finite, >= 0")
         if not 0.0 < self.candidate_fraction <= 1.0:
             raise ValueError("candidate_fraction must lie in (0, 1]")
 
@@ -107,16 +99,6 @@ class OptimizerConfig:
             return float(self.step_size)
         sched = tuple(self.step_size)
         return float(sched[min(t, len(sched) - 1)])
-
-
-def random_point(n: int, config: OptimizerConfig,
-                 rng: np.random.Generator | None = None) -> WeightedGraph:
-    """Initial graph: each edge present with probability p, weight one."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    triples = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
-               if rng.random() < config.init_edge_prob]
-    return build_graph(n, triples)
 
 
 @dataclass(frozen=True)
@@ -303,13 +285,11 @@ class StepEvents:
 
 
 def _candidate_pairs(g: WeightedGraph, config: OptimizerConfig,
-                     rng: np.random.Generator | None) -> list[tuple[int, int]]:
+                     rng: np.random.Generator) -> list[tuple[int, int]]:
     present = set(g.edges)
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
              if (u, v) not in present]
     if config.candidate_fraction < 1.0 and pairs:
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
         keep = max(1, int(np.ceil(config.candidate_fraction * len(pairs))))
         chosen = rng.choice(len(pairs), size=keep, replace=False)
         pairs = [pairs[i] for i in sorted(chosen)]
@@ -317,7 +297,7 @@ def _candidate_pairs(g: WeightedGraph, config: OptimizerConfig,
 
 
 def _probe_jobs(g: WeightedGraph, xs: Sequence[np.ndarray],
-                config: OptimizerConfig, rng: np.random.Generator | None):
+                config: OptimizerConfig, rng: np.random.Generator):
     """Draw a step's candidate edges; return them, their probe graphs and
     the (probe graph, input) job of every candidate and sample."""
     candidates = _candidate_pairs(g, config, rng)
@@ -327,8 +307,7 @@ def _probe_jobs(g: WeightedGraph, xs: Sequence[np.ndarray],
 
 def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
                  t: int, *, readout, engine: SteadySolveEngine,
-                 rng: np.random.Generator | None = None
-                 ) -> tuple[WeightedGraph, StepEvents]:
+                 rng: np.random.Generator) -> tuple[WeightedGraph, StepEvents]:
     """One simultaneous update: weight SGD, candidate tests, prune.
 
     All gradients use the same batch and the pre-step weights.  Every probe
@@ -337,7 +316,8 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     are solved in one engine call from those warm starts; otherwise the
     current graph is solved first, the candidates are drawn only then, and
     the probe pass starts from the fresh states.  Every row runs to the
-    horizon of the engine's config.
+    horizon of the engine's config.  ``rng`` draws the candidates when
+    ``candidate_fraction`` < 1; the caller keeps one generator across steps.
     Candidate probes whose solves fail are skipped (recorded, never added);
     a failure on the current graph aborts the whole step by raising (a warm
     step has drawn its candidates by then, a cold one has not).
@@ -437,25 +417,26 @@ def write_strata_jsonl(log: StrataLog, path) -> None:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
 
-def run(config: OptimizerConfig, sampler, initial, *, readout,
+_STALL_TOL = 1e-10
+_STALL_ITERS = 10
+
+
+def run(config: OptimizerConfig, sampler, g: WeightedGraph, *, readout,
         engine: SteadySolveEngine
         ) -> tuple[WeightedGraph, StrataLog, list[float]]:
-    """Full descent loop with strata instrumentation; ``engine`` solves
-    every step and carries the warm starts from step to step.
+    """Full descent loop from the graph ``g``, with strata instrumentation;
+    ``engine`` solves every step and carries the warm starts from step to
+    step, and one generator seeded by ``config.seed`` draws every step's
+    candidates.
 
-    ``initial`` is the starting graph, or a vertex count (``random_point``'s
-    edge-probability policy).  The loop stops early once the edge set and
-    weights are stable within ``stall_tol`` for ``stall_iters`` consecutive
-    iterations.  Failed steps leave the graph unchanged and are recorded.
-    Returns the final graph, the strata log and the loss history.
+    The loop stops early once the edge set and weights are stable within
+    ``_STALL_TOL`` for ``_STALL_ITERS`` consecutive iterations.  Failed
+    steps leave the graph unchanged and are recorded.  Returns the final
+    graph, the strata log and the loss history.
     """
+    if not isinstance(g, WeightedGraph):
+        raise TypeError(f"run needs a WeightedGraph, got {type(g).__name__}")
     rng = np.random.default_rng(config.seed)
-    if isinstance(initial, (int, np.integer)):
-        g = random_point(int(initial), config, rng)
-    elif isinstance(initial, WeightedGraph):
-        g = initial
-    else:
-        raise TypeError("initial must be a graph or a vertex count")
 
     log = StrataLog()
     log.visit(g.edges, 0)
@@ -480,8 +461,8 @@ def run(config: OptimizerConfig, sampler, initial, *, readout,
         log.record(IterationRecord(t, g.edges, tuple(g.weights), events.added,
                                    events.pruned, events.loss.total, events))
         history.append(events.loss.total)
-        stable = stable + 1 if (same_edges and drift < config.stall_tol) else 0
-        if stable >= config.stall_iters:
+        stable = stable + 1 if (same_edges and drift < _STALL_TOL) else 0
+        if stable >= _STALL_ITERS:
             break
     return g, log, history
 
@@ -502,24 +483,26 @@ def _staggered_order(k: int) -> list[int]:
     return [i - 1 for i in order]
 
 
+_SAFETY = 1.2
+
+
 def chebyshev_schedule(lam_min: float, lam_max: float, cycle_len: int = 16,
-                       cycles: int = 1, safety: float = 1.2) -> tuple[float, ...]:
+                       cycles: int = 1) -> tuple[float, ...]:
     """Step-size cycle that accelerates descent on a quadratic bowl.
 
-    The steps are reciprocals of Chebyshev nodes on the (safety-widened)
-    curvature interval, in a stability-staggered order, repeated ``cycles``
-    times.  One cycle contracts every curvature mode in the interval by the
-    minimax polynomial factor, which beats any constant step size by
-    roughly the square root of the condition number.
+    The steps are reciprocals of Chebyshev nodes on the curvature interval
+    widened by ``_SAFETY`` each way, in a stability-staggered order,
+    repeated ``cycles`` times.  One cycle contracts every curvature mode in
+    the interval by the minimax polynomial factor, which beats any constant
+    step size by roughly the square root of the condition number.
     """
-    if not (0 < lam_min <= lam_max < np.inf and 1.0 <= safety < np.inf):
-        raise ValueError("need 0 < lam_min <= lam_max < inf and a finite "
-                         "safety >= 1, which widens the interval")
+    if not 0 < lam_min <= lam_max < np.inf:
+        raise ValueError("need 0 < lam_min <= lam_max < inf")
     if not all(np.isfinite(c) and int(c) == c >= 1
                for c in (cycle_len, cycles)):
         raise ValueError("cycle_len and cycles must be positive integers")
     k, reps = int(cycle_len), int(cycles)
-    lo, hi = lam_min / safety, lam_max * safety
+    lo, hi = lam_min / _SAFETY, lam_max * _SAFETY
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = [center + radius * np.cos(np.pi * (2 * i + 1) / (2 * k))
              for i in range(k)]

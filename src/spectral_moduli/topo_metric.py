@@ -3,10 +3,9 @@
 A ground truth is a finite net on an analytically known manifold (circle,
 disjoint circles, or a segment) together with exact geodesic distances, the
 short-geodesic edge set E_true = {(u,v): 0 < d(u,v) < inj_radius}, reference
-Betti numbers, and teacher edge weights w*(e) = 1/d(u,v) (an inverse-square
-variant is available behind ``weight_exponent``).  Recovered graphs are
-compared to the truth through exact component/cycle counts and an additive
-metric-distortion report.
+Betti numbers, and teacher edge weights w*(e) = 1/d(u,v).  Recovered graphs
+are compared to the truth through exact component/cycle counts and an
+additive metric-distortion report.
 
 The teacher sampler turns a ground truth into a supervised data stream:
 inputs are unit-norm bump fields centered at net vertices (optionally
@@ -86,7 +85,6 @@ class GroundTruth:
     e_true: tuple[tuple[int, int], ...]
     betti: tuple[int, int]
     teacher_weights: np.ndarray
-    weight_exponent: int = 1
 
     @property
     def n(self) -> int:
@@ -122,7 +120,6 @@ class GroundTruth:
             "e_true": [list(e) for e in self.e_true],
             "betti": list(self.betti),
             "teacher_weights": self.teacher_weights.tolist(),
-            "weight_exponent": self.weight_exponent,
         }
 
 
@@ -134,9 +131,8 @@ def _circle_arcs(rng, n_pts: int, radius: float, delta: float) -> np.ndarray:
     return np.mod(base, 2.0 * np.pi * radius)
 
 
-def build_ground_truth(spec: ManifoldSpec, inj_radius: float,
-                       weight_exponent: int = 1) -> GroundTruth:
-    """Sample a net, compute exact geodesics, and derive E_true and w*.
+def build_ground_truth(spec: ManifoldSpec, inj_radius: float) -> GroundTruth:
+    """Sample a net, compute exact geodesics, and derive E_true and w* = 1/d.
 
     Geodesic distances are analytic: arc length on each circle, coordinate
     difference on a segment, infinite across components.  A warning is
@@ -145,8 +141,6 @@ def build_ground_truth(spec: ManifoldSpec, inj_radius: float,
     """
     if inj_radius <= 0:
         raise ValueError("inj_radius must be positive")
-    if weight_exponent not in (1, 2):
-        raise ValueError("weight_exponent must be 1 or 2")
     rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "segment":
@@ -187,9 +181,9 @@ def build_ground_truth(spec: ManifoldSpec, inj_radius: float,
             d = dist[u, v]
             if np.isfinite(d) and 0.0 < d < inj_radius:
                 e_true.append((u, v))
-                weights.append(1.0 / d ** weight_exponent)
+                weights.append(1.0 / d)
     truth = GroundTruth(spec, pts, dist, float(inj_radius), tuple(e_true),
-                        betti, np.asarray(weights), weight_exponent)
+                        betti, np.asarray(weights))
     nearest = truth.nearest_gaps
     if np.any(nearest >= inj_radius):
         logger.warning(
@@ -326,15 +320,16 @@ class TeacherSampler:
 
     X is the unit-normalized Gaussian bump exp(-d(v,.)^2 / (2 s^2)) centered
     at a uniformly chosen net vertex, with an optional noise perturbation of
-    L2 size at most ``noise_delta`` before renormalization (drawn by
-    ``noisy_input_stream``).  y is the readout of the steady state computed
-    on the teacher graph; each batch is labelled by one call to the
-    sampler's own ``SteadySolveEngine``.
+    L2 size at most ``noise_delta`` (default 0: the canonical bumps exactly)
+    before renormalization (drawn by ``noisy_input_stream``); that kick is
+    not the net jitter ``truth.spec.noise_delta``.  y is the readout of the
+    steady state computed on the teacher graph; each batch is labelled by
+    one call to the sampler's own ``SteadySolveEngine``.
     """
 
     def __init__(self, truth: GroundTruth, readout: PopulationReadout,
                  config: NlseConfig, seed: int, bump_width: float | None = None,
-                 noise_delta: float | None = None):
+                 noise_delta: float = 0.0):
         self.truth = truth
         self.readout = readout
         self.config = config
@@ -345,8 +340,7 @@ class TeacherSampler:
         if not (np.isfinite(self.bump_width) and self.bump_width > 0):
             raise ValueError(f"bump_width must be finite and positive, "
                              f"got {self.bump_width}")
-        self.noise_delta = (truth.spec.noise_delta if noise_delta is None
-                            else float(noise_delta))
+        self.noise_delta = float(noise_delta)
         self._engine = SteadySolveEngine(config)
         self._bumps = [self.canonical_bump(v) for v in range(truth.n)]
         self._stream = noisy_input_stream(self._bumps, self.noise_delta, seed)

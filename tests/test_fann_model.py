@@ -8,6 +8,7 @@ interleaved training loop.
 """
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -27,7 +28,7 @@ TIGHT_CFG = NlseConfig(dt=1e-2, steady_tol=1e-11, t_max=4000.0)
 
 
 def opt_config(**kw):
-    base = dict(iterations=1, init_edge_prob=0.5, prune_threshold=0.05,
+    base = dict(iterations=1, prune_threshold=0.05,
                 add_threshold=1e-5, step_size=1.0, batch_size=4,
                 l1_coeff=1e-11, l2_coeff=1e-11, seed=0,
                 candidate_fraction=1.0)
@@ -103,10 +104,20 @@ def test_train_config_validation():
             train_config(batch_size=bad)
     with pytest.raises(ValueError, match="lr_params"):
         train_config(lr_params=0.0)
-    with pytest.raises(ValueError, match="r_a3"):
-        train_config(r_a3=-1.0)
     with pytest.raises(TypeError, match="OptimizerConfig"):
         fm.TrainConfig(epochs=1, lr_params=0.1, moduli_config=RUN_CFG)
+
+
+def test_every_setting_is_one_a_run_sets():
+    # a new setting arrives with the run that sets it, and every caller of
+    # descent_step hands over the generator it keeps across steps
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == [
+        "iterations", "prune_threshold", "add_threshold", "step_size",
+        "batch_size", "l1_coeff", "l2_coeff", "seed", "candidate_fraction"]
+    assert [f.name for f in dataclasses.fields(fm.TrainConfig)] == [
+        "epochs", "lr_params", "moduli_config", "seed"]
+    rng = inspect.signature(moduli.descent_step).parameters["rng"]
+    assert rng.default is inspect.Parameter.empty
 
 
 def test_baseline_params_validation():
@@ -386,43 +397,53 @@ def test_baseline_gradients_match_fd():
 # projection
 
 
-def test_projection_bounds_hold_exactly():
+def dense_norms(params) -> dict:
+    """The norm of every dense field: Frobenius, L2 or modulus."""
+    return {f.name: float(np.linalg.norm(getattr(params, f.name)))
+            for f in dataclasses.fields(params)
+            if not isinstance(getattr(params, f.name), str)}
+
+
+def test_projection_bounds_hold_exactly(monkeypatch):
+    monkeypatch.setattr(fm, "_RADIUS", 1.5)
     rng = np.random.default_rng(0)
     params = fm.ModelParams(a1=10.0 * rng.standard_normal((3, 3)),
                             b1=5.0 * rng.standard_normal(3),
                             a3=7.0 * rng.standard_normal(3), b3=4.0 + 3.0j)
-    cfg = train_config(r_a1=2.0, r_b1=1.0, r_a3=1.5, r_b3=0.5)
-    proj = fm.project_params(params, cfg)
-    assert np.linalg.norm(proj.a1) <= 2.0
-    assert np.linalg.norm(proj.b1) <= 1.0
-    assert np.linalg.norm(proj.a3) <= 1.5
-    assert abs(proj.b3) <= 0.5
-    again = fm.project_params(proj, cfg)
-    assert np.array_equal(again.a1, proj.a1) and again.b3 == proj.b3
+    assert all(n > 1.5 for n in dense_norms(params).values())
+    proj = fm.project_params(params)
+    assert all(n <= 1.5 for n in dense_norms(proj).values())
+    again = fm.project_params(proj)
+    assert np.array_equal(again.a1, proj.a1)
+    assert np.array_equal(again.b1, proj.b1)
+    assert np.array_equal(again.a3, proj.a3) and again.b3 == proj.b3
 
 
-def test_projection_inside_ball_is_identity(c4_model):
+def test_projection_inside_ball_is_identity(c4_model, monkeypatch):
     params, _ = c4_model
-    proj = fm.project_params(params, train_config())
+    # a ball whose radius is the largest field norm holds every field
+    monkeypatch.setattr(fm, "_RADIUS", max(dense_norms(params).values()))
+    proj = fm.project_params(params)
     assert np.array_equal(proj.a1, params.a1)
     assert np.array_equal(proj.b1, params.b1)
     assert np.array_equal(proj.a3, params.a3)
     assert proj.b3 == params.b3
 
 
-def test_baseline_projection_bounds_hold_exactly():
+def test_baseline_projection_bounds_hold_exactly(monkeypatch):
+    monkeypatch.setattr(fm, "_RADIUS", 0.7)
     rng = np.random.default_rng(1)
     bp = fm.BaselineParams(a1=rng.standard_normal((3, 3)) * 9,
                            b1=rng.standard_normal(3) * 9,
                            w2=rng.standard_normal((3, 3)) * 9,
                            b2=rng.standard_normal(3) * 9,
                            a3=rng.standard_normal(3) * 9, b3=9.0)
-    cfg = train_config(r_a1=1.0, r_b1=1.0, r_w2=2.0, r_b2=0.7, r_a3=1.0,
-                       r_b3=1.0)
-    proj = fm.project_params(bp, cfg)
-    assert np.linalg.norm(proj.w2) <= 2.0
-    assert np.linalg.norm(proj.b2) <= 0.7
-    assert abs(proj.b3) <= 1.0
+    assert all(n > 0.7 for n in dense_norms(bp).values())
+    proj = fm.project_params(bp)
+    assert all(n <= 0.7 for n in dense_norms(proj).values())
+    again = fm.project_params(proj)
+    assert all(np.array_equal(getattr(again, name), getattr(proj, name))
+               for name in dense_norms(bp))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +512,7 @@ def test_train_logs_failures_and_continues(c4, monkeypatch):
     def never_converges(graphs, xs, config, starts=None, probe=False):
         return [SteadyState(psi_inf=np.asarray(x, dtype=complex),
                             t_reached=config.t_max, residual=1.0,
-                            converged=False, gamma=config.gamma) for x in xs]
+                            gamma=config.gamma, reason="horizon") for x in xs]
 
     pairs = sampler.exact()  # labelled before the solver fails
     monkeypatch.setattr(moduli, "solve_steady_state_many", never_converges)
@@ -667,13 +688,19 @@ def test_baseline_train_skips_a_degenerate_sample_and_continues():
     assert np.array_equal(out.b1, expect.b1) and out.b3 == expect.b3
     assert h.train_loss == float(np.mean([fm.baseline_loss_sample(out, x, y)
                                           for x, y in pairs]))
-    # when every sample fails the update is void, the epoch loss reads NaN
-    # and training goes on
+    why = ": input layer produced the zero state"
+    assert h.failures == ("param gradient, sample 1" + why,)
+    # when every sample fails the update is void, the epoch loss reads NaN,
+    # each pass names every sample it skipped, and training goes on
     zero = fm.fixed_set_sampler([(np.zeros(n), 0.3)])
     same, hist = fm.baseline_train(zero, train_config(epochs=2, batch_size=2),
-                                   bp)
+                                   bp, heldout=[(np.zeros(n), 0.1)])
     assert len(hist) == 2 and all(np.isnan(r.train_loss) for r in hist)
     assert np.array_equal(same.w2, bp.w2)
+    assert [r.failures for r in hist] == [tuple(
+        f"{what} {k}{why}" for what, count in (
+            ("param gradient, sample", 2), ("train sample", 2),
+            ("heldout sample", 1)) for k in range(count))] * 2
 
 
 def test_baseline_train_heldout_column():
@@ -854,6 +881,7 @@ def test_history_csv_format(tmp_path):
                fm.EpochRecord(1, 0.25, 0.3, 5, 1, 2)]
     path = tmp_path / "history.csv"
     fm.write_history_csv(path, records)
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,test_loss,n_edges,b0,b1"
     assert lines[1] == "0,0.5,nan,4,1,1"

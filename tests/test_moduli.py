@@ -33,7 +33,6 @@ from spectral_moduli.moduli import (
     IterationRecord,
     chebyshev_schedule,
     descent_step,
-    random_point,
     regularized_loss,
     run,
     stochastic_gradient,
@@ -88,8 +87,6 @@ def engine():
 
 @pytest.mark.parametrize("bad", [
     dict(iterations=-1),
-    dict(init_edge_prob=0.0),
-    dict(init_edge_prob=1.5),
     dict(prune_threshold=0.0),
     dict(prune_threshold=1.0),
     dict(add_threshold=0.0),
@@ -102,15 +99,13 @@ def engine():
     dict(l2_coeff=-1e-3),
     dict(candidate_fraction=0.0),
     dict(candidate_fraction=1.2),
-    dict(stall_tol=-1e-10),
     *[{field: value} for value in (float("nan"), float("inf"))
-      for field in ("step_size", "l1_coeff", "l2_coeff", "stall_tol")],
-    dict(stall_iters=0),
+      for field in ("step_size", "l1_coeff", "l2_coeff", "prune_threshold",
+                    "add_threshold", "candidate_fraction")],
     dict(iterations=2.5),
     dict(batch_size=2.5),
-    dict(stall_iters=1.5),
-    *[{field: float("inf")}
-      for field in ("iterations", "batch_size", "stall_iters")],
+    *[{field: value} for value in (float("nan"), float("inf"))
+      for field in ("iterations", "batch_size")],
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -315,7 +310,7 @@ def test_step_is_pure_sgd_when_rules_disabled(c4, engine):
     cfg = opt_config(add_threshold=0.999, prune_threshold=1e-9,
                      step_size=100.0)
     new_point, events = descent_step(point, batch, cfg, 0, readout=readout,
-                                     engine=engine)
+                                     engine=engine, rng=np.random.default_rng(0))
     assert events.added == () and events.pruned == ()
     assert new_point.edges == point.edges
     # replay: w' = w - eta * g with g recomputed independently
@@ -333,8 +328,8 @@ def test_candidate_added_at_exactly_twice_probe_weight(c4, engine):
                           if (u, v) != (0, 1)])
     batch = Batch.from_pairs(sampler.exact())
     cfg = opt_config(step_size=1.0)
-    new_point, events = descent_step(sub, batch, cfg, 0,
-                                     readout=readout, engine=engine)
+    new_point, events = descent_step(sub, batch, cfg, 0, readout=readout,
+                                     engine=engine, rng=np.random.default_rng(0))
     assert (0, 1) in events.added
     assert events.test_gradients[(0, 1)] < -cfg.add_threshold
     new_w = dict(zip(new_point.edges, new_point.weights))
@@ -348,8 +343,8 @@ def test_update_clamps_then_prunes(c3, engine):
     # enormous l2 and step size drive every weight to the clamp at zero
     cfg = opt_config(l2_coeff=1.0, step_size=10.0, add_threshold=0.999,
                      batch_size=3)
-    new_point, events = descent_step(g, batch, cfg, 0,
-                                     readout=readout, engine=engine)
+    new_point, events = descent_step(g, batch, cfg, 0, readout=readout,
+                                     engine=engine, rng=np.random.default_rng(0))
     assert set(events.pruned) == set(g.edges)
     assert new_point.n_edges == 0
     assert all(w == 0.0 for w in events.post_update_weights.values())
@@ -370,8 +365,8 @@ def test_descent_step_solves_once_per_pass(c4, monkeypatch):
     monkeypatch.setattr(engine, "solve_many", counting)
     batch = Batch.from_pairs(sampler.exact() + sampler.exact()[:1])
     cfg = opt_config(batch_size=5)
-    _, events = descent_step(truth.teacher_graph(), batch, cfg,
-                             0, readout=readout, engine=engine)
+    _, events = descent_step(truth.teacher_graph(), batch, cfg, 0,
+                             readout=readout, engine=engine, rng=np.random.default_rng(0))
     # one job per sample, repeated input included; C4 has two absent edges
     assert calls == [(5, (), {}), (2 * 5, (), {"probe": True})]
     assert set(events.test_gradients) == {(0, 2), (1, 3)}
@@ -389,7 +384,7 @@ def test_a_warm_step_solves_its_current_and_probe_rows_in_one_call(
                            zip(truth.e_true, truth.teacher_weights)]
                        + [(0, 2, 0.06)])
     ref = SteadySolveEngine(RUN_CFG)
-    descent_step(init, batch, cfg, 0, readout=readout, engine=ref)
+    descent_step(init, batch, cfg, 0, readout=readout, engine=ref, rng=np.random.default_rng(0))
     engine = SteadySolveEngine(RUN_CFG)
     calls, begun, outs = [], [], []
     solve_many, solve = engine.solve_many, moduli.solve_steady_state_many
@@ -405,10 +400,13 @@ def test_a_warm_step_solves_its_current_and_probe_rows_in_one_call(
 
     monkeypatch.setattr(engine, "solve_many", recorded)
     monkeypatch.setattr(moduli, "solve_steady_state_many", recorded_solve)
-    g, first = descent_step(init, batch, cfg, 0, readout=readout, engine=engine)
+    rng = np.random.default_rng(0)
+    g, first = descent_step(init, batch, cfg, 0, readout=readout,
+                            engine=engine, rng=rng)
     assert first.pruned == ((0, 2),) and g.edges == truth.e_true
     assert calls == [(4, (), {}), (4, (), {"probe": True})]
-    _, events = descent_step(g, batch, cfg, 1, readout=readout, engine=engine)
+    _, events = descent_step(g, batch, cfg, 1, readout=readout,
+                             engine=engine, rng=rng)
     assert calls[2:] == [(4 + 8, (), {"probe": [False] * 4 + [True] * 8})]
     # every row starts from its input's state on the last current graph:
     # the first step's probe pass moved no warm start
@@ -463,7 +461,8 @@ def test_descent_step_reads_no_spectrum_and_grafts_each_probe_once(
     batch = Batch.from_pairs(sampler.exact())
     cfg = opt_config(batch_size=4)
     _, events = descent_step(truth.teacher_graph(), batch, cfg, 0,
-                             readout=readout, engine=SteadySolveEngine(RUN_CFG))
+                             readout=readout, engine=SteadySolveEngine(RUN_CFG),
+                             rng=np.random.default_rng(0))
     assert spectra == []
     assert grafts == [(0, 2), (1, 3)]
     assert set(events.test_gradients) == {(0, 2), (1, 3)}
@@ -504,7 +503,8 @@ def test_repelled_probe_rows_fail_without_the_flow_path(monkeypatch):
     monkeypatch.setattr(dynamics, "_bordered_step", recorded_step)
     monkeypatch.setattr(engine, "solve_many", recorded)
     cfg = opt_config(batch_size=2, step_size=1e-3)
-    _, events = descent_step(g, batch, cfg, 0, readout=readout, engine=engine)
+    _, events = descent_step(g, batch, cfg, 0, readout=readout, engine=engine,
+                             rng=np.random.default_rng(0))
     # no row took a step that follows the flow
     assert inv_deltas
     assert not any((inv == 1.0 / RUN_CFG.dt).any() for inv in inv_deltas)
@@ -643,20 +643,17 @@ def test_run_zero_iterations_returns_initial(c4):
     assert history == []
 
 
-def test_run_accepts_graph_and_vertex_count(c4):
+def test_run_accepts_a_graph_and_nothing_else(c4):
     truth, readout, sampler = c4
-    cfg = opt_config(iterations=0, init_edge_prob=1.0)
+    cfg = opt_config(iterations=0)
     engine = SteadySolveEngine(RUN_CFG)
     point, _, _ = run(cfg, sampler.exact_sampler(), truth.teacher_graph(),
                       readout=readout, engine=engine)
     assert point.edges == truth.e_true
-    point, _, _ = run(cfg, sampler.exact_sampler(), 4, readout=readout,
-                      engine=engine)
-    assert point.n_edges == 6  # every pair, weight one
-    assert np.all(point.weights == 1.0)
-    with pytest.raises(TypeError, match="graph or a vertex count"):
-        run(cfg, sampler.exact_sampler(), "nope", readout=readout,
-            engine=engine)
+    for bad in (4, "nope"):
+        with pytest.raises(TypeError, match="needs a WeightedGraph"):
+            run(cfg, sampler.exact_sampler(), bad, readout=readout,
+                engine=engine)
 
 
 def test_run_is_deterministic_to_the_byte(c4, tmp_path):
@@ -699,18 +696,18 @@ def test_run_stalls_early_on_flat_landscape(c3):
     zeros = PopulationReadout(np.zeros(3))
     stream = [(x, 0.0) for x, _ in sampler.exact()]
     cfg = opt_config(iterations=50, l1_coeff=0.0, l2_coeff=0.0,
-                     batch_size=3, stall_iters=6)
+                     batch_size=3)
     point, log, history = run(cfg, lambda b: stream,
                               truth.teacher_graph(), readout=zeros,
                               engine=SteadySolveEngine(RUN_CFG))
-    assert len(log.records) == 6
+    assert len(log.records) == moduli._STALL_ITERS
     assert point.edges == truth.e_true
 
 
 def never_converges(graphs, xs, config, starts=None, probe=False):
     return [SteadyState(psi_inf=np.asarray(x, dtype=complex),
                         t_reached=config.t_max, residual=1.0,
-                        converged=False, gamma=config.gamma) for x in xs]
+                        gamma=config.gamma, reason="horizon") for x in xs]
 
 
 def test_run_logs_failed_steps_and_continues(c3, monkeypatch):
@@ -840,16 +837,6 @@ def test_jsonl_record_shape(tmp_path):
     assert obj["loss"] == 0.25
 
 
-def test_random_point_probability_extremes():
-    cfg = opt_config(init_edge_prob=1.0)
-    p = random_point(5, cfg)
-    assert p.n_edges == 10
-    assert np.all(p.weights == 1.0)
-    cfg_sparse = opt_config(init_edge_prob=1e-12, seed=1)
-    rng = np.random.default_rng(1)
-    assert random_point(5, cfg_sparse, rng).n_edges == 0
-
-
 # ---------------------------------------------------------------------------
 # solve engine
 # ---------------------------------------------------------------------------
@@ -892,7 +879,7 @@ def test_engine_solver_sees_every_job_and_horizon(monkeypatch):
         calls.append(([(g.key(), np.asarray(x).tobytes())
                        for g, x in zip(graphs, xs)], config.t_max))
         return [SteadyState(np.asarray(x, dtype=complex)
-                            / np.linalg.norm(x), 1.0, 0.0, True, config.gamma)
+                            / np.linalg.norm(x), 1.0, 0.0, config.gamma)
                 for x in xs]
 
     monkeypatch.setattr(moduli, "solve_steady_state_many", fake_solve)
@@ -1003,8 +990,7 @@ def test_chebyshev_schedule_validation():
     with pytest.raises(ValueError):
         chebyshev_schedule(1e-6, 1e-4, cycle_len=24)
     for bad in (dict(cycle_len=0), dict(cycle_len=2.5), dict(cycles=0),
-                dict(cycles=1.5), dict(safety=0.5), dict(safety=float("nan")),
-                dict(safety=float("inf")), dict(cycle_len=float("inf")),
+                dict(cycles=1.5), dict(cycle_len=float("inf")),
                 dict(cycles=float("inf"))):
         with pytest.raises(ValueError):
             chebyshev_schedule(1e-6, 1e-4, **bad)
@@ -1016,9 +1002,8 @@ def test_chebyshev_schedule_validation():
 
 
 def test_chebyshev_steps_are_reciprocal_nodes():
-    lmin, lmax, k, safety = 1e-6, 1e-4, 16, 1.2
-    sched = chebyshev_schedule(lmin, lmax, cycle_len=k, cycles=2,
-                               safety=safety)
+    lmin, lmax, k, safety = 1e-6, 1e-4, 16, moduli._SAFETY
+    sched = chebyshev_schedule(lmin, lmax, cycle_len=k, cycles=2)
     assert len(sched) == 2 * k
     assert sched[:k] == sched[k:]
     lo, hi = lmin / safety, lmax * safety
@@ -1050,11 +1035,10 @@ def test_chebyshev_cycle_beats_constant_step():
 
 
 def test_chebyshev_contraction_matches_minimax_factor():
-    lmin, lmax, k, safety = 1e-7, 6e-5, 32, 1.2
+    lmin, lmax, k, safety = 1e-7, 6e-5, 32, moduli._SAFETY
     lo, hi = lmin / safety, lmax * safety
     eigs = np.linspace(lo, hi, 4001)
-    sched = chebyshev_schedule(lmin, lmax, cycle_len=k, cycles=1,
-                               safety=safety)
+    sched = chebyshev_schedule(lmin, lmax, cycle_len=k, cycles=1)
     cheb, _ = quadratic_contractions(eigs, sched)
     # classical equioscillation value of the degree-k minimax polynomial
     # normalized to 1 at the origin: 1 / cosh(k * acosh((hi+lo)/(hi-lo)))

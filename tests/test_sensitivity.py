@@ -206,7 +206,7 @@ def test_dpsi_dw_unknown_edge_rejected(triangle_problem):
 
 def test_unconverged_steady_state_rejected(triangle_problem):
     g, psi0, _ = triangle_problem
-    fake = SteadyState(psi0, 0.0, 1.0, False, CFG.gamma)
+    fake = SteadyState(psi0, 0.0, 1.0, CFG.gamma, reason="horizon")
     with pytest.raises(ValueError):
         dpsi_dw(g, psi0, fake, (0, 1))
 
@@ -239,7 +239,7 @@ def test_fd_oracle_exact_on_quadratic_solver():
     def quadratic_solver(gq, p, config):
         w = np.asarray(gq.weights)
         vec = np.array([w[0] ** 2, 1.0 + w[1], 3.0 * w[2] + w[0]], dtype=complex)
-        return SteadyState(vec, 0.0, 0.0, True, config.gamma)
+        return SteadyState(vec, 0.0, 0.0, config.gamma)
 
     out = fd_oracle(g, psi0, CFG, ("w", g.edges[0]), h=1e-3,
                     solver=quadratic_solver)
@@ -363,7 +363,7 @@ def test_batch_with_mixed_gamma_rejected(triangle_problem, adjoint):
 
 
 def _hand_built(psi):
-    return SteadyState(np.asarray(psi, dtype=complex), 0.0, 1.0, True, 1.0)
+    return SteadyState(np.asarray(psi, dtype=complex), 0.0, 1.0, 1.0)
 
 
 # an exactly singular bordered matrix on the triangle (psi an eigenvector of

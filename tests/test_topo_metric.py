@@ -20,6 +20,7 @@ from spectral_moduli.topo_metric import (
     build_ground_truth,
     distortion_report,
     graph_metric,
+    noisy_input_stream,
 )
 
 TEACHER_CFG = NlseConfig(dt=1e-2, steady_tol=1e-10, t_max=2000.0)
@@ -121,15 +122,6 @@ def test_truth_geodesics_satisfy_triangle_inequality():
                 for k in range(n):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-10
         np.testing.assert_allclose(d, d.T)
-
-
-def test_weight_exponent_switch():
-    spec = ManifoldSpec("circle", (1.0,), n_net_points=4)
-    t1 = build_ground_truth(spec, inj_radius=2.0, weight_exponent=1)
-    t2 = build_ground_truth(spec, inj_radius=2.0, weight_exponent=2)
-    np.testing.assert_allclose(t2.teacher_weights, t1.teacher_weights ** 2)
-    with pytest.raises(ValueError):
-        build_ground_truth(spec, inj_radius=2.0, weight_exponent=3)
 
 
 def test_build_is_deterministic():
@@ -380,6 +372,26 @@ def test_sampler_noise_stays_within_delta(c4_truth):
                 for v in range(4)]
         assert min(gaps) <= 2 * delta + 1e-12
         assert np.linalg.norm(x) == pytest.approx(1.0)
+
+
+def test_sampler_input_noise_is_not_the_net_jitter():
+    # the net jitter is an arc length; the sampler kicks its fields only by
+    # the noise_delta it is given
+    truth = build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=6,
+                                            noise_delta=0.1, seed=3),
+                               inj_radius=1.5)
+    readout = PopulationReadout.random(6, seed=1)
+    plain = TeacherSampler(truth, readout, TEACHER_CFG, seed=2)
+    bumps = [plain.canonical_bump(v) for v in range(6)]
+    assert plain.noise_delta == 0.0
+    for x, _ in plain(8):
+        assert any(np.array_equal(x, b) for b in bumps)
+    noisy = TeacherSampler(truth, readout, TEACHER_CFG, seed=2,
+                           noise_delta=0.05)
+    expect = noisy_input_stream(bumps, 0.05, seed=2)(8)
+    for (x, _), (e, _) in zip(noisy(8), expect):
+        np.testing.assert_array_equal(x, e)
+        assert not any(np.array_equal(x, b) for b in bumps)
 
 
 @pytest.mark.parametrize("width", [0.0, -0.5, float("nan"), float("inf")])
