@@ -892,15 +892,7 @@ def _train_config(phase: dict, batch: int, seed: int) -> fm.TrainConfig:
         step_size=phase["step_size"], batch_size=batch, l1_coeff=1e-11,
         l2_coeff=1e-11, seed=seed, candidate_fraction=0.5)
     return fm.TrainConfig(epochs=phase["epochs"], lr_params=phase["lr"],
-                          moduli_config=moduli, seed=seed)
-
-
-def _write_baseline_history(path: str, history, meta: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(_meta_comment(meta) + "\n")
-        fh.write("epoch,train_loss,test_loss\n")
-        for rec in history:
-            fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.test_loss!r}\n")
+                          moduli_config=moduli)
 
 
 def _gap_sweep(train_losses, test_losses, sizes) -> list[dict]:
@@ -941,7 +933,7 @@ def _run_train(resolved: dict, meta: dict) -> int:
     fm.save_checkpoint(os.path.join(out, "checkpoint.json"), params, g,
                        extra={"meta": _canon(meta)})
     hist_path = os.path.join(out, "history.csv")
-    fm.write_history_csv(hist_path, history)
+    fm.write_history_csv(hist_path, fm.EpochRecord, history)
     _prepend_line(hist_path, _meta_comment(meta))
 
     baseline_params = None
@@ -955,8 +947,10 @@ def _run_train(resolved: dict, meta: dict) -> int:
         _dump_json(os.path.join(out, "baseline_checkpoint.json"),
                    {"meta": meta,
                     "baseline": fm._encode_params(baseline_params)})
-        _write_baseline_history(os.path.join(out, "baseline_history.csv"),
-                                baseline_history, meta)
+        baseline_path = os.path.join(out, "baseline_history.csv")
+        fm.write_history_csv(baseline_path, fm.BaselineEpochRecord,
+                             baseline_history)
+        _prepend_line(baseline_path, _meta_comment(meta))
 
     if sec["gap_sizes"]:
         sizes = sec["gap_sizes"]

@@ -173,12 +173,12 @@ class TrainConfig:
     into the parameter balls of ``project_params``.  The balls do not keep
     tanh pre-activations off the complex poles at ±iπ/2; ``_input_layer``
     rejects the non-finite state a pole gives, and the sample is skipped.
+    ``moduli_config.seed`` seeds the graph steps' generator.
     """
 
     epochs: int
     lr_params: float
     moduli_config: OptimizerConfig
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.epochs)
@@ -488,14 +488,12 @@ class EpochRecord:
     """One epoch of interleaved training.
 
     ``train_loss`` is the batch-mean data loss the graph step measured (at
-    the fresh parameters, before the graph moved); ``test_loss`` is the
-    heldout mean when a heldout set was supplied, else NaN.  Failures are
-    logged strings; the epoch still completes.
+    the fresh parameters, before the graph moved), NaN if that step failed.
+    Failures are logged strings; the epoch still completes.
     """
 
     epoch: int
     train_loss: float
-    test_loss: float
     n_edges: int
     b0: int
     b1: int
@@ -508,7 +506,6 @@ class BaselineEpochRecord:
 
     epoch: int
     train_loss: float
-    test_loss: float
     failures: tuple = ()
 
 
@@ -522,10 +519,6 @@ def _per_sample(fn: Callable, n: int, what: str, failures: list) -> list:
         except _SAMPLE_ERRORS as exc:
             failures.append(f"{what} {k}: {exc}")
     return out
-
-
-def _mean(losses: list) -> float:
-    return sum(losses) / len(losses) if losses else float("nan")
 
 
 def _sgd_step(params, grads: list, config: TrainConfig):
@@ -555,8 +548,7 @@ def _phase_batches(sampler, config: TrainConfig) -> list[list]:
 
 
 def train(sampler, config: TrainConfig, params: ModelParams,
-          g: WeightedGraph, *, engine: SteadySolveEngine,
-          heldout: Sequence | None = None):
+          g: WeightedGraph, *, engine: SteadySolveEngine):
     """Interleaved training loop of the model ``params`` on the graph ``g``.
 
     The phase draws all its mini-batches of ``moduli_config.batch_size``
@@ -565,12 +557,13 @@ def train(sampler, config: TrainConfig, params: ModelParams,
     the batches that one call per epoch would.  Each epoch takes a
     projected batch-mean SGD step on the dense parameters along its batch,
     then one graph descent step with the updated output layer as readout.
-    The SGD step and the heldout loss each solve their cores in one
-    ``engine`` call, and the graph step solves with it too.  Per-step
-    failures are recorded on the epoch and training continues.  Returns ``(params, graph, history)``; with ``epochs == 0``
+    The SGD step solves its cores in one ``engine`` call and the graph
+    step, whose generator ``moduli_config.seed`` seeds, solves with it
+    too.  Per-step failures are recorded on the epoch and training
+    continues.  Returns ``(params, graph, history)``; with ``epochs == 0``
     the inputs pass through untouched and the sampler is not called.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.moduli_config.seed)
     history: list[EpochRecord] = []
     for epoch, pairs in enumerate(_phase_batches(sampler, config)):
         failures: list[str] = []
@@ -592,16 +585,9 @@ def train(sampler, config: TrainConfig, params: ModelParams,
         except _SAMPLE_ERRORS as exc:
             failures.append(f"graph step: {exc}")
 
-        test_loss = float("nan")
-        if heldout is not None:
-            cores = _core_pass(params, g, [x for x, _ in heldout], engine)
-            test_loss = _mean(_per_sample(
-                lambda k: _core_loss(params, cores[k], heldout[k][1]),
-                len(heldout), "heldout sample", failures))
-
         b0, b1 = betti_numbers(g)
-        history.append(EpochRecord(epoch, train_loss, test_loss, g.n_edges,
-                                   b0, b1, tuple(failures)))
+        history.append(EpochRecord(epoch, train_loss, g.n_edges, b0, b1,
+                                   tuple(failures)))
     return params, g, history
 
 
@@ -646,8 +632,7 @@ def baseline_gradients(params: BaselineParams, x, y) -> BaselineGradients:
     return BaselineGradients(g_a1, g_b1, g_w2, g_b2, g_a3, g_b3)
 
 
-def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
-                   heldout: Sequence | None = None):
+def baseline_train(sampler, config: TrainConfig, params: BaselineParams):
     """Projected batch-SGD on the dense baseline, same policy as ``train``.
 
     The phase draws all its mini-batches in one ``sampler`` call, as in
@@ -664,12 +649,7 @@ def baseline_train(sampler, config: TrainConfig, params: BaselineParams, *,
         losses = _per_sample(lambda k: baseline_loss_sample(params, *pairs[k]),
                              len(pairs), "train sample", failures)
         train_loss = float(np.mean(losses)) if losses else float("nan")
-        test_loss = float("nan")
-        if heldout is not None:
-            test_loss = _mean(_per_sample(
-                lambda k: baseline_loss_sample(params, *heldout[k]),
-                len(heldout), "heldout sample", failures))
-        history.append(BaselineEpochRecord(epoch, train_loss, test_loss,
+        history.append(BaselineEpochRecord(epoch, train_loss,
                                            tuple(failures)))
     return params, history
 
@@ -800,13 +780,17 @@ def load_checkpoint(path) -> tuple[ModelParams, WeightedGraph]:
     return params, graph_from_dict(payload["graph"])
 
 
-def write_history_csv(path, history: Sequence[EpochRecord]) -> None:
-    """Epoch records as CSV with shortest round-trip float formatting."""
+def write_history_csv(path, record_type: type, history: Sequence) -> None:
+    """Records of ``record_type`` (``EpochRecord`` or
+    ``BaselineEpochRecord``) as CSV: one column per field but ``failures``,
+    floats in shortest round-trip form.  The header comes from the class,
+    so an empty history still gets one."""
+    fields = [f for f in dataclasses.fields(record_type)
+              if f.name != "failures"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "test_loss", "n_edges",
-                         "b0", "b1"])
+        writer.writerow([f.name for f in fields])
         for rec in history:
-            writer.writerow([rec.epoch, repr(float(rec.train_loss)),
-                             repr(float(rec.test_loss)), rec.n_edges,
-                             rec.b0, rec.b1])
+            writer.writerow([repr(float(getattr(rec, f.name)))
+                             if f.type == "float" else getattr(rec, f.name)
+                             for f in fields])

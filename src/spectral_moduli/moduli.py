@@ -77,9 +77,13 @@ class OptimizerConfig:
     candidate_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, least in (("iterations", 0), ("batch_size", 1)):
+        for name, least in (("iterations", 0), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (np.isfinite(value) and int(value) == value >= least):
+            try:  # int() rejects NaN and ±inf and keeps ints of any size
+                whole = int(value) == value >= least
+            except (ValueError, OverflowError):
+                whole = False
+            if not whole:
                 raise ValueError(f"{name} must be an integer >= {least}")
             object.__setattr__(self, name, int(value))  # 4.0 counts as 4
         if not 0.0 < self.prune_threshold < 1.0:

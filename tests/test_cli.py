@@ -770,10 +770,16 @@ def test_train_zero_epochs_passthrough(tmp_path):
     out = tmp_path / "run"
     assert run_cli("train", "--out", str(out),
                    "--set", "train.task=teacher_fixed_point",
-                   "--set", "train.phase1.epochs=0") == 0
+                   "--set", "train.phase1.epochs=0",
+                   "--set", "train.include_baseline=true",
+                   "--set", "train.baseline.epochs=0") == 0
     with open(out / "history.csv") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
-    assert lines == ["epoch,train_loss,test_loss,n_edges,b0,b1\n"]
+    assert lines == ["epoch,train_loss,n_edges,b0,b1\n"]
+    # an empty baseline history is its meta line and its header
+    with open(out / "baseline_history.csv") as fh:
+        meta, *lines = fh
+    assert meta.startswith("#") and lines == ["epoch,train_loss\n"]
     params, point = fm.load_checkpoint(out / "checkpoint.json")
     assert params.activation1 == "identity"
     assert np.array_equal(params.a1, np.eye(4, dtype=complex))
@@ -817,7 +823,7 @@ def test_train_desk_minimal_emits_all_artifacts(tmp_path):
         assert row["gap"] == pytest.approx(row["test_loss"] - row["train_loss"])
     with open(out / "baseline_history.csv") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
-    assert lines[0] == "epoch,train_loss,test_loss\n"
+    assert lines[0] == "epoch,train_loss\n"
     assert len(lines) == 3
 
 

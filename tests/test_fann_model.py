@@ -38,7 +38,7 @@ def opt_config(**kw):
 
 def train_config(batch_size=4, **kw):
     base = dict(epochs=2, lr_params=0.1,
-                moduli_config=opt_config(batch_size=batch_size), seed=0)
+                moduli_config=opt_config(batch_size=batch_size))
     base.update(kw)
     return fm.TrainConfig(**base)
 
@@ -115,9 +115,17 @@ def test_every_setting_is_one_a_run_sets():
         "iterations", "prune_threshold", "add_threshold", "step_size",
         "batch_size", "l1_coeff", "l2_coeff", "seed", "candidate_fraction"]
     assert [f.name for f in dataclasses.fields(fm.TrainConfig)] == [
-        "epochs", "lr_params", "moduli_config", "seed"]
+        "epochs", "lr_params", "moduli_config"]
     rng = inspect.signature(moduli.descent_step).parameters["rng"]
     assert rng.default is inspect.Parameter.empty
+    # the records' fields are the history CSV columns (failures aside), and
+    # training measures no heldout set: gap_report.json does that once
+    assert [f.name for f in dataclasses.fields(fm.EpochRecord)] == [
+        "epoch", "train_loss", "n_edges", "b0", "b1", "failures"]
+    assert [f.name for f in dataclasses.fields(fm.BaselineEpochRecord)] == [
+        "epoch", "train_loss", "failures"]
+    for fn in (fm.train, fm.baseline_train):
+        assert "heldout" not in inspect.signature(fn).parameters
 
 
 def test_baseline_params_validation():
@@ -550,25 +558,11 @@ def test_train_logs_a_degenerate_input_and_continues(c4_model):
     assert np.isfinite(h.train_loss)
 
 
-def test_train_heldout_column(c4):
-    truth, sampler = c4
-    teacher, point, data = self_consistent_task(truth, sampler)
-    held = data(2)
-    cfg = train_config(epochs=2, lr_params=0.05)
-    _, _, hist = fm.train(data, cfg, teacher, point,
-                          engine=SteadySolveEngine(RUN_CFG), heldout=held)
-    assert all(h.test_loss < 1e-8 for h in hist)
-    _, _, bare = fm.train(data, cfg, teacher, point,
-                          engine=SteadySolveEngine(RUN_CFG))
-    assert all(np.isnan(h.test_loss) for h in bare)
-
-
 def test_train_epoch_solves_once_per_pass(c4, monkeypatch):
-    # one engine call each for the SGD batch, the graph step's current
-    # graph and probe pass, and the heldout set
+    # one engine call each for the SGD batch and the graph step's current
+    # graph and probe pass
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
-    held = data(2)
     engine = SteadySolveEngine(RUN_CFG)
     calls = []
     solve_many = engine.solve_many
@@ -580,9 +574,9 @@ def test_train_epoch_solves_once_per_pass(c4, monkeypatch):
     monkeypatch.setattr(engine, "solve_many", counting)
     params = fm.random_params(truth.n, truth.n, seed=2)
     _, _, hist = fm.train(data, train_config(epochs=1), params, point,
-                          heldout=held, engine=engine)
+                          engine=engine)
     # a batch of 4 distinct inputs; C4 has two absent edges to probe
-    assert calls == [4, 4, 2 * 4, 2]
+    assert calls == [4, 4, 2 * 4]
     assert hist[0].failures == ()
 
 
@@ -694,28 +688,12 @@ def test_baseline_train_skips_a_degenerate_sample_and_continues():
     # each pass names every sample it skipped, and training goes on
     zero = fm.fixed_set_sampler([(np.zeros(n), 0.3)])
     same, hist = fm.baseline_train(zero, train_config(epochs=2, batch_size=2),
-                                   bp, heldout=[(np.zeros(n), 0.1)])
+                                   bp)
     assert len(hist) == 2 and all(np.isnan(r.train_loss) for r in hist)
     assert np.array_equal(same.w2, bp.w2)
     assert [r.failures for r in hist] == [tuple(
-        f"{what} {k}{why}" for what, count in (
-            ("param gradient, sample", 2), ("train sample", 2),
-            ("heldout sample", 1)) for k in range(count))] * 2
-
-
-def test_baseline_train_heldout_column():
-    n = 3
-    bp = fm.random_baseline(n, n, seed=4)
-    data = fm.fixed_set_sampler([(unit_vector(n, s), 0.1) for s in range(4)])
-    held = [(unit_vector(n, s), 0.2 * s) for s in (10, 11, 12)]
-    out, hist = fm.baseline_train(data, train_config(epochs=2), bp,
-                                  heldout=held)
-    # each epoch's heldout mean is taken after its update
-    assert hist[-1].test_loss == sum(
-        fm.baseline_loss_sample(out, x, y) for x, y in held) / 3
-    assert hist[0].test_loss != hist[1].test_loss
-    _, bare = fm.baseline_train(data, train_config(epochs=2), bp)
-    assert all(np.isnan(h.test_loss) for h in bare)
+        f"{what} {k}{why}" for what in ("param gradient, sample",
+                                         "train sample") for k in range(2))] * 2
 
 
 def test_baseline_train_zero_epochs_and_determinism():
@@ -877,12 +855,15 @@ def test_checkpoint_keeps_vertex_and_edge_measures(tmp_path, c4_model):
 
 
 def test_history_csv_format(tmp_path):
-    records = [fm.EpochRecord(0, 0.5, float("nan"), 4, 1, 1),
-               fm.EpochRecord(1, 0.25, 0.3, 5, 1, 2)]
+    records = [fm.EpochRecord(0, float("nan"), 4, 1, 1, ("graph step: x",)),
+               fm.EpochRecord(1, 0.25, 5, 1, 2)]
     path = tmp_path / "history.csv"
-    fm.write_history_csv(path, records)
+    fm.write_history_csv(path, fm.EpochRecord, records)
     assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_loss,test_loss,n_edges,b0,b1"
-    assert lines[1] == "0,0.5,nan,4,1,1"
-    assert lines[2] == "1,0.25,0.3,5,1,2"
+    assert lines[0] == "epoch,train_loss,n_edges,b0,b1"
+    assert lines[1] == "0,nan,4,1,1"
+    assert lines[2] == "1,0.25,5,1,2"
+    fm.write_history_csv(path, fm.BaselineEpochRecord,
+                         [fm.BaselineEpochRecord(0, 0.1 + 0.2)])
+    assert path.read_text() == "epoch,train_loss\n0,0.30000000000000004\n"

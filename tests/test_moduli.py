@@ -106,10 +106,17 @@ def engine():
     dict(batch_size=2.5),
     *[{field: value} for value in (float("nan"), float("inf"))
       for field in ("iterations", "batch_size")],
+    *[dict(seed=value) for value in (-1, 2.5, float("nan"), float("inf"))],
 ])
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
         opt_config(**bad)
+
+
+def test_config_accepts_integral_values_of_any_size():
+    for field in ("iterations", "seed"):
+        for value in (2**70, 4.0):
+            assert getattr(opt_config(**{field: value}), field) == value
 
 
 def test_step_size_schedule_lookup():
