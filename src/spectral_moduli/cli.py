@@ -939,11 +939,9 @@ def _run_train(resolved: dict, meta: dict) -> int:
     baseline_params = None
     if sec["include_baseline"]:
         baseline_params = fm.random_baseline(truth.n, truth.n, seed=seed)
-        baseline_config = fm.TrainConfig(
-            epochs=sec["baseline"]["epochs"], lr_params=sec["baseline"]["lr"],
-            moduli_config=OptimizerConfig(batch_size=batch))
         baseline_params, baseline_history = fm.baseline_train(
-            data, baseline_config, baseline_params)
+            data, baseline_params, epochs=sec["baseline"]["epochs"],
+            lr_params=sec["baseline"]["lr"], batch_size=batch)
         _dump_json(os.path.join(out, "baseline_checkpoint.json"),
                    {"meta": meta,
                     "baseline": fm._encode_params(baseline_params)})

@@ -65,7 +65,6 @@ __all__ = [
     "phase_constraint_2d",
     "make_rhs",
     "integrate",
-    "solve_steady_state",
     "solve_steady_state_many",
     "gauge_check",
     "gauge_align",
@@ -962,20 +961,6 @@ def solve_steady_state_many(graphs: Sequence[WeightedGraph],
         return []
     return _settle(*_stack_problems(graphs, psi0s, starts), config,
                    np.broadcast_to(np.asarray(probe, dtype=bool), (nb,)))
-
-
-def solve_steady_state(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
-                       *, start: np.ndarray | None = None) -> SteadyState:
-    """Drive the complex flow of one problem to a relative equilibrium.
-
-    The batch-of-one ``solve_steady_state_many``.  The returned state keeps
-    whatever global phase it ended at.
-    """
-    starts = None if start is None else [start]
-    out = solve_steady_state_many([g], [psi0], config, starts)[0]
-    if not np.all(np.isfinite(out.psi_inf)):
-        raise DivergenceError(int(round(out.t_reached / config.dt)), out.t_reached)
-    return out
 
 
 def gauge_align(psi: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from .dynamics import SteadyState
 from .graph_core import (GraphError, WeightedGraph, graph_from_dict,
                          graph_to_dict)
 from .moduli import (Batch, LossEvaluationError, OptimizerConfig,
-                     SteadySolveEngine, descent_step)
+                     SteadySolveEngine, _count, descent_step)
 from .sensitivity import (NonIsolatedSteadyStateError, potential_gradient,
                           realify)
 from .topo_metric import betti_numbers, noisy_input_stream
@@ -60,7 +60,6 @@ __all__ = [
     "input_state",
     "readout_value",
     "forward",
-    "loss_sample",
     "loss_samples",
     "param_gradients",
     "project_params",
@@ -155,14 +154,6 @@ class ModelParams:
                              f"dimension; got {self.a1.shape[1]}, "
                              f"{self.b1.size}, {self.a3.size}")
 
-    @property
-    def n_inputs(self) -> int:
-        return self.a1.shape[0]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.a1.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -181,14 +172,22 @@ class TrainConfig:
     moduli_config: OptimizerConfig
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.epochs)
-                and int(self.epochs) == self.epochs >= 0):
-            raise ValueError("epochs must be an integer >= 0")
-        object.__setattr__(self, "epochs", int(self.epochs))
-        if not (np.isfinite(self.lr_params) and self.lr_params > 0):
-            raise ValueError("lr_params must be positive and finite")
         if not isinstance(self.moduli_config, OptimizerConfig):
             raise TypeError("moduli_config must be an OptimizerConfig")
+        epochs, _, _ = _phase_settings(self.epochs, self.lr_params,
+                                       self.moduli_config.batch_size)
+        object.__setattr__(self, "epochs", epochs)
+
+
+def _phase_settings(epochs, lr_params, batch_size) -> tuple[int, float, int]:
+    """The three settings a training phase reads, checked for ``train``
+    (through ``TrainConfig``) and ``baseline_train`` alike: the counts as
+    ``OptimizerConfig`` checks its counts (2.0 counts as 2), the learning
+    rate positive and finite."""
+    epochs = _count("epochs", epochs, 0)
+    if not (np.isfinite(lr_params) and lr_params > 0):
+        raise ValueError("lr_params must be positive and finite")
+    return epochs, lr_params, _count("batch_size", batch_size, 1)
 
 
 @dataclass(frozen=True)
@@ -321,12 +320,6 @@ def forward(params: ModelParams, g: WeightedGraph, x,
     """
     st = _checked(_core_pass(params, g, [x], engine)[0])
     return readout_value(params, st.psi_inf), st.psi_inf
-
-
-def loss_sample(params: ModelParams, g: WeightedGraph, x, y,
-                engine: SteadySolveEngine) -> float:
-    """Squared modulus of the prediction error for one sample."""
-    return loss_samples(params, g, [(x, y)], engine)[0]
 
 
 def loss_samples(params: ModelParams, g: WeightedGraph, pairs,
@@ -521,23 +514,23 @@ def _per_sample(fn: Callable, n: int, what: str, failures: list) -> list:
     return out
 
 
-def _sgd_step(params, grads: list, config: TrainConfig):
-    """One projected batch-mean SGD step on the dense parameters, along
-    gradient dataclasses whose fields name the parameters they move."""
+def _sgd_step(params, grads: list, lr_params: float):
+    """One projected batch-mean SGD step at rate ``lr_params`` on the dense
+    parameters, along gradient dataclasses whose fields name the
+    parameters they move."""
     if not grads:
         return params
-    lr = config.lr_params / len(grads)
+    lr = lr_params / len(grads)
     return project_params(dataclasses.replace(params, **{
         f.name: getattr(params, f.name) - lr * sum(getattr(gr, f.name)
                                                    for gr in grads)
         for f in dataclasses.fields(grads[0])}))
 
 
-def _phase_batches(sampler, config: TrainConfig) -> list[list]:
-    """A phase's mini-batches, in epoch order, from one sampler call that
-    must return exactly ``epochs * moduli_config.batch_size`` pairs."""
-    b = config.moduli_config.batch_size
-    n = config.epochs * b
+def _phase_batches(sampler, epochs: int, b: int) -> list[list]:
+    """A phase's ``epochs`` mini-batches of ``b`` pairs, in epoch order,
+    from one sampler call that must return exactly ``epochs * b`` pairs."""
+    n = epochs * b
     if n == 0:
         return []
     pairs = [(np.asarray(x, dtype=complex), y) for x, y in sampler(n)]
@@ -565,14 +558,15 @@ def train(sampler, config: TrainConfig, params: ModelParams,
     """
     rng = np.random.default_rng(config.moduli_config.seed)
     history: list[EpochRecord] = []
-    for epoch, pairs in enumerate(_phase_batches(sampler, config)):
+    for epoch, pairs in enumerate(_phase_batches(
+            sampler, config.epochs, config.moduli_config.batch_size)):
         failures: list[str] = []
 
         cores = _core_pass(params, g, [x for x, _ in pairs], engine)
         params = _sgd_step(params, _per_sample(
             lambda k: param_gradients(params, g, *pairs[k],
                                       _checked(cores[k])),
-            len(pairs), "param gradient, sample", failures), config)
+            len(pairs), "param gradient, sample", failures), config.lr_params)
 
         train_loss = float("nan")
         try:
@@ -632,20 +626,26 @@ def baseline_gradients(params: BaselineParams, x, y) -> BaselineGradients:
     return BaselineGradients(g_a1, g_b1, g_w2, g_b2, g_a3, g_b3)
 
 
-def baseline_train(sampler, config: TrainConfig, params: BaselineParams):
-    """Projected batch-SGD on the dense baseline, same policy as ``train``.
+def baseline_train(sampler, params: BaselineParams, *, epochs: int,
+                   lr_params: float, batch_size: int):
+    """Projected batch-SGD on the dense baseline, same policy as ``train``:
+    ``epochs`` steps at rate ``lr_params``, each along a mini-batch of
+    ``batch_size`` pairs, all three checked as ``TrainConfig`` checks them.
 
     The phase draws all its mini-batches in one ``sampler`` call, as in
     ``train``.  Losses are recorded after each epoch's update on that
     epoch's batch, over the samples that do not fail (NaN if none).  Each
     failing sample is logged on the epoch, and training continues.
     """
+    epochs, lr_params, batch_size = _phase_settings(epochs, lr_params,
+                                                    batch_size)
     history: list[BaselineEpochRecord] = []
-    for epoch, pairs in enumerate(_phase_batches(sampler, config)):
+    for epoch, pairs in enumerate(_phase_batches(sampler, epochs,
+                                                 batch_size)):
         failures: list[str] = []
         params = _sgd_step(params, _per_sample(
             lambda k: baseline_gradients(params, *pairs[k]), len(pairs),
-            "param gradient, sample", failures), config)
+            "param gradient, sample", failures), lr_params)
         losses = _per_sample(lambda k: baseline_loss_sample(params, *pairs[k]),
                              len(pairs), "train sample", failures)
         train_loss = float(np.mean(losses)) if losses else float("nan")

@@ -20,7 +20,6 @@ identity ``sum_e rho(e) |f(u)-f(v)|^2 = -<D f, f>_mu`` ties them together.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,8 +49,6 @@ __all__ = [
     "norm_equivalence_report",
     "graph_to_dict",
     "graph_from_dict",
-    "save_graph",
-    "load_graph",
 ]
 
 
@@ -191,18 +188,6 @@ class WeightedGraph:
         triples.append((u, v, weight))
         return build_graph(self.n, triples, mu=self.mu,
                            rho=list(self.rho) + [rho])
-
-    def without_edges(self, pairs: Iterable[tuple[int, int]]) -> "WeightedGraph":
-        drop = {(min(p), max(p)) for p in pairs}
-        triples = [(u, v, w) for (u, v), w in zip(self.edges, self.weights)
-                   if (u, v) not in drop]
-        keep_rho = [r for (u, v), r in zip(self.edges, self.rho) if (u, v) not in drop]
-        return build_graph(self.n, triples, mu=self.mu, rho=keep_rho)
-
-    def key(self) -> tuple:
-        """Hashable identity usable as a cache key."""
-        return (self.n, self.edges, self.weights.tobytes(),
-                self.mu.tobytes(), self.rho.tobytes())
 
 
 def build_graph(n: int,
@@ -460,24 +445,29 @@ def graph_to_dict(g: WeightedGraph) -> dict:
     }
 
 
+def _exact(x, what: str, real: bool = False):
+    """``x`` if it is an integer (``real``: a real number) and not a bool:
+    a number of a graph dictionary is never truncated or cast."""
+    kinds = (int, np.integer) + ((float, np.floating) if real else ())
+    if isinstance(x, bool) or not isinstance(x, kinds):
+        raise ValueError(f"{what} {x!r} is not "
+                         + ("a real number" if real else "an integer"))
+    return x
+
+
 def graph_from_dict(d: dict) -> WeightedGraph:
+    """The graph of a ``graph_to_dict`` dictionary.  Its vertex count and
+    endpoints must be integers, and its weights, ``mu`` and ``rho`` real
+    numbers; any other value is a GraphError."""
     try:
-        n = int(d["n"])
-        for x in (x for u, v, _ in d["edges"] for x in (u, v)):
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ValueError(f"edge endpoint {x!r} is not an integer")
-        triples = [(int(u), int(v), float(w)) for u, v, w in d["edges"]]
+        n = int(_exact(d["n"], "vertex count"))
+        triples = [(int(_exact(u, "edge endpoint")),
+                    int(_exact(v, "edge endpoint")),
+                    float(_exact(w, "edge weight", real=True)))
+                   for u, v, w in d["edges"]]
+        mu, rho = (None if d.get(k) is None else
+                   [_exact(x, k, real=True) for x in d[k]]
+                   for k in ("mu", "rho"))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph dictionary: {exc}") from exc
-    return build_graph(n, triples, mu=d.get("mu"), rho=d.get("rho"))
-
-
-def save_graph(g: WeightedGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_graph(path: str) -> WeightedGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return build_graph(n, triples, mu=mu, rho=rho)

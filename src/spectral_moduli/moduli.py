@@ -54,6 +54,18 @@ class LossEvaluationError(RuntimeError):
     """A steady-state solve inside a loss/gradient evaluation failed."""
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int if it is an integer >= ``least`` (4.0 counts as
+    4), else a ValueError naming ``name``."""
+    try:  # int() rejects NaN and ±inf and keeps ints of any size
+        whole = int(value) == value >= least
+    except (ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Hyper-parameters of the graph descent loop.
@@ -78,14 +90,8 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("iterations", 0), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:  # int() rejects NaN and ±inf and keeps ints of any size
-                whole = int(value) == value >= least
-            except (ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise ValueError(f"{name} must be an integer >= {least}")
-            object.__setattr__(self, name, int(value))  # 4.0 counts as 4
+            object.__setattr__(self, name,
+                               _count(name, getattr(self, name), least))
         if not 0.0 < self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in (0, 1)")
         if not 0.0 < self.add_threshold < 1.0:
@@ -282,7 +288,6 @@ class StepEvents:
     added: tuple[tuple[int, int], ...]
     pruned: tuple[tuple[int, int], ...]
     loss: LossBreakdown
-    edge_gradients: dict
     test_gradients: dict
     post_update_weights: dict
     skipped_candidates: tuple[tuple[int, int], ...] = ()
@@ -343,7 +348,6 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     eta = config.step_size_at(t)
     updated = np.maximum(g.weights - eta * grads, 0.0)
     post_update = dict(zip(g.edges, updated))
-    edge_grads = dict(zip(g.edges, grads))
 
     if solved is None:
         candidates, probes, probe_jobs = _probe_jobs(g, xs, config, rng)
@@ -369,8 +373,8 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
     new_graph = build_graph(g.n, keep + [(u, v, 2.0 * theta)
                                          for u, v in added])
     events = StepEvents(tuple(added), pruned,
-                        LossBreakdown(data_loss, l2, l1), edge_grads,
-                        test_grads, post_update, tuple(skipped))
+                        LossBreakdown(data_loss, l2, l1), test_grads,
+                        post_update, tuple(skipped))
     return new_graph, events
 
 
@@ -521,7 +525,6 @@ class StrataSummary:
     count: int
     true_subset_count: int
     spurious_count: int
-    partitions: tuple
 
 
 def visited_strata_count(log: StrataLog,
@@ -535,15 +538,13 @@ def visited_strata_count(log: StrataLog,
     if e_true is None:
         raise ValueError("the reference edge set is required")
     true_set = {(min(u, v), max(u, v)) for u, v in e_true}
-    partitions = []
     true_parts = set()
     spurious_parts = set()
     for edges, _t in log.visited:
         t_part = tuple(sorted(e for e in edges if e in true_set))
         s_part = tuple(sorted(e for e in edges if e not in true_set))
-        partitions.append((t_part, s_part))
         true_parts.add(t_part)
         if s_part:
             spurious_parts.add(s_part)
     return StrataSummary(len(log.visited), len(true_parts),
-                         len(spurious_parts), tuple(partitions))
+                         len(spurious_parts))

@@ -17,8 +17,9 @@ comes from ``dynamics``, which owns F: the bordered matrix from
 Newton polish uses, and which a state Newton accepted carries, for pricing
 on the same Laplacian and potential to reuse) and dF/dp from
 ``_dF_dparams``, both at ``SteadyState.gamma``, the rate of the flow the
-state was solved under.  This module holds only the bordered linear
-algebra and the finite-difference oracle.
+state was solved under.  This module holds the bordered linear algebra
+built on them: the forward derivatives (``dpsi_*``), the adjoint and the
+gradients it prices, and the finite-difference oracle.
 
 On the bundled tasks N <= 12, so the bordered matrix is at most 26 x 26
 and is inverted outright: for the adjoint, one stacked inverse per batch of
@@ -47,7 +48,7 @@ from .graph_core import (GraphError, WeightedGraph, validate_scalar_field,
                          validate_scalar_fields)
 from .dynamics import (NlseConfig, SteadyState, _bordered_system, _dF_dparams,
                        _realified_jacobian, _solve_stacked, gauge_align,
-                       solve_steady_state)
+                       solve_steady_state_many)
 
 __all__ = [
     "NonIsolatedSteadyStateError",
@@ -213,11 +214,14 @@ def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
     ``param`` is ("w", edge) or ("psi0", direction).  Both perturbed states
     are aligned to the unperturbed one, so the difference quotient lives on
     the same phase slice as the implicit solve.  ``solver`` is injectable
-    for testing the difference scheme itself.
+    for testing the difference scheme itself.  By default each state is a
+    cold batch of one: an engine would warm-start a weight-perturbed row
+    from the base state, which shares its input.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    solve = solver if solver is not None else solve_steady_state
+    solve = solver if solver is not None else (
+        lambda gp, p, cfg: solve_steady_state_many([gp], [p], cfg)[0])
     psi0 = validate_scalar_field(g, psi0)
     kind, spec = param
     if kind == "w":

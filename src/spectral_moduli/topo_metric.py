@@ -109,19 +109,6 @@ class GroundTruth:
                    zip(self.e_true, self.teacher_weights)]
         return build_graph(self.n, triples)
 
-    def to_dict(self) -> dict:
-        dist = np.where(np.isfinite(self.geodesic_dist),
-                        self.geodesic_dist, -1.0)
-        return {
-            "kind": self.spec.kind,
-            "net_points": self.net_points.tolist(),
-            "geodesic_dist": dist.tolist(),
-            "inj_radius": self.inj_radius,
-            "e_true": [list(e) for e in self.e_true],
-            "betti": list(self.betti),
-            "teacher_weights": self.teacher_weights.tolist(),
-        }
-
 
 def _circle_arcs(rng, n_pts: int, radius: float, delta: float) -> np.ndarray:
     """Arc-length positions of a jittered equally spaced circle net."""
@@ -222,13 +209,6 @@ class DistortionReport:
     max_additive_distortion: float
     gh_upper_bound: float
     betti: tuple[int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "max_additive_distortion": self.max_additive_distortion,
-            "gh_upper_bound": self.gh_upper_bound,
-            "betti": list(self.betti),
-        }
 
 
 def distortion_report(g: WeightedGraph, truth: GroundTruth) -> DistortionReport:
@@ -359,9 +339,6 @@ class TeacherSampler:
             raise RuntimeError("teacher steady-state solve did not converge")
         return [(x, self.readout.value(st.psi_inf))
                 for x, st in zip(xs, steadies)]
-
-    def sample(self) -> tuple[np.ndarray, float]:
-        return self(1)[0]
 
     def __call__(self, batch_size: int) -> list[tuple[np.ndarray, float]]:
         return self._label([x for x, _ in self._stream(batch_size)])

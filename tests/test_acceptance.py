@@ -48,7 +48,7 @@ from spectral_moduli.dynamics import (
     gauge_check,
     integrate,
     make_rhs,
-    solve_steady_state,
+    solve_steady_state_many,
     to_sphere,
 )
 from spectral_moduli.sensitivity import dpsi_dpsi0, dpsi_dw, fd_oracle
@@ -139,7 +139,7 @@ def test_criterion_04_sensitivity_matches_fd():
     g = cycle_graph(3)
     psi0 = np.array([0.8, 0.6, 0.0]) + 0j
     psi0 /= np.linalg.norm(psi0)
-    steady = solve_steady_state(g, psi0, config)
+    steady = solve_steady_state_many([g], [psi0], config)[0]
     assert steady.converged
     for edge in g.edges:
         imp = dpsi_dw(g, psi0, steady, edge)
@@ -289,7 +289,8 @@ def fd_param_gradient(params, point, x, y, config, field, idx, h=1e-5):
             arr = np.array(getattr(params, field), copy=True)
             arr[idx] += delta
             p = dataclasses.replace(params, **{field: arr})
-        return fm.loss_sample(p, point, x, y, SteadySolveEngine(config))
+        return fm.loss_samples(p, point, [(x, y)],
+                               SteadySolveEngine(config))[0]
 
     real = (loss_at(h) - loss_at(-h)) / (2 * h)
     imag = (loss_at(1j * h) - loss_at(-1j * h)) / (2 * h)

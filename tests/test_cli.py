@@ -22,6 +22,7 @@ import spectral_moduli
 from spectral_moduli import cli, moduli
 from spectral_moduli import fann_model as fm
 from spectral_moduli.dynamics import to_circle
+from spectral_moduli.graph_core import graph_to_dict
 
 
 def run_cli(*args: str) -> int:
@@ -955,7 +956,8 @@ def test_benchmark_seeds_never_reach_the_flow_path(tmp_path, monkeypatch):
         return out
 
     def recorded(graphs, xs, *args, **kwargs):
-        jobs = [(g.key(), np.asarray(x).tobytes()) for g, x in zip(graphs, xs)]
+        jobs = [(json.dumps(graph_to_dict(g)), np.asarray(x).tobytes())
+                for g, x in zip(graphs, xs)]
         repeats.append(len(jobs) - len(set(jobs)))
         out = solve(graphs, xs, *args, **kwargs)
         rows.extend(st.t_reached for st in out)

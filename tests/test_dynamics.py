@@ -31,7 +31,6 @@ from spectral_moduli.dynamics import (
     nlse_rhs,
     phase_constraint,
     phase_constraint_2d,
-    solve_steady_state,
     solve_steady_state_many,
     spin2d_rhs,
     spin2d_rhs_induced,
@@ -523,7 +522,7 @@ def test_integrate_spin_norms_stay_unit():
 
 def test_steady_single_vertex_converges_at_zero():
     g = single_vertex_graph()
-    out = solve_steady_state(g, np.array([1.0 + 0j]), CFG)
+    out = solve_steady_state_many([g], [np.array([1.0 + 0j])], CFG)[0]
     assert out.converged and out.t_reached == 0.0
     assert out.residual == 0.0
     assert np.allclose(out.psi_inf, [1.0])
@@ -532,7 +531,7 @@ def test_steady_single_vertex_converges_at_zero():
 def test_steady_symmetric_p2_converges_at_zero():
     g = path_graph(2)
     psi0 = np.ones(2) / np.sqrt(2) + 0j
-    out = solve_steady_state(g, psi0, CFG)
+    out = solve_steady_state_many([g], [psi0], CFG)[0]
     assert out.converged and out.t_reached == 0.0
 
 
@@ -541,8 +540,10 @@ def test_steady_triangle_matches_long_reference():
     g = cycle_graph(3)
     psi0 = np.array([0.8, 0.6, 0.0]) + 0j
     psi0 /= np.linalg.norm(psi0)
-    out = solve_steady_state(g, psi0, NlseConfig(dt=1e-2, steady_tol=1e-10))
-    ref = solve_steady_state(g, psi0, NlseConfig(dt=1e-3, steady_tol=1e-12))
+    out = solve_steady_state_many(
+        [g], [psi0], NlseConfig(dt=1e-2, steady_tol=1e-10))[0]
+    ref = solve_steady_state_many(
+        [g], [psi0], NlseConfig(dt=1e-3, steady_tol=1e-12))[0]
     assert out.converged and ref.converged
     assert np.abs(np.abs(out.psi_inf) ** 2 - np.abs(ref.psi_inf) ** 2).max() < 1e-6
     # gauge-invariant relative phases
@@ -555,8 +556,8 @@ def test_steady_non_convergence_is_reported_not_raised():
     rng = np.random.default_rng(17)
     g = cycle_graph(3)
     psi0 = unit_state(rng, 3)
-    out = solve_steady_state(g, psi0, NlseConfig(dt=1e-2, t_max=0.1,
-                                                 steady_tol=1e-15))
+    out = solve_steady_state_many([g], [psi0], NlseConfig(
+        dt=1e-2, t_max=0.1, steady_tol=1e-15))[0]
     assert not out.converged
     assert out.residual > 1e-15
 
@@ -564,7 +565,8 @@ def test_steady_non_convergence_is_reported_not_raised():
 def test_steady_rejects_non_unit_initial():
     g = path_graph(2)
     with pytest.raises(InvalidStateError):
-        solve_steady_state(g, np.array([1.0, 1.0], dtype=complex), CFG)
+        solve_steady_state_many(
+            [g], [np.array([1.0, 1.0], dtype=complex)], CFG)
 
 
 def test_steady_batch_matches_single_solves():
@@ -574,7 +576,7 @@ def test_steady_batch_matches_single_solves():
     cfg = NlseConfig(dt=1e-2)
     batch = solve_steady_state_many([g] * 3, states, cfg)
     for psi0, out in zip(states, batch):
-        single = solve_steady_state(g, psi0, cfg)
+        single = solve_steady_state_many([g], [psi0], cfg)[0]
         assert out.converged == single.converged
         assert np.abs(out.psi_inf - single.psi_inf).max() < 1e-12
         assert out.t_reached == single.t_reached
@@ -585,8 +587,8 @@ def test_steady_warm_start_converges_faster():
     g = cycle_graph(4)
     psi0 = unit_state(rng, 4)
     cfg = NlseConfig(dt=1e-2)
-    cold = solve_steady_state(g, psi0, cfg)
-    warm = solve_steady_state(g, psi0, cfg, start=cold.psi_inf)
+    cold = solve_steady_state_many([g], [psi0], cfg)[0]
+    warm = solve_steady_state_many([g], [psi0], cfg, [cold.psi_inf])[0]
     assert warm.converged
     assert warm.t_reached <= cold.t_reached
 
@@ -624,7 +626,7 @@ def test_steady_newton_polish_agrees_with_long_flow(case):
     # reaches, not another root of the bordered system
     g, psi0 = case()
     cfg = NlseConfig(dt=1e-2)
-    out = solve_steady_state(g, psi0, cfg)
+    out = solve_steady_state_many([g], [psi0], cfg)[0]
     rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
                     system="nlse", t_final=60.0)
     ref = rec.states[-1]
@@ -649,7 +651,7 @@ def test_steady_start_near_repelling_equilibrium_follows_the_flow(start):
     res0 = np.abs(dynamics._batch_projected_rhs(
         lap, v, psi0[None], cfg.gamma)).max(axis=1)[0]
     assert cfg.steady_tol < res0 <= dynamics._NEWTON_HANDOFF
-    out = solve_steady_state(g, psi0, cfg)
+    out = solve_steady_state_many([g], [psi0], cfg)[0]
     rec = integrate(make_rhs(g, psi0, cfg, "nlse"), psi0, cfg,
                     system="nlse", t_final=200.0)
     ref = rec.states[-1]
@@ -665,7 +667,7 @@ def test_unconverged_spectrum_counts_as_repelling(monkeypatch):
     g = cycle_graph(4)
     psi0 = unit_state(np.random.default_rng(21), 4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
-    ref = solve_steady_state(g, psi0, cfg)
+    ref = solve_steady_state_many([g], [psi0], cfg)[0]
     assert ref.converged and ref.t_reached == 0.0
 
     def no_factor(a):
@@ -692,7 +694,7 @@ def test_a_failing_spectrum_flags_only_its_own_row():
     g = cycle_graph(4)
     psi0 = unit_state(np.random.default_rng(21), 4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
-    root = solve_steady_state(g, psi0, cfg).psi_inf
+    root = solve_steady_state_many([g], [psi0], cfg)[0].psi_inf
     lap = np.stack([g.coupling_laplacian()] * 2)
     v = np.stack([np.abs(psi0) ** 2] * 2)
     psi = np.stack([root, root])
@@ -845,7 +847,7 @@ def test_steady_batch_survives_singular_newton_row(monkeypatch):
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
     lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0], cfg)
     assert not lone.converged and lone.reason == "singular"
-    single = solve_steady_state(ring, psi0, cfg)
+    single = solve_steady_state_many([ring], [psi0], cfg)[0]
     assert joined.converged
     assert np.array_equal(joined.psi_inf, single.psi_inf)
     assert (joined.t_reached, joined.residual) == (single.t_reached,
@@ -940,7 +942,7 @@ def test_flow_path_rows_take_no_rk4_step(monkeypatch):
     cfg = NlseConfig(dt=1e-2)
     calls = recorded_steps(monkeypatch)
     psi0 = np.array([1.0, -0.99], dtype=complex) / np.hypot(1.0, 0.99)
-    out = solve_steady_state(path_graph(2), psi0, cfg)
+    out = solve_steady_state_many([path_graph(2)], [psi0], cfg)[0]
     assert out.converged and out.t_reached > 0.0
     assert followed_steps(calls, cfg.dt) * cfg.dt == out.t_reached
 
@@ -1147,7 +1149,7 @@ def test_a_row_without_a_certificate_takes_the_spectrum_alone(monkeypatch):
     g = cycle_graph(4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
     psi0s = [unit_state(np.random.default_rng(k), 4) for k in (21, 22, 23)]
-    roots = [solve_steady_state(g, x, cfg).psi_inf for x in psi0s]
+    roots = [solve_steady_state_many([g], [x], cfg)[0].psi_inf for x in psi0s]
     lap = np.stack([g.coupling_laplacian()] * 3)
     v = np.abs(np.stack(psi0s)) ** 2
     psi = np.stack(roots)
@@ -1236,7 +1238,7 @@ def test_pseudo_transient_singular_row_falls_back_alone(monkeypatch):
     mirrored = np.array([0.8, 0.6, 0.8, 0.6], dtype=complex) / np.sqrt(2.0)
     psi0 = unit_state(np.random.default_rng(21), 4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
-    alone = solve_steady_state(ring, psi0, cfg)
+    alone = solve_steady_state_many([ring], [psi0], cfg)[0]
     monkeypatch.setattr(dynamics, "_bordered_system", singular_when_disconnected)
     lone, joined = solve_steady_state_many([split, ring], [mirrored, psi0],
                                            cfg)
@@ -1260,7 +1262,7 @@ def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off(monkeypatch):
     # a horizon shorter than the first pseudo-time step: the row follows
     # the flow from its start for the whole horizon, and does not converge
     cfg = NlseConfig(dt=1e-2, t_max=0.1)
-    out = solve_steady_state(g, psi0, cfg)
+    out = solve_steady_state_many([g], [psi0], cfg)[0]
     flow = flow_solve(g, psi0, cfg)
     assert not out.converged and out.reason == flow.reason == "horizon"
     assert np.array_equal(out.psi_inf, flow.psi_inf)
@@ -1270,7 +1272,7 @@ def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off(monkeypatch):
     cfg = NlseConfig(dt=1e-2, t_max=1.0)
     monkeypatch.setattr(dynamics, "_PTC_MAX_ITER", 2)
     calls = recorded_steps(monkeypatch)
-    out = solve_steady_state(g, psi0, cfg)
+    out = solve_steady_state_many([g], [psi0], cfg)[0]
     assert not out.converged and out.reason == "horizon"
     inv = np.concatenate(calls)
     followed = inv == 1.0 / cfg.dt
@@ -1280,7 +1282,7 @@ def test_pseudo_transient_spends_at_most_t_max_above_the_hand_off(monkeypatch):
     assert cfg.t_max - cfg.dt < spent <= cfg.t_max + 1e-12
     # with room for it, continuation finds the state without flow time
     monkeypatch.undo()
-    long = solve_steady_state(g, psi0, NlseConfig(dt=1e-2))
+    long = solve_steady_state_many([g], [psi0], NlseConfig(dt=1e-2))[0]
     assert long.converged and long.t_reached == 0.0
 
 
@@ -1291,7 +1293,7 @@ def test_pseudo_transient_polishes_warm_and_cold_rows_in_one_newton_batch(
     g = cycle_graph(4)
     psi0 = unit_state(np.random.default_rng(21), 4)
     cfg = NlseConfig(dt=5e-2, t_max=3000.0)
-    root = solve_steady_state(g, psi0, cfg).psi_inf
+    root = solve_steady_state_many([g], [psi0], cfg)[0].psi_inf
     warm = root + 1e-3 * unit_state(np.random.default_rng(22), 4)
     warm /= np.linalg.norm(warm)
     lap, v = g.coupling_laplacian()[None], (np.abs(psi0) ** 2)[None]

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_moduli.dynamics import NlseConfig, SteadyState, solve_steady_state
-from spectral_moduli.graph_core import GraphError, build_graph
+from spectral_moduli.dynamics import (NlseConfig, SteadyState,
+                                      solve_steady_state_many)
+from spectral_moduli.graph_core import GraphError, build_graph, graph_to_dict
 from spectral_moduli.moduli import (Batch, OptimizerConfig,
                                     SteadySolveEngine, regularized_loss)
 from spectral_moduli.topo_metric import (ManifoldSpec, PopulationReadout,
@@ -96,14 +97,18 @@ def test_model_params_validation():
 
 def test_train_config_validation():
     fm.TrainConfig(epochs=0, lr_params=0.1, moduli_config=opt_config())
-    for bad in (-1, 2.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="epochs"):
-            train_config(epochs=bad)
-    for bad in (0, float("inf")):
-        with pytest.raises(ValueError, match="batch_size"):
-            train_config(batch_size=bad)
-    with pytest.raises(ValueError, match="lr_params"):
-        train_config(lr_params=0.0)
+    # baseline_train holds its three settings to the same checks
+    bp = fm.random_baseline(3, 3, seed=0)
+    data = fm.fixed_set_sampler([(unit_vector(3, 1), 0.0)])
+    phase = dict(epochs=2, lr_params=0.1, batch_size=4)
+    for name, bad in ([("epochs", bad) for bad in (-1, 2.5, float("inf"),
+                                                   float("nan"))]
+                      + [("batch_size", bad) for bad in (0, float("inf"))]
+                      + [("lr_params", 0.0)]):
+        with pytest.raises(ValueError, match=name):
+            train_config(**{name: bad})
+        with pytest.raises(ValueError, match=name):
+            fm.baseline_train(data, bp, **{**phase, name: bad})
     with pytest.raises(TypeError, match="OptimizerConfig"):
         fm.TrainConfig(epochs=1, lr_params=0.1, moduli_config=RUN_CFG)
 
@@ -126,6 +131,15 @@ def test_every_setting_is_one_a_run_sets():
         "epoch", "train_loss", "failures"]
     for fn in (fm.train, fm.baseline_train):
         assert "heldout" not in inspect.signature(fn).parameters
+    # the baseline reads three settings, not a TrainConfig
+    assert list(inspect.signature(fm.baseline_train).parameters) == [
+        "sampler", "params", "epochs", "lr_params", "batch_size"]
+    # every field of a step's events and of a strata summary has a reader
+    assert [f.name for f in dataclasses.fields(moduli.StepEvents)] == [
+        "added", "pruned", "loss", "test_gradients", "post_update_weights",
+        "skipped_candidates"]
+    assert [f.name for f in dataclasses.fields(moduli.StrataSummary)] == [
+        "count", "true_subset_count", "spurious_count"]
 
 
 def test_baseline_params_validation():
@@ -205,7 +219,7 @@ def test_forward_composition_matches_manual_chain(c4_model):
     x = unit_vector(4, 17)
     y, psi = fm.forward(params, point, x, SteadySolveEngine(RUN_CFG))
     psi0 = fm.input_state(params, x)
-    st = solve_steady_state(point, psi0, RUN_CFG)
+    st = solve_steady_state_many([point], [psi0], RUN_CFG)[0]
     assert np.array_equal(psi, st.psi_inf)
     assert y == fm.readout_value(params, st.psi_inf)
 
@@ -252,10 +266,10 @@ def test_loss_sample_trivial_values(c4_model):
     params, point = c4_model
     x = unit_vector(4, 21)
     y_hat, _ = fm.forward(params, point, x, SteadySolveEngine(RUN_CFG))
-    assert fm.loss_sample(params, point, x, y_hat,
-                          SteadySolveEngine(RUN_CFG)) == 0.0
-    assert fm.loss_sample(params, point, x, y_hat - 1.0,
-                          SteadySolveEngine(RUN_CFG)) \
+    assert fm.loss_samples(params, point, [(x, y_hat)],
+                           SteadySolveEngine(RUN_CFG))[0] == 0.0
+    assert fm.loss_samples(params, point, [(x, y_hat - 1.0)],
+                           SteadySolveEngine(RUN_CFG))[0] \
         == pytest.approx(1.0, rel=1e-12)
 
 
@@ -267,7 +281,7 @@ def test_loss_batch_mean_matches_moduli_data_term(c4_model):
                               for x, y in pairs])
     breakdown = regularized_loss(point, batch, fm.ModelReadout(params),
                                  opt_config(batch_size=3), engine=engine)
-    mean = sum(fm.loss_sample(params, point, x, y, engine)
+    mean = sum(fm.loss_samples(params, point, [(x, y)], engine)[0]
                for x, y in pairs) / len(pairs)
     assert breakdown.data == pytest.approx(mean, rel=1e-14)
 
@@ -311,9 +325,10 @@ def test_loss_invariant_under_core_phase(c4_model):
         b1=np.zeros(4), activation1="identity")
     x = unit_vector(4, 41)
     y = 0.4
-    base = fm.loss_sample(params, point, x, y, SteadySolveEngine(RUN_CFG))
-    rotated = fm.loss_sample(params, point, np.exp(1.1j) * x, y,
-                             SteadySolveEngine(RUN_CFG))
+    base = fm.loss_samples(params, point, [(x, y)],
+                           SteadySolveEngine(RUN_CFG))[0]
+    rotated = fm.loss_samples(params, point, [(np.exp(1.1j) * x, y)],
+                              SteadySolveEngine(RUN_CFG))[0]
     assert abs(base - rotated) < 1e-10
 
 
@@ -329,7 +344,8 @@ def fd_model_gradient(params, point, x, y, config, field, idx, h=1e-5):
             arr = np.array(getattr(params, field), copy=True)
             arr[idx] += delta
             p = dataclasses.replace(params, **{field: arr})
-        return fm.loss_sample(p, point, x, y, SteadySolveEngine(config))
+        return fm.loss_samples(p, point, [(x, y)],
+                               SteadySolveEngine(config))[0]
 
     re = (loss_at(h) - loss_at(-h)) / (2 * h)
     im = (loss_at(1j * h) - loss_at(-1j * h)) / (2 * h)
@@ -534,7 +550,7 @@ def test_train_logs_failures_and_continues(c4, monkeypatch):
     for h in hist:
         assert len(h.failures) == cfg.moduli_config.batch_size + 1  # + step
         assert np.isnan(h.train_loss)
-    assert pt.key() == point.key()
+    assert graph_to_dict(pt) == graph_to_dict(point)
     assert np.array_equal(p.a1, teacher.a1)
 
 
@@ -552,7 +568,7 @@ def test_train_logs_a_degenerate_input_and_continues(c4_model):
     # step then runs at the moved parameters, where no input is degenerate
     expect = fm._sgd_step(params, [
         solved_gradients(params, point, x, y, RUN_CFG) for x, y in good],
-        cfg)
+        cfg.lr_params)
     assert np.allclose(p.a1, expect.a1, rtol=0.0, atol=1e-12)
     assert np.allclose(p.a3, expect.a3, rtol=0.0, atol=1e-12)
     assert np.isfinite(h.train_loss)
@@ -604,8 +620,9 @@ def train_phase(loop, data, cfg, truth, teacher, point):
     if loop == "train":
         return fm.train(data, cfg, teacher, point,
                         engine=SteadySolveEngine(RUN_CFG))[2]
-    return fm.baseline_train(data, cfg, fm.random_baseline(truth.n, truth.n,
-                                                           seed=1))[1]
+    return fm.baseline_train(
+        data, fm.random_baseline(truth.n, truth.n, seed=1), epochs=cfg.epochs,
+        lr_params=cfg.lr_params, batch_size=cfg.moduli_config.batch_size)[1]
 
 
 @pytest.mark.parametrize("loop", ["train", "baseline_train"])
@@ -655,11 +672,11 @@ def test_baseline_train_reduces_realizable_loss():
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         pairs.append((x, fm.baseline_forward(target, x)[0]))
     data = fm.fixed_set_sampler(pairs)
-    cfg = train_config(epochs=40, batch_size=4, lr_params=0.2)
     trainee = fm.random_baseline(n, n, seed=31)
     initial = float(np.mean([fm.baseline_loss_sample(trainee, x, y)
                              for x, y in pairs]))
-    trained, hist = fm.baseline_train(data, cfg, trainee)
+    trained, hist = fm.baseline_train(data, trainee, epochs=40, lr_params=0.2,
+                                      batch_size=4)
     final = float(np.mean([fm.baseline_loss_sample(trained, x, y)
                            for x, y in pairs]))
     assert len(hist) == 40
@@ -672,12 +689,12 @@ def test_baseline_train_skips_a_degenerate_sample_and_continues():
     bp = dataclasses.replace(fm.random_baseline(n, n, seed=0), b1=np.zeros(n))
     good = [(unit_vector(n, s), 0.1 * s) for s in (1, 2, 3)]
     pairs = [good[0], (np.zeros(n), 0.3), good[1], good[2]]
-    cfg = train_config(epochs=1)
-    out, (h,) = fm.baseline_train(fm.fixed_set_sampler(pairs), cfg, bp)
+    out, (h,) = fm.baseline_train(fm.fixed_set_sampler(pairs), bp, epochs=1,
+                                  lr_params=0.1, batch_size=4)
     # the update moves along the three good samples alone; the epoch loss
     # is then taken at the moved b1, where no input is degenerate
     expect = fm._sgd_step(bp, [fm.baseline_gradients(bp, x, y)
-                               for x, y in good], cfg)
+                               for x, y in good], 0.1)
     assert np.array_equal(out.w2, expect.w2)
     assert np.array_equal(out.b1, expect.b1) and out.b3 == expect.b3
     assert h.train_loss == float(np.mean([fm.baseline_loss_sample(out, x, y)
@@ -687,8 +704,8 @@ def test_baseline_train_skips_a_degenerate_sample_and_continues():
     # when every sample fails the update is void, the epoch loss reads NaN,
     # each pass names every sample it skipped, and training goes on
     zero = fm.fixed_set_sampler([(np.zeros(n), 0.3)])
-    same, hist = fm.baseline_train(zero, train_config(epochs=2, batch_size=2),
-                                   bp)
+    same, hist = fm.baseline_train(zero, bp, epochs=2, lr_params=0.1,
+                                   batch_size=2)
     assert len(hist) == 2 and all(np.isnan(r.train_loss) for r in hist)
     assert np.array_equal(same.w2, bp.w2)
     assert [r.failures for r in hist] == [tuple(
@@ -700,11 +717,12 @@ def test_baseline_train_zero_epochs_and_determinism():
     n = 3
     bp = fm.random_baseline(n, n, seed=1)
     data = fm.fixed_set_sampler([(unit_vector(n, s), 0.1) for s in range(4)])
-    out, hist = fm.baseline_train(data, train_config(epochs=0), bp)
+    phase = dict(lr_params=0.1, batch_size=4)
+    out, hist = fm.baseline_train(data, bp, epochs=0, **phase)
     assert out is bp and hist == []
-    one, h1 = fm.baseline_train(data, train_config(epochs=3), bp)
+    one, h1 = fm.baseline_train(data, bp, epochs=3, **phase)
     data2 = fm.fixed_set_sampler([(unit_vector(n, s), 0.1) for s in range(4)])
-    two, h2 = fm.baseline_train(data2, train_config(epochs=3), bp)
+    two, h2 = fm.baseline_train(data2, bp, epochs=3, **phase)
     assert np.array_equal(one.w2, two.w2)
     assert [r.train_loss for r in h1] == [r.train_loss for r in h2]
 
@@ -715,9 +733,8 @@ def test_baseline_train_takes_integral_float_counts():
     n = 3
     bp = fm.random_baseline(n, n, seed=1)
     pairs = [(unit_vector(n, s), 0.1 * s) for s in range(8)]
-    runs = [fm.baseline_train(fm.fixed_set_sampler(pairs),
-                              train_config(epochs=epochs,
-                                           batch_size=batch_size), bp)
+    runs = [fm.baseline_train(fm.fixed_set_sampler(pairs), bp, epochs=epochs,
+                              lr_params=0.1, batch_size=batch_size)
             for epochs, batch_size in ((2, 4), (2.0, 4.0))]
     (one, h1), (two, h2) = runs
     assert type(train_config(epochs=2.0).epochs) is int

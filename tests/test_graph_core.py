@@ -1,6 +1,5 @@
 """Operators and norms: naive-loop oracles, hand values, bound constants."""
 
-import json
 import os
 import tempfile
 
@@ -22,13 +21,11 @@ from spectral_moduli.graph_core import (
     graph_from_dict,
     graph_to_dict,
     laplacian_apply,
-    load_graph,
     norm_equivalence_report,
     norm_h1,
     norm_h2,
     norm_l2,
     path_graph,
-    save_graph,
     single_vertex_graph,
     spin_norms,
     validate_scalar_field,
@@ -113,8 +110,9 @@ def test_with_edge_and_without_edges():
     g = path_graph(3)
     g2 = g.with_edge((0, 2), 0.7)
     assert (0, 2) in g2.edges and g2.n_edges == 3
-    g3 = g2.without_edges([(0, 2)])
-    assert g3.edges == g.edges
+    g3 = build_graph(3, [(u, v, w) for (u, v), w in zip(g2.edges, g2.weights)
+                         if (u, v) != (0, 2)])
+    assert graph_to_dict(g3) == graph_to_dict(g)
     with pytest.raises(GraphError):
         g.with_edge((0, 1), 1.0)  # already present
 
@@ -428,20 +426,40 @@ def test_edge_add_remove_and_serialization_round_trips(case):
     expect[gap] = (w, rho)
     assert dict(zip(grafted.edges, zip(grafted.weights, grafted.rho))) == expect
     assert np.array_equal(grafted.mu, g.mu)
-    assert grafted.without_edges([gap]).key() == g.key()
-    assert graph_from_dict(graph_to_dict(grafted)).key() == grafted.key()
+    kept = [k for k, e in enumerate(grafted.edges) if e != gap]
+    pruned = build_graph(g.n, [(*grafted.edges[k], grafted.weights[k])
+                               for k in kept],
+                         mu=grafted.mu, rho=grafted.rho[kept])
+    assert graph_to_dict(pruned) == graph_to_dict(g)
+    d = graph_to_dict(grafted)
+    assert graph_to_dict(graph_from_dict(d)) == d
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "checkpoint.json")
         fann_model.save_checkpoint(path, fann_model.random_params(2, g.n, 0),
                                    grafted)
-        assert fann_model.load_checkpoint(path)[1].key() == grafted.key()
+        assert graph_to_dict(fann_model.load_checkpoint(path)[1]) == d
 
 
-def test_save_load_file_and_determinism(tmp_path):
-    g = cycle_graph(4, w=0.25)
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_graph(g, p1)
-    save_graph(load_graph(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    obj = json.loads(p1.read_text())
-    assert obj["n"] == 4 and len(obj["edges"]) == 4
+@st.composite
+def miscast_graph_dicts(draw):
+    """A ``graph_to_dict`` dictionary with one number replaced by a value
+    that a cast would mostly read back as a valid graph: a bool, a float or
+    a string vertex count, or a bool or a string weight, mu or rho value."""
+    g = draw(graphs_with_gap())[0]
+    d = graph_to_dict(g)
+    if draw(st.booleans()):
+        d["n"] = draw(st.sampled_from([True, float(g.n), g.n + 0.5, str(g.n)]))
+        return d
+    cells = ([(e, 2) for e in d["edges"]] + [(d["mu"], k) for k in range(g.n)]
+             + [(d["rho"], k) for k in range(g.n_edges)])
+    row, k = cells[draw(st.integers(0, len(cells) - 1))]
+    row[k] = draw(st.sampled_from([True, str(row[k])]))
+    return d
+
+
+@given(miscast_graph_dicts())
+def test_graph_dictionary_numbers_are_never_cast(d):
+    # the checkpoint reader holds n and every weight, mu and rho value to
+    # the rule its endpoints follow
+    with pytest.raises(GraphError, match="is not (an integer|a real number)"):
+        graph_from_dict(d)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from spectral_moduli import dynamics, sensitivity
 from spectral_moduli.graph_core import GraphError, build_graph, cycle_graph, single_vertex_graph
-from spectral_moduli.dynamics import (NlseConfig, SteadyState, nlse_rhs, solve_steady_state,
+from spectral_moduli.dynamics import (NlseConfig, SteadyState, nlse_rhs,
                                       solve_steady_state_many)
 from spectral_moduli.sensitivity import (
     NonIsolatedSteadyStateError,
@@ -32,7 +32,7 @@ def triangle_problem():
     g = cycle_graph(3)
     psi0 = np.array([0.8, 0.6, 0.0]) + 0j
     psi0 /= np.linalg.norm(psi0)
-    steady = solve_steady_state(g, psi0, CFG)
+    steady = solve_steady_state_many([g], [psi0], CFG)[0]
     assert steady.converged
     return g, psi0, steady
 
@@ -214,7 +214,7 @@ def test_unconverged_steady_state_rejected(triangle_problem):
 def test_single_vertex_has_no_weight_derivatives():
     g = single_vertex_graph()
     psi0 = np.array([1.0 + 0j])
-    steady = solve_steady_state(g, psi0, CFG)
+    steady = solve_steady_state_many([g], [psi0], CFG)[0]
     assert dpsi_dw_all(g, psi0, steady) == {}
 
 
@@ -223,7 +223,7 @@ def test_disconnected_graph_is_non_isolated():
     # slice rows cannot remove all of them
     g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     psi0 = np.ones(4, dtype=complex) / 2.0
-    steady = solve_steady_state(g, psi0, CFG)
+    steady = solve_steady_state_many([g], [psi0], CFG)[0]
     assert steady.converged
     with pytest.raises(NonIsolatedSteadyStateError):
         dpsi_dw(g, psi0, steady, (0, 1))
@@ -325,8 +325,8 @@ def solved_problems(draw):
     psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi0 /= np.linalg.norm(psi0)
     gamma = draw(st.floats(0.3, 1.5))
-    steady = solve_steady_state(g, psi0, NlseConfig(
-        gamma=gamma, dt=1e-2, steady_tol=1e-12, t_max=2000))
+    steady = solve_steady_state_many([g], [psi0], NlseConfig(
+        gamma=gamma, dt=1e-2, steady_tol=1e-12, t_max=2000))[0]
     assert steady.converged and steady.gamma == gamma
     return g, psi0, steady, rng
 

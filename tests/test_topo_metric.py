@@ -1,5 +1,6 @@
 """Ground-truth construction, Betti counts, graph metric, distortion, sampler."""
 
+import dataclasses
 import json
 import logging
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spectral_moduli import dynamics, moduli
-from spectral_moduli.dynamics import NlseConfig, solve_steady_state
+from spectral_moduli import moduli
+from spectral_moduli.dynamics import NlseConfig, solve_steady_state_many
 from spectral_moduli.graph_core import build_graph, cycle_graph, path_graph
 from spectral_moduli.topo_metric import (
     DistortionReport,
@@ -159,10 +160,8 @@ def test_truth_serializes_to_json():
     truth = build_ground_truth(
         ManifoldSpec("disjoint_circles", (1.0, 2.0), n_net_points=4),
         inj_radius=2.0)
-    blob = json.dumps(truth.to_dict(), sort_keys=True)
-    parsed = json.loads(blob)
-    assert parsed["betti"] == [2, 2]
-    assert parsed["geodesic_dist"][0][4] == -1.0
+    assert truth.betti == (2, 2)
+    assert truth.geodesic_dist[0][4] == np.inf  # across the two circles
 
 
 # -- Betti numbers -----------------------------------------------------------
@@ -285,7 +284,8 @@ def test_missing_true_edge_increases_distortion():
                                inj_radius=1.0)
     g = truth.teacher_graph()
     full = distortion_report(g, truth).max_additive_distortion
-    pruned = g.without_edges([g.edges[0]])
+    pruned = build_graph(g.n, [(u, v, w) for (u, v), w
+                               in zip(g.edges[1:], g.weights[1:])])
     worse = distortion_report(pruned, truth).max_additive_distortion
     assert worse > full + 1e-6
     assert worse == pytest.approx(brute_force_distortion(pruned, truth),
@@ -295,7 +295,9 @@ def test_missing_true_edge_increases_distortion():
 def test_distortion_inf_when_graph_disconnects_connected_truth():
     truth = build_ground_truth(
         ManifoldSpec("segment", length=3.0, n_net_points=4), inj_radius=1.5)
-    g = truth.teacher_graph().without_edges([(1, 2)])
+    g = build_graph(4, [(u, v, w) for (u, v), w in
+                        zip(truth.e_true, truth.teacher_weights)
+                        if (u, v) != (1, 2)])
     rep = distortion_report(g, truth)
     assert np.isinf(rep.max_additive_distortion)
     assert rep.betti == (2, 0)
@@ -311,9 +313,10 @@ def test_distortion_report_index_mismatch():
 def test_distortion_report_json_shape():
     truth = build_ground_truth(
         ManifoldSpec("segment", length=3.0, n_net_points=4), inj_radius=1.5)
-    d = distortion_report(truth.teacher_graph(), truth).to_dict()
-    assert set(d) == {"max_additive_distortion", "gh_upper_bound", "betti"}
-    json.dumps(d)
+    rep = distortion_report(truth.teacher_graph(), truth)
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "max_additive_distortion", "gh_upper_bound", "betti"]
+    json.dumps(dataclasses.asdict(rep))
 
 
 # -- teacher sampler ----------------------------------------------------------
@@ -343,7 +346,7 @@ def test_readout_gauge_invariance_and_cotangent(c4_truth):
 def test_sampler_delta_zero_gives_canonical_bump(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
     sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=2)
-    x, y = sampler.sample()
+    x, y = sampler(1)[0]
     dists = [np.linalg.norm(x - sampler.canonical_bump(v)) for v in range(4)]
     assert min(dists) == pytest.approx(0.0, abs=1e-15)
     assert np.isfinite(y)
@@ -367,7 +370,7 @@ def test_sampler_noise_stays_within_delta(c4_truth):
     sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=6,
                              noise_delta=delta)
     for _ in range(10):
-        x, _ = sampler.sample()
+        x, _ = sampler(1)[0]
         gaps = [np.linalg.norm(x - sampler.canonical_bump(v))
                 for v in range(4)]
         assert min(gaps) <= 2 * delta + 1e-12
@@ -423,14 +426,13 @@ def test_exact_batch_is_one_solve_equal_to_single_solves(monkeypatch):
         rows.append(len(graphs))
         return batched(graphs, xs, cfg, *args, **kwargs)
 
-    # the solver as the engine binds it, and as solve_steady_state reaches it
-    for module in (moduli, dynamics):
-        monkeypatch.setattr(module, "solve_steady_state_many", counted)
+    # the solver as the engine binds it
+    monkeypatch.setattr(moduli, "solve_steady_state_many", counted)
     batch = sampler.exact()
     assert rows == [8]
     for v, (x, y) in enumerate(batch):
-        single = solve_steady_state(sampler.graph, sampler.canonical_bump(v),
-                                    config)
+        single = solve_steady_state_many(
+            [sampler.graph], [sampler.canonical_bump(v)], config)[0]
         assert y == readout.value(single.psi_inf)
 
 
