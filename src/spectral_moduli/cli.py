@@ -72,9 +72,7 @@ from spectral_moduli.dynamics import (
     write_invariants_jsonl,
     write_trajectory_csv,
 )
-from spectral_moduli.sensitivity import NonIsolatedSteadyStateError
 from spectral_moduli.moduli import (
-    LossEvaluationError,
     OptimizerConfig,
     SteadySolveEngine,
     chebyshev_schedule,
@@ -741,28 +739,29 @@ _TASKS = {
 }
 
 
-def _task_teacher(task: _Task, seed: int,
+def _task_teacher(task: _Task, engine: SteadySolveEngine, seed: int,
                   noise_delta: float = 0.0) -> TeacherSampler:
     """The teacher of a bundled task: its truth, readout and bump width."""
     truth = build_ground_truth(task.spec, task.inj_radius)
     readout = PopulationReadout.random(truth.n, seed=task.readout_seed)
     width = task.bump_width_factor * truth.default_bump_width
-    return TeacherSampler(truth, readout, _STEADY_LEARN, seed=seed,
+    return TeacherSampler(truth, readout, engine, seed=seed,
                           bump_width=width, noise_delta=noise_delta)
 
 
 def _learn_graph_setup(resolved: dict):
     sec = resolved["learn_graph"]
     task, seed = _TASKS[sec["task"]], resolved["seed"]
+    engine = SteadySolveEngine(_STEADY_LEARN)
     if sec["task"] == "c5_noisy":
         # finite noisy batches; the run-level seed selects the replicate
         batch = sec["batch_size"] or 8
         delta = 0.15 if sec["noise_delta"] is None else sec["noise_delta"]
-        sampler = teacher = _task_teacher(task, 300 + batch + 1000 * seed,
-                                          noise_delta=delta)
+        sampler = teacher = _task_teacher(
+            task, engine, 300 + batch + 1000 * seed, noise_delta=delta)
         iterations, opt_seed = 12, batch + 17 * seed
     else:
-        teacher = _task_teacher(task, _SAMPLER_SEED)
+        teacher = _task_teacher(task, engine, _SAMPLER_SEED)
         sampler, batch = teacher.exact_sampler(), teacher.truth.n
         iterations, opt_seed = len(task.step_size), seed
     truth = teacher.truth
@@ -873,8 +872,9 @@ _TRAIN_FAST = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=400.0)
 _TEACHER_OUTPUT_SEED = 91
 
 
-def _train_teacher_setup():
-    sampler = _task_teacher(_TASKS["c4"], _SAMPLER_SEED)
+def _train_teacher_setup(engine: SteadySolveEngine):
+    # the c4 sampler never labels here: it gives the truth, graph and bumps
+    sampler = _task_teacher(_TASKS["c4"], engine, _SAMPLER_SEED)
     truth, g_star = sampler.truth, sampler.graph
     bumps = [sampler.canonical_bump(v) for v in range(truth.n)]
     rng = np.random.default_rng(_TEACHER_OUTPUT_SEED)
@@ -886,13 +886,11 @@ def _train_teacher_setup():
     return truth, g_star, bumps, teacher
 
 
-def _train_config(phase: dict, batch: int, seed: int) -> fm.TrainConfig:
-    moduli = OptimizerConfig(
+def _train_config(phase: dict, batch: int, seed: int) -> OptimizerConfig:
+    return OptimizerConfig(
         prune_threshold=0.05, add_threshold=1e-5,
         step_size=phase["step_size"], batch_size=batch, l1_coeff=1e-11,
         l2_coeff=1e-11, seed=seed, candidate_fraction=0.5)
-    return fm.TrainConfig(epochs=phase["epochs"], lr_params=phase["lr"],
-                          moduli_config=moduli)
 
 
 def _gap_sweep(train_losses, test_losses, sizes) -> list[dict]:
@@ -905,11 +903,11 @@ def _run_train(resolved: dict, meta: dict) -> int:
     sec = resolved["train"]
     seed = resolved["seed"]
     out = resolved["output_dir"]
-    # the trainee's graph starts at the teacher's
-    truth, g, bumps, teacher = _train_teacher_setup()
-    # one labeler on one teacher engine for every stream of the run
-    label = functools.partial(fm.model_teacher_sampler, teacher, g,
-                              SteadySolveEngine(_STEADY_LEARN))
+    # the trainee's graph starts at the teacher's; one labeler on one
+    # teacher engine for every stream of the run
+    labeler = SteadySolveEngine(_STEADY_LEARN)
+    truth, g, bumps, teacher = _train_teacher_setup(labeler)
+    label = functools.partial(fm.model_teacher_sampler, teacher, g, labeler)
     stream = functools.partial(fm.noisy_input_stream, bumps,
                                sec["noise_delta"])
     data = label(stream(seed=1000 + seed))
@@ -924,7 +922,8 @@ def _run_train(resolved: dict, meta: dict) -> int:
     history: list[fm.EpochRecord] = []
     for k, phase in enumerate((sec["phase1"], sec["phase2"])):
         params, g, part = fm.train(
-            data, _train_config(phase, batch, seed + k), params, g,
+            data, params, g, epochs=phase["epochs"], lr_params=phase["lr"],
+            moduli_config=_train_config(phase, batch, seed + k),
             engine=engine)
         offset = len(history)
         history += [dataclasses.replace(r, epoch=r.epoch + offset)

@@ -31,7 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,8 @@ __all__ = [
     "NlseConfig",
     "TrajectoryRecord",
     "SteadyState",
+    "UnconvergedError",
+    "require_converged",
     "nlse_rhs",
     "ll_rhs",
     "ll_rhs_induced",
@@ -568,6 +570,26 @@ class SteadyState:
     @property
     def converged(self) -> bool:
         return self.reason is None
+
+
+class UnconvergedError(RuntimeError):
+    """A steady-state solve ended off an equilibrium: ``sample`` is its row
+    in the batch and ``reason`` its ``SteadyState.reason``."""
+
+    def __init__(self, sample: int, state: SteadyState):
+        super().__init__(
+            f"steady-state solve did not converge for sample {sample} "
+            f"({state.reason}: residual {state.residual:.3e} "
+            f"at t={state.t_reached:.1f})")
+        self.sample, self.reason = sample, state.reason
+
+
+def require_converged(steadies: Iterable[SteadyState], first: int = 0) -> None:
+    """Raise UnconvergedError for the first unconverged state of a batch
+    whose rows ``steadies`` number from ``first``."""
+    for i, st in enumerate(steadies, first):
+        if not st.converged:
+            raise UnconvergedError(i, st)
 
 
 # a row waits for Newton once its projected residual is at most this; at

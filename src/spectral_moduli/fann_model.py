@@ -35,11 +35,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import SteadyState
-from .graph_core import (GraphError, WeightedGraph, graph_from_dict,
+from .dynamics import SteadyState, UnconvergedError, require_converged
+from .graph_core import (WeightedGraph, _count, _exact, graph_from_dict,
                          graph_to_dict)
-from .moduli import (Batch, LossEvaluationError, OptimizerConfig,
-                     SteadySolveEngine, _count, descent_step)
+from .moduli import Batch, OptimizerConfig, SteadySolveEngine, descent_step
 from .sensitivity import (NonIsolatedSteadyStateError, potential_gradient,
                           realify)
 from .topo_metric import betti_numbers, noisy_input_stream
@@ -47,9 +46,7 @@ from .topo_metric import betti_numbers, noisy_input_stream
 __all__ = [
     "ACTIVATIONS",
     "DegenerateInputError",
-    "CoreConvergenceError",
     "ModelParams",
-    "TrainConfig",
     "BaselineParams",
     "ParamGradients",
     "BaselineGradients",
@@ -86,13 +83,9 @@ class DegenerateInputError(ValueError):
     """The input layer produced the zero field; no unit state exists."""
 
 
-class CoreConvergenceError(RuntimeError):
-    """The steady-state solve under the readout did not converge."""
-
-
 # per-sample failures that training records and steps past
-_SAMPLE_ERRORS = (DegenerateInputError, CoreConvergenceError,
-                  LossEvaluationError, NonIsolatedSteadyStateError)
+_SAMPLE_ERRORS = (DegenerateInputError, UnconvergedError,
+                  NonIsolatedSteadyStateError)
 
 
 def _apply(name: str, z: np.ndarray):
@@ -155,35 +148,10 @@ class ModelParams:
                              f"{self.b1.size}, {self.a3.size}")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training policy: epochs of projected SGD plus one graph step each.
-
-    Both phases of an epoch consume the same mini-batch of
-    ``moduli_config.batch_size`` pairs.  Each SGD update is projected back
-    into the parameter balls of ``project_params``.  The balls do not keep
-    tanh pre-activations off the complex poles at ±iπ/2; ``_input_layer``
-    rejects the non-finite state a pole gives, and the sample is skipped.
-    ``moduli_config.seed`` seeds the graph steps' generator.
-    """
-
-    epochs: int
-    lr_params: float
-    moduli_config: OptimizerConfig
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.moduli_config, OptimizerConfig):
-            raise TypeError("moduli_config must be an OptimizerConfig")
-        epochs, _, _ = _phase_settings(self.epochs, self.lr_params,
-                                       self.moduli_config.batch_size)
-        object.__setattr__(self, "epochs", epochs)
-
-
 def _phase_settings(epochs, lr_params, batch_size) -> tuple[int, float, int]:
-    """The three settings a training phase reads, checked for ``train``
-    (through ``TrainConfig``) and ``baseline_train`` alike: the counts as
-    ``OptimizerConfig`` checks its counts (2.0 counts as 2), the learning
-    rate positive and finite."""
+    """The three settings a training phase reads, checked for ``train`` and
+    ``baseline_train`` alike: the counts as ``OptimizerConfig`` checks its
+    counts (2.0 counts as 2), the learning rate positive and finite."""
     epochs = _count("epochs", epochs, 0)
     if not (np.isfinite(lr_params) and lr_params > 0):
         raise ValueError("lr_params must be positive and finite")
@@ -288,27 +256,18 @@ def _core_pass(params: ModelParams, g: WeightedGraph, xs,
             psi0s.append(input_state(params, x))
         except DegenerateInputError as exc:
             psi0s.append(exc)
-    jobs = [(g, p) for p in psi0s if isinstance(p, np.ndarray)]
-    if jobs and g.n != jobs[0][1].size:
-        raise GraphError(f"model has {jobs[0][1].size} vertices but the "
-                         f"graph has {g.n}")
-    solved = iter(engine.solve_many(jobs))
+    solved = iter(engine.solve_many(
+        [(g, p) for p in psi0s if isinstance(p, np.ndarray)]))
     return [p if isinstance(p, Exception) else next(solved) for p in psi0s]
 
 
-def _checked(core) -> SteadyState:
-    """A ``_core_pass`` entry as a one-input pass returns or raises it."""
+def _checked(core, sample: int) -> SteadyState:
+    """The ``_core_pass`` entry of input ``sample`` as a one-input pass
+    returns or raises it."""
     if isinstance(core, Exception):
         raise core
-    if not core.converged:
-        raise CoreConvergenceError(
-            f"core did not reach a steady state (residual {core.residual:.3e} "
-            f"at t={core.t_reached:.1f})")
+    require_converged([core], sample)
     return core
-
-
-def _core_loss(params: ModelParams, core, y) -> float:
-    return float(abs(readout_value(params, _checked(core).psi_inf) - y) ** 2)
 
 
 def forward(params: ModelParams, g: WeightedGraph, x,
@@ -318,7 +277,7 @@ def forward(params: ModelParams, g: WeightedGraph, x,
     Returns ``(y_hat, psi_inf)``; ``engine`` solves the core, from its warm
     start of the input if it has one.
     """
-    st = _checked(_core_pass(params, g, [x], engine)[0])
+    st = _checked(_core_pass(params, g, [x], engine)[0], 0)
     return readout_value(params, st.psi_inf), st.psi_inf
 
 
@@ -327,7 +286,9 @@ def loss_samples(params: ModelParams, g: WeightedGraph, pairs,
     """Squared prediction errors of many samples, whose cores ``engine``
     solves in one call; raises the failure of the first sample that fails."""
     cores = _core_pass(params, g, [x for x, _ in pairs], engine)
-    return [_core_loss(params, core, y) for core, (_, y) in zip(cores, pairs)]
+    preds = [readout_value(params, _checked(core, k).psi_inf)
+             for k, core in enumerate(cores)]
+    return [float(abs(p - y) ** 2) for p, (_, y) in zip(preds, pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,39 +501,50 @@ def _phase_batches(sampler, epochs: int, b: int) -> list[list]:
     return [pairs[k:k + b] for k in range(0, n, b)]
 
 
-def train(sampler, config: TrainConfig, params: ModelParams,
-          g: WeightedGraph, *, engine: SteadySolveEngine):
-    """Interleaved training loop of the model ``params`` on the graph ``g``.
+def train(sampler, params: ModelParams, g: WeightedGraph, *, epochs: int,
+          lr_params: float, moduli_config: OptimizerConfig,
+          engine: SteadySolveEngine):
+    """Interleaved training loop of the model ``params`` on the graph ``g``:
+    ``epochs`` epochs at the SGD rate ``lr_params``, whose graph steps run
+    under ``moduli_config``.  The three settings a phase reads are checked
+    as ``baseline_train`` checks them, before the sampler is called.
 
     The phase draws all its mini-batches of ``moduli_config.batch_size``
     pairs in one ``sampler`` call, so a teacher sampler labels them in one
     engine call; a sampler that draws pair by pair from one stream yields
     the batches that one call per epoch would.  Each epoch takes a
     projected batch-mean SGD step on the dense parameters along its batch,
-    then one graph descent step with the updated output layer as readout.
-    The SGD step solves its cores in one ``engine`` call and the graph
-    step, whose generator ``moduli_config.seed`` seeds, solves with it
-    too.  Per-step failures are recorded on the epoch and training
-    continues.  Returns ``(params, graph, history)``; with ``epochs == 0``
-    the inputs pass through untouched and the sampler is not called.
+    then one graph descent step on that batch with the updated output layer
+    as readout.  The SGD step solves its cores in one ``engine`` call and
+    the graph step, whose generator ``moduli_config.seed`` seeds, solves
+    with it too.  The parameter balls of ``project_params`` do not keep
+    tanh pre-activations off the complex poles at ±iπ/2; ``_input_layer``
+    rejects the non-finite state a pole gives.  Per-sample and per-step
+    failures are recorded on the epoch and training continues.  Returns
+    ``(params, graph, history)``; with ``epochs == 0`` the inputs pass
+    through untouched and the sampler is not called.
     """
-    rng = np.random.default_rng(config.moduli_config.seed)
+    if not isinstance(moduli_config, OptimizerConfig):
+        raise TypeError("moduli_config must be an OptimizerConfig")
+    epochs, lr_params, batch_size = _phase_settings(
+        epochs, lr_params, moduli_config.batch_size)
+    rng = np.random.default_rng(moduli_config.seed)
     history: list[EpochRecord] = []
-    for epoch, pairs in enumerate(_phase_batches(
-            sampler, config.epochs, config.moduli_config.batch_size)):
+    for epoch, pairs in enumerate(_phase_batches(sampler, epochs,
+                                                 batch_size)):
         failures: list[str] = []
 
         cores = _core_pass(params, g, [x for x, _ in pairs], engine)
         params = _sgd_step(params, _per_sample(
             lambda k: param_gradients(params, g, *pairs[k],
-                                      _checked(cores[k])),
-            len(pairs), "param gradient, sample", failures), config.lr_params)
+                                      _checked(cores[k], k)),
+            len(pairs), "param gradient, sample", failures), lr_params)
 
         train_loss = float("nan")
         try:
             batch = Batch.from_pairs([(input_state(params, x), y)
                                       for x, y in pairs])
-            g, events = descent_step(g, batch, config.moduli_config, epoch,
+            g, events = descent_step(g, batch, moduli_config, epoch,
                                      readout=ModelReadout(params),
                                      engine=engine, rng=rng)
             train_loss = events.loss.data
@@ -630,7 +602,7 @@ def baseline_train(sampler, params: BaselineParams, *, epochs: int,
                    lr_params: float, batch_size: int):
     """Projected batch-SGD on the dense baseline, same policy as ``train``:
     ``epochs`` steps at rate ``lr_params``, each along a mini-batch of
-    ``batch_size`` pairs, all three checked as ``TrainConfig`` checks them.
+    ``batch_size`` pairs, all three checked as ``train`` checks them.
 
     The phase draws all its mini-batches in one ``sampler`` call, as in
     ``train``.  Losses are recorded after each epoch's update on that
@@ -708,8 +680,8 @@ def model_teacher_sampler(params: ModelParams, g: WeightedGraph,
     def draw(batch_size: int):
         xs = [x for x, _ in base_sampler(batch_size)]
         cores = _core_pass(params, g, xs, engine)
-        return [(x, readout_value(params, _checked(core).psi_inf))
-                for x, core in zip(xs, cores)]
+        return [(x, readout_value(params, _checked(core, k).psi_inf))
+                for k, (x, core) in enumerate(zip(xs, cores))]
 
     return draw
 
@@ -750,9 +722,18 @@ def _encode_params(params) -> dict:
     return out
 
 
+def _real_leaves(x):
+    """``x``, nested lists of real numbers, each checked and never cast."""
+    if isinstance(x, list):
+        return [_real_leaves(v) for v in x]
+    return _exact(x, "entry", real=True)
+
+
 def _decode_array(d: dict) -> np.ndarray:
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"],
-                                                              dtype=float)
+    re, im = (np.asarray(_real_leaves(d[k]), dtype=float) for k in ("re", "im"))
+    if re.shape != im.shape:
+        raise ValueError(f"re has shape {re.shape}, im {im.shape}")
+    return re + 1j * im
 
 
 def save_checkpoint(path, params: ModelParams, g: WeightedGraph, *,
@@ -769,15 +750,25 @@ def save_checkpoint(path, params: ModelParams, g: WeightedGraph, *,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, WeightedGraph]:
+    """The model and graph of a ``save_checkpoint`` file.  Every ``re`` and
+    ``im`` leaf of the model must be a real number and not a bool; any
+    malformed model is a ValueError naming its field, as a malformed graph
+    is a GraphError."""
     with open(path) as fh:
         payload = json.load(fh)
-    m = payload["model"]
-    params = ModelParams(
-        a1=_decode_array(m["a1"]), b1=_decode_array(m["b1"]),
-        a3=_decode_array(m["a3"]),
-        b3=complex(m["b3"]["re"], m["b3"]["im"]),
-        activation1=m["activation1"], activation3=m["activation3"])
-    return params, graph_from_dict(payload["graph"])
+    fields = {}
+    for f in dataclasses.fields(ModelParams):
+        try:
+            value = payload["model"][f.name]
+            if f.type != "str":
+                value = _decode_array(value)
+                if f.type == "complex" and value.ndim:
+                    raise ValueError(f"shape {value.shape} is not a scalar's")
+            fields[f.name] = value
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"checkpoint model field {f.name}: {exc!r}"
+                             ) from exc
+    return ModelParams(**fields), graph_from_dict(payload["graph"])
 
 
 def write_history_csv(path, record_type: type, history: Sequence) -> None:

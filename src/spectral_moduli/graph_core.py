@@ -445,6 +445,18 @@ def graph_to_dict(g: WeightedGraph) -> dict:
     }
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int if it is an integer >= ``least`` (4.0 counts as
+    4), else a ValueError naming ``name``."""
+    try:  # int() rejects NaN and ±inf and keeps ints of any size
+        whole = int(value) == value >= least
+    except (ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 def _exact(x, what: str, real: bool = False):
     """``x`` if it is an integer (``real``: a real number) and not a bool:
     a number of a graph dictionary is never truncated or cast."""

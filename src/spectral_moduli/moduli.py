@@ -25,13 +25,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import NlseConfig, SteadyState, solve_steady_state_many
-from .graph_core import GraphError, WeightedGraph, build_graph
+from .dynamics import (NlseConfig, SteadyState, UnconvergedError,
+                       require_converged, solve_steady_state_many)
+from .graph_core import GraphError, WeightedGraph, _count, build_graph
 from .sensitivity import (NonIsolatedSteadyStateError, edge_gradients,
                           weight_gradients)
 
 __all__ = [
-    "LossEvaluationError",
     "OptimizerConfig",
     "Batch",
     "LossBreakdown",
@@ -48,22 +48,6 @@ __all__ = [
     "write_strata_jsonl",
     "chebyshev_schedule",
 ]
-
-
-class LossEvaluationError(RuntimeError):
-    """A steady-state solve inside a loss/gradient evaluation failed."""
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int if it is an integer >= ``least`` (4.0 counts as
-    4), else a ValueError naming ``name``."""
-    try:  # int() rejects NaN and ±inf and keeps ints of any size
-        whole = int(value) == value >= least
-    except (ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ValueError(f"{name} must be an integer >= {least}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -188,14 +172,10 @@ class SteadySolveEngine:
 def _batch_predictions(batch: Batch, readout, steadies: Sequence[SteadyState]
                        ) -> tuple[list[float], float]:
     """Readout predictions at the steady states ``steadies`` of the samples
-    of the batch, and the mean squared data loss; raises
-    LossEvaluationError naming the first offending sample on failure.
+    of the batch, and the mean squared data loss; raises the
+    UnconvergedError of the first sample whose state is unconverged.
     """
-    for i, st in enumerate(steadies):
-        if not st.converged:
-            raise LossEvaluationError(
-                f"steady-state solve did not converge for sample {i} "
-                f"({st.reason}: residual {st.residual:.3e} at t={st.t_reached:.1f})")
+    require_converged(steadies)
     preds = [readout.value(st.psi_inf) for st in steadies]
     return preds, sum((p - y) ** 2 for p, y in zip(preds, batch.ys)) / len(batch)
 
@@ -360,7 +340,7 @@ def descent_step(g: WeightedGraph, batch: Batch, config: OptimizerConfig,
             ge = stochastic_gradient(
                 g, batch, e, test_weight=theta, readout=readout, config=config,
                 steadies=solved[j * len(xs):(j + 1) * len(xs)], probe=pg)
-        except (LossEvaluationError, NonIsolatedSteadyStateError):
+        except (UnconvergedError, NonIsolatedSteadyStateError):
             test_grads[e] = float("nan")
             skipped.append(e)
             continue
@@ -455,7 +435,7 @@ def run(config: OptimizerConfig, sampler, g: WeightedGraph, *, readout,
         try:
             new_g, events = descent_step(g, batch, config, t, readout=readout,
                                          engine=engine, rng=rng)
-        except (LossEvaluationError, NonIsolatedSteadyStateError) as exc:
+        except (UnconvergedError, NonIsolatedSteadyStateError) as exc:
             log.record(IterationRecord(t, g.edges, tuple(g.weights), (), (),
                                        None, failed=str(exc)))
             history.append(float("nan"))

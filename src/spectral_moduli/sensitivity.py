@@ -48,7 +48,7 @@ from .graph_core import (GraphError, WeightedGraph, validate_scalar_field,
                          validate_scalar_fields)
 from .dynamics import (NlseConfig, SteadyState, _bordered_system, _dF_dparams,
                        _realified_jacobian, _solve_stacked, gauge_align,
-                       solve_steady_state_many)
+                       require_converged, solve_steady_state_many)
 
 __all__ = [
     "NonIsolatedSteadyStateError",
@@ -216,7 +216,8 @@ def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
     the same phase slice as the implicit solve.  ``solver`` is injectable
     for testing the difference scheme itself.  By default each state is a
     cold batch of one: an engine would warm-start a weight-perturbed row
-    from the base state, which shares its input.
+    from the base state, which shares its input.  An unconverged state
+    raises its UnconvergedError, as sample 0 (the base), 1 (+h) or 2 (-h).
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -245,13 +246,11 @@ def fd_oracle(g: WeightedGraph, psi0: np.ndarray, config: NlseConfig,
         raise ValueError(f"unknown parameter kind {kind!r}")
 
     base = solve(g, psi0, config)
-    if not base.converged:
-        raise RuntimeError("base steady-state solve did not converge")
+    require_converged([base])
     aligned = []
-    for gp, pp in problems:
+    for k, (gp, pp) in enumerate(problems, 1):
         out = solve(gp, pp, config)
-        if not out.converged:
-            raise RuntimeError("perturbed steady-state solve did not converge")
+        require_converged([out], k)
         aligned.append(gauge_align(out.psi_inf, base.psi_inf))
     quotient = (aligned[0] - aligned[1]) / (2.0 * h)
     return SensitivityResult(realify(quotient), "finite_difference", 1.0)

@@ -17,14 +17,13 @@ batch of inputs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph_core import WeightedGraph, build_graph
-from .dynamics import NlseConfig
-from .moduli import SteadySolveEngine
+from .graph_core import WeightedGraph, _count, build_graph
+from .dynamics import require_converged
 
 __all__ = [
     "ManifoldSpec",
@@ -49,7 +48,8 @@ class ManifoldSpec:
     ``kind`` is "circle", "disjoint_circles", or "segment".  ``radii`` lists
     one radius per circle (ignored for segments); ``length`` is the segment
     length.  ``n_net_points`` counts net points per circle (or in total on a
-    segment); ``noise_delta`` jitters net points along the manifold.
+    segment); ``noise_delta`` jitters net points along the manifold.  Every
+    length is finite and the count an integer (4.0 counts as 4).
     """
 
     kind: str = "circle"
@@ -64,14 +64,14 @@ class ManifoldSpec:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.kind == "circle" and len(self.radii) != 1:
             raise ValueError("a single circle takes exactly one radius")
-        if any(r <= 0 for r in self.radii) or self.length <= 0:
-            raise ValueError("radii and length must be positive")
+        if not all(0 < r < np.inf for r in (*self.radii, self.length)):
+            raise ValueError("radii and length must be positive and finite")
+        object.__setattr__(self, "n_net_points",
+                           _count("n_net_points", self.n_net_points, 2))
         if self.kind in ("circle", "disjoint_circles") and self.n_net_points < 3:
             raise ValueError("need at least 3 net points per circle")
-        if self.kind == "segment" and self.n_net_points < 2:
-            raise ValueError("need at least 2 net points on a segment")
-        if self.noise_delta < 0:
-            raise ValueError("noise_delta must be nonnegative")
+        if not 0 <= self.noise_delta < np.inf:
+            raise ValueError("noise_delta must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,8 @@ def build_ground_truth(spec: ManifoldSpec, inj_radius: float) -> GroundTruth:
     logged when ``inj_radius`` is too small to connect consecutive net
     points (the true edge set would then disconnect a connected manifold).
     """
-    if inj_radius <= 0:
-        raise ValueError("inj_radius must be positive")
+    if not 0 < inj_radius < np.inf:
+        raise ValueError("inj_radius must be positive and finite")
     rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "segment":
@@ -275,8 +275,8 @@ def noisy_input_stream(base_inputs: Sequence, noise_delta: float, seed: int):
     base = [np.asarray(x, dtype=complex) for x in base_inputs]
     if not base:
         raise ValueError("need at least one base input")
-    if noise_delta < 0:
-        raise ValueError("noise_delta must be nonnegative")
+    if not 0 <= noise_delta < np.inf:
+        raise ValueError("noise_delta must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     n = base[0].size
 
@@ -304,15 +304,15 @@ class TeacherSampler:
     before renormalization (drawn by ``noisy_input_stream``); that kick is
     not the net jitter ``truth.spec.noise_delta``.  y is the readout of the
     steady state computed on the teacher graph; each batch is labelled by
-    one call to the sampler's own ``SteadySolveEngine``.
+    one call to ``engine``, a ``moduli.SteadySolveEngine``, and raises the
+    ``UnconvergedError`` of its first unconverged state.
     """
 
     def __init__(self, truth: GroundTruth, readout: PopulationReadout,
-                 config: NlseConfig, seed: int, bump_width: float | None = None,
+                 engine, seed: int, bump_width: float | None = None,
                  noise_delta: float = 0.0):
         self.truth = truth
         self.readout = readout
-        self.config = config
         self.seed = seed
         self.graph = truth.teacher_graph()
         self.bump_width = (truth.default_bump_width if bump_width is None
@@ -321,7 +321,7 @@ class TeacherSampler:
             raise ValueError(f"bump_width must be finite and positive, "
                              f"got {self.bump_width}")
         self.noise_delta = float(noise_delta)
-        self._engine = SteadySolveEngine(config)
+        self._engine = engine
         self._bumps = [self.canonical_bump(v) for v in range(truth.n)]
         self._stream = noisy_input_stream(self._bumps, self.noise_delta, seed)
 
@@ -335,8 +335,7 @@ class TeacherSampler:
 
     def _label(self, xs: list) -> list[tuple[np.ndarray, float]]:
         steadies = self._engine.solve_many([(self.graph, x) for x in xs])
-        if not all(st.converged for st in steadies):
-            raise RuntimeError("teacher steady-state solve did not converge")
+        require_converged(steadies)
         return [(x, self.readout.value(st.psi_inf))
                 for x, st in zip(xs, steadies)]
 

@@ -79,7 +79,8 @@ def c4_teacher():
     truth = build_ground_truth(
         ManifoldSpec("circle", (1.0,), n_net_points=4), inj_radius=2.0)
     readout = PopulationReadout.random(truth.n, seed=246)
-    sampler = TeacherSampler(truth, readout, config, seed=202)
+    sampler = TeacherSampler(truth, readout, SteadySolveEngine(config),
+                             seed=202)
     return config, truth, readout, sampler
 
 

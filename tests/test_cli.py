@@ -1097,16 +1097,42 @@ def engine_constructions(tree: ast.AST, scope: str = "") -> list[str]:
     return found
 
 
-def test_engines_are_built_only_by_the_cli_and_the_teacher_sampler():
-    # every solving function is handed its engine: a hidden engine built
-    # from a config would carry a second copy of the steady settings
+def test_engines_are_built_only_by_the_cli():
+    # every solving function, the teacher sampler included, is handed its
+    # engine: a hidden engine built from a config would carry a second copy
+    # of the steady settings
     package = Path(spectral_moduli.__file__).resolve().parent
     builders = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         builders |= {(path.name, scope)
                      for scope in engine_constructions(tree)}
-    assert {b for b in builders if b[0] != "cli.py"} == {
-        ("topo_metric.py", "TeacherSampler.__init__")}
+    assert {b for b in builders if b[0] != "cli.py"} == set()
     assert ("cli.py", "_run_train") in builders
     assert ("cli.py", "_run_learn_graph") in builders
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(set(imported) - used)
+
+
+def test_every_import_of_the_package_is_used_or_exported():
+    package = Path(spectral_moduli.__file__).resolve().parent
+    unused = {path.name: unused_imports(ast.parse(path.read_text()))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -10,12 +10,15 @@ interleaved training loop.
 import dataclasses
 import inspect
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_moduli.dynamics import (NlseConfig, SteadyState,
+                                      UnconvergedError,
                                       solve_steady_state_many)
 from spectral_moduli.graph_core import GraphError, build_graph, graph_to_dict
 from spectral_moduli.moduli import (Batch, OptimizerConfig,
@@ -38,10 +41,11 @@ def opt_config(**kw):
 
 
 def train_config(batch_size=4, **kw):
+    """``train``'s settings as keyword arguments."""
     base = dict(epochs=2, lr_params=0.1,
                 moduli_config=opt_config(batch_size=batch_size))
     base.update(kw)
-    return fm.TrainConfig(**base)
+    return base
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +53,8 @@ def c4():
     truth = build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=4),
                                2.0)
     readout = PopulationReadout.random(truth.n, seed=246)
-    sampler = TeacherSampler(truth, readout, RUN_CFG, seed=202)
+    sampler = TeacherSampler(truth, readout, SteadySolveEngine(RUN_CFG),
+                             seed=202)
     return truth, sampler
 
 
@@ -96,8 +101,16 @@ def test_model_params_validation():
 
 
 def test_train_config_validation():
-    fm.TrainConfig(epochs=0, lr_params=0.1, moduli_config=opt_config())
+    # train checks its settings before it calls the sampler, and
     # baseline_train holds its three settings to the same checks
+    def untouched(count):
+        raise AssertionError("the sampler was called")
+
+    params = fm.random_params(3, 3, seed=0)
+    point = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    engine = SteadySolveEngine(RUN_CFG)
+    assert fm.train(untouched, params, point, **train_config(epochs=0),
+                    engine=engine) == (params, point, [])
     bp = fm.random_baseline(3, 3, seed=0)
     data = fm.fixed_set_sampler([(unit_vector(3, 1), 0.0)])
     phase = dict(epochs=2, lr_params=0.1, batch_size=4)
@@ -106,11 +119,14 @@ def test_train_config_validation():
                       + [("batch_size", bad) for bad in (0, float("inf"))]
                       + [("lr_params", 0.0)]):
         with pytest.raises(ValueError, match=name):
-            train_config(**{name: bad})
+            # a bad batch size is refused by the OptimizerConfig train reads
+            fm.train(untouched, params, point, **train_config(**{name: bad}),
+                     engine=engine)
         with pytest.raises(ValueError, match=name):
             fm.baseline_train(data, bp, **{**phase, name: bad})
     with pytest.raises(TypeError, match="OptimizerConfig"):
-        fm.TrainConfig(epochs=1, lr_params=0.1, moduli_config=RUN_CFG)
+        fm.train(untouched, params, point, epochs=1, lr_params=0.1,
+                 moduli_config=RUN_CFG, engine=engine)
 
 
 def test_every_setting_is_one_a_run_sets():
@@ -119,8 +135,10 @@ def test_every_setting_is_one_a_run_sets():
     assert [f.name for f in dataclasses.fields(OptimizerConfig)] == [
         "iterations", "prune_threshold", "add_threshold", "step_size",
         "batch_size", "l1_coeff", "l2_coeff", "seed", "candidate_fraction"]
-    assert [f.name for f in dataclasses.fields(fm.TrainConfig)] == [
-        "epochs", "lr_params", "moduli_config"]
+    # train takes its settings as keywords, the way baseline_train does
+    assert [name for name, p in inspect.signature(fm.train).parameters.items()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY] == [
+        "epochs", "lr_params", "moduli_config", "engine"]
     rng = inspect.signature(moduli.descent_step).parameters["rng"]
     assert rng.default is inspect.Parameter.empty
     # the records' fields are the history CSV columns (failures aside), and
@@ -131,7 +149,7 @@ def test_every_setting_is_one_a_run_sets():
         "epoch", "train_loss", "failures"]
     for fn in (fm.train, fm.baseline_train):
         assert "heldout" not in inspect.signature(fn).parameters
-    # the baseline reads three settings, not a TrainConfig
+    # the baseline reads three settings
     assert list(inspect.signature(fm.baseline_train).parameters) == [
         "sampler", "params", "epochs", "lr_params", "batch_size"]
     # every field of a step's events and of a strata summary has a reader
@@ -226,7 +244,9 @@ def test_forward_composition_matches_manual_chain(c4_model):
 
 def test_forward_vertex_mismatch(c4_model):
     params, _ = c4_model
-    with pytest.raises(GraphError, match="vertices"):
+    # the solver rejects the model's 4-vertex state on a 3-vertex graph
+    with pytest.raises(GraphError,
+                       match=r"scalar field has shape \(4,\), expected \(3,\)"):
         fm.forward(params, build_graph(3, [(0, 1, 1.0)]),
                    unit_vector(4, 3), SteadySolveEngine(RUN_CFG))
 
@@ -234,8 +254,48 @@ def test_forward_vertex_mismatch(c4_model):
 def test_forward_nonconvergence_is_forwarded(c4_model):
     params, point = c4_model
     short = NlseConfig(dt=5e-2, steady_tol=1e-12, t_max=0.2)
-    with pytest.raises(fm.CoreConvergenceError, match="residual"):
+    with pytest.raises(UnconvergedError, match="residual") as err:
         fm.forward(params, point, unit_vector(4, 3), SteadySolveEngine(short))
+    assert (err.value.sample, err.value.reason) == (0, "horizon")
+
+
+class Stalling:
+    """An engine that returns each input as its state and ends the rows
+    ``rows`` of every call with ``reason``."""
+
+    def __init__(self, rows, reason):
+        self.rows, self.reason = rows, reason
+
+    def warm_started(self, xs):
+        return False
+
+    def solve_many(self, jobs, *, probe=False):
+        return [SteadyState(np.asarray(x, dtype=complex), 1.0, 0.5, 0.1,
+                            reason=self.reason if i in self.rows else None)
+                for i, (_, x) in enumerate(jobs)]
+
+
+def test_core_error_names_the_failing_sample_and_reason(c4_model):
+    # each caller of the core names the input whose state did not settle
+    params, point = c4_model
+    pairs = [(unit_vector(4, s), 0.0) for s in range(3)]
+    engine = Stalling({1}, "singular")
+    labels = fm.model_teacher_sampler(params, point, engine,
+                                      fm.fixed_set_sampler(pairs))
+    for call in (lambda: fm.loss_samples(params, point, pairs, engine),
+                 lambda: labels(3)):
+        with pytest.raises(UnconvergedError,
+                           match=r"sample 1 \(singular: residual 5\.000e-01"
+                           ) as err:
+            call()
+        assert (err.value.sample, err.value.reason) == (1, "singular")
+    _, _, (h,) = fm.train(fm.fixed_set_sampler(pairs), params, point,
+                          **train_config(batch_size=3, epochs=1),
+                          engine=Stalling({0, 1, 2}, "repelled"))
+    assert [f.split(" (")[0] for f in h.failures] == [
+        f"param gradient, sample {k}: steady-state solve did not converge "
+        f"for sample {k}" for k in range(3)] + [
+        "graph step: steady-state solve did not converge for sample 0"]
 
 
 def zero_state_input(params):
@@ -494,7 +554,7 @@ def test_train_zero_epochs_is_passthrough(c4):
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
     cfg = train_config(epochs=0)
-    p, pt, hist = fm.train(data, cfg, teacher, point,
+    p, pt, hist = fm.train(data, teacher, point, **cfg,
                            engine=SteadySolveEngine(RUN_CFG))
     assert p is teacher and pt is point and hist == []
 
@@ -503,7 +563,7 @@ def test_train_teacher_fixed_point(c4):
     truth, sampler = c4
     teacher, point, data = self_consistent_task(truth, sampler)
     cfg = train_config(epochs=10, lr_params=0.05)
-    p, pt, hist = fm.train(data, cfg, teacher, point,
+    p, pt, hist = fm.train(data, teacher, point, **cfg,
                            engine=SteadySolveEngine(RUN_CFG))
     assert len(hist) == 10
     assert max(h.train_loss for h in hist) < 1e-8
@@ -520,7 +580,7 @@ def test_train_is_deterministic(c4):
     for _ in range(2):
         teacher, tpoint, data = self_consistent_task(truth, sampler)
         cfg = train_config(epochs=3, lr_params=0.2)
-        p, pt, hist = fm.train(data, cfg, rng_params, point,
+        p, pt, hist = fm.train(data, rng_params, point, **cfg,
                                engine=SteadySolveEngine(RUN_CFG))
         runs.append((p, pt, [h.train_loss for h in hist]))
     (p1, pt1, l1), (p2, pt2, l2) = runs
@@ -542,13 +602,13 @@ def test_train_logs_failures_and_continues(c4, monkeypatch):
     monkeypatch.setattr(moduli, "solve_steady_state_many", never_converges)
     engine = SteadySolveEngine(RUN_CFG)
     cfg = train_config(epochs=2)
-    with pytest.raises(fm.CoreConvergenceError):
+    with pytest.raises(UnconvergedError):
         fm.forward(teacher, point, unit_vector(truth.n, 0), engine)
-    p, pt, hist = fm.train(fm.fixed_set_sampler(pairs), cfg, teacher, point,
-                           engine=engine)
+    p, pt, hist = fm.train(fm.fixed_set_sampler(pairs), teacher, point,
+                           **cfg, engine=engine)
     assert len(hist) == 2
     for h in hist:
-        assert len(h.failures) == cfg.moduli_config.batch_size + 1  # + step
+        assert len(h.failures) == cfg["moduli_config"].batch_size + 1  # + step
         assert np.isnan(h.train_loss)
     assert graph_to_dict(pt) == graph_to_dict(point)
     assert np.array_equal(p.a1, teacher.a1)
@@ -559,7 +619,7 @@ def test_train_logs_a_degenerate_input_and_continues(c4_model):
     good = [(unit_vector(4, s), 0.1 * s) for s in (1, 2, 3)]
     pairs = [good[0], (zero_state_input(params), 0.0), good[1], good[2]]
     cfg = train_config(epochs=1)
-    p, _, hist = fm.train(fm.fixed_set_sampler(pairs), cfg, params, point,
+    p, _, hist = fm.train(fm.fixed_set_sampler(pairs), params, point, **cfg,
                           engine=SteadySolveEngine(RUN_CFG))
     (h,) = hist
     assert h.failures == ("param gradient, sample 1: input layer produced "
@@ -568,7 +628,7 @@ def test_train_logs_a_degenerate_input_and_continues(c4_model):
     # step then runs at the moved parameters, where no input is degenerate
     expect = fm._sgd_step(params, [
         solved_gradients(params, point, x, y, RUN_CFG) for x, y in good],
-        cfg.lr_params)
+        cfg["lr_params"])
     assert np.allclose(p.a1, expect.a1, rtol=0.0, atol=1e-12)
     assert np.allclose(p.a3, expect.a3, rtol=0.0, atol=1e-12)
     assert np.isfinite(h.train_loss)
@@ -589,7 +649,7 @@ def test_train_epoch_solves_once_per_pass(c4, monkeypatch):
 
     monkeypatch.setattr(engine, "solve_many", counting)
     params = fm.random_params(truth.n, truth.n, seed=2)
-    _, _, hist = fm.train(data, train_config(epochs=1), params, point,
+    _, _, hist = fm.train(data, params, point, **train_config(epochs=1),
                           engine=engine)
     # a batch of 4 distinct inputs; C4 has two absent edges to probe
     assert calls == [4, 4, 2 * 4]
@@ -618,11 +678,12 @@ def counted_teacher(truth, sampler):
 def train_phase(loop, data, cfg, truth, teacher, point):
     """History of one ``train`` or ``baseline_train`` phase on ``data``."""
     if loop == "train":
-        return fm.train(data, cfg, teacher, point,
+        return fm.train(data, teacher, point, **cfg,
                         engine=SteadySolveEngine(RUN_CFG))[2]
     return fm.baseline_train(
-        data, fm.random_baseline(truth.n, truth.n, seed=1), epochs=cfg.epochs,
-        lr_params=cfg.lr_params, batch_size=cfg.moduli_config.batch_size)[1]
+        data, fm.random_baseline(truth.n, truth.n, seed=1),
+        epochs=cfg["epochs"], lr_params=cfg["lr_params"],
+        batch_size=cfg["moduli_config"].batch_size)[1]
 
 
 @pytest.mark.parametrize("loop", ["train", "baseline_train"])
@@ -737,7 +798,7 @@ def test_baseline_train_takes_integral_float_counts():
                               lr_params=0.1, batch_size=batch_size)
             for epochs, batch_size in ((2, 4), (2.0, 4.0))]
     (one, h1), (two, h2) = runs
-    assert type(train_config(epochs=2.0).epochs) is int
+    assert type(fm._phase_settings(2.0, 0.1, 4.0)[0]) is int  # as in train
     assert np.array_equal(one.w2, two.w2) and np.array_equal(one.a3, two.a3)
     assert [r.train_loss for r in h1] == [r.train_loss for r in h2]
     assert len(h2) == 2
@@ -869,6 +930,44 @@ def test_checkpoint_keeps_vertex_and_edge_measures(tmp_path, c4_model):
     assert np.array_equal(loaded.weights, graph.weights)
     assert np.array_equal(loaded.mu, graph.mu)
     assert np.array_equal(loaded.rho, graph.rho)
+
+
+@st.composite
+def malformed_models(draw):
+    """A saved model half with one defect, and the field the defect is in."""
+    model = fm._encode_params(fm.random_params(2, 3, seed=0))
+    field = draw(st.sampled_from(["a1", "b1", "a3", "b3"]))
+    part = draw(st.sampled_from(["re", "im"]))
+    defect = draw(st.sampled_from(["leaf", "field", "part", "container",
+                                   "shape"]))
+    if defect == "leaf":  # a leaf no real number: cast at the parent
+        holder, key = model[field], part
+        while isinstance(holder[key], list):
+            holder, key = holder[key], draw(st.integers(0, len(holder[key]) - 1))
+        holder[key] = draw(st.sampled_from(["2.5", True, False, None, {}]))
+    elif defect == "field":
+        field = draw(st.sampled_from(sorted(model)))
+        del model[field]
+    elif defect == "part":
+        del model[field][part]
+    elif defect == "container":
+        model[field] = draw(st.sampled_from([[], "re", 1.0, None]))
+    else:  # re and im of different shapes
+        model[field][part] = [model[field][part]]
+    return model, field
+
+
+@given(malformed_models())
+def test_a_malformed_model_half_is_one_value_error_naming_its_field(case):
+    model, field = case
+    point = build_graph(3, [(0, 1, 1.0), (1, 2, 0.5)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump({"model": model, "graph": graph_to_dict(point)}, fh)
+        with pytest.raises(ValueError, match=f"^checkpoint model field "
+                                             f"{field}: "):
+            fm.load_checkpoint(path)
 
 
 def test_history_csv_format(tmp_path):

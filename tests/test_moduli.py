@@ -19,14 +19,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spectral_moduli import dynamics, moduli
-from spectral_moduli.dynamics import (NlseConfig, SteadyState, gauge_align,
-                                      solve_steady_state_many)
+from spectral_moduli.dynamics import (NlseConfig, SteadyState, UnconvergedError,
+                                      gauge_align, solve_steady_state_many)
 from spectral_moduli.graph_core import (GraphError, WeightedGraph, build_graph,
                                         graph_to_dict)
 from spectral_moduli.moduli import (
     Batch,
     LossBreakdown,
-    LossEvaluationError,
     OptimizerConfig,
     SteadySolveEngine,
     StrataLog,
@@ -63,7 +62,8 @@ def c3():
     truth = build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=3),
                                inj_radius=2.5)
     readout = PopulationReadout.random(3, seed=5)
-    sampler = TeacherSampler(truth, readout, RUN_CFG, seed=11)
+    sampler = TeacherSampler(truth, readout, SteadySolveEngine(RUN_CFG),
+                             seed=11)
     return truth, readout, sampler
 
 
@@ -72,7 +72,8 @@ def c4():
     truth = build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=4),
                                inj_radius=2.0)
     readout = PopulationReadout.random(4, seed=246)
-    sampler = TeacherSampler(truth, readout, RUN_CFG, seed=202)
+    sampler = TeacherSampler(truth, readout, SteadySolveEngine(RUN_CFG),
+                             seed=202)
     return truth, readout, sampler
 
 
@@ -187,7 +188,7 @@ def test_loss_error_names_failing_sample(c3):
     batch = Batch.from_pairs(sampler.exact())
     short = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=0.2)
     cfg = opt_config(batch_size=3)
-    with pytest.raises(LossEvaluationError, match="sample 0"):
+    with pytest.raises(UnconvergedError, match="sample 0"):
         regularized_loss(truth.teacher_graph(), batch, readout,
                          cfg, engine=SteadySolveEngine(short))
 
@@ -432,7 +433,7 @@ def test_a_warm_step_solves_its_current_and_probe_rows_in_one_call(
             tests[e] = stochastic_gradient(
                 g, batch, e, test_weight=cfg.prune_threshold,
                 readout=readout, config=cfg, engine=ref)
-        except LossEvaluationError:
+        except UnconvergedError:
             skipped.add(e)
     assert set(events.pruned) == pruned
     assert set(events.skipped_candidates) == skipped == set()
@@ -524,8 +525,12 @@ def test_repelled_probe_rows_fail_without_the_flow_path(monkeypatch):
     assert all(np.isnan(v) for v in events.test_gradients.values())
     assert events.added == ()
     # a skipped probe says why
-    with pytest.raises(LossEvaluationError, match="sample 0 \\(repelled: "):
+    with pytest.raises(UnconvergedError,
+                       match="sample 0 \\(repelled: ") as err:
         moduli._batch_predictions(batch, readout, probes[:2])
+    assert (err.value.sample, err.value.reason) == (0, "repelled")
+    with pytest.raises(UnconvergedError, match="sample 1 \\(repelled: "):
+        moduli._batch_predictions(batch, readout, [current[0], probes[1]])
 
 
 def test_a_plain_solve_still_finishes_repelled_rows_on_the_flow_path():
@@ -549,9 +554,11 @@ def test_skipped_solve_error_names_the_horizon(c3):
     batch = Batch.from_pairs(sampler.exact())
     short = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=0.2)
     cfg = opt_config(batch_size=3)
-    with pytest.raises(LossEvaluationError, match="sample 0 \\(horizon: "):
+    with pytest.raises(UnconvergedError,
+                       match="sample 0 \\(horizon: ") as err:
         regularized_loss(truth.teacher_graph(), batch, readout,
                          cfg, engine=SteadySolveEngine(short))
+    assert (err.value.sample, err.value.reason) == (0, "horizon")
 
 
 @st.composite
@@ -689,8 +696,8 @@ def test_run_takes_integral_float_counts(c4):
         cfg = opt_config(iterations=iterations, batch_size=batch_size,
                          step_size=1000.0)
         assert (type(cfg.iterations), type(cfg.batch_size)) == (int, int)
-        sampler = TeacherSampler(truth, readout, RUN_CFG, seed=202,
-                                 noise_delta=0.1)
+        sampler = TeacherSampler(truth, readout, SteadySolveEngine(RUN_CFG),
+                                 seed=202, noise_delta=0.1)
         runs.append(run(cfg, sampler, truth.teacher_graph(),
                         readout=readout, engine=SteadySolveEngine(RUN_CFG)))
     (p_int, _, h_int), (p_float, _, h_float) = runs
@@ -745,7 +752,7 @@ def test_only_a_warm_step_that_fails_has_drawn_its_candidates(c4, monkeypatch):
     monkeypatch.setattr(moduli, "solve_steady_state_many", never_converges)
     for engine, draws in ((SteadySolveEngine(RUN_CFG), 0), (warm, 1)):
         rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-        with pytest.raises(LossEvaluationError):
+        with pytest.raises(UnconvergedError):
             descent_step(g, batch, cfg, 0, readout=readout, engine=engine,
                          rng=rng)
         for _ in range(draws):  # one of the two absent pairs (0, 2), (1, 3)

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from spectral_moduli import dynamics, sensitivity
 from spectral_moduli.graph_core import GraphError, build_graph, cycle_graph, single_vertex_graph
-from spectral_moduli.dynamics import (NlseConfig, SteadyState, nlse_rhs,
+from spectral_moduli.dynamics import (NlseConfig, SteadyState,
+                                      UnconvergedError, nlse_rhs,
                                       solve_steady_state_many)
 from spectral_moduli.sensitivity import (
     NonIsolatedSteadyStateError,
@@ -247,6 +248,25 @@ def test_fd_oracle_exact_on_quadratic_solver():
     expect = realify(np.array([2 * w0, 0.0, 1.0], dtype=complex))
     assert np.abs(out.d_psi_inf - expect).max() < 1e-11
     assert out.method == "finite_difference"
+
+
+@pytest.mark.parametrize("failing, reason", [(0, "horizon"), (2, "singular")])
+def test_fd_oracle_error_names_the_failing_solve(failing, reason):
+    # the base state is sample 0, the +h and -h states samples 1 and 2
+    g = cycle_graph(3)
+    psi0 = np.ones(3, dtype=complex) / np.sqrt(3)
+    solves = []
+
+    def solver(gq, p, config):
+        solves.append(p)
+        return SteadyState(p, 1.0, 0.5, config.gamma,
+                           reason=reason if len(solves) > failing else None)
+
+    with pytest.raises(UnconvergedError,
+                       match=f"sample {failing} \\({reason}: ") as err:
+        fd_oracle(g, psi0, CFG, ("w", g.edges[0]), h=1e-3, solver=solver)
+    assert (err.value.sample, err.value.reason) == (failing, reason)
+    assert len(solves) == failing + 1
 
 
 def test_fd_oracle_h_sweep_v_shape(triangle_problem):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spectral_moduli import moduli
-from spectral_moduli.dynamics import NlseConfig, solve_steady_state_many
+from spectral_moduli.dynamics import (NlseConfig, SteadyState, UnconvergedError,
+                                      solve_steady_state_many)
+from spectral_moduli.moduli import SteadySolveEngine
 from spectral_moduli.graph_core import build_graph, cycle_graph, path_graph
 from spectral_moduli.topo_metric import (
     DistortionReport,
@@ -25,6 +27,12 @@ from spectral_moduli.topo_metric import (
 )
 
 TEACHER_CFG = NlseConfig(dt=1e-2, steady_tol=1e-10, t_max=2000.0)
+
+
+def teacher(truth, readout, seed, config=TEACHER_CFG, **kwargs):
+    """A teacher sampler labelling on a fresh engine of ``config``."""
+    return TeacherSampler(truth, readout, SteadySolveEngine(config),
+                          seed=seed, **kwargs)
 
 
 def floyd_warshall_oracle(g):
@@ -154,6 +162,41 @@ def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         build_ground_truth(ManifoldSpec("circle", (1.0,), n_net_points=4),
                            inj_radius=-1.0)
+
+
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+# each ground-truth input, the word its error names, and a build with it
+TRUTH_INPUTS = {
+    "radius": ("radii", lambda bad: ManifoldSpec("disjoint_circles",
+                                                 (1.0, bad))),
+    "length": ("length", lambda bad: ManifoldSpec("segment", length=bad)),
+    "jitter": ("noise_delta", lambda bad: ManifoldSpec(noise_delta=bad)),
+    "count": ("n_net_points", lambda bad: ManifoldSpec(n_net_points=bad)),
+    "inj_radius": ("inj_radius", lambda bad: build_ground_truth(
+        ManifoldSpec(), inj_radius=bad)),
+    "kick": ("noise_delta", lambda bad: noisy_input_stream(
+        [np.ones(4) / 2.0], bad, seed=0)),
+}
+
+
+@given(st.data())
+def test_truth_inputs_reject_nonfinite_values_and_fractional_counts(data):
+    # each would build a truth without edges, skip the jitter or the kick,
+    # or fail later with a TypeError
+    name = data.draw(st.sampled_from(sorted(TRUTH_INPUTS)))
+    bad = data.draw(st.one_of(
+        st.sampled_from(NONFINITE),
+        st.floats(2.0, 40.0).filter(lambda x: x != int(x)))
+        if name == "count" else st.sampled_from(NONFINITE))
+    word, build = TRUTH_INPUTS[name]
+    with pytest.raises(ValueError, match=word):
+        build(bad)
+
+
+def test_an_integral_float_count_builds_the_integer_net():
+    spec = ManifoldSpec("circle", (1.0,), n_net_points=4.0)
+    assert type(spec.n_net_points) is int
+    assert spec == ManifoldSpec("circle", (1.0,), n_net_points=4)
 
 
 def test_truth_serializes_to_json():
@@ -345,7 +388,7 @@ def test_readout_gauge_invariance_and_cotangent(c4_truth):
 
 def test_sampler_delta_zero_gives_canonical_bump(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=2)
+    sampler = teacher(c4_truth, readout, seed=2)
     x, y = sampler(1)[0]
     dists = [np.linalg.norm(x - sampler.canonical_bump(v)) for v in range(4)]
     assert min(dists) == pytest.approx(0.0, abs=1e-15)
@@ -355,9 +398,9 @@ def test_sampler_delta_zero_gives_canonical_bump(c4_truth):
 
 def test_sampler_stream_determinism(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    a = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=3)(4)
-    b = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=3)(4)
-    c = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=4)(4)
+    a = teacher(c4_truth, readout, seed=3)(4)
+    b = teacher(c4_truth, readout, seed=3)(4)
+    c = teacher(c4_truth, readout, seed=4)(4)
     for (xa, ya), (xb, yb) in zip(a, b):
         np.testing.assert_array_equal(xa, xb)
         assert ya == yb
@@ -367,8 +410,7 @@ def test_sampler_stream_determinism(c4_truth):
 def test_sampler_noise_stays_within_delta(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
     delta = 0.05
-    sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=6,
-                             noise_delta=delta)
+    sampler = teacher(c4_truth, readout, seed=6, noise_delta=delta)
     for _ in range(10):
         x, _ = sampler(1)[0]
         gaps = [np.linalg.norm(x - sampler.canonical_bump(v))
@@ -384,13 +426,12 @@ def test_sampler_input_noise_is_not_the_net_jitter():
                                             noise_delta=0.1, seed=3),
                                inj_radius=1.5)
     readout = PopulationReadout.random(6, seed=1)
-    plain = TeacherSampler(truth, readout, TEACHER_CFG, seed=2)
+    plain = teacher(truth, readout, seed=2)
     bumps = [plain.canonical_bump(v) for v in range(6)]
     assert plain.noise_delta == 0.0
     for x, _ in plain(8):
         assert any(np.array_equal(x, b) for b in bumps)
-    noisy = TeacherSampler(truth, readout, TEACHER_CFG, seed=2,
-                           noise_delta=0.05)
+    noisy = teacher(truth, readout, seed=2, noise_delta=0.05)
     expect = noisy_input_stream(bumps, 0.05, seed=2)(8)
     for (x, _), (e, _) in zip(noisy(8), expect):
         np.testing.assert_array_equal(x, e)
@@ -401,13 +442,13 @@ def test_sampler_input_noise_is_not_the_net_jitter():
 def test_sampler_rejects_bad_bump_width(c4_truth, width):
     readout = PopulationReadout.random(4, seed=1)
     with pytest.raises(ValueError, match="bump_width"):
-        TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=2, bump_width=width)
+        teacher(c4_truth, readout, seed=2, bump_width=width)
 
 
 def test_teacher_self_consistency(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    first = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=7)
-    again = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=7)
+    first = teacher(c4_truth, readout, seed=7)
+    again = teacher(c4_truth, readout, seed=7)
     for (x1, y1), (x2, y2) in zip(first.exact(), again.exact()):
         np.testing.assert_array_equal(x1, x2)
         assert (y1 - y2) ** 2 < 1e-10
@@ -418,7 +459,7 @@ def test_exact_batch_is_one_solve_equal_to_single_solves(monkeypatch):
                                inj_radius=1.0)
     readout = PopulationReadout.random(8, seed=349)
     config = NlseConfig(dt=5e-2, steady_tol=1e-8, t_max=3000.0)
-    sampler = TeacherSampler(truth, readout, config, seed=202)
+    sampler = teacher(truth, readout, seed=202, config=config)
     rows = []
     batched = moduli.solve_steady_state_many
 
@@ -436,9 +477,26 @@ def test_exact_batch_is_one_solve_equal_to_single_solves(monkeypatch):
         assert y == readout.value(single.psi_inf)
 
 
+def test_teacher_error_names_the_failing_sample_and_reason(c4_truth):
+    class Stalling:
+        """An engine that stops the third row of a batch at its horizon."""
+
+        def solve_many(self, jobs):
+            return [SteadyState(np.asarray(x, dtype=complex), 2.0, 0.5, 0.1,
+                                reason="horizon" if i == 2 else None)
+                    for i, (_, x) in enumerate(jobs)]
+
+    sampler = TeacherSampler(c4_truth, PopulationReadout.random(4, seed=1),
+                             Stalling(), seed=2)
+    with pytest.raises(UnconvergedError,
+                       match=r"sample 2 \(horizon: residual 5\.000e-01") as err:
+        sampler.exact()
+    assert (err.value.sample, err.value.reason) == (2, "horizon")
+
+
 def test_exact_batch_covers_every_vertex(c4_truth):
     readout = PopulationReadout.random(4, seed=1)
-    sampler = TeacherSampler(c4_truth, readout, TEACHER_CFG, seed=8)
+    sampler = teacher(c4_truth, readout, seed=8)
     batch = sampler.exact()
     assert len(batch) == 4
     for v, (x, y) in enumerate(batch):
